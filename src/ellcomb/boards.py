@@ -17,6 +17,21 @@ polynomial r_k(w; B) and file polynomial f_k(w; B).  These are exactly
 the normal-ordering coefficients of the outlining word under the
 RookWeyl and File rewriting systems.
 
+The polynomials are computed by a column sweep, not by listing
+placements, in the spirit of the column recursions of Schlosser and
+Yoo (Elliptic rook and file numbers, 2017).  Moving west to east, the
+state is the sorted tuple of rows holding the rooks placed so far; it
+decides which cells of the next column are cancelled (rows already
+used, in rook mode) and r for every cell of that column, so the
+weighted sum is carried from column to column per state.  With H the
+tallest column there are at most C(H + k, k) states (sum_{j <= k}
+C(H, j) for rooks), each with at most H + 1 moves per column of at most
+H cells, so for fixed k the cost is polynomial in the board size while
+the number of placements grows exponentially.  The sweep's geometry
+(states, moves and their (s, t) cells) is cached per (heights, kind, k)
+in one bounded cache.  ``placements`` enumerates placements directly
+and is the reference the sweep is tested against.
+
 Under the four-parameter theta weights the cell weight specialises to
 the single-index w(s - t): rook cells weigh w(i - j - r) and file cells
 w(1 - j), and the polynomials enter two product formulas for shifted
@@ -29,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .special_fn import DomainError, EllipticWeights, GenericWeights, bracket_z
-from .weightpoly import WeightPolynomial
+from .weightpoly import WeightPolynomial, _merge_monomials
 
 __all__ = [
     "FerrersBoard", "Placement", "board_from_word", "word_from_board",
@@ -145,19 +160,23 @@ def word_from_board(board: FerrersBoard) -> str:
     return "".join(parts)
 
 
-@lru_cache(maxsize=100_000)
-def _geometry(heights: tuple, k: int, kind: str):
-    """All k-placements on the board, each with its uncancelled-cell data.
+def placements(board: FerrersBoard, k: int, kind: str):
+    """All k-placements of the given kind, as Placement values.
 
-    Returns a tuple of (rooks, weight_cells) pairs where weight_cells
-    lists (s, t) = (column - nw_rooks, row) for every uncancelled cell.
+    Plain enumeration, exponential in the board size; the board
+    polynomials do not use it, and it serves as their reference.
     """
+    if k < 0:
+        raise DomainError("placement count k must be nonnegative")
+    if kind not in ("rook", "file"):
+        raise DomainError(f"placement kind must be rook or file: {kind!r}")
+    heights = board.heights
     n = len(heights)
     results = []
 
     def descend(col: int, used_rows: frozenset, chosen: tuple):
         if len(chosen) == k:
-            results.append(chosen)
+            results.append(Placement(chosen, kind))
             return
         if col > n or n - col + 1 < k - len(chosen):
             return
@@ -168,38 +187,71 @@ def _geometry(heights: tuple, k: int, kind: str):
             descend(col + 1, used_rows | {row}, chosen + ((col, row),))
 
     descend(1, frozenset(), ())
+    return results
 
-    out = []
-    for rooks in results:
-        occupied = set(rooks)
-        cancelled = set()
-        for (c, r) in rooks:
-            for r2 in range(1, r):
-                cancelled.add((c, r2))
-            if kind == "rook":
-                for c2 in range(c + 1, n + 1):
-                    if r <= heights[c2 - 1]:
-                        cancelled.add((c2, r))
-        weight_cells = []
-        for i in range(1, n + 1):
-            for j in range(1, heights[i - 1] + 1):
-                cell = (i, j)
-                if cell in occupied or cell in cancelled:
+
+def _column_move(state: tuple, target: tuple, col: int, low: int,
+                 height: int, kind: str) -> tuple:
+    """One move of the sweep through column ``col``.
+
+    Rows ``low..height`` of the column stay uncancelled, except rows a
+    rook to the west already uses in rook mode; each such cell (col, j)
+    carries (s, t) = (col - nw, j), nw counting the rows of ``state``
+    at or above j.
+    """
+    cells = tuple((col - sum(1 for r in state if r >= j), j)
+                  for j in range(low, height + 1)
+                  if kind == "file" or j not in state)
+    counts: dict = {}
+    for cell in cells:
+        counts[cell] = counts.get(cell, 0) + 1
+    return state, target, cells, tuple(sorted(counts.items()))
+
+
+@lru_cache(maxsize=4096)
+def _sweep_plan(heights: tuple, kind: str, k: int) -> tuple:
+    """The column-by-column transfer for k-placements on a board.
+
+    A sweep state is the sorted tuple of rows holding the rooks placed
+    in the columns already swept.  Column i takes each state either
+    without a rook, or with a rook at a row r (in rook mode not a row
+    the state uses) that cancels the cells below it; the uncancelled
+    cells of the column depend only on the state.  Moves that cannot
+    end with exactly k rooks are dropped.  Returns the columns, each a
+    tuple of (source, target, weight_cells, monomial) moves, and the
+    distinct (s, t) over all moves; both depend only on the geometry.
+    None when the board has no k-placement.
+    """
+    n = len(heights)
+    # open_after[i]: columns right of column i that can still take a rook
+    open_after = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        open_after[i] = open_after[i + 1] + (heights[i] > 0)
+    columns = []
+    states = [()]
+    for col, height in enumerate(heights, start=1):
+        moves = []
+        for state in states:
+            placed = len(state)
+            if placed + open_after[col] >= k:
+                moves.append(_column_move(state, state, col, 1, height, kind))
+            if placed == k or placed + 1 + open_after[col] < k:
+                continue
+            for row in range(1, height + 1):
+                if kind == "rook" and row in state:
                     continue
-                nw = sum(1 for (c, r) in rooks if c < i and r >= j)
-                weight_cells.append((i - nw, j))
-        out.append((rooks, tuple(weight_cells)))
-    return tuple(out)
-
-
-def placements(board: FerrersBoard, k: int, kind: str):
-    """All k-placements of the given kind, as Placement values."""
-    if k < 0:
-        raise DomainError("placement count k must be nonnegative")
-    if kind not in ("rook", "file"):
-        raise DomainError(f"placement kind must be rook or file: {kind!r}")
-    return [Placement(rooks, kind)
-            for rooks, _ in _geometry(board.heights, k, kind)]
+                target = tuple(sorted(state + (row,)))
+                moves.append(_column_move(state, target, col, row + 1, height, kind))
+        columns.append(moves)
+        states = sorted({move[1] for move in moves})
+    alive = {state for state in states if len(state) == k}
+    for i in range(n - 1, -1, -1):
+        columns[i] = tuple(move for move in columns[i] if move[1] in alive)
+        alive = {move[0] for move in columns[i]}
+    if () not in alive:
+        return None
+    cells = sorted({cell for moves in columns for move in moves for cell in move[2]})
+    return tuple(columns), tuple(cells)
 
 
 def _cell_weight(family, kind: str, s: int, t: int):
@@ -211,23 +263,37 @@ def _cell_weight(family, kind: str, s: int, t: int):
 def _weighted_sum(board: FerrersBoard, k: int, family, kind: str):
     if k < 0:
         raise DomainError("placement count k must be nonnegative")
-    geometry = _geometry(board.heights, k, kind)
-    if getattr(family, "symbolic", False):
+    symbolic = getattr(family, "symbolic", False)
+    plan = _sweep_plan(board.heights, kind, k)
+    if plan is None:
+        return WeightPolynomial.zero() if symbolic else 0.0 + 0.0j
+    columns, cells = plan
+    if symbolic:
+        acc = {(): {(): 1}}
+        for moves in columns:
+            nxt: dict = {}
+            for source, target, _, mono in moves:
+                out = nxt.setdefault(target, {})
+                for m, c in acc[source].items():
+                    m = _merge_monomials(m, mono)
+                    out[m] = out.get(m, 0) + c
+            acc = nxt
         terms: dict = {}
-        for _, weight_cells in geometry:
-            counts: dict = {}
-            for cell in weight_cells:
-                counts[cell] = counts.get(cell, 0) + 1
-            mono = tuple(sorted(counts.items()))
-            terms[mono] = terms.get(mono, 0) + 1
+        for part in acc.values():
+            for m, c in part.items():
+                terms[m] = terms.get(m, 0) + c
         return WeightPolynomial(terms)
-    total = 0.0 + 0.0j
-    for _, weight_cells in geometry:
-        product = 1.0 + 0.0j
-        for (s, t) in weight_cells:
-            product *= _cell_weight(family, kind, s, t)
-        total += product
-    return total
+    weight = {(s, t): _cell_weight(family, kind, s, t) for s, t in cells}
+    acc = {(): 1.0 + 0.0j}
+    for moves in columns:
+        nxt = {}
+        for source, target, weight_cells, _ in moves:
+            value = acc[source]
+            for cell in weight_cells:
+                value *= weight[cell]
+            nxt[target] = nxt.get(target, 0.0) + value
+        acc = nxt
+    return sum(acc.values(), 0.0 + 0.0j)
 
 
 def rook_poly(board: FerrersBoard, k: int, family):
@@ -236,7 +302,10 @@ def rook_poly(board: FerrersBoard, k: int, family):
     Nonattacking placements; a rook cancels rightward in its row and
     downward in its column; uncancelled cell (i, j) weighs w(i - r, j),
     with the single-index specialisation w(i - j - r) for the
-    four-parameter theta family.
+    four-parameter theta family.  Computed by the column sweep over the
+    sets of used rows, so the cost is polynomial in the board size for
+    fixed k (times the number of output monomials when symbolic), not
+    proportional to the number of placements.
     """
     return _weighted_sum(board, k, family, "rook")
 
@@ -246,7 +315,11 @@ def file_poly(board: FerrersBoard, k: int, family):
 
     Distinct-column placements; a file rook cancels only downward;
     uncancelled cell (i, j) weighs w(i - r, j), specialising to the
-    row-only w(1 - j) for the four-parameter theta family.
+    row-only w(1 - j) for the four-parameter theta family.  Computed by
+    the column sweep over the multisets of rook rows, so the cost is
+    polynomial in the board size for fixed k (times the number of
+    output monomials when symbolic), not proportional to the number of
+    placements.
     """
     return _weighted_sum(board, k, family, "file")
 

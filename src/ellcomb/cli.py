@@ -263,14 +263,22 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_json(p_no)
     p_no.set_defaults(handler=_cmd_normal_order)
 
-    p_rook = sub.add_parser("rook", help="weighted rook polynomial of a board")
+    p_rook = sub.add_parser(
+        "rook", help="weighted rook polynomial of a board",
+        description="Weighted k-rook polynomial of a Ferrers board.  With "
+                    "--family elliptic a cell weighs the single-index theta "
+                    "weight w(s - t), not the two-index small weight w(s, t).")
     p_rook.add_argument("--board", required=True)
     p_rook.add_argument("--k", type=int, required=True)
     _add_family_flags(p_rook)
     _add_json(p_rook)
     p_rook.set_defaults(handler=lambda a: _cmd_board_poly(a, rook_poly))
 
-    p_file = sub.add_parser("file", help="weighted file polynomial of a board")
+    p_file = sub.add_parser(
+        "file", help="weighted file polynomial of a board",
+        description="Weighted k-file polynomial of a Ferrers board.  With "
+                    "--family elliptic a cell weighs the single-index theta "
+                    "weight w(1 - t), not the two-index small weight w(s, t).")
     p_file.add_argument("--board", required=True)
     p_file.add_argument("--k", type=int, required=True)
     _add_family_flags(p_file)

@@ -2,9 +2,11 @@
 
 import cmath
 import random
+import time
 
 import pytest
 
+import ellcomb.cli as cli
 from ellcomb.boards import (
     FerrersBoard,
     all_boards_within,
@@ -21,6 +23,7 @@ from ellcomb.special_fn import (
     DomainError,
     EllipticWeights,
     GenericWeights,
+    NearPoleError,
     ParameterSet,
     QWeights,
     q_bracket,
@@ -135,6 +138,66 @@ def test_rook_file_polys_on_zero_height_columns():
     assert rook_poly(board, 2, gen) == WeightPolynomial.zero()
 
 
+def oracle_cells(board, placement):
+    """(s, t) of every uncancelled cell of one placement, by brute force:
+    cancel below each rook (and right of it in rook mode), then count
+    the rooks strictly west and weakly north of each remaining cell."""
+    rooks = placement.rooks
+    cancelled = set(rooks)
+    for c, r in rooks:
+        cancelled.update((c, r2) for r2 in range(1, r))
+        if placement.kind == "rook":
+            cancelled.update((c2, r) for c2 in range(c + 1, board.n + 1))
+    return [(i - sum(1 for c, r in rooks if c < i and r >= j), j)
+            for i, j in board.cells() if (i, j) not in cancelled]
+
+
+def boards_within(size):
+    return [board for n in range(size + 1)
+            for board in all_boards_within(n, max_height=size)]
+
+
+def test_sweep_matches_placement_oracle_symbolic():
+    gen = GenericWeights()
+    for board in boards_within(4):
+        for kind, poly in (("rook", rook_poly), ("file", file_poly)):
+            for k in range(board.n + 2):
+                want = WeightPolynomial.zero()
+                for placement in placements(board, k, kind):
+                    term = WeightPolynomial.one()
+                    for s, t in oracle_cells(board, placement):
+                        term = term.times_symbol(s, t)
+                    want = want + term
+                assert poly(board, k, gen) == want, (board, kind, k)
+
+
+def test_sweep_matches_placement_oracle_elliptic():
+    # Elliptic cells take the single-index weights w(s - t) (rook) and
+    # w(1 - t) (file); the sums cancel, so agreement is judged against
+    # the absolute-weight mass, whose eps multiple bounds the roundoff.
+    rng = random.Random(59)
+    for board in boards_within(5):
+        while True:
+            fam = EllipticWeights(draw_ps(rng))
+            try:
+                weight = {m: fam.single(m) for m in range(-5, 5)}
+            except (NearPoleError, DomainError):
+                continue
+            break
+        for kind, poly in (("rook", rook_poly), ("file", file_poly)):
+            for k in range(board.n + 1):
+                want = 0.0 + 0.0j
+                mass = 0.0
+                for placement in placements(board, k, kind):
+                    term = 1.0 + 0.0j
+                    for s, t in oracle_cells(board, placement):
+                        term *= weight[s - t if kind == "rook" else 1 - t]
+                    want += term
+                    mass += abs(term)
+                got = poly(board, k, fam)
+                assert abs(got - want) <= 1e-13 * mass, (board, kind, k)
+
+
 def test_path_binom_matches_family_binom():
     gen = GenericWeights()
     assert path_binom(2, 1, gen) == 1 + w(1, 1)
@@ -229,3 +292,17 @@ def test_product_sides_reject_overflowing_board():
         rook_product_sides(FerrersBoard((3,)), 1, ps)
     with pytest.raises(DomainError):
         file_product_sides(FerrersBoard((2, 3)), 1, ps)
+
+
+@pytest.mark.parametrize("command", ["rook", "file"])
+def test_cli_large_elliptic_board_bounded_time(capsys, command):
+    # 117,600 rook and 286,720 file placements: the bound fails if the
+    # polynomials are computed by enumerating them.
+    start = time.perf_counter()
+    code = cli.main([command, "--board", "8,8,8,8,8,8,8,8", "--k", "4",
+                     "--family", "elliptic", "--a", "1.1,0.2", "--b", "0.4",
+                     "--q", "0.5,0.1", "--p", "0.2"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert capsys.readouterr().out.strip()
+    assert elapsed < 5.0
