@@ -23,6 +23,16 @@ evaluated at a constant family.  Rewriting the rightmost descent first
 is therefore the canonical strategy, and it is the one the placement
 theorems describe.
 
+Normal ordering does not rewrite descents one at a time.  It sweeps the
+word letter by letter and carries the normal form of the part already
+read: right to left for rightmost-first rewriting, left to right for
+leftmost-first (see ``normal_order``).  The only rewriting left is in
+two small tables, the normal forms of y x^i and y^j x, built from the
+defining one-step rewrite; no board polynomial is used, so the
+placement theorems remain an independent check.  Suffix and prefix
+normal forms, the tables, and powers of x + y are cached in bounded
+LRUs.
+
 Weight families from ``special_fn`` are substituted only after
 rewriting, keeping the combinatorial layer exact.
 """
@@ -30,6 +40,7 @@ rewriting, keeping the combinatorial layer exact.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 
 from .special_fn import DomainError
 from .weightpoly import WeightPolynomial
@@ -37,7 +48,7 @@ from .weightpoly import WeightPolynomial
 __all__ = [
     "Word", "WordParseError", "RelationSystem", "NormalForm",
     "parse_word", "dual_word", "normal_order", "multiply",
-    "expand_power_sum", "evaluate", "WeightPolynomial",
+    "expand_power_sum", "WeightPolynomial",
 ]
 
 Word = str
@@ -148,15 +159,6 @@ class NormalForm:
             total[key] = c if prior is None else prior + c
         return NormalForm(total)
 
-    def scaled(self, factor) -> "NormalForm":
-        """Multiply every coefficient by an integer or WeightPolynomial."""
-        return NormalForm({key: c * factor for key, c in self.coeffs.items()})
-
-    def scaled_symbol(self, s: int, t: int) -> "NormalForm":
-        """Multiply every coefficient by the single symbol w(s, t)."""
-        return NormalForm(
-            {key: c.times_symbol(s, t) for key, c in self.coeffs.items()})
-
     def evaluate(self, family, cache: dict | None = None) -> dict:
         """Substitute family weights for the symbols in every coefficient."""
         if cache is None:
@@ -207,52 +209,115 @@ class NormalForm:
         return cls(coeffs)
 
 
-_NO_CACHE: dict = {}
+def _accumulate(total: dict, key, piece: WeightPolynomial) -> None:
+    prior = total.get(key)
+    total[key] = piece if prior is None else prior + piece
 
 
-def _find_descent(word: str, strategy: str) -> int:
+def _walked(table, n: int, rs: RelationSystem) -> NormalForm:
+    """``table(n, rs)`` after filling ``table(0..n-1, rs)`` in order, so
+    the one-step recursion inside ``table`` always hits the cache."""
+    for m in range(n):
+        table(m, rs)
+    return table(n, rs)
+
+
+@lru_cache(maxsize=4096)
+def _y_x_power(i: int, rs: RelationSystem) -> NormalForm:
+    """Normal form of y x^i.  Its only descent is the first yx, so
+    rewriting it gives w(1,1) x (y x^(i-1)) plus the inhomogeneous term
+    x^(i-1) (RookWeyl) or y x^(i-1) (File)."""
+    if i == 0:
+        return NormalForm.monomial(0, 1)
+    rest = _y_x_power(i - 1, rs)
+    total = {(a + 1, b): d.shift(1, 0).times_symbol(1, 1)
+             for (a, b), d in rest.coeffs.items()}
+    if rs is RelationSystem.ROOK_WEYL:
+        _accumulate(total, (i - 1, 0), WeightPolynomial.one())
+    elif rs is RelationSystem.FILE:
+        for key, d in rest.coeffs.items():
+            _accumulate(total, key, d)
+    return NormalForm(total)
+
+
+@lru_cache(maxsize=4096)
+def _y_power_x(j: int, rs: RelationSystem) -> NormalForm:
+    """Normal form of y^j x.  Its only descent is the last yx, behind
+    y^(j-1), so rewriting it gives w(1,j) (y^(j-1) x) y plus the
+    inhomogeneous term y^(j-1) (RookWeyl) or y^j (File)."""
+    if j == 0:
+        return NormalForm.monomial(1, 0)
+    rest = _y_power_x(j - 1, rs)
+    total = {(a, b + 1): d.times_symbol(1, j) for (a, b), d in rest.coeffs.items()}
+    if rs is RelationSystem.ROOK_WEYL:
+        _accumulate(total, (0, j - 1), WeightPolynomial.one())
+    elif rs is RelationSystem.FILE:
+        _accumulate(total, (0, j), WeightPolynomial.one())
+    return NormalForm(total)
+
+
+def _prepend(letter: str, nf: NormalForm, rs: RelationSystem) -> NormalForm:
+    """Normal form of letter * nf, where nf is the normal form of a suffix."""
+    if letter == "x":
+        return NormalForm({(i + 1, j): c.shift(1, 0) for (i, j), c in nf.coeffs.items()})
+    _walked(_y_x_power, max(i for i, _ in nf.coeffs), rs)
+    total: dict = {}
+    for (i, j), c in nf.coeffs.items():
+        c = c.shift(0, 1)
+        for (a, b), d in _y_x_power(i, rs).coeffs.items():
+            _accumulate(total, (a, b + j), c * d)
+    return NormalForm(total)
+
+
+def _append(nf: NormalForm, letter: str, rs: RelationSystem) -> NormalForm:
+    """Normal form of nf * letter, where nf is the normal form of a prefix."""
+    if letter == "y":
+        return NormalForm({(i, j + 1): c for (i, j), c in nf.coeffs.items()})
+    _walked(_y_power_x, max(j for _, j in nf.coeffs), rs)
+    total: dict = {}
+    for (i, j), c in nf.coeffs.items():
+        for (a, b), d in _y_power_x(j, rs).coeffs.items():
+            _accumulate(total, (i + a, b), c * d.shift(i, 0))
+    return NormalForm(total)
+
+
+@lru_cache(maxsize=4096)
+def _swept(word: Word, rs: RelationSystem, strategy: str) -> NormalForm:
+    """Normal form of a suffix (rightmost) or prefix (leftmost) of a word,
+    one letter on from the cached form of the part before it."""
+    if not word:
+        return NormalForm.unit()
     if strategy == "rightmost":
-        for i in range(len(word) - 2, -1, -1):
-            if word[i] == "y" and word[i + 1] == "x":
-                return i
-        return -1
-    if strategy == "leftmost":
-        for i in range(len(word) - 1):
-            if word[i] == "y" and word[i + 1] == "x":
-                return i
-        return -1
-    raise DomainError(f"unknown strategy {strategy!r}; expected rightmost or leftmost")
+        return _prepend(word[0], _swept(word[1:], rs, strategy), rs)
+    return _append(_swept(word[:-1], rs, strategy), word[-1], rs)
 
 
 def normal_order(word: Word, rs: RelationSystem,
                  strategy: str = "rightmost") -> NormalForm:
     """Normal order a word under the given rewriting system.
 
-    Each step replaces one descent yx and moves the created weight symbol
-    to the front, shifting its indices past the prefix; the recursion is
-    memoized globally on (word, system, strategy).
+    The word is swept one letter at a time, carrying the normal form of
+    the part already read.  Rightmost-first rewriting of a word xS or yS
+    clears every descent of S before it touches the front letter, so
+    the ``rightmost`` strategy reads the letters right to left and
+    prepends each to the normal form of the suffix behind it; likewise
+    ``leftmost`` reads left to right and appends to the normal form of
+    the prefix.  Prepending x (appending y) only moves keys and shifts
+    symbols; prepending y (appending x) multiplies in the normal form of
+    y x^i (of y^j x), tabulated from the defining one-step rewrite.
+    Suffix (prefix) normal forms are cached in a bounded LRU, filled
+    shortest first so the stack depth does not grow with the word.
     """
     word = parse_word(word)
-    key = (word, rs, strategy)
-    hit = _NO_CACHE.get(key)
-    if hit is not None:
-        return hit
-    pos = _find_descent(word, strategy)
-    if pos < 0:
-        m = word.count("x")
-        result = NormalForm.monomial(m, len(word) - m)
+    n = len(word)
+    if strategy == "rightmost":
+        parts = (word[n - k:] for k in range(n + 1))
+    elif strategy == "leftmost":
+        parts = (word[:k] for k in range(n + 1))
     else:
-        prefix = word[:pos]
-        suffix = word[pos + 2:]
-        s = 1 + prefix.count("x")
-        t = 1 + prefix.count("y")
-        swapped = normal_order(prefix + "xy" + suffix, rs, strategy)
-        result = swapped.scaled_symbol(s, t)
-        if rs is RelationSystem.ROOK_WEYL:
-            result = result + normal_order(prefix + suffix, rs, strategy)
-        elif rs is RelationSystem.FILE:
-            result = result + normal_order(prefix + "y" + suffix, rs, strategy)
-    _NO_CACHE[key] = result
+        raise DomainError(f"unknown strategy {strategy!r}; expected rightmost or leftmost")
+    for part in parts:
+        result = _swept(part, rs, strategy)
     return result
 
 
@@ -274,26 +339,21 @@ def multiply(a: NormalForm, b: NormalForm, rs: RelationSystem) -> NormalForm:
     return NormalForm(total)
 
 
-_POWER_SUM_CACHE: dict = {}
-
-
 def expand_power_sum(n: int, rs: RelationSystem = RelationSystem.HOMOGENEOUS) -> NormalForm:
-    """Normal form of (x + y)^n, built by incremental multiplication."""
+    """Normal form of (x + y)^n, appending the letter x + y n times.
+
+    Each word x^i y^j x met on the way has a single descent at every
+    rewriting step, so appending x by the tabulated y^j x is exact in all
+    three systems.  Results are cached in a bounded LRU.
+    """
     if n < 0:
         raise DomainError("expand_power_sum needs n >= 0")
-    key = (n, rs)
-    hit = _POWER_SUM_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _walked(_power_sum, n, rs)
+
+
+@lru_cache(maxsize=4096)
+def _power_sum(n: int, rs: RelationSystem) -> NormalForm:
     if n == 0:
-        result = NormalForm.unit()
-    else:
-        x_plus_y = NormalForm({(1, 0): 1, (0, 1): 1})
-        result = multiply(expand_power_sum(n - 1, rs), x_plus_y, rs)
-    _POWER_SUM_CACHE[key] = result
-    return result
-
-
-def evaluate(nf: NormalForm, family) -> dict:
-    """Evaluate a normal form under a weight family: map (i, j) -> complex."""
-    return nf.evaluate(family)
+        return NormalForm.unit()
+    previous = _power_sum(n - 1, rs)
+    return _append(previous, "x", rs) + _append(previous, "y", rs)

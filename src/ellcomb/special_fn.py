@@ -259,25 +259,6 @@ def qp_factorial(a, q, p, n: int) -> complex:
     return 1.0 / denom
 
 
-def qp_factorial_guarded(a, q, p, n: int) -> complex:
-    """(a; q, p)_n with every factor checked, for use in denominators."""
-    p = complex(p)
-    if abs(p) >= 1:
-        raise DomainError(f"qp_factorial requires |p| < 1, got |p| = {abs(p)}")
-    a = complex(a)
-    q = complex(q)
-    if n < 0:
-        # Reciprocal of a guarded positive product.
-        return 1.0 / qp_factorial_guarded(a * qpow(q, n), q, p, -n)
-    result = 1.0 + 0.0j
-    for j in range(n):
-        x = a * qpow(q, j)
-        factor = (1.0 - x) if p == 0 else theta(x, p)
-        guarded(factor, j, "factorial factor")
-        result *= factor
-    return result
-
-
 def q_binomial(n: int, k: int, q) -> complex:
     """Gaussian binomial coefficient [n, k]_q = (q^(1+k); q)_(n-k) / (q; q)_(n-k)."""
     if k < 0 or k > n:
@@ -504,15 +485,21 @@ class EllipticWeights(WeightFamily):
                          1.0 - b * qpow(q, 1 + 2 * k + j), 1.0 - r * qpow(q, 1 + j))):
                     den *= guarded(factor, 4 * j + index, "binom denominator")
             return num / den
-        num = (qp_factorial(qpow(q, 1 + k), q, p, m)
-               * qp_factorial(a * qpow(q, 1 + k), q, p, m)
-               * qp_factorial(b * qpow(q, 1 + k), q, p, m)
-               * qp_factorial(a * qpow(q, 1 - k) / b, q, p, m))
-        den = (qp_factorial_guarded(q, q, p, m)
-               * qp_factorial_guarded(a * q, q, p, m)
-               * qp_factorial_guarded(b * qpow(q, 1 + 2 * k), q, p, m)
-               * qp_factorial_guarded(a * q / b, q, p, m))
-        return num / den
+        # The quotient is built factor by factor: the two 4m-factor theta
+        # products overflow long before their ratio does.  Equal factors
+        # are skipped, since z / z need not round to exactly 1.
+        num_bases = (qpow(q, 1 + k), a * qpow(q, 1 + k), b * qpow(q, 1 + k),
+                     a * qpow(q, 1 - k) / b)
+        den_bases = (q, a * q, b * qpow(q, 1 + 2 * k), a * q / b)
+        result = 1.0 + 0.0j
+        for j in range(m):
+            qj = qpow(q, j)
+            for index, (x, y) in enumerate(zip(num_bases, den_bases)):
+                num = theta(x * qj, p)
+                den = guarded(theta(y * qj, p), 4 * j + index, "binom denominator")
+                if num != den:
+                    result *= num / den
+        return result
 
     def single(self, m: int) -> complex:
         """Single-index weight w(m), the rook specialisation w(s, t) = w(s - t)."""

@@ -41,7 +41,6 @@ from .special_fn import (
     theta,
 )
 from .ncword import NormalForm, RelationSystem, expand_power_sum, normal_order
-from .ncword import evaluate as nc_evaluate
 from .boards import (
     FerrersBoard,
     all_boards_within,
@@ -503,7 +502,7 @@ def _run_elliptic_binomial(ctx: CheckContext) -> None:
             fam = EllipticWeights(ps)
             pairs = []
             for n in range(0, nmax + 1):
-                values = nc_evaluate(expand_power_sum(n, _HOM), fam)
+                values = expand_power_sum(n, _HOM).evaluate(fam)
                 for k in range(n + 1):
                     pairs.append((values[(k, n - k)], fam.binom(n, k)))
             return (ps.a, ps.b, ps.q, ps.p), pairs
@@ -551,7 +550,7 @@ def _run_bq_binomial(ctx: CheckContext) -> None:
             fam = BQWeights(b, q)
             pairs = []
             for n in range(0, nmax + 1):
-                values = nc_evaluate(expand_power_sum(n, _HOM), fam)
+                values = expand_power_sum(n, _HOM).evaluate(fam)
                 for k in range(n + 1):
                     pairs.append((values[(k, n - k)], _bq_binom_ref(b, q, n, k)))
             return (b, q), pairs
@@ -567,7 +566,7 @@ def _run_aq_binomial(ctx: CheckContext) -> None:
             fam = AQWeights(a, q)
             pairs = []
             for n in range(0, nmax + 1):
-                values = nc_evaluate(expand_power_sum(n, _HOM), fam)
+                values = expand_power_sum(n, _HOM).evaluate(fam)
                 for k in range(n + 1):
                     pairs.append((values[(k, n - k)], _aq_binom_ref(a, q, n, k)))
             return (a, q), pairs
@@ -586,7 +585,7 @@ def _run_bq_reversal(ctx: CheckContext) -> None:
             for l in range(1, cap + 1):
                 for k in range(1, cap + 1):
                     word = "y" * k + "x" * l
-                    gamma = nc_evaluate(normal_order(word, _HOM), fam)[(l, k)]
+                    gamma = normal_order(word, _HOM).evaluate(fam)[(l, k)]
                     pairs.append((gamma * reversal_coeff_bq(b, q, l, k), 1.0 + 0.0j))
             return (b, q), pairs
         ctx.trial(body)
@@ -628,7 +627,7 @@ def _bq_finite_lhs(n: int, b, q) -> dict:
                 ys += 1
         word = "".join(letters)
         if word:
-            gamma = nc_evaluate(normal_order(word, _HOM), fam)[(xs, ys)]
+            gamma = normal_order(word, _HOM).evaluate(fam)[(xs, ys)]
         else:
             gamma = 1.0 + 0.0j
         totals[xs] = totals.get(xs, 0.0 + 0.0j) + scalar * gamma
@@ -666,7 +665,7 @@ def _run_bq_cauchy(ctx: CheckContext) -> None:
             fam = BQWeights(b, q)
             pairs = []
             for total in range(0, degree + 1):
-                values = nc_evaluate(expand_power_sum(total, _HOM), fam)
+                values = expand_power_sum(total, _HOM).evaluate(fam)
                 for k in range(total + 1):
                     m = total - k
                     lhs = exp_coeff_bq(b, q, total) * values[(k, m)]
@@ -689,7 +688,7 @@ def _run_aq_cauchy(ctx: CheckContext) -> None:
             fam = AQWeights(a, q)
             pairs = []
             for total in range(0, degree + 1):
-                values = nc_evaluate(expand_power_sum(total, _HOM), fam)
+                values = expand_power_sum(total, _HOM).evaluate(fam)
                 for k in range(total + 1):
                     m = total - k
                     lhs = exp_coeff_bq(a, q, total) * values[(k, m)]
@@ -716,7 +715,7 @@ def _run_qexp_cauchy(ctx: CheckContext) -> None:
             fam = QWeights(q)
             pairs = []
             for total in range(0, degree + 1):
-                values = nc_evaluate(expand_power_sum(total, _HOM), fam)
+                values = expand_power_sum(total, _HOM).evaluate(fam)
                 for k in range(total + 1):
                     m = total - k
                     lhs = 1.0 / (_qfac_ref_guarded(q, q, k)
@@ -741,7 +740,7 @@ def _run_qexp_braiding(ctx: CheckContext) -> None:
             for j in range(degree // 2 + 1):
                 word = "xy" * j
                 if word:
-                    gammas.append(nc_evaluate(normal_order(word, _HOM), fam)[(j, j)])
+                    gammas.append(normal_order(word, _HOM).evaluate(fam)[(j, j)])
                 else:
                     gammas.append(1.0 + 0.0j)
             pairs = []
@@ -1071,14 +1070,14 @@ _register(
     "symbolic binomial theorem: normal ordering (x + y)^n equals the "
     "triangle-recursion binomials times x^k y^(n-k), exactly",
     "exact-symbolic", {"n": 8}, 0.0,
-    ["ncword:normal_order"], ["special_fn:WeightFamily.binom"], "n",
+    ["ncword:expand_power_sum"], ["special_fn:WeightFamily.binom"], "n",
     _run_wdep_binomial)
 _register(
     "elliptic-binomial-thm",
     "theta-weighted binomial theorem: rewriting coefficients of "
     "(x + y)^n match the closed theta-factorial binomials",
     "numeric-sampled", {"draws": 10, "n": 8}, 1e-7,
-    ["ncword:normal_order", "special_fn:EllipticWeights.small"],
+    ["ncword:expand_power_sum", "special_fn:EllipticWeights.small"],
     ["special_fn:EllipticWeights.binom"], "n",
     _run_elliptic_binomial)
 _register(
@@ -1094,7 +1093,7 @@ _register(
     "b-weighted binomial theorem via rewriting versus raw factorial "
     "quotients",
     "numeric-sampled", {"draws": 20, "n": 8}, 1e-8,
-    ["ncword:normal_order", "special_fn:BQWeights.small"],
+    ["ncword:expand_power_sum", "special_fn:BQWeights.small"],
     ["verify:_bq_binom_ref"], "n",
     _run_bq_binomial)
 _register(
@@ -1102,7 +1101,7 @@ _register(
     "a-weighted binomial theorem via rewriting versus raw factorial "
     "quotients",
     "numeric-sampled", {"draws": 15, "n": 8}, 1e-8,
-    ["ncword:normal_order", "special_fn:AQWeights.small"],
+    ["ncword:expand_power_sum", "special_fn:AQWeights.small"],
     ["verify:_aq_binom_ref"], "n",
     _run_aq_binomial)
 _register(
@@ -1126,7 +1125,7 @@ _register(
     "b-weighted exponential of x + y factors as the ordered product of "
     "exponentials in x and y",
     "numeric-sampled", {"draws": 10, "degree": 8}, 1e-9,
-    ["special_fn:exp_coeff_bq", "ncword:normal_order"],
+    ["special_fn:exp_coeff_bq", "ncword:expand_power_sum"],
     ["verify:_qfac_ref"], "degree",
     _run_bq_cauchy)
 _register(
@@ -1134,7 +1133,7 @@ _register(
     "a-weighted exponential of x + y factors as the reversed product of "
     "exponentials in y and x",
     "numeric-sampled", {"draws": 10, "degree": 8}, 1e-9,
-    ["special_fn:exp_coeff_bq", "ncword:normal_order"],
+    ["special_fn:exp_coeff_bq", "ncword:expand_power_sum"],
     ["verify:_qfac_ref"], "degree",
     _run_aq_cauchy)
 _register(
@@ -1142,7 +1141,7 @@ _register(
     "q-exponential addition rule on the q-commuting plane",
     "numeric-sampled", {"draws": 15, "degree": 8}, 1e-9,
     ["verify:_qfac_ref"],
-    ["special_fn:exp_coeff_q", "ncword:normal_order"], "degree",
+    ["special_fn:exp_coeff_q", "ncword:expand_power_sum"], "degree",
     _run_qexp_cauchy)
 _register(
     "qexp-braiding",

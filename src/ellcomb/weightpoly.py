@@ -9,18 +9,29 @@ integer coefficients.  The empty monomial () is the constant 1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 Monomial = tuple
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
+    """Product of two monomials: the shorter one's pairs are inserted into
+    the longer one by bisection, so pairs that do not change are reused."""
+    if len(m1) < len(m2):
+        m1, m2 = m2, m1
     if not m2:
         return m1
-    acc = dict(m1)
-    for key, e in m2:
-        acc[key] = acc.get(key, 0) + e
-    return tuple(sorted(acc.items()))
+    out = list(m1)
+    lo = 0
+    for pair in m2:
+        key = pair[0]
+        # (key,) sorts before every (key, e), so this finds key's slot
+        lo = bisect_left(out, (key,), lo)
+        if lo < len(out) and out[lo][0] == key:
+            out[lo] = (key, out[lo][1] + pair[1])
+        else:
+            out.insert(lo, pair)
+    return tuple(out)
 
 
 class WeightPolynomial:
@@ -117,12 +128,8 @@ class WeightPolynomial:
 
     def times_symbol(self, s: int, t: int) -> "WeightPolynomial":
         """Fast multiplication by a single symbol w(s, t)."""
-        key = (s, t)
-        out = {}
-        for m, c in self.terms.items():
-            acc = dict(m)
-            acc[key] = acc.get(key, 0) + 1
-            out[tuple(sorted(acc.items()))] = c
+        factor = (((s, t), 1),)
+        out = {_merge_monomials(m, factor): c for m, c in self.terms.items()}
         poly = WeightPolynomial.__new__(WeightPolynomial)
         poly.terms = out
         return poly
@@ -131,10 +138,9 @@ class WeightPolynomial:
         """Rename every symbol w(s, t) to w(s + ds, t + dt)."""
         if ds == 0 and dt == 0:
             return self
-        out = {}
-        for m, c in self.terms.items():
-            shifted = tuple(sorted((((s + ds, t + dt), e) for (s, t), e in m)))
-            out[shifted] = c
+        # a uniform shift keeps the symbols of a monomial in sorted order
+        out = {tuple(((s + ds, t + dt), e) for (s, t), e in m): c
+               for m, c in self.terms.items()}
         poly = WeightPolynomial.__new__(WeightPolynomial)
         poly.terms = out
         return poly
@@ -154,7 +160,7 @@ class WeightPolynomial:
                 if w is None:
                     w = complex(family.small(key[0], key[1]))
                     cache[key] = w
-                value *= w ** e
+                value *= w if e == 1 else w ** e
             total += value
         return total
 

@@ -209,3 +209,80 @@ def test_str_sorting_descending_degree():
     nf = normal_order("xyxxyxyy", WEYL)
     text = str(nf)
     assert text.index("x^4 y^4") < text.index("x^3 y^3") < text.index("x^2 y^2")
+
+
+def _rewriting_oracle(rs, strategy):
+    """Normal ordering by literal descent rewriting: replace one descent
+    yx (the rightmost or the leftmost), move the new symbol to the front
+    past the prefix, and recurse on the rewritten words."""
+    memo = {}
+
+    def descent(word):
+        positions = [i for i in range(len(word) - 1) if word[i:i + 2] == "yx"]
+        if not positions:
+            return -1
+        return positions[-1] if strategy == "rightmost" else positions[0]
+
+    def rewrite(word):
+        hit = memo.get(word)
+        if hit is not None:
+            return hit
+        pos = descent(word)
+        if pos < 0:
+            m = word.count("x")
+            result = NormalForm.monomial(m, len(word) - m)
+        else:
+            prefix, suffix = word[:pos], word[pos + 2:]
+            s = 1 + prefix.count("x")
+            t = 1 + prefix.count("y")
+            swapped = rewrite(prefix + "xy" + suffix)
+            result = NormalForm({key: c.times_symbol(s, t) for key, c in swapped.coeffs.items()})
+            if rs is WEYL:
+                result = result + rewrite(prefix + suffix)
+            elif rs is FILE:
+                result = result + rewrite(prefix + "y" + suffix)
+        memo[word] = result
+        return result
+
+    return rewrite
+
+
+def test_sweep_equals_descent_rewriting_exhaustive():
+    for rs in RelationSystem:
+        for strategy in ("rightmost", "leftmost"):
+            oracle = _rewriting_oracle(rs, strategy)
+            for length in range(11):
+                for word in all_words(length):
+                    assert normal_order(word, rs, strategy) == oracle(word), (rs, strategy, word)
+
+
+def test_expand_power_sum_equals_iterated_multiplication():
+    x_plus_y = NormalForm({(1, 0): 1, (0, 1): 1})
+    for rs in RelationSystem:
+        power = NormalForm.unit()
+        for n in range(9):
+            assert expand_power_sum(n, rs) == power, (rs, n)
+            power = multiply(power, x_plus_y, rs)
+
+
+def test_long_words_do_not_recurse_per_letter():
+    # longer than the default recursion limit, in both sweep directions
+    # and in both tables of one-step rewrites
+    word = "x" * 3000 + "yx"
+    for strategy in ("rightmost", "leftmost"):
+        got = normal_order(word, WEYL, strategy)
+        assert got == NormalForm({(3001, 1): w(3001, 1), (3000, 0): 1})
+    n = 1500
+    x_side = y_side = WeightPolynomial.one()
+    for k in range(1, n + 1):
+        x_side = x_side.times_symbol(k, 1)
+        y_side = y_side.times_symbol(1, k)
+    assert normal_order("y" + "x" * n, HOM) == NormalForm({(n, 1): x_side})
+    assert normal_order("y" * n + "x", HOM, "leftmost") == NormalForm({(1, n): y_side})
+
+
+def test_suffix_cache_holds_one_entry_per_suffix():
+    from ellcomb import ncword
+    ncword._swept.cache_clear()
+    normal_order("y" * 6 + "x" * 6, WEYL)
+    assert ncword._swept.cache_info().currsize <= 13

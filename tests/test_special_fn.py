@@ -279,6 +279,19 @@ def test_binom_boundary_values():
         assert fam.binom(n, -1) == 0.0
 
 
+def test_binom_small_q_does_not_overflow():
+    # here the 32-factor theta products of binom(8, 0) overflow on their
+    # own; built factor by factor the quotient is exactly 1
+    from ellcomb.boards import path_binom
+    ps = ParameterSet(0.0565 - 0.2162j, 1.083 - 0.9042j, -0.0274 - 0.3288j, 0.0963 + 0.4707j)
+    fam = EllipticWeights(ps)
+    assert fam.binom(8, 0) == 1.0
+    for k in range(9):
+        got = fam.binom(8, k)
+        want = path_binom(8, k, fam)
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), k
+
+
 def test_binom_limit_chain_to_q_binomial():
     # p -> 0, then a -> 0, then b -> 0 degenerates [n, k] to the
     # Gaussian binomial coefficient.
