@@ -329,7 +329,7 @@ def path_binom(n: int, k: int, family):
 
     Sums over monotone paths (0,0) -> (k, n-k), weighting the east step
     (s-1, t) -> (s, t) by the big weight W(s, t) and north steps by 1.
-    Must agree with ``binom(family, n, k)``.
+    Must agree with ``family.binom(n, k)``.
     """
     if k < 0 or n < 0 or k > n:
         raise DomainError(f"path_binom needs 0 <= k <= n, got ({n}, {k})")

@@ -8,8 +8,12 @@ are functions of the parameters and the variable obeys the skew rule
 
 with (da, db) = (1, 2) for the four-parameter theta setting and
 (1, 0) for its one-parameter a-degeneration.  Coefficients are kept as
-evaluation trees (plain callables (a, b) -> complex); equality of
-coefficients is always decided numerically at sampled parameters.
+plain data: constants, user callables (a, b) -> complex, operator
+factors, and shifts, products and sums of these.  Evaluation at a
+parameter point computes each node once per offset (i, j), its value
+at (a q^i, b q^j), so subterms shared by many coefficients cost
+nothing extra; equality of coefficients is always decided numerically
+at sampled parameters.
 
 On top of the arithmetic sit the lowering operator D and the diagonal
 operator eta, their Pincherle-type commutation identity, the theta
@@ -32,6 +36,7 @@ from .special_fn import (
     qpow,
     theta_product,
     theta_product_guarded,
+    theta_quotient,
 )
 
 __all__ = [
@@ -55,23 +60,63 @@ ELLIPTIC_RULE = ShiftRule(1, 2)
 AQ_RULE = ShiftRule(1, 0)
 
 
-def _const(z) -> "callable":
-    z = complex(z)
-    return lambda a, b: z
+# A coefficient is plain data, one of these nodes:
+#   complex                   a constant;
+#   tuple (fn, *args)         a leaf fn(a, b, *args): a user callable
+#                             (a, b) -> complex, or an operator factor;
+#   _Shift, _Product, _Sum    a shift by (u, v), a product, a sum.
+# Leaves compare by value, so equal factors share memo entries; the
+# other nodes compare by identity.  The value of a node at offset
+# (i, j) is c(a q^i, b q^j), and each (node, i, j) is computed once per
+# evaluation.
 
 
-def _shifted(fn, q, u: int, v: int):
-    """Wrap a coefficient so its parameters arrive pre-shifted by
-    (a, b) -> (a q^u, b q^v).  Wrappers compose additively."""
-    if u == 0 and v == 0:
-        return fn
-    qu = qpow(q, u)
-    qv = qpow(q, v)
-    return lambda a, b: fn(a * qu, b * qv)
+class _Shift:
+    __slots__ = ("node", "u", "v")
+
+    def __init__(self, node, u: int, v: int):
+        self.node, self.u, self.v = node, u, v
 
 
-def _product(f, g):
-    return lambda a, b: f(a, b) * g(a, b)
+class _Product:
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+
+
+class _Sum:
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        self.terms = terms
+
+
+def _shift(node, u: int, v: int):
+    """The node with its parameters pre-shifted by (a, b) -> (a q^u, b q^v);
+    shifts compose by adding offsets."""
+    if type(node) is _Shift:
+        node, u, v = node.node, node.u + u, node.v + v
+    if (u == 0 and v == 0) or type(node) is complex:
+        return node
+    return _Shift(node, u, v)
+
+
+def _mul(f, g):
+    if type(f) is complex and f == 1:
+        return g
+    if type(g) is complex and g == 1:
+        return f
+    return _Product(f, g)
+
+
+def _sum(terms: list):
+    return terms[0] if len(terms) == 1 else _Sum(tuple(terms))
+
+
+def _node(c):
+    """A user coefficient, a callable or a constant, as a node."""
+    return (c,) if callable(c) else complex(c)
 
 
 class SkewPoly:
@@ -90,14 +135,19 @@ class SkewPoly:
             k = int(k)
             if k < 0:
                 raise DomainError("skew polynomial degrees must be nonnegative")
-            if not callable(c):
-                if complex(c) == 0:
-                    continue
-                c = _const(c)
-            cleaned[k] = c
+            c = _node(c)
+            if c != 0:
+                cleaned[k] = c
         self.coeffs = cleaned
         self.q = complex(q)
         self.rule = rule
+
+    @classmethod
+    def _of(cls, nodes: dict, q, rule: ShiftRule) -> "SkewPoly":
+        """An instance over coefficient nodes built by the operations here."""
+        poly = cls.__new__(cls)
+        poly.coeffs, poly.q, poly.rule = nodes, q, rule
+        return poly
 
     @classmethod
     def unit(cls, q, rule: ShiftRule = ELLIPTIC_RULE) -> "SkewPoly":
@@ -121,25 +171,58 @@ class SkewPoly:
             prior = merged.get(k)
             if prior is None:
                 merged[k] = c
+            elif type(prior) is _Sum:
+                merged[k] = _Sum(prior.terms + (c,))
             else:
-                merged[k] = (lambda f, g: lambda a, b: f(a, b) + g(a, b))(prior, c)
-        return SkewPoly(merged, self.q, self.rule)
+                merged[k] = _Sum((prior, c))
+        return SkewPoly._of(merged, self.q, self.rule)
 
     def scale(self, factor) -> "SkewPoly":
         """Left multiplication by a scalar function of (a, b); being on
         the left, it picks up no shifts."""
-        if not callable(factor):
-            factor = _const(factor)
-        return SkewPoly({k: _product(factor, c) for k, c in self.coeffs.items()},
-                        self.q, self.rule)
+        factor = _node(factor)
+        return SkewPoly._of({k: _mul(factor, c) for k, c in self.coeffs.items()},
+                            self.q, self.rule)
 
     def truncated(self, max_degree: int) -> "SkewPoly":
-        return SkewPoly({k: c for k, c in self.coeffs.items() if k <= max_degree},
-                        self.q, self.rule)
+        return SkewPoly._of({k: c for k, c in self.coeffs.items() if k <= max_degree},
+                            self.q, self.rule)
 
     def evaluate(self, ps: ParameterSet) -> dict:
         """Coefficient values at the parameter point: map degree -> complex."""
-        return {k: complex(c(ps.a, ps.b)) for k, c in sorted(self.coeffs.items())}
+        q = self.q
+        a_at = {0: ps.a}
+        b_at = {0: ps.b}
+        memo: dict = {}
+
+        def value(node, i: int, j: int) -> complex:
+            kind = type(node)
+            if kind is complex:
+                return node
+            if kind is _Shift:
+                return value(node.node, i + node.u, j + node.v)
+            key = (node, i, j)
+            hit = memo.get(key)
+            if hit is None:
+                if kind is tuple:
+                    a = a_at.get(i)
+                    if a is None:
+                        a = a_at[i] = ps.a * qpow(q, i)
+                    b = b_at.get(j)
+                    if b is None:
+                        b = b_at[j] = ps.b * qpow(q, j)
+                    hit = complex(node[0](a, b, *node[1:]))
+                elif kind is _Product:
+                    hit = value(node.left, i, j) * value(node.right, i, j)
+                else:
+                    terms = iter(node.terms)
+                    hit = value(next(terms), i, j)
+                    for term in terms:
+                        hit += value(term, i, j)
+                memo[key] = hit
+            return hit
+
+        return {k: value(c, 0, 0) for k, c in sorted(self.coeffs.items())}
 
     def to_json(self, ps: ParameterSet) -> dict:
         values = self.evaluate(ps)
@@ -152,11 +235,9 @@ def x_mul(p: SkewPoly, power: int = 1) -> SkewPoly:
         raise DomainError("x_mul power must be nonnegative")
     if power == 0:
         return p
-    rule = p.rule
-    return SkewPoly(
-        {k + power: _shifted(c, p.q, rule.da * power, rule.db * power)
-         for k, c in p.coeffs.items()},
-        p.q, rule)
+    u, v = p.rule.da * power, p.rule.db * power
+    return SkewPoly._of({k + power: _shift(c, u, v) for k, c in p.coeffs.items()},
+                        p.q, p.rule)
 
 
 def skew_mul(p: SkewPoly, other: SkewPoly) -> SkewPoly:
@@ -164,17 +245,20 @@ def skew_mul(p: SkewPoly, other: SkewPoly) -> SkewPoly:
     coefficients travel past the left factor's powers of x."""
     p._compatible(other)
     rule = p.rule
-    total: dict = {}
+    terms: dict = {}
     for i, c in p.coeffs.items():
         for j, d in other.coeffs.items():
-            term = _product(c, _shifted(d, p.q, rule.da * i, rule.db * i))
-            k = i + j
-            prior = total.get(k)
-            if prior is None:
-                total[k] = term
-            else:
-                total[k] = (lambda f, g: lambda a, b: f(a, b) + g(a, b))(prior, term)
-    return SkewPoly(total, p.q, rule)
+            terms.setdefault(i + j, []).append(
+                _mul(c, _shift(d, rule.da * i, rule.db * i)))
+    return SkewPoly._of({k: _sum(t) for k, t in terms.items()}, p.q, rule)
+
+
+def _D_factor(a, b, n: int, q, p) -> complex:
+    num = theta_product(
+        [qpow(q, n), a * qpow(q, n), b * qpow(q, n), a * qpow(q, 2 - n) / b], p)
+    den = theta_product_guarded(
+        [q, a * q, b * qpow(q, 2 * n - 1), a * q / b], p)
+    return num / den
 
 
 def apply_D(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
@@ -185,24 +269,18 @@ def apply_D(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
             / theta(q, a q, b q^(2n-1), a q/b; p) * x^(n-1),
 
     with the n = 0 term annihilated."""
-    q, pp = ps.q, ps.p
+    return SkewPoly._of(
+        {n - 1: _mul(_shift(c, -1, -2), (_D_factor, n, ps.q, ps.p))
+         for n, c in p.coeffs.items() if n != 0},
+        p.q, p.rule)
 
-    def factor(n: int):
-        def fn(a, b):
-            num = theta_product(
-                [qpow(q, n), a * qpow(q, n), b * qpow(q, n),
-                 a * qpow(q, 2 - n) / b], pp)
-            den = theta_product_guarded(
-                [q, a * q, b * qpow(q, 2 * n - 1), a * q / b], pp)
-            return num / den
-        return fn
 
-    out: dict = {}
-    for n, c in p.coeffs.items():
-        if n == 0:
-            continue
-        out[n - 1] = _product(_shifted(c, q, -1, -2), factor(n))
-    return SkewPoly(out, p.q, p.rule)
+def _eta_factor(a, b, n: int, q, p) -> complex:
+    return theta_quotient(
+        [a * qpow(q, 1 + n), a * qpow(q, 2 + n), b * q,
+         a * qpow(q, 1 - n) / b, a * qpow(q, -n) / b],
+        [a * q, a * q * q, b * qpow(q, 1 + 2 * n), a * q / b, a / b],
+        p) * qpow(q, n)
 
 
 def apply_eta(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
@@ -212,21 +290,16 @@ def apply_eta(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
       / theta(a q, a q^2, b q^(1+2n), a q/b, a/b; p) * q^n,
 
     leaving the coefficient's arguments untouched."""
-    q, pp = ps.q, ps.p
+    return SkewPoly._of(
+        {n: _mul(c, (_eta_factor, n, ps.q, ps.p)) for n, c in p.coeffs.items()},
+        p.q, p.rule)
 
-    def factor(n: int):
-        def fn(a, b):
-            num = theta_product(
-                [a * qpow(q, 1 + n), a * qpow(q, 2 + n), b * q,
-                 a * qpow(q, 1 - n) / b, a * qpow(q, -n) / b], pp)
-            den = theta_product_guarded(
-                [a * q, a * q * q, b * qpow(q, 1 + 2 * n),
-                 a * q / b, a / b], pp)
-            return num / den * qpow(q, n)
-        return fn
 
-    return SkewPoly({n: _product(c, factor(n)) for n, c in p.coeffs.items()},
-                    p.q, p.rule)
+def _eta_aq_factor(a, b, n: int, q) -> complex:
+    num = (1.0 - a * qpow(q, 1 + n)) * (1.0 - a * qpow(q, 2 + n))
+    den = guarded(1.0 - a * q, 0, "eta factor")
+    den *= guarded(1.0 - a * q * q, 1, "eta factor")
+    return num / den * qpow(q, -n)
 
 
 def apply_eta_aq(p: SkewPoly, q) -> SkewPoly:
@@ -236,17 +309,9 @@ def apply_eta_aq(p: SkewPoly, q) -> SkewPoly:
 
     for use with the (da, db) = (1, 0) shift rule."""
     q = complex(q)
-
-    def factor(n: int):
-        def fn(a, b):
-            num = (1.0 - a * qpow(q, 1 + n)) * (1.0 - a * qpow(q, 2 + n))
-            den = guarded(1.0 - a * q, 0, "eta factor")
-            den *= guarded(1.0 - a * q * q, 1, "eta factor")
-            return num / den * qpow(q, -n)
-        return fn
-
-    return SkewPoly({n: _product(c, factor(n)) for n, c in p.coeffs.items()},
-                    p.q, p.rule)
+    return SkewPoly._of(
+        {n: _mul(c, (_eta_aq_factor, n, q)) for n, c in p.coeffs.items()},
+        p.q, p.rule)
 
 
 def pincherle_coeff(k: int, ps: ParameterSet) -> complex:
@@ -324,13 +389,11 @@ def fib_elliptic(n: int, ps: ParameterSet) -> complex:
         if b == 0:
             raise DomainError(
                 "fib_elliptic needs b != 0; the b -> 0 branch is fib_aq")
-        num = theta_product(
+        return theta_quotient(
             [a * qpow(q, 1 + m), a * qpow(q, 2 + m), b * qpow(q, 5),
-             a * qpow(q, 1 - m) / b, a * qpow(q, -m) / b], p)
-        den = theta_product_guarded(
+             a * qpow(q, 1 - m) / b, a * qpow(q, -m) / b],
             [a * qpow(q, 3), a * qpow(q, 4), b * qpow(q, 1 + 2 * m),
-             a / (b * q), a / (b * q * q)], p)
-        return num / den * qpow(q, m - 2)
+             a / (b * q), a / (b * q * q)], p) * qpow(q, m - 2)
 
     def rec(m: int, i: int, j: int) -> complex:
         if m == 0:
@@ -415,16 +478,15 @@ def genfun_expand(N: int, ps: ParameterSet) -> list:
     Coefficient n must equal fib_elliptic(n, ps)."""
     if N < 1:
         raise DomainError("genfun_expand needs N >= 1")
-    totals = {k: 0.0 + 0.0j for k in range(1, N + 1)}
+    total = SkewPoly({}, ps.q)
     term = SkewPoly.x_power(1, ps.q)
     for _ in range(N):
-        for k, v in term.evaluate(ps).items():
-            if 1 <= k <= N:
-                totals[k] += v
+        total = total + term
         term = (x_mul(term) + x_mul(apply_eta(term, ps), 2)).truncated(N)
         if not term.coeffs:
             break
-    return [totals[k] for k in range(1, N + 1)]
+    values = total.evaluate(ps)
+    return [values.get(k, 0.0 + 0.0j) for k in range(1, N + 1)]
 
 
 def product_expand(factors, direction: str, q,

@@ -198,13 +198,31 @@ def theta_product_guarded(args, p) -> complex:
     """
     result = 1.0 + 0.0j
     for index, x in enumerate(args):
-        value = theta(x, p)
-        if value == 0:
-            raise PoleError(f"denominator theta factor {index} vanished at x = {x!r}", index)
-        if abs(value) < NEAR_POLE_TOL:
-            raise NearPoleError(f"denominator theta factor {index} is near a pole: |{value!r}|")
-        result *= value
+        result *= _theta_denominator(x, p, index)
     return result
+
+
+def theta_quotient(nums, dens, p) -> complex:
+    """prod_i theta(nums[i]; p) / theta(dens[i]; p), one pair at a time.
+
+    Whole numerator and denominator products overflow long before their
+    ratio does, which turns the quotient into inf / inf = NaN.  Each
+    denominator factor is guarded as in ``theta_product_guarded``, and a
+    PoleError carries that factor's index.
+    """
+    result = 1.0 + 0.0j
+    for index, (x, y) in enumerate(zip(nums, dens, strict=True)):
+        result *= theta(x, p) / _theta_denominator(y, p, index)
+    return result
+
+
+def _theta_denominator(x, p, index: int) -> complex:
+    value = theta(x, p)
+    if value == 0:
+        raise PoleError(f"denominator theta factor {index} vanished at x = {x!r}", index)
+    if abs(value) < NEAR_POLE_TOL:
+        raise NearPoleError(f"denominator theta factor {index} is near a pole: |{value!r}|")
+    return value
 
 
 def guarded(value: complex, index: int = 0, what: str = "denominator factor") -> complex:
@@ -636,21 +654,6 @@ class TableWeights(WeightFamily):
             raise DomainError(f"no table entry for cell ({s}, {t})") from None
 
 
-def small_weight(family: WeightFamily, s: int, t: int):
-    """w(s, t) under the given family."""
-    return family.small(s, t)
-
-
-def big_weight(family: WeightFamily, s: int, t: int):
-    """W(s, t) = prod_{k <= t} w(s, k) under the given family."""
-    return family.big(s, t)
-
-
-def binom(family: WeightFamily, n: int, k: int):
-    """Weight-dependent binomial coefficient [n, k] under the given family."""
-    return family.binom(n, k)
-
-
 def bracket_z(ps: ParameterSet, z) -> complex:
     """The z-bracket
 
@@ -746,15 +749,6 @@ def reversal_coeff_bq(b, q, l: int, k: int) -> complex:
     for j in range(2 * l):
         den *= guarded(1.0 - b * qpow(q, 1 + j), j, "reversal denominator")
     return num / den * qpow(q, -k * l)
-
-
-def reversal_coeff_aq(a, q, m: int, k: int) -> complex:
-    """Coefficient c with y^m x^k = c x^k y^m in the a-shifted algebra.
-
-    Obtained from ``reversal_coeff_bq`` by the duality that swaps the
-    generators x and y together with the parameters a and b.
-    """
-    return reversal_coeff_bq(a, q, m, k)
 
 
 _FAMILY_TAGS = ("generic", "elliptic", "bq", "aq", "q")

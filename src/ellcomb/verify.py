@@ -178,7 +178,11 @@ class CheckContext:
                             self.draw_q(), self.draw_p())
 
     def record(self, lhs, rhs) -> None:
-        if isinstance(lhs, (int, float, complex)) and isinstance(rhs, (int, float, complex)):
+        """Record one comparison; a pair whose right side is None holds
+        a relative residual on its left."""
+        if rhs is None:
+            err = lhs
+        elif isinstance(lhs, (int, float, complex)) and isinstance(rhs, (int, float, complex)):
             err = _rel_err(complex(lhs), complex(rhs))
         else:
             err = 0.0 if lhs == rhs else 1.0
@@ -187,16 +191,11 @@ class CheckContext:
         if err > self.tolerance:
             self.failures += 1
 
-    def record_err(self, err: float) -> None:
-        self.trials += 1
-        self.max_rel_err = max(self.max_rel_err, err)
-        if err > self.tolerance:
-            self.failures += 1
-
     def trial(self, body, max_attempts: int = 60) -> None:
         """Run one sampled trial: body() -> (sample values or None, list
-        of (lhs, rhs) pairs).  Near-pole draws are resampled up to the
-        cap; comparisons are recorded only after the body succeeds."""
+        of (lhs, rhs) pairs, rhs None for a residual).  Near-pole draws
+        are resampled up to the cap; comparisons are recorded only after
+        the body succeeds."""
         attempts = 0
         while True:
             self.total_draws += 1
@@ -780,30 +779,18 @@ def _run_f_relations(ctx: CheckContext) -> None:
 
 
 def _run_pincherle(ctx: CheckContext) -> None:
-    # pincherle_check already returns a relative residual, so record it
-    # directly instead of as an (lhs, rhs) pair
+    # pincherle_check already returns a relative residual, so each pair
+    # has no right side and records its left side as the residual
     kmax = ctx.size("k")
     nmax = ctx.size("n")
     for _ in range(ctx.size("draws")):
-        attempts = 0
-        while True:
-            ctx.total_draws += 1
+        def body():
             ps = ctx.draw_ps()
-            try:
-                residuals = [pincherle_check(k, n, ps)
-                             for k in range(1, kmax + 1)
-                             for n in range(0, nmax + 1)]
-            except (NearPoleError, EvaluationError):
-                ctx.rejected += 1
-                attempts += 1
-                if attempts >= 60:
-                    raise VerifyError("resample cap exceeded")
-                continue
-            if len(ctx.samples) < 8:
-                ctx.samples.append(_digest((ps.a, ps.b, ps.q, ps.p)))
-            for r in residuals:
-                ctx.record_err(r)
-            break
+            pairs = [(pincherle_check(k, n, ps), None)
+                     for k in range(1, kmax + 1)
+                     for n in range(0, nmax + 1)]
+            return (ps.a, ps.b, ps.q, ps.p), pairs
+        ctx.trial(body)
 
 
 def _run_pincherle_k(ctx: CheckContext) -> None:

@@ -1,6 +1,7 @@
 """Skew polynomials, the elliptic derivative pair, and Fibonacci numbers."""
 
 import cmath
+import math
 import random
 
 import pytest
@@ -27,6 +28,8 @@ from ellcomb.skewpoly import (
 )
 from ellcomb.special_fn import (
     DomainError,
+    EvaluationError,
+    NearPoleError,
     ParameterSet,
     exp_coeff_bq,
     q_factorial,
@@ -170,6 +173,59 @@ def test_fib_elliptic_matches_generating_function():
             want = fib_elliptic(n, ps)
             got = coeffs[n - 1]
             assert abs(got - want) <= 1e-9 * max(abs(want), 1.0)
+
+
+def test_shared_coefficients_evaluate_once_per_offset():
+    # (1 + x)^20 f truncated to degree 6 shares f between all its
+    # coefficients; f is needed only at the 7 offsets (k, 2k), k <= 6
+    calls = []
+
+    def coeff(a, b):
+        calls.append((a, b))
+        return a + 2 * b
+
+    ps = draw_ps(random.Random(74))
+    poly = SkewPoly({0: coeff}, ps.q)
+    for _ in range(20):
+        poly = (poly + x_mul(poly)).truncated(6)
+    got = poly.evaluate(ps)
+    assert len(calls) <= 7
+    assert set(got) == set(range(7))
+    for k in range(7):
+        want = math.comb(20, k) * coeff(ps.a * ps.q**k, ps.b * ps.q**(2 * k))
+        assert abs(got[k] - want) <= 1e-12 * abs(want)
+
+
+def test_generating_function_to_degree_24():
+    # a draw whose theta arguments (up to |q|^-24 in size) leave the
+    # range of a double raises on both sides and is redrawn, as in verify
+    rng = random.Random(75)
+    admitted = rejected = 0
+    while admitted < 6:
+        ps = draw_ps(rng)
+        try:
+            coeffs = genfun_expand(24, ps)
+            wants = [fib_elliptic(n, ps) for n in range(1, 25)]
+        except (NearPoleError, EvaluationError):
+            rejected += 1
+            assert rejected <= 2
+            continue
+        admitted += 1
+        for got, want in zip(coeffs, wants):
+            assert abs(got - want) <= 1e-9 * max(abs(want), 1.0)
+
+
+def test_generating_function_finite_where_theta_products_overflow():
+    # at this draw the whole five-factor theta products overflow from
+    # n = 11 on, and their quotient used to come out as inf / inf = NaN
+    ps = ParameterSet(0.1674 + 1.6716j, -0.8108 + 0.6263j,
+                      0.0867 - 0.3612j, -0.2131 + 0.4473j)
+    coeffs = genfun_expand(14, ps)
+    for n in range(1, 15):
+        want = fib_elliptic(n, ps)
+        got = coeffs[n - 1]
+        assert cmath.isfinite(got) and cmath.isfinite(want)
+        assert abs(got - want) <= 1e-8 * max(abs(want), 1.0)
 
 
 def test_fib_aq_matches_closed_form():
