@@ -5,10 +5,10 @@ modified Jacobi theta function
 
     theta(x; p) = prod_{j >= 0} (1 - p^j x)(1 - p^(j+1) / x),   |p| < 1,
 
-with theta(x; 0) = 1 - x.  On top of it sit the theta shifted factorial
-(a; q, p)_n, the weight families w(s, t) (symbolic, elliptic, and the
-one-parameter degenerations), their binomial coefficients, and the
-z-bracket [z] generalizing (1 - q^z)/(1 - q).
+with theta(x; 0) = 1 - x for every x, including x = 0.  On top of it sit
+the theta shifted factorial (a; q, p)_n, the weight families w(s, t)
+(symbolic, elliptic, and the one-parameter degenerations), their binomial
+coefficients, and the z-bracket [z] generalizing (1 - q^z)/(1 - q).
 
 Small weights w(s, t) determine big weights by the column product
 
@@ -25,9 +25,10 @@ The elliptic family carries the four-parameter theta weight
             / theta(a q^(s+2t-2), b q^(2s+t), a q^(t-s+1)/b; p) * q.
 
 Setting p = 0, then a = 0, then b = 0 (in this order) degenerates it
-through the one-parameter families down to the constant weight q; the
-degenerate families are implemented directly from their closed formulas,
-never as numeric limits.
+through the one-parameter families down to the constant weight q.  At
+p = 0 each elliptic formula is the same theta form with theta(x; 0) = 1 - x;
+the one-parameter families are implemented directly from their own closed
+formulas, never as numeric limits.
 """
 
 from __future__ import annotations
@@ -153,14 +154,16 @@ _CACHE_LIMIT = 400_000
 
 
 def theta(x, p) -> complex:
-    """theta(x; p) for |p| < 1 and x != 0."""
+    """theta(x; p) for |p| < 1: 1 - x when p = 0, else for x != 0 only."""
     x = complex(x)
     p = complex(p)
     if abs(p) >= 1:
         raise DomainError(f"theta requires |p| < 1, got |p| = {abs(p)}")
-    if x == 0:
-        raise DomainError("theta(x; p) is undefined at x = 0")
     require_finite(x, "theta argument")
+    if p == 0:
+        return 1.0 - x
+    if x == 0:
+        raise DomainError("theta(x; p) is undefined at x = 0 for p != 0")
     key = (x, p)
     hit = _CACHE.get(key)
     if hit is not None:
@@ -254,14 +257,12 @@ def q_factorial(a, q, n: int) -> complex:
 def qp_factorial(a, q, p, n: int) -> complex:
     """Theta shifted factorial (a; q, p)_n for any integer n.
 
-    For p = 0 this coincides with (a; q)_n, including at a = 0 where the
-    theta product form itself would be singular.
+    At p = 0 the theta factors are 1 - a q^j, so this is (a; q)_n, also
+    at a = 0.
     """
     p = complex(p)
     if abs(p) >= 1:
         raise DomainError(f"qp_factorial requires |p| < 1, got |p| = {abs(p)}")
-    if p == 0:
-        return q_factorial(a, q, n)
     a = complex(a)
     q = complex(q)
     if n >= 0:
@@ -304,13 +305,14 @@ def q_falling_bracket(z, q, m: int) -> complex:
     return result
 
 
-def _ab_ratio(a: complex, b: complex) -> complex:
-    # Degenerate convention: a -> 0 is taken before b -> 0, so a/b -> 0.
-    if a == 0:
+def _ratio(x: complex, d: complex) -> complex:
+    # x / d for x = a q^k, d = b q^l.  Degenerate convention: a -> 0 is
+    # taken before b -> 0, so a/b -> 0.
+    if x == 0:
         return 0.0 + 0.0j
-    if b == 0:
+    if d == 0:
         raise DomainError("a/b undefined for b = 0 with a != 0")
-    return a / b
+    return x / d
 
 
 class WeightFamily:
@@ -404,10 +406,10 @@ class GenericWeights(WeightFamily):
 class EllipticWeights(WeightFamily):
     """The four-parameter theta weight family.
 
-    For p != 0 all of a, b, q must be nonzero.  At p = 0 the theta
-    factors are linear and zero values of a and b are admitted under the
-    ordered-limit convention (a -> 0 before b -> 0, so a/b -> 0); this
-    reproduces the one-parameter and plain-q degenerations exactly.
+    For p != 0 all of a, b, q must be nonzero.  At p = 0 the same theta
+    formulas hold with theta(x; 0) = 1 - x, and zero a, b are admitted
+    under the ordered-limit convention (a -> 0 before b -> 0, so a/b -> 0),
+    which reproduces the one-parameter and plain-q degenerations.
     """
 
     label = "elliptic"
@@ -426,26 +428,13 @@ class EllipticWeights(WeightFamily):
         hit = self._small_cache.get(key)
         if hit is None:
             a, b, q, p = self.ps.a, self.ps.b, self.ps.q, self.ps.p
-            if p == 0:
-                r = _ab_ratio(a, b)
-                num = ((1.0 - a * qpow(q, s + 2 * t))
-                       * (1.0 - b * qpow(q, 2 * s + t - 2))
-                       * (1.0 - r * qpow(q, t - s - 1)))
-                den = 1.0 + 0.0j
-                for index, factor in enumerate(
-                        (1.0 - a * qpow(q, s + 2 * t - 2),
-                         1.0 - b * qpow(q, 2 * s + t),
-                         1.0 - r * qpow(q, t - s + 1))):
-                    den *= guarded(factor, index, "weight denominator")
-                hit = num / den * q
-            else:
-                num = theta_product(
-                    [a * qpow(q, s + 2 * t), b * qpow(q, 2 * s + t - 2),
-                     a * qpow(q, t - s - 1) / b], p)
-                den = theta_product_guarded(
-                    [a * qpow(q, s + 2 * t - 2), b * qpow(q, 2 * s + t),
-                     a * qpow(q, t - s + 1) / b], p)
-                hit = num / den * q
+            num = theta_product(
+                [a * qpow(q, s + 2 * t), b * qpow(q, 2 * s + t - 2),
+                 _ratio(a * qpow(q, t - s - 1), b)], p)
+            den = theta_product_guarded(
+                [a * qpow(q, s + 2 * t - 2), b * qpow(q, 2 * s + t),
+                 _ratio(a * qpow(q, t - s + 1), b)], p)
+            hit = num / den * q
             self._small_cache[key] = hit
         return hit
 
@@ -456,26 +445,13 @@ class EllipticWeights(WeightFamily):
         if t == 0:
             return 1.0 + 0.0j
         a, b, q, p = self.ps.a, self.ps.b, self.ps.q, self.ps.p
-        if p == 0:
-            r = _ab_ratio(a, b)
-            num = ((1.0 - a * qpow(q, s + 2 * t))
-                   * (1.0 - b * qpow(q, 2 * s)) * (1.0 - b * qpow(q, 2 * s - 1))
-                   * (1.0 - r * qpow(q, 1 - s)) * (1.0 - r * qpow(q, -s)))
-            den = 1.0 + 0.0j
-            for index, factor in enumerate(
-                    (1.0 - a * qpow(q, s),
-                     1.0 - b * qpow(q, 2 * s + t), 1.0 - b * qpow(q, 2 * s + t - 1),
-                     1.0 - r * qpow(q, t - s + 1), 1.0 - r * qpow(q, t - s))):
-                den *= guarded(factor, index, "big weight denominator")
-            closed = num / den * qpow(q, t)
-        else:
-            num = theta_product(
-                [a * qpow(q, s + 2 * t), b * qpow(q, 2 * s), b * qpow(q, 2 * s - 1),
-                 a * qpow(q, 1 - s) / b, a * qpow(q, -s) / b], p)
-            den = theta_product_guarded(
-                [a * qpow(q, s), b * qpow(q, 2 * s + t), b * qpow(q, 2 * s + t - 1),
-                 a * qpow(q, t - s + 1) / b, a * qpow(q, t - s) / b], p)
-            closed = num / den * qpow(q, t)
+        num = theta_product(
+            [a * qpow(q, s + 2 * t), b * qpow(q, 2 * s), b * qpow(q, 2 * s - 1),
+             _ratio(a * qpow(q, 1 - s), b), _ratio(a * qpow(q, -s), b)], p)
+        den = theta_product_guarded(
+            [a * qpow(q, s), b * qpow(q, 2 * s + t), b * qpow(q, 2 * s + t - 1),
+             _ratio(a * qpow(q, t - s + 1), b), _ratio(a * qpow(q, t - s), b)], p)
+        closed = num / den * qpow(q, t)
         product = super().big(s, t)
         scale = max(abs(closed), abs(product), 1e-30)
         if abs(closed - product) / scale > _BIG_CONSISTENCY_TOL:
@@ -490,25 +466,12 @@ class EllipticWeights(WeightFamily):
             return 0.0 + 0.0j
         a, b, q, p = self.ps.a, self.ps.b, self.ps.q, self.ps.p
         m = n - k
-        if p == 0:
-            r = _ab_ratio(a, b)
-            num = (q_factorial(qpow(q, 1 + k), q, m)
-                   * q_factorial(a * qpow(q, 1 + k), q, m)
-                   * q_factorial(b * qpow(q, 1 + k), q, m)
-                   * q_factorial(r * qpow(q, 1 - k), q, m))
-            den = 1.0 + 0.0j
-            for j in range(m):
-                for index, factor in enumerate(
-                        (1.0 - qpow(q, 1 + j), 1.0 - a * qpow(q, 1 + j),
-                         1.0 - b * qpow(q, 1 + 2 * k + j), 1.0 - r * qpow(q, 1 + j))):
-                    den *= guarded(factor, 4 * j + index, "binom denominator")
-            return num / den
         # The quotient is built factor by factor: the two 4m-factor theta
         # products overflow long before their ratio does.  Equal factors
         # are skipped, since z / z need not round to exactly 1.
         num_bases = (qpow(q, 1 + k), a * qpow(q, 1 + k), b * qpow(q, 1 + k),
-                     a * qpow(q, 1 - k) / b)
-        den_bases = (q, a * q, b * qpow(q, 1 + 2 * k), a * q / b)
+                     _ratio(a * qpow(q, 1 - k), b))
+        den_bases = (q, a * q, b * qpow(q, 1 + 2 * k), _ratio(a * q, b))
         result = 1.0 + 0.0j
         for j in range(m):
             qj = qpow(q, j)
@@ -661,21 +624,14 @@ def bracket_z(ps: ParameterSet, z) -> complex:
             / theta(q, a q, b q^(z+1), a q^(z-1)/b; p).
 
     Integer z uses exact powers of q; otherwise the principal branch.
-    At p = 0 the theta factors become linear and zero parameters are
-    allowed, so [z] degenerates through (a, b) -> 0 to (1 - q^z)/(1 - q).
+    At p = 0 this is the same formula with theta(x; 0) = 1 - x, and zero
+    parameters are allowed, so [z] degenerates through (a, b) -> 0 to
+    (1 - q^z)/(1 - q).
     """
     a, b, q, p = ps.a, ps.b, ps.q, ps.p
     qz = qpow(q, z)
-    if p == 0:
-        r = _ab_ratio(a, b)
-        num = (1.0 - qz) * (1.0 - a * qz) * (1.0 - b * q * q) * (1.0 - r)
-        den = 1.0 + 0.0j
-        for index, factor in enumerate(
-                (1.0 - q, 1.0 - a * q, 1.0 - b * q * qz, 1.0 - r * qz / q)):
-            den *= guarded(factor, index, "bracket denominator")
-        return num / den
-    num = theta_product([qz, a * qz, b * q * q, a / b], p)
-    den = theta_product_guarded([q, a * q, b * q * qz, a * qz / (q * b)], p)
+    num = theta_product([qz, a * qz, b * q * q, _ratio(a, b)], p)
+    den = theta_product_guarded([q, a * q, b * q * qz, _ratio(a * qz, q * b)], p)
     return num / den
 
 
@@ -686,23 +642,14 @@ def elliptic_weight_single(ps: ParameterSet, m: int) -> complex:
              / theta(a q^(2m-1), b q^(m+2), a q^m/b; p) * q,
 
     the specialisation w(s, t) = w(s - t) used by rook weights.  At p = 0
-    with a = b = 0 it collapses to the constant q.
+    with a = b = 0 every theta factor is 1 and it collapses to the
+    constant q.
     """
     a, b, q, p = ps.a, ps.b, ps.q, ps.p
-    if p == 0:
-        r = _ab_ratio(a, b)
-        num = ((1.0 - a * qpow(q, 2 * m + 1)) * (1.0 - b * qpow(q, m))
-               * (1.0 - r * qpow(q, m - 2)))
-        den = 1.0 + 0.0j
-        for index, factor in enumerate(
-                (1.0 - a * qpow(q, 2 * m - 1), 1.0 - b * qpow(q, m + 2),
-                 1.0 - r * qpow(q, m))):
-            den *= guarded(factor, index, "single weight denominator")
-        return num / den * q
     num = theta_product(
-        [a * qpow(q, 2 * m + 1), b * qpow(q, m), a * qpow(q, m - 2) / b], p)
+        [a * qpow(q, 2 * m + 1), b * qpow(q, m), _ratio(a * qpow(q, m - 2), b)], p)
     den = theta_product_guarded(
-        [a * qpow(q, 2 * m - 1), b * qpow(q, m + 2), a * qpow(q, m) / b], p)
+        [a * qpow(q, 2 * m - 1), b * qpow(q, m + 2), _ratio(a * qpow(q, m), b)], p)
     return num / den * q
 
 

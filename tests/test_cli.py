@@ -42,6 +42,11 @@ def test_theta_value_and_json(capsys):
     assert abs(pair_to_complex(doc["value"]) - want) < 1e-15
 
 
+def test_theta_at_zero_nome_accepts_zero_argument(capsys):
+    code, out, _ = run_cli(capsys, "theta", "--x", "0", "--p", "0")
+    assert code == 0 and out == "1"
+
+
 def test_complex_flag_accepts_bare_real(capsys):
     code_bare, out_bare, _ = run_cli(capsys, "theta", "--x", "0.4", "--p", "0.2")
     code_pair, out_pair, _ = run_cli(capsys, "theta", "--x", "0.4,0", "--p", "0.2,0")

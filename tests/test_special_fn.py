@@ -51,6 +51,13 @@ def test_theta_p_zero_is_linear():
     assert theta(1.0, 0.3) == 0.0
 
 
+def test_theta_p_zero_is_one_minus_x_everywhere():
+    for x in (0.25, -3.5, 1.0, 2.0 - 0.75j, 1e-300, 1e300j):
+        assert theta(x, 0) == 1 - complex(x)
+    assert theta(0, 0) == 1
+    assert theta(0.0, 0.0j) == 1
+
+
 def test_theta_domain():
     with pytest.raises(DomainError):
         theta(0.0, 0.1)
@@ -316,6 +323,23 @@ def test_elliptic_zero_parameters_need_p_zero():
     bad = EllipticWeights(ParameterSet(0.3, 0.0, 0.5, 0.0))
     with pytest.raises(DomainError):
         bad.small(1, 1)
+
+
+def test_b_zero_with_a_nonzero_is_a_domain_error():
+    # the a -> 0 before b -> 0 convention leaves a/b undefined here; every
+    # formula with an a/b factor says so with DomainError
+    ps0 = ParameterSet(0.3, 0.0, 0.5, 0.0)
+    fam = EllipticWeights(ps0)
+    for call in (lambda: fam.small(1, 1), lambda: fam.big(1, 2),
+                 lambda: fam.binom(3, 1), lambda: fam.single(1),
+                 lambda: bracket_z(ps0, 2), lambda: elliptic_weight_single(ps0, 1)):
+        with pytest.raises(DomainError):
+            call()
+    ps = ParameterSet(0.3, 0.0, 0.5, 0.1)
+    with pytest.raises(DomainError):
+        bracket_z(ps, 2)
+    with pytest.raises(DomainError):
+        elliptic_weight_single(ps, 1)
 
 
 def test_degenerate_families_match_elliptic_limits():
