@@ -191,6 +191,8 @@ def _cmd_fib(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.order is not None and args.order < 1:
+        raise _UsageError(f"--order must be at least 1, got {args.order}")
     sizes = {"order": args.order} if args.order is not None else None
     if args.id is not None:
         try:

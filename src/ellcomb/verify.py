@@ -1,11 +1,23 @@
 """Identity registry and verification harness.
 
-Every identity in scope is registered as a check that samples
-parameters, evaluates both sides through independent code paths, and
-reports trial counts, failures, and the worst relative error.  Reports
-are deterministic functions of (check id, seed, sizes): each check owns
-a generator seeded by both, so checks can run in any order or
-concurrently without changing results.
+Every identity in scope is one registered check.  Its metadata (id,
+description, kind, default sizes, tolerance, the code paths of its two
+sides, and the size key that the "order" override retargets) sits in
+an ``@_check(...)`` decorator directly above the function that computes
+it.
+
+A numeric-sampled check is a draw function ``draw(ctx) -> (sample,
+pairs)``: it draws its parameters from ``ctx``, evaluates both sides
+through independent code paths, and returns the drawn values together
+with the (lhs, rhs) pairs to compare.  ``CheckContext.run`` owns the
+loop around it: ``size("draws")`` admitted draws, each near-pole draw
+resampled up to a cap, digests of the first samples, and every
+comparison recorded.  An exact-symbolic check is called once with the
+context and records its own comparisons with ``ctx.record``.
+
+Reports are deterministic functions of (check id, seed, sizes): each
+check owns a generator seeded by both, so checks can run in any order
+or concurrently without changing results.
 
 Reference implementations private to this module (a direct theta
 product, raw factorial loops, a small-weight quotient) provide the
@@ -38,6 +50,7 @@ from .special_fn import (
     q_binomial,
     qp_factorial,
     qpow,
+    reversal_coeff_bq,
     theta,
 )
 from .ncword import NormalForm, RelationSystem, expand_power_sum, normal_order
@@ -79,8 +92,8 @@ _GENERIC = GenericWeights()
 
 
 class VerifyError(RuntimeError):
-    """A check could not produce a report (resample cap exceeded or too
-    few admissible samples)."""
+    """A check could not produce a report (resample cap exceeded, too
+    few admissible samples, or no comparison recorded)."""
 
 
 @dataclass(frozen=True)
@@ -141,9 +154,14 @@ def _rel_err(lhs, rhs) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
 
 
+_MAX_ATTEMPTS = 60
+
+
 class CheckContext:
-    """Per-run state: the seeded generator, effective sizes, and the
-    accumulating report counters."""
+    """Per-run state of one check: the seeded generator, effective sizes,
+    and the accumulating report counters.  ``run(draw)`` drives a
+    numeric-sampled check; an exact-symbolic check calls ``record``
+    itself."""
 
     def __init__(self, rng: random.Random, sizes: dict, tolerance: float):
         self.rng = rng
@@ -191,29 +209,32 @@ class CheckContext:
         if err > self.tolerance:
             self.failures += 1
 
-    def trial(self, body, max_attempts: int = 60) -> None:
-        """Run one sampled trial: body() -> (sample values or None, list
-        of (lhs, rhs) pairs, rhs None for a residual).  Near-pole draws
-        are resampled up to the cap; comparisons are recorded only after
-        the body succeeds."""
-        attempts = 0
-        while True:
-            self.total_draws += 1
-            try:
-                sample, pairs = body()
-            except (NearPoleError, EvaluationError):
-                self.rejected += 1
-                attempts += 1
-                if attempts >= max_attempts:
-                    raise VerifyError("resample cap exceeded")
-                continue
-            if sample is not None and len(self.samples) < 8:
+    def run(self, draw) -> None:
+        """Admit size("draws") draws of draw(self) -> (sample values,
+        list of (lhs, rhs) pairs, rhs None for a residual).  A draw that
+        raises NearPoleError or EvaluationError is rejected and redrawn,
+        at most _MAX_ATTEMPTS times in a row; comparisons are recorded
+        only for admitted draws."""
+        for _ in range(self.size("draws")):
+            for _attempt in range(_MAX_ATTEMPTS):
+                self.total_draws += 1
+                try:
+                    sample, pairs = draw(self)
+                    break
+                except (NearPoleError, EvaluationError):
+                    self.rejected += 1
+            else:
+                raise VerifyError("resample cap exceeded")
+            if len(self.samples) < 8:
                 self.samples.append(_digest(sample))
             for lhs, rhs in pairs:
                 self.record(lhs, rhs)
-            return
 
     def finalize(self) -> None:
+        """Refuse a run that recorded no comparison or rejected more than
+        one draw in twenty."""
+        if self.trials == 0:
+            raise VerifyError("no comparisons recorded")
         if self.total_draws:
             admitted = self.total_draws - self.rejected
             if admitted / self.total_draws < 0.95:
@@ -334,158 +355,200 @@ def _full_binom_ref(a, b, q, n: int, k: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# runners
+# registry
 
-def _run_theta_inversion(ctx: CheckContext) -> None:
-    for _ in range(ctx.size("trials")):
-        def body():
-            x = ctx.annulus(0.2, 2.0)
-            p = ctx.draw_p()
-            return (x, p), [(theta(x, p), -x * _theta_ref(1.0 / x, p))]
-        ctx.trial(body)
+_REGISTRY: dict = {}
 
 
-def _run_theta_quasiperiod(ctx: CheckContext) -> None:
-    for _ in range(ctx.size("trials")):
-        def body():
-            x = ctx.annulus(0.2, 2.0)
-            p = ctx.draw_p()
-            return (x, p), [(theta(p * x, p), -_theta_ref(x, p) / x)]
-        ctx.trial(body)
+def _check(check_id, description, kind, default_sizes, tolerance,
+           lhs_path, rhs_path, order_key):
+    """Register the decorated function as the runner of check_id: a draw
+    function for a numeric-sampled check, a function that records its
+    own comparisons for an exact-symbolic one."""
+    def register(runner):
+        if check_id in _REGISTRY:
+            raise ValueError(f"duplicate check id {check_id!r}")
+        _REGISTRY[check_id] = IdentityCheck(
+            id=check_id, description=description, kind=kind,
+            default_sizes=default_sizes, tolerance=tolerance,
+            lhs_path=tuple(lhs_path), rhs_path=tuple(rhs_path),
+            order_key=order_key, runner=runner)
+        return runner
+    return register
 
 
-def _run_theta_addition(ctx: CheckContext) -> None:
-    for _ in range(ctx.size("trials")):
-        def body():
-            x = ctx.annulus(0.2, 2.0)
-            y = ctx.annulus(0.2, 2.0)
-            u = ctx.annulus(0.2, 2.0)
-            v = ctx.annulus(0.2, 2.0)
-            p = ctx.draw_p()
-            first = (theta(x * y, p) * theta(x / y, p)
-                     * theta(u * v, p) * theta(u / v, p))
-            second = (theta(x * v, p) * theta(x / v, p)
-                      * theta(u * y, p) * theta(u / y, p))
-            rhs = (u / y) * (_theta_ref(y * v, p) * _theta_ref(y / v, p)
-                             * _theta_ref(x * u, p) * _theta_ref(x / u, p))
-            if abs(rhs) < 1e-4 * max(abs(first), abs(second)):
-                raise NearPoleError("cancellation-dominated sample")
-            return (x, y, u, v, p), [(first - second, rhs)]
-        ctx.trial(body)
+# ---------------------------------------------------------------------------
+# checks, in registry order
+
+@_check("theta-inversion",
+        "theta(x) equals -x theta(1/x) for the modified theta product",
+        "numeric-sampled", {"draws": 400}, 1e-10,
+        ["special_fn:theta"], ["verify:_theta_ref"], "draws")
+def _draw_theta_inversion(ctx: CheckContext):
+    x = ctx.annulus(0.2, 2.0)
+    p = ctx.draw_p()
+    return (x, p), [(theta(x, p), -x * _theta_ref(1.0 / x, p))]
 
 
-def _run_weight_shift(ctx: CheckContext) -> None:
-    for _ in range(ctx.size("draws")):
-        def body():
-            ps = ctx.draw_ps()
-            s = ctx.rng.randint(1, 3)
-            k = ctx.rng.randint(1, 3)
-            n = ctx.rng.randint(1, 3)
-            t = ctx.rng.randint(1, 3)
-            fam = EllipticWeights(ps)
-            shifted = ps.shift(2 * k, k)
-            pairs = [
-                (fam.small(s, k + n), _small_ref(shifted, s, n)),
-                (fam.big(s, k + n), _big_ref(ps, s, k) * _big_ref(shifted, s, n)),
-                (fam.small(s, t),
-                 _small_ref(ParameterSet(ps.p * ps.a, ps.p * ps.b, ps.q, ps.p), s, t)),
-            ]
-            return (ps.a, ps.b, ps.q, ps.p), pairs
-        ctx.trial(body)
+@_check("theta-quasiperiod",
+        "theta(p x) equals -theta(x)/x under a nome shift of the argument",
+        "numeric-sampled", {"draws": 400}, 1e-10,
+        ["special_fn:theta"], ["verify:_theta_ref"], "draws")
+def _draw_theta_quasiperiod(ctx: CheckContext):
+    x = ctx.annulus(0.2, 2.0)
+    p = ctx.draw_p()
+    return (x, p), [(theta(p * x, p), -_theta_ref(x, p) / x)]
 
 
-def _run_bigweight_closed(ctx: CheckContext) -> None:
-    for _ in range(ctx.size("draws")):
-        def body():
-            ps = ctx.draw_ps()
-            fam = EllipticWeights(ps)
-            pairs = []
-            for s in range(1, 4):
-                for t in range(0, 6):
-                    pairs.append((fam.big(s, t), _big_ref(ps, s, t)))
-            return (ps.a, ps.b, ps.q, ps.p), pairs
-        ctx.trial(body)
+@_check("theta-addition",
+        "four-term theta addition rule linking two quadruple products",
+        "numeric-sampled", {"draws": 400}, 1e-10,
+        ["special_fn:theta"], ["verify:_theta_ref"], "draws")
+def _draw_theta_addition(ctx: CheckContext):
+    x = ctx.annulus(0.2, 2.0)
+    y = ctx.annulus(0.2, 2.0)
+    u = ctx.annulus(0.2, 2.0)
+    v = ctx.annulus(0.2, 2.0)
+    p = ctx.draw_p()
+    first = (theta(x * y, p) * theta(x / y, p)
+             * theta(u * v, p) * theta(u / v, p))
+    second = (theta(x * v, p) * theta(x / v, p)
+              * theta(u * y, p) * theta(u / y, p))
+    rhs = (u / y) * (_theta_ref(y * v, p) * _theta_ref(y / v, p)
+                     * _theta_ref(x * u, p) * _theta_ref(x / u, p))
+    if abs(rhs) < 1e-4 * max(abs(first), abs(second)):
+        raise NearPoleError("cancellation-dominated sample")
+    return (x, y, u, v, p), [(first - second, rhs)]
 
 
-def _run_binom_recursion_closed(ctx: CheckContext) -> None:
+@_check("weight-shift",
+        "small and big weights at shifted column index equal weights at "
+        "shifted parameters; both are invariant under scaling a, b by the nome",
+        "numeric-sampled", {"draws": 40}, 1e-7,
+        ["special_fn:EllipticWeights.small", "special_fn:EllipticWeights.big"],
+        ["verify:_small_ref", "verify:_big_ref"], "draws")
+def _draw_weight_shift(ctx: CheckContext):
+    ps = ctx.draw_ps()
+    s = ctx.rng.randint(1, 3)
+    k = ctx.rng.randint(1, 3)
+    n = ctx.rng.randint(1, 3)
+    t = ctx.rng.randint(1, 3)
+    fam = EllipticWeights(ps)
+    shifted = ps.shift(2 * k, k)
+    pairs = [
+        (fam.small(s, k + n), _small_ref(shifted, s, n)),
+        (fam.big(s, k + n), _big_ref(ps, s, k) * _big_ref(shifted, s, n)),
+        (fam.small(s, t),
+         _small_ref(ParameterSet(ps.p * ps.a, ps.p * ps.b, ps.q, ps.p), s, t)),
+    ]
+    return (ps.a, ps.b, ps.q, ps.p), pairs
+
+
+@_check("bigweight-closed-vs-product",
+        "closed theta form of the big weight equals the column product of "
+        "small weights",
+        "numeric-sampled", {"draws": 40}, 1e-7,
+        ["special_fn:EllipticWeights.big"],
+        ["verify:_big_ref", "verify:_theta_ref"], "draws")
+def _draw_bigweight_closed(ctx: CheckContext):
+    ps = ctx.draw_ps()
+    fam = EllipticWeights(ps)
+    pairs = [(fam.big(s, t), _big_ref(ps, s, t))
+             for s in range(1, 4) for t in range(0, 6)]
+    return (ps.a, ps.b, ps.q, ps.p), pairs
+
+
+@_check("binom-recursion-closed",
+        "closed theta-factorial form of the weighted binomial equals the "
+        "Pascal-type triangle recursion",
+        "numeric-sampled", {"draws": 15, "n": 8}, 1e-7,
+        ["special_fn:EllipticWeights.binom"],
+        ["verify:_binom_triangle", "special_fn:EllipticWeights.big"], "n")
+def _draw_binom_recursion_closed(ctx: CheckContext):
     n = ctx.size("n")
-    for _ in range(ctx.size("draws")):
-        def body():
-            ps = ctx.draw_ps()
-            fam = EllipticWeights(ps)
-            row = _binom_triangle(fam.big, n)
-            pairs = [(fam.binom(n, k), row.get(k, 0.0 + 0.0j))
-                     for k in range(n + 1)]
-            return (ps.a, ps.b, ps.q, ps.p), pairs
-        ctx.trial(body)
+    ps = ctx.draw_ps()
+    fam = EllipticWeights(ps)
+    row = _binom_triangle(fam.big, n)
+    pairs = [(fam.binom(n, k), row.get(k, 0.0 + 0.0j))
+             for k in range(n + 1)]
+    return (ps.a, ps.b, ps.q, ps.p), pairs
 
 
-def _run_binom_limit_chain(ctx: CheckContext) -> None:
-    nmax = ctx.size("n")
-    for _ in range(ctx.size("draws")):
-        def body():
-            a = ctx.draw_ab()
-            b = ctx.draw_ab()
-            q = ctx.draw_q()
-            n = ctx.rng.randint(0, nmax)
-            k = ctx.rng.randint(0, n)
-            pairs = [
-                (EllipticWeights(ParameterSet(a, b, q, 0.0)).binom(n, k),
-                 _full_binom_ref(a, b, q, n, k)),
-                (EllipticWeights(ParameterSet(0.0, b, q, 0.0)).binom(n, k),
-                 _bq_binom_ref(b, q, n, k)),
-                (EllipticWeights(ParameterSet(0.0, 0.0, q, 0.0)).binom(n, k),
-                 q_binomial(n, k, q)),
-            ]
-            try:
-                EllipticWeights(ParameterSet(a, 0.0, q, 0.0)).binom(2, 1)
-                rejected = False
-            except DomainError:
-                rejected = True
-            pairs.append((rejected, True))
-            return (a, b, q), pairs
-        ctx.trial(body)
+@_check("binom-limit-chain",
+        "weighted binomial degenerates exactly through p = 0, then a = 0, "
+        "then b = 0 down to the classical q-binomial; the a != 0, b = 0 "
+        "order is rejected",
+        "numeric-sampled", {"draws": 60, "n": 6}, 1e-8,
+        ["special_fn:EllipticWeights.binom"],
+        ["verify:_full_binom_ref", "verify:_bq_binom_ref", "special_fn:q_binomial"],
+        "n")
+def _draw_binom_limit_chain(ctx: CheckContext):
+    a = ctx.draw_ab()
+    b = ctx.draw_ab()
+    q = ctx.draw_q()
+    n = ctx.rng.randint(0, ctx.size("n"))
+    k = ctx.rng.randint(0, n)
+    pairs = [
+        (EllipticWeights(ParameterSet(a, b, q, 0.0)).binom(n, k),
+         _full_binom_ref(a, b, q, n, k)),
+        (EllipticWeights(ParameterSet(0.0, b, q, 0.0)).binom(n, k),
+         _bq_binom_ref(b, q, n, k)),
+        (EllipticWeights(ParameterSet(0.0, 0.0, q, 0.0)).binom(n, k),
+         q_binomial(n, k, q)),
+    ]
+    try:
+        EllipticWeights(ParameterSet(a, 0.0, q, 0.0)).binom(2, 1)
+        rejected = False
+    except DomainError:
+        rejected = True
+    pairs.append((rejected, True))
+    return (a, b, q), pairs
 
 
-def _run_aq_symmetry(ctx: CheckContext) -> None:
-    nmax = ctx.size("n")
-    for _ in range(ctx.size("draws")):
-        def body():
-            a = ctx.draw_ab()
-            q = ctx.draw_q()
-            fam = AQWeights(a, q)
-            n = ctx.rng.randint(0, nmax)
-            pairs = [(fam.binom(n, k), _aq_binom_ref(a, q, n, n - k))
-                     for k in range(n + 1)]
-            return (a, q), pairs
-        ctx.trial(body)
+@_check("aq-symmetry",
+        "one-parameter a-weighted binomial is symmetric under k -> n - k",
+        "numeric-sampled", {"draws": 30, "n": 8}, 1e-8,
+        ["special_fn:AQWeights.binom"], ["verify:_aq_binom_ref"], "n")
+def _draw_aq_symmetry(ctx: CheckContext):
+    a = ctx.draw_ab()
+    q = ctx.draw_q()
+    fam = AQWeights(a, q)
+    n = ctx.rng.randint(0, ctx.size("n"))
+    pairs = [(fam.binom(n, k), _aq_binom_ref(a, q, n, n - k))
+             for k in range(n + 1)]
+    return (a, q), pairs
 
 
-def _run_aq_recurrences(ctx: CheckContext) -> None:
-    nmax = ctx.size("n")
-    for _ in range(ctx.size("draws")):
-        def body():
-            a = ctx.draw_ab()
-            q = ctx.draw_q()
-            fam = AQWeights(a, q)
-            n = ctx.rng.randint(1, nmax)
-            pairs = []
-            for k in range(1, n + 1):
-                lhs = fam.binom(n + 1, k)
-                ratio1 = ((1.0 - a * qpow(q, 2 * n + 2 - k))
-                          / _guard_ref(1.0 - a * qpow(q, k)))
-                rec1 = (_aq_binom_ref(a, q, n, k)
-                        + ratio1 * qpow(q, k - n - 1) * _aq_binom_ref(a, q, n, k - 1))
-                ratio2 = ((1.0 - a * qpow(q, n + 1 + k))
-                          / _guard_ref(1.0 - a * qpow(q, n + 1 - k)))
-                rec2 = (ratio2 * qpow(q, -k) * _aq_binom_ref(a, q, n, k)
-                        + _aq_binom_ref(a, q, n, k - 1))
-                pairs.append((lhs, rec1))
-                pairs.append((lhs, rec2))
-            return (a, q), pairs
-        ctx.trial(body)
+@_check("aq-recurrences",
+        "both contiguous recurrences of the a-weighted binomial triangle",
+        "numeric-sampled", {"draws": 25, "n": 7}, 1e-8,
+        ["special_fn:AQWeights.binom"], ["verify:_aq_binom_ref"], "n")
+def _draw_aq_recurrences(ctx: CheckContext):
+    a = ctx.draw_ab()
+    q = ctx.draw_q()
+    fam = AQWeights(a, q)
+    n = ctx.rng.randint(1, ctx.size("n"))
+    pairs = []
+    for k in range(1, n + 1):
+        lhs = fam.binom(n + 1, k)
+        ratio1 = ((1.0 - a * qpow(q, 2 * n + 2 - k))
+                  / _guard_ref(1.0 - a * qpow(q, k)))
+        rec1 = (_aq_binom_ref(a, q, n, k)
+                + ratio1 * qpow(q, k - n - 1) * _aq_binom_ref(a, q, n, k - 1))
+        ratio2 = ((1.0 - a * qpow(q, n + 1 + k))
+                  / _guard_ref(1.0 - a * qpow(q, n + 1 - k)))
+        rec2 = (ratio2 * qpow(q, -k) * _aq_binom_ref(a, q, n, k)
+                + _aq_binom_ref(a, q, n, k - 1))
+        pairs.append((lhs, rec1))
+        pairs.append((lhs, rec2))
+    return (a, q), pairs
 
 
+@_check("wdep-binomial-thm",
+        "symbolic binomial theorem: normal ordering (x + y)^n equals the "
+        "triangle-recursion binomials times x^k y^(n-k), exactly",
+        "exact-symbolic", {"n": 8}, 0.0,
+        ["ncword:expand_power_sum"], ["special_fn:WeightFamily.binom"], "n")
 def _run_wdep_binomial(ctx: CheckContext) -> None:
     for n in range(0, ctx.size("n") + 1):
         lhs = expand_power_sum(n, _HOM)
@@ -493,101 +556,111 @@ def _run_wdep_binomial(ctx: CheckContext) -> None:
         ctx.record(lhs, rhs)
 
 
-def _run_elliptic_binomial(ctx: CheckContext) -> None:
-    nmax = ctx.size("n")
-    for _ in range(ctx.size("draws")):
-        def body():
-            ps = ctx.draw_ps()
-            fam = EllipticWeights(ps)
-            pairs = []
-            for n in range(0, nmax + 1):
-                values = expand_power_sum(n, _HOM).evaluate(fam)
-                for k in range(n + 1):
-                    pairs.append((values[(k, n - k)], fam.binom(n, k)))
-            return (ps.a, ps.b, ps.q, ps.p), pairs
-        ctx.trial(body)
+@_check("elliptic-binomial-thm",
+        "theta-weighted binomial theorem: rewriting coefficients of "
+        "(x + y)^n match the closed theta-factorial binomials",
+        "numeric-sampled", {"draws": 10, "n": 8}, 1e-7,
+        ["ncword:expand_power_sum", "special_fn:EllipticWeights.small"],
+        ["special_fn:EllipticWeights.binom"], "n")
+def _draw_elliptic_binomial(ctx: CheckContext):
+    ps = ctx.draw_ps()
+    fam = EllipticWeights(ps)
+    pairs = []
+    for n in range(0, ctx.size("n") + 1):
+        values = expand_power_sum(n, _HOM).evaluate(fam)
+        for k in range(n + 1):
+            pairs.append((values[(k, n - k)], fam.binom(n, k)))
+    return (ps.a, ps.b, ps.q, ps.p), pairs
 
 
-def _run_prop_product_expansion(ctx: CheckContext) -> None:
-    nmax = ctx.size("n")
-    for _ in range(ctx.size("draws")):
-        def body():
-            ps = ctx.draw_ps()
-            c = ctx.draw_ab()
-            n = ctx.rng.randint(1, nmax)
-            factors = []
-            for k in range(n):
-                def coeff(a, b, _k=k, _ps=ps, _c=c):
-                    fam = EllipticWeights(ParameterSet(a, b, _ps.q, _ps.p))
-                    return -_c * fam.big(1, _k)
-                factors.append(SkewPoly({0: 1.0, 1: coeff}, ps.q))
-            lhs = product_expand(factors, "right-to-left", ps.q).evaluate(ps)
-            fam = EllipticWeights(ps)
-            a, b, q, p = ps.a, ps.b, ps.q, ps.p
-            pairs = []
-            for k in range(n + 1):
-                rhs = ((-c) ** k * qpow(q, k * (k - 1) // 2) * fam.binom(n, k)
-                       * qp_factorial(a * qpow(q, n), q, p, k)
-                       / qp_factorial(a * qpow(q, n - k + 1), q, p, k)
-                       * qp_factorial(b * q, q, p, k)
-                       / qp_factorial(b * qpow(q, k), q, p, k)
-                       * qp_factorial(a / b, 1.0 / q, p, k)
-                       * qp_factorial(a * q / b, q, p, n - k)
-                       / qp_factorial(a * qpow(q, n - 1) / b, 1.0 / q, p, k)
-                       / qp_factorial(a * qpow(q, 1 - k) / b, q, p, n - k))
-                pairs.append((lhs.get(k, 0.0 + 0.0j), rhs))
-            return (ps.a, ps.b, ps.q, ps.p, c), pairs
-        ctx.trial(body)
+@_check("prop-product-expansion",
+        "ordered product of linear skew factors (1 - W(1,k) c x) expands "
+        "into theta-factorial coefficients",
+        "numeric-sampled", {"draws": 12, "n": 4}, 1e-7,
+        ["skewpoly:product_expand", "skewpoly:skew_mul"],
+        ["special_fn:EllipticWeights.binom", "special_fn:qp_factorial"], "n")
+def _draw_prop_product_expansion(ctx: CheckContext):
+    ps = ctx.draw_ps()
+    c = ctx.draw_ab()
+    n = ctx.rng.randint(1, ctx.size("n"))
+    factors = []
+    for k in range(n):
+        def coeff(a, b, _k=k, _ps=ps, _c=c):
+            fam = EllipticWeights(ParameterSet(a, b, _ps.q, _ps.p))
+            return -_c * fam.big(1, _k)
+        factors.append(SkewPoly({0: 1.0, 1: coeff}, ps.q))
+    lhs = product_expand(factors, "right-to-left", ps.q).evaluate(ps)
+    fam = EllipticWeights(ps)
+    a, b, q, p = ps.a, ps.b, ps.q, ps.p
+    pairs = []
+    for k in range(n + 1):
+        rhs = ((-c) ** k * qpow(q, k * (k - 1) // 2) * fam.binom(n, k)
+               * qp_factorial(a * qpow(q, n), q, p, k)
+               / qp_factorial(a * qpow(q, n - k + 1), q, p, k)
+               * qp_factorial(b * q, q, p, k)
+               / qp_factorial(b * qpow(q, k), q, p, k)
+               * qp_factorial(a / b, 1.0 / q, p, k)
+               * qp_factorial(a * q / b, q, p, n - k)
+               / qp_factorial(a * qpow(q, n - 1) / b, 1.0 / q, p, k)
+               / qp_factorial(a * qpow(q, 1 - k) / b, q, p, n - k))
+        pairs.append((lhs.get(k, 0.0 + 0.0j), rhs))
+    return (ps.a, ps.b, ps.q, ps.p, c), pairs
 
 
-def _run_bq_binomial(ctx: CheckContext) -> None:
-    nmax = ctx.size("n")
-    for _ in range(ctx.size("draws")):
-        def body():
-            b = ctx.draw_ab()
-            q = ctx.draw_q()
-            fam = BQWeights(b, q)
-            pairs = []
-            for n in range(0, nmax + 1):
-                values = expand_power_sum(n, _HOM).evaluate(fam)
-                for k in range(n + 1):
-                    pairs.append((values[(k, n - k)], _bq_binom_ref(b, q, n, k)))
-            return (b, q), pairs
-        ctx.trial(body)
+@_check("bq-binomial-thm",
+        "b-weighted binomial theorem via rewriting versus raw factorial "
+        "quotients",
+        "numeric-sampled", {"draws": 20, "n": 8}, 1e-8,
+        ["ncword:expand_power_sum", "special_fn:BQWeights.small"],
+        ["verify:_bq_binom_ref"], "n")
+def _draw_bq_binomial(ctx: CheckContext):
+    b = ctx.draw_ab()
+    q = ctx.draw_q()
+    fam = BQWeights(b, q)
+    pairs = []
+    for n in range(0, ctx.size("n") + 1):
+        values = expand_power_sum(n, _HOM).evaluate(fam)
+        for k in range(n + 1):
+            pairs.append((values[(k, n - k)], _bq_binom_ref(b, q, n, k)))
+    return (b, q), pairs
 
 
-def _run_aq_binomial(ctx: CheckContext) -> None:
-    nmax = ctx.size("n")
-    for _ in range(ctx.size("draws")):
-        def body():
-            a = ctx.draw_ab()
-            q = ctx.draw_q()
-            fam = AQWeights(a, q)
-            pairs = []
-            for n in range(0, nmax + 1):
-                values = expand_power_sum(n, _HOM).evaluate(fam)
-                for k in range(n + 1):
-                    pairs.append((values[(k, n - k)], _aq_binom_ref(a, q, n, k)))
-            return (a, q), pairs
-        ctx.trial(body)
+@_check("aq-binomial-thm",
+        "a-weighted binomial theorem via rewriting versus raw factorial "
+        "quotients",
+        "numeric-sampled", {"draws": 15, "n": 8}, 1e-8,
+        ["ncword:expand_power_sum", "special_fn:AQWeights.small"],
+        ["verify:_aq_binom_ref"], "n")
+def _draw_aq_binomial(ctx: CheckContext):
+    a = ctx.draw_ab()
+    q = ctx.draw_q()
+    fam = AQWeights(a, q)
+    pairs = []
+    for n in range(0, ctx.size("n") + 1):
+        values = expand_power_sum(n, _HOM).evaluate(fam)
+        for k in range(n + 1):
+            pairs.append((values[(k, n - k)], _aq_binom_ref(a, q, n, k)))
+    return (a, q), pairs
 
 
-def _run_bq_reversal(ctx: CheckContext) -> None:
-    from .special_fn import reversal_coeff_bq
+@_check("bq-reversal",
+        "reversed monomial y^k x^l normal-orders to the closed reversal "
+        "coefficient's reciprocal",
+        "numeric-sampled", {"draws": 20, "max_power": 4}, 1e-8,
+        ["ncword:normal_order", "special_fn:BQWeights.small"],
+        ["special_fn:reversal_coeff_bq"], "max_power")
+def _draw_bq_reversal(ctx: CheckContext):
     cap = ctx.size("max_power")
-    for _ in range(ctx.size("draws")):
-        def body():
-            b = ctx.draw_ab()
-            q = ctx.draw_q()
-            fam = BQWeights(b, q)
-            pairs = []
-            for l in range(1, cap + 1):
-                for k in range(1, cap + 1):
-                    word = "y" * k + "x" * l
-                    gamma = normal_order(word, _HOM).evaluate(fam)[(l, k)]
-                    pairs.append((gamma * reversal_coeff_bq(b, q, l, k), 1.0 + 0.0j))
-            return (b, q), pairs
-        ctx.trial(body)
+    b = ctx.draw_ab()
+    q = ctx.draw_q()
+    fam = BQWeights(b, q)
+    pairs = []
+    for l in range(1, cap + 1):
+        for k in range(1, cap + 1):
+            word = "y" * k + "x" * l
+            gamma = normal_order(word, _HOM).evaluate(fam)[(l, k)]
+            pairs.append((gamma * reversal_coeff_bq(b, q, l, k), 1.0 + 0.0j))
+    return (b, q), pairs
 
 
 def _choice_coeff_ref(b, q, k: int) -> complex:
@@ -633,224 +706,244 @@ def _bq_finite_lhs(n: int, b, q) -> dict:
     return totals
 
 
-def _run_bq_finite_product(ctx: CheckContext) -> None:
-    nmax = ctx.size("n")
-    for _ in range(ctx.size("draws")):
-        def body():
-            b = ctx.draw_ab()
-            q = ctx.draw_q()
-            n = ctx.rng.randint(1, nmax)
-            lhs = _bq_finite_lhs(n, b, q)
-            fam = BQWeights(b, q)
-            pairs = []
-            for k in range(n + 1):
-                rhs = (fam.binom(n, k)
-                       * _qfac_ref(b * qpow(q, k + 2), q, n - 1)
-                       / _qfac_ref_guarded(b * q * q, q, n - 1)
-                       * qpow(q, k * (k - n))
-                       * qpow(q, (n - k) * (n - k - 1) // 2)
-                       * qpow(q, 2 * k * (n - k)))
-                pairs.append((lhs.get(k, 0.0 + 0.0j), rhs))
-            return (b, q), pairs
-        ctx.trial(body)
+@_check("bq-finite-product",
+        "finite ordered product of (b y + c_k x) expands into b-weighted "
+        "binomials with factorial corrections",
+        "numeric-sampled", {"draws": 10, "n": 6}, 1e-8,
+        ["verify:_bq_finite_lhs", "ncword:normal_order"],
+        ["special_fn:BQWeights.binom", "verify:_qfac_ref"], "n")
+def _draw_bq_finite_product(ctx: CheckContext):
+    b = ctx.draw_ab()
+    q = ctx.draw_q()
+    n = ctx.rng.randint(1, ctx.size("n"))
+    lhs = _bq_finite_lhs(n, b, q)
+    fam = BQWeights(b, q)
+    pairs = []
+    for k in range(n + 1):
+        rhs = (fam.binom(n, k)
+               * _qfac_ref(b * qpow(q, k + 2), q, n - 1)
+               / _qfac_ref_guarded(b * q * q, q, n - 1)
+               * qpow(q, k * (k - n))
+               * qpow(q, (n - k) * (n - k - 1) // 2)
+               * qpow(q, 2 * k * (n - k)))
+        pairs.append((lhs.get(k, 0.0 + 0.0j), rhs))
+    return (b, q), pairs
 
 
-def _run_bq_cauchy(ctx: CheckContext) -> None:
-    degree = ctx.size("degree")
-    for _ in range(ctx.size("draws")):
-        def body():
-            b = ctx.draw_ab()
-            q = ctx.draw_q()
-            fam = BQWeights(b, q)
-            pairs = []
-            for total in range(0, degree + 1):
-                values = expand_power_sum(total, _HOM).evaluate(fam)
-                for k in range(total + 1):
-                    m = total - k
-                    lhs = exp_coeff_bq(b, q, total) * values[(k, m)]
-                    rhs = (1.0
-                           / (_qfac_ref_guarded(q, q, k)
-                              * _qfac_ref_guarded(b * q, q, k))
-                           / (_qfac_ref_guarded(q, q, m)
-                              * _qfac_ref_guarded(b * qpow(q, 2 * k) * q, q, m)))
-                    pairs.append((lhs, rhs))
-            return (b, q), pairs
-        ctx.trial(body)
+@_check("bq-cauchy",
+        "b-weighted exponential of x + y factors as the ordered product of "
+        "exponentials in x and y",
+        "numeric-sampled", {"draws": 10, "degree": 8}, 1e-9,
+        ["special_fn:exp_coeff_bq", "ncword:expand_power_sum"],
+        ["verify:_qfac_ref"], "degree")
+def _draw_bq_cauchy(ctx: CheckContext):
+    b = ctx.draw_ab()
+    q = ctx.draw_q()
+    fam = BQWeights(b, q)
+    pairs = []
+    for total in range(0, ctx.size("degree") + 1):
+        values = expand_power_sum(total, _HOM).evaluate(fam)
+        for k in range(total + 1):
+            m = total - k
+            lhs = exp_coeff_bq(b, q, total) * values[(k, m)]
+            rhs = (1.0
+                   / (_qfac_ref_guarded(q, q, k)
+                      * _qfac_ref_guarded(b * q, q, k))
+                   / (_qfac_ref_guarded(q, q, m)
+                      * _qfac_ref_guarded(b * qpow(q, 2 * k) * q, q, m)))
+            pairs.append((lhs, rhs))
+    return (b, q), pairs
 
 
-def _run_aq_cauchy(ctx: CheckContext) -> None:
-    degree = ctx.size("degree")
-    for _ in range(ctx.size("draws")):
-        def body():
-            a = ctx.draw_ab()
-            q = ctx.draw_q()
-            fam = AQWeights(a, q)
-            pairs = []
-            for total in range(0, degree + 1):
-                values = expand_power_sum(total, _HOM).evaluate(fam)
-                for k in range(total + 1):
-                    m = total - k
-                    lhs = exp_coeff_bq(a, q, total) * values[(k, m)]
-                    # reversal scalar for y^m x^k -> x^k y^m, raw form
-                    rev = (_qfac_ref(a * qpow(q, 1 + k), q, 2 * m)
-                           / _qfac_ref_guarded(a * q, q, 2 * m)
-                           * qpow(q, -k * m))
-                    rhs = (1.0
-                           / (_qfac_ref_guarded(q, q, m)
-                              * _qfac_ref_guarded(a * q, q, m))
-                           / (_qfac_ref_guarded(q, q, k)
-                              * _qfac_ref_guarded(a * qpow(q, 2 * m) * q, q, k))
-                           * rev)
-                    pairs.append((lhs, rhs))
-            return (a, q), pairs
-        ctx.trial(body)
+@_check("aq-cauchy",
+        "a-weighted exponential of x + y factors as the reversed product of "
+        "exponentials in y and x",
+        "numeric-sampled", {"draws": 10, "degree": 8}, 1e-9,
+        ["special_fn:exp_coeff_bq", "ncword:expand_power_sum"],
+        ["verify:_qfac_ref"], "degree")
+def _draw_aq_cauchy(ctx: CheckContext):
+    a = ctx.draw_ab()
+    q = ctx.draw_q()
+    fam = AQWeights(a, q)
+    pairs = []
+    for total in range(0, ctx.size("degree") + 1):
+        values = expand_power_sum(total, _HOM).evaluate(fam)
+        for k in range(total + 1):
+            m = total - k
+            lhs = exp_coeff_bq(a, q, total) * values[(k, m)]
+            # reversal scalar for y^m x^k -> x^k y^m, raw form
+            rev = (_qfac_ref(a * qpow(q, 1 + k), q, 2 * m)
+                   / _qfac_ref_guarded(a * q, q, 2 * m)
+                   * qpow(q, -k * m))
+            rhs = (1.0
+                   / (_qfac_ref_guarded(q, q, m)
+                      * _qfac_ref_guarded(a * q, q, m))
+                   / (_qfac_ref_guarded(q, q, k)
+                      * _qfac_ref_guarded(a * qpow(q, 2 * m) * q, q, k))
+                   * rev)
+            pairs.append((lhs, rhs))
+    return (a, q), pairs
 
 
-def _run_qexp_cauchy(ctx: CheckContext) -> None:
-    degree = ctx.size("degree")
-    for _ in range(ctx.size("draws")):
-        def body():
-            q = ctx.draw_q()
-            fam = QWeights(q)
-            pairs = []
-            for total in range(0, degree + 1):
-                values = expand_power_sum(total, _HOM).evaluate(fam)
-                for k in range(total + 1):
-                    m = total - k
-                    lhs = 1.0 / (_qfac_ref_guarded(q, q, k)
-                                 * _qfac_ref_guarded(q, q, m))
-                    rhs = exp_coeff_q(q, total) * values[(k, m)]
-                    pairs.append((lhs, rhs))
-            return (q,), pairs
-        ctx.trial(body)
+@_check("qexp-cauchy",
+        "q-exponential addition rule on the q-commuting plane",
+        "numeric-sampled", {"draws": 15, "degree": 8}, 1e-9,
+        ["verify:_qfac_ref"],
+        ["special_fn:exp_coeff_q", "ncword:expand_power_sum"], "degree")
+def _draw_qexp_cauchy(ctx: CheckContext):
+    q = ctx.draw_q()
+    fam = QWeights(q)
+    pairs = []
+    for total in range(0, ctx.size("degree") + 1):
+        values = expand_power_sum(total, _HOM).evaluate(fam)
+        for k in range(total + 1):
+            m = total - k
+            lhs = 1.0 / (_qfac_ref_guarded(q, q, k)
+                         * _qfac_ref_guarded(q, q, m))
+            rhs = exp_coeff_q(q, total) * values[(k, m)]
+            pairs.append((lhs, rhs))
+    return (q,), pairs
 
 
-def _run_qexp_braiding(ctx: CheckContext) -> None:
+@_check("qexp-braiding",
+        "reversing two q-exponentials inserts the exponential of -xy",
+        "numeric-sampled", {"draws": 10, "degree": 8}, 1e-9,
+        ["verify:_qfac_ref"],
+        ["special_fn:exp_coeff_q", "ncword:normal_order"], "degree")
+def _draw_qexp_braiding(ctx: CheckContext):
     degree = ctx.size("degree")
     # the compared coefficient carries q^(K M) while the alternating
     # sum's terms stay O(1), so conditioning degrades like |q|^(-K M);
     # keep the modulus floor high enough for the degree cap
     lo = max(0.3, min(0.85, 10.0 ** (-16.0 / (degree * degree))))
-    for _ in range(ctx.size("draws")):
-        def body():
-            q = ctx.annulus(lo, 0.9)
-            fam = QWeights(q)
-            gammas = []
-            for j in range(degree // 2 + 1):
-                word = "xy" * j
-                if word:
-                    gammas.append(normal_order(word, _HOM).evaluate(fam)[(j, j)])
-                else:
-                    gammas.append(1.0 + 0.0j)
-            pairs = []
-            for total in range(0, degree + 1):
-                for big_k in range(total + 1):
-                    big_m = total - big_k
-                    lhs = (qpow(q, big_k * big_m)
-                           / (_qfac_ref_guarded(q, q, big_m)
-                              * _qfac_ref_guarded(q, q, big_k)))
-                    rhs = 0.0 + 0.0j
-                    spread = 0.0
-                    for j in range(0, min(big_k, big_m) + 1):
-                        term = ((-1.0) ** j * exp_coeff_q(q, big_k - j)
-                                * exp_coeff_q(q, j) * gammas[j]
-                                * exp_coeff_q(q, big_m - j))
-                        rhs += term
-                        spread += abs(term)
-                    if spread > 1e5 * abs(rhs):
-                        raise NearPoleError("cancellation-dominated sample")
-                    pairs.append((lhs, rhs))
-            return (q,), pairs
-        ctx.trial(body)
+    q = ctx.annulus(lo, 0.9)
+    fam = QWeights(q)
+    gammas = []
+    for j in range(degree // 2 + 1):
+        word = "xy" * j
+        if word:
+            gammas.append(normal_order(word, _HOM).evaluate(fam)[(j, j)])
+        else:
+            gammas.append(1.0 + 0.0j)
+    pairs = []
+    for total in range(0, degree + 1):
+        for big_k in range(total + 1):
+            big_m = total - big_k
+            lhs = (qpow(q, big_k * big_m)
+                   / (_qfac_ref_guarded(q, q, big_m)
+                      * _qfac_ref_guarded(q, q, big_k)))
+            rhs = 0.0 + 0.0j
+            spread = 0.0
+            for j in range(0, min(big_k, big_m) + 1):
+                term = ((-1.0) ** j * exp_coeff_q(q, big_k - j)
+                        * exp_coeff_q(q, j) * gammas[j]
+                        * exp_coeff_q(q, big_m - j))
+                rhs += term
+                spread += abs(term)
+            if spread > 1e5 * abs(rhs):
+                raise NearPoleError("cancellation-dominated sample")
+            pairs.append((lhs, rhs))
+    return (q,), pairs
 
 
-def _run_f_relations(ctx: CheckContext) -> None:
-    degree = ctx.size("degree")
-    for _ in range(ctx.size("draws")):
-        def body():
-            b = ctx.draw_ab()
-            q = ctx.draw_q()
-            pairs = []
-            for n in range(1, degree + 1):
-                for _name, (lhs, rhs) in sorted(f_relation_sides(b, q, n).items()):
-                    pairs.append((lhs, rhs))
-            return (b, q), pairs
-        ctx.trial(body)
+@_check("f-relations",
+        "coefficientwise contiguous relations of the double-factorial series "
+        "F, including the combined two-step form",
+        "numeric-sampled", {"draws": 15, "degree": 12}, 1e-9,
+        ["special_fn:exp_coeff_bq"], ["special_fn:q_factorial"], "degree")
+def _draw_f_relations(ctx: CheckContext):
+    b = ctx.draw_ab()
+    q = ctx.draw_q()
+    pairs = []
+    for n in range(1, ctx.size("degree") + 1):
+        for _name, (lhs, rhs) in sorted(f_relation_sides(b, q, n).items()):
+            pairs.append((lhs, rhs))
+    return (b, q), pairs
 
 
-def _run_pincherle(ctx: CheckContext) -> None:
+@_check("pincherle",
+        "commutator of D^k with multiplication by x acts as a theta scalar "
+        "times D^(k-1) eta",
+        "numeric-sampled", {"draws": 20, "k": 5, "n": 8}, 1e-7,
+        ["skewpoly:apply_D", "skewpoly:x_mul"],
+        ["skewpoly:apply_eta", "skewpoly:pincherle_coeff"], "n")
+def _draw_pincherle(ctx: CheckContext):
     # pincherle_check already returns a relative residual, so each pair
     # has no right side and records its left side as the residual
     kmax = ctx.size("k")
     nmax = ctx.size("n")
-    for _ in range(ctx.size("draws")):
-        def body():
-            ps = ctx.draw_ps()
-            pairs = [(pincherle_check(k, n, ps), None)
-                     for k in range(1, kmax + 1)
-                     for n in range(0, nmax + 1)]
-            return (ps.a, ps.b, ps.q, ps.p), pairs
-        ctx.trial(body)
+    ps = ctx.draw_ps()
+    pairs = [(pincherle_check(k, n, ps), None)
+             for k in range(1, kmax + 1)
+             for n in range(0, nmax + 1)]
+    return (ps.a, ps.b, ps.q, ps.p), pairs
 
 
-def _run_pincherle_k(ctx: CheckContext) -> None:
-    kmax = ctx.size("k")
-    for _ in range(ctx.size("draws")):
-        def body():
-            ps = ctx.draw_ps()
-            pairs = [(pincherle_coeff(k, ps), pincherle_coeff_bracket(k, ps))
-                     for k in range(1, kmax + 1)]
-            return (ps.a, ps.b, ps.q, ps.p), pairs
-        ctx.trial(body)
+@_check("pincherle-k",
+        "explicit theta form of the commutator scalar equals the z-bracket "
+        "at swapped shifted parameters",
+        "numeric-sampled", {"draws": 25, "k": 8}, 1e-8,
+        ["skewpoly:pincherle_coeff"],
+        ["skewpoly:pincherle_coeff_bracket", "special_fn:bracket_z"], "k")
+def _draw_pincherle_k(ctx: CheckContext):
+    ps = ctx.draw_ps()
+    pairs = [(pincherle_coeff(k, ps), pincherle_coeff_bracket(k, ps))
+             for k in range(1, ctx.size("k") + 1)]
+    return (ps.a, ps.b, ps.q, ps.p), pairs
 
 
-def _run_fib_genfun(ctx: CheckContext) -> None:
+@_check("fib-genfun",
+        "generating-function expansion of (1 - x - x^2 eta)^-1 x reproduces "
+        "the two-term theta Fibonacci recursion",
+        "numeric-sampled", {"draws": 2, "degree": 12}, 1e-8,
+        ["skewpoly:genfun_expand", "skewpoly:apply_eta"],
+        ["skewpoly:fib_elliptic"], "degree")
+def _draw_fib_genfun(ctx: CheckContext):
     degree = ctx.size("degree")
-    for _ in range(ctx.size("draws")):
-        def body():
-            ps = ctx.draw_ps()
-            coeffs = genfun_expand(degree, ps)
-            pairs = [(coeffs[n - 1], fib_elliptic(n, ps))
-                     for n in range(1, degree + 1)]
-            return (ps.a, ps.b, ps.q, ps.p), pairs
-        ctx.trial(body)
+    ps = ctx.draw_ps()
+    coeffs = genfun_expand(degree, ps)
+    pairs = [(coeffs[n - 1], fib_elliptic(n, ps))
+             for n in range(1, degree + 1)]
+    return (ps.a, ps.b, ps.q, ps.p), pairs
 
 
-def _run_fib_aq_closed(ctx: CheckContext) -> None:
-    nmax = ctx.size("n")
-    for _ in range(ctx.size("draws")):
-        def body():
-            a = ctx.draw_ab()
-            q = ctx.draw_q()
-            pairs = [(fib_aq(n, a, q), fib_aq_closed(n, a, q))
-                     for n in range(0, nmax + 1)]
-            return (a, q), pairs
-        ctx.trial(body)
+@_check("fib-aq-closed",
+        "one-parameter Fibonacci recursion equals its closed single-sum form",
+        "numeric-sampled", {"draws": 12, "n": 15}, 1e-8,
+        ["skewpoly:fib_aq"], ["skewpoly:fib_aq_closed"], "n")
+def _draw_fib_aq_closed(ctx: CheckContext):
+    a = ctx.draw_ab()
+    q = ctx.draw_q()
+    pairs = [(fib_aq(n, a, q), fib_aq_closed(n, a, q))
+             for n in range(0, ctx.size("n") + 1)]
+    return (a, q), pairs
 
 
-def _run_lemma_xeta_power(ctx: CheckContext) -> None:
-    nmax = ctx.size("n")
-    for _ in range(ctx.size("draws")):
-        def body():
-            a = ctx.draw_ab()
-            q = ctx.draw_q()
-            psq = ParameterSet(a, 1.0, q, 0.0)
-            term = SkewPoly.x_power(1, q, AQ_RULE)
-            pairs = []
-            for n in range(0, nmax + 1):
-                values = term.evaluate(psq)
-                for j in range(0, n + 1):
-                    num = ((1.0 - a * qpow(q, n + j + 2))
-                           * (1.0 - a * qpow(q, n + j + 3))) ** j
-                    den = 1.0 + 0.0j
-                    for i in range(j):
-                        den *= _guard_ref(1.0 - a * qpow(q, 3 + i))
-                        den *= _guard_ref(1.0 - a * qpow(q, n + 3 + i))
-                    rhs = qpow(q, -n * j) * q_binomial(n, j, q) * num / den
-                    pairs.append((values.get(n + j + 1, 0.0 + 0.0j), rhs))
-                term = x_mul(term) + x_mul(apply_eta_aq(term, q), 2)
-            return (a, q), pairs
-        ctx.trial(body)
+@_check("lemma-xeta-power",
+        "powers of x + x^2 eta applied to x expand with q-binomial "
+        "coefficients and linear factors",
+        "numeric-sampled", {"draws": 8, "n": 8}, 1e-8,
+        ["skewpoly:apply_eta_aq", "skewpoly:x_mul"],
+        ["special_fn:q_binomial", "verify:raw-linear-factors"], "n")
+def _draw_lemma_xeta_power(ctx: CheckContext):
+    a = ctx.draw_ab()
+    q = ctx.draw_q()
+    psq = ParameterSet(a, 1.0, q, 0.0)
+    term = SkewPoly.x_power(1, q, AQ_RULE)
+    pairs = []
+    for n in range(0, ctx.size("n") + 1):
+        values = term.evaluate(psq)
+        for j in range(0, n + 1):
+            num = ((1.0 - a * qpow(q, n + j + 2))
+                   * (1.0 - a * qpow(q, n + j + 3))) ** j
+            den = 1.0 + 0.0j
+            for i in range(j):
+                den *= _guard_ref(1.0 - a * qpow(q, 3 + i))
+                den *= _guard_ref(1.0 - a * qpow(q, n + 3 + i))
+            rhs = qpow(q, -n * j) * q_binomial(n, j, q) * num / den
+            pairs.append((values.get(n + j + 1, 0.0 + 0.0j), rhs))
+        term = x_mul(term) + x_mul(apply_eta_aq(term, q), 2)
+    return (a, q), pairs
 
 
 def _expected_rook_form(word: str) -> NormalForm:
@@ -869,7 +962,7 @@ def _expected_file_form(word: str) -> NormalForm:
                        for k in range(0, m + 1)})
 
 
-def _run_normalorder(ctx: CheckContext, rs: RelationSystem, expected) -> None:
+def _normalorder(ctx: CheckContext, rs: RelationSystem, expected) -> None:
     for length in range(1, ctx.size("exhaustive") + 1):
         for mask in range(1 << length):
             word = "".join("x" if (mask >> i) & 1 else "y" for i in range(length))
@@ -881,354 +974,114 @@ def _run_normalorder(ctx: CheckContext, rs: RelationSystem, expected) -> None:
         ctx.record(normal_order(word, rs), expected(word))
 
 
+@_check("normalorder-rook",
+        "normal ordering in the weighted Weyl algebra equals the board "
+        "enumeration of rook placements, symbolically exact",
+        "exact-symbolic", {"exhaustive": 8, "random": 60, "max_len": 12}, 0.0,
+        ["ncword:normal_order"], ["boards:rook_poly"], "exhaustive")
 def _run_normalorder_rook(ctx: CheckContext) -> None:
-    _run_normalorder(ctx, _WEYL, _expected_rook_form)
+    _normalorder(ctx, _WEYL, _expected_rook_form)
 
 
+@_check("normalorder-file",
+        "normal ordering in the weighted file algebra equals the board "
+        "enumeration of file placements, symbolically exact",
+        "exact-symbolic", {"exhaustive": 8, "random": 60, "max_len": 12}, 0.0,
+        ["ncword:normal_order"], ["boards:file_poly"], "exhaustive")
 def _run_normalorder_file(ctx: CheckContext) -> None:
-    _run_normalorder(ctx, _FILE, _expected_file_form)
+    _normalorder(ctx, _FILE, _expected_file_form)
 
 
-def _run_rook_product(ctx: CheckContext) -> None:
-    catalog = all_boards_within(4)
-    zmax = ctx.size("zmax")
-    for _ in range(ctx.size("draws")):
-        def body():
-            ps = ctx.draw_ps()
-            boards = ctx.rng.sample(catalog, ctx.size("boards"))
-            pairs = []
-            for board in boards:
-                z = ctx.rng.randint(0, zmax)
-                lhs, rhs = rook_product_sides(board, z, ps)
-                pairs.append((lhs, rhs))
-                conj_lhs, _ = rook_product_sides(board.conjugate(), z, ps)
-                pairs.append((lhs, conj_lhs))
-            return (ps.a, ps.b, ps.q, ps.p), pairs
-        ctx.trial(body)
+@_check("rook-product",
+        "product of z-brackets over board columns equals the rook-number "
+        "expansion in falling brackets; the left side is conjugation-invariant",
+        "numeric-sampled", {"draws": 6, "boards": 8, "zmax": 4}, 1e-7,
+        ["boards:rook_product_sides:lhs"],
+        ["boards:rook_poly", "boards:rook_product_sides:rhs"], "zmax")
+def _draw_rook_product(ctx: CheckContext):
+    ps = ctx.draw_ps()
+    pairs = []
+    for board in ctx.rng.sample(all_boards_within(4), ctx.size("boards")):
+        z = ctx.rng.randint(0, ctx.size("zmax"))
+        lhs, rhs = rook_product_sides(board, z, ps)
+        pairs.append((lhs, rhs))
+        conj_lhs, _ = rook_product_sides(board.conjugate(), z, ps)
+        pairs.append((lhs, conj_lhs))
+    return (ps.a, ps.b, ps.q, ps.p), pairs
 
 
-def _run_file_product(ctx: CheckContext) -> None:
-    catalog = all_boards_within(4)
-    zmax = ctx.size("zmax")
-    for _ in range(ctx.size("draws")):
-        def body():
-            ps = ctx.draw_ps()
-            boards = ctx.rng.sample(catalog, ctx.size("boards"))
-            pairs = []
-            for board in boards:
-                z = ctx.rng.randint(0, zmax)
-                pairs.append(file_product_sides(board, z, ps))
-            return (ps.a, ps.b, ps.q, ps.p), pairs
-        ctx.trial(body)
+@_check("file-product",
+        "product of shifted z-brackets over board columns equals the "
+        "file-number expansion in powers of the z-bracket",
+        "numeric-sampled", {"draws": 6, "boards": 8, "zmax": 4}, 1e-7,
+        ["boards:file_product_sides:lhs"],
+        ["boards:file_poly", "boards:file_product_sides:rhs"], "zmax")
+def _draw_file_product(ctx: CheckContext):
+    ps = ctx.draw_ps()
+    pairs = []
+    for board in ctx.rng.sample(all_boards_within(4), ctx.size("boards")):
+        z = ctx.rng.randint(0, ctx.size("zmax"))
+        pairs.append(file_product_sides(board, z, ps))
+    return (ps.a, ps.b, ps.q, ps.p), pairs
 
 
 _GR_FROZEN = (1.0, 2.0, 3.0, 2.0, 1.0)
 
 
-def _run_gr_degeneration(ctx: CheckContext) -> None:
-    catalog = all_boards_within(3)
-    for _ in range(ctx.size("draws")):
-        def body():
-            q = ctx.draw_q()
-            ps0 = ParameterSet(0.0, 0.0, q, 0.0)
-            pairs = []
-            frozen = sum(c * qpow(q, i) for i, c in enumerate(_GR_FROZEN))
-            lhs, rhs = rook_product_sides(FerrersBoard((1, 2)), 2, ps0)
-            pairs.append((lhs, frozen))
-            pairs.append((rhs, frozen))
-            z = ctx.rng.randint(0, 3)
-            pairs.append((bracket_z(ps0, z),
-                          (1.0 - qpow(q, z)) / _guard_ref(1.0 - q)))
-            for board in ctx.rng.sample(catalog, ctx.size("boards")):
-                zz = ctx.rng.randint(0, 3)
-                lhs, rhs = rook_product_sides(board, zz, ps0)
-                gr = 1.0 + 0.0j
-                for i, h in enumerate(board.heights, start=1):
-                    e = zz + h - i + 1
-                    gr *= (1.0 - qpow(q, e)) / _guard_ref(1.0 - q)
-                pairs.append((lhs, gr))
-                pairs.append((rhs, gr))
-                flhs, frhs = file_product_sides(board, zz, ps0)
-                pairs.append((flhs, frhs))
-            return (q,), pairs
-        ctx.trial(body)
+@_check("gr-q-degeneration",
+        "at a = b = 0, p = 0 the product formulas collapse to the classical "
+        "q-analogue with bracket factorials, including the frozen "
+        "two-column example",
+        "numeric-sampled", {"draws": 30, "boards": 6}, 1e-9,
+        ["boards:rook_product_sides", "boards:file_product_sides"],
+        ["verify:raw-q-brackets"], "draws")
+def _draw_gr_degeneration(ctx: CheckContext):
+    q = ctx.draw_q()
+    ps0 = ParameterSet(0.0, 0.0, q, 0.0)
+    pairs = []
+    frozen = sum(c * qpow(q, i) for i, c in enumerate(_GR_FROZEN))
+    lhs, rhs = rook_product_sides(FerrersBoard((1, 2)), 2, ps0)
+    pairs.append((lhs, frozen))
+    pairs.append((rhs, frozen))
+    z = ctx.rng.randint(0, 3)
+    pairs.append((bracket_z(ps0, z),
+                  (1.0 - qpow(q, z)) / _guard_ref(1.0 - q)))
+    for board in ctx.rng.sample(all_boards_within(3), ctx.size("boards")):
+        zz = ctx.rng.randint(0, 3)
+        lhs, rhs = rook_product_sides(board, zz, ps0)
+        gr = 1.0 + 0.0j
+        for i, h in enumerate(board.heights, start=1):
+            e = zz + h - i + 1
+            gr *= (1.0 - qpow(q, e)) / _guard_ref(1.0 - q)
+        pairs.append((lhs, gr))
+        pairs.append((rhs, gr))
+        flhs, frhs = file_product_sides(board, zz, ps0)
+        pairs.append((flhs, frhs))
+    return (q,), pairs
 
 
-def _run_chebyshev_weight(ctx: CheckContext) -> None:
-    for _ in range(ctx.size("draws")):
-        def body():
-            x = ctx.rng.uniform(0.15, 0.7)
-            alpha = ctx.rng.uniform(0.2, 1.4)
-            s = ctx.rng.randint(1, 3)
-            t = ctx.rng.randint(1, 4)
-            den = math.sin((alpha + s / 2 + t) * x)
-            if abs(den) < 1e-3:
-                raise NearPoleError("sine denominator near zero")
-            q = cmath.exp(1j * x)
-            a = cmath.exp(2j * (alpha + 1.0) * x)
-            lhs = AQWeights(a, q).small(s, t)
-            rhs = math.sin((alpha + s / 2 + t + 1) * x) / den
-            return (complex(x), complex(alpha)), [(lhs, rhs)]
-        ctx.trial(body)
+@_check("chebyshev-weight",
+        "on the unit circle the a-weight becomes a ratio of sines, the "
+        "Chebyshev-type specialisation",
+        "numeric-sampled", {"draws": 50}, 1e-8,
+        ["special_fn:AQWeights.small"], ["verify:sine-ratio"], "draws")
+def _draw_chebyshev_weight(ctx: CheckContext):
+    x = ctx.rng.uniform(0.15, 0.7)
+    alpha = ctx.rng.uniform(0.2, 1.4)
+    s = ctx.rng.randint(1, 3)
+    t = ctx.rng.randint(1, 4)
+    den = math.sin((alpha + s / 2 + t) * x)
+    if abs(den) < 1e-3:
+        raise NearPoleError("sine denominator near zero")
+    q = cmath.exp(1j * x)
+    a = cmath.exp(2j * (alpha + 1.0) * x)
+    lhs = AQWeights(a, q).small(s, t)
+    rhs = math.sin((alpha + s / 2 + t + 1) * x) / den
+    return (complex(x), complex(alpha)), [(lhs, rhs)]
 
 
 # ---------------------------------------------------------------------------
-# registry
-
-_REGISTRY: dict = {}
-
-
-def _register(check_id, description, kind, default_sizes, tolerance,
-              lhs_path, rhs_path, order_key, runner) -> None:
-    if check_id in _REGISTRY:
-        raise ValueError(f"duplicate check id {check_id!r}")
-    _REGISTRY[check_id] = IdentityCheck(
-        id=check_id, description=description, kind=kind,
-        default_sizes=default_sizes, tolerance=tolerance,
-        lhs_path=tuple(lhs_path), rhs_path=tuple(rhs_path),
-        order_key=order_key, runner=runner)
-
-
-_register(
-    "theta-inversion",
-    "theta(x) equals -x theta(1/x) for the modified theta product",
-    "numeric-sampled", {"trials": 400}, 1e-10,
-    ["special_fn:theta"], ["verify:_theta_ref"], "trials",
-    _run_theta_inversion)
-_register(
-    "theta-quasiperiod",
-    "theta(p x) equals -theta(x)/x under a nome shift of the argument",
-    "numeric-sampled", {"trials": 400}, 1e-10,
-    ["special_fn:theta"], ["verify:_theta_ref"], "trials",
-    _run_theta_quasiperiod)
-_register(
-    "theta-addition",
-    "four-term theta addition rule linking two quadruple products",
-    "numeric-sampled", {"trials": 400}, 1e-10,
-    ["special_fn:theta"], ["verify:_theta_ref"], "trials",
-    _run_theta_addition)
-_register(
-    "weight-shift",
-    "small and big weights at shifted column index equal weights at "
-    "shifted parameters; both are invariant under scaling a, b by the nome",
-    "numeric-sampled", {"draws": 40}, 1e-7,
-    ["special_fn:EllipticWeights.small", "special_fn:EllipticWeights.big"],
-    ["verify:_small_ref", "verify:_big_ref"], "draws",
-    _run_weight_shift)
-_register(
-    "bigweight-closed-vs-product",
-    "closed theta form of the big weight equals the column product of "
-    "small weights",
-    "numeric-sampled", {"draws": 40}, 1e-7,
-    ["special_fn:EllipticWeights.big"],
-    ["verify:_big_ref", "verify:_theta_ref"], "draws",
-    _run_bigweight_closed)
-_register(
-    "binom-recursion-closed",
-    "closed theta-factorial form of the weighted binomial equals the "
-    "Pascal-type triangle recursion",
-    "numeric-sampled", {"draws": 15, "n": 8}, 1e-7,
-    ["special_fn:EllipticWeights.binom"],
-    ["verify:_binom_triangle", "special_fn:EllipticWeights.big"], "n",
-    _run_binom_recursion_closed)
-_register(
-    "binom-limit-chain",
-    "weighted binomial degenerates exactly through p = 0, then a = 0, "
-    "then b = 0 down to the classical q-binomial; the a != 0, b = 0 "
-    "order is rejected",
-    "numeric-sampled", {"draws": 60, "n": 6}, 1e-8,
-    ["special_fn:EllipticWeights.binom"],
-    ["verify:_full_binom_ref", "verify:_bq_binom_ref", "special_fn:q_binomial"],
-    "n", _run_binom_limit_chain)
-_register(
-    "aq-symmetry",
-    "one-parameter a-weighted binomial is symmetric under k -> n - k",
-    "numeric-sampled", {"draws": 30, "n": 8}, 1e-8,
-    ["special_fn:AQWeights.binom"], ["verify:_aq_binom_ref"], "n",
-    _run_aq_symmetry)
-_register(
-    "aq-recurrences",
-    "both contiguous recurrences of the a-weighted binomial triangle",
-    "numeric-sampled", {"draws": 25, "n": 7}, 1e-8,
-    ["special_fn:AQWeights.binom"], ["verify:_aq_binom_ref"], "n",
-    _run_aq_recurrences)
-_register(
-    "wdep-binomial-thm",
-    "symbolic binomial theorem: normal ordering (x + y)^n equals the "
-    "triangle-recursion binomials times x^k y^(n-k), exactly",
-    "exact-symbolic", {"n": 8}, 0.0,
-    ["ncword:expand_power_sum"], ["special_fn:WeightFamily.binom"], "n",
-    _run_wdep_binomial)
-_register(
-    "elliptic-binomial-thm",
-    "theta-weighted binomial theorem: rewriting coefficients of "
-    "(x + y)^n match the closed theta-factorial binomials",
-    "numeric-sampled", {"draws": 10, "n": 8}, 1e-7,
-    ["ncword:expand_power_sum", "special_fn:EllipticWeights.small"],
-    ["special_fn:EllipticWeights.binom"], "n",
-    _run_elliptic_binomial)
-_register(
-    "prop-product-expansion",
-    "ordered product of linear skew factors (1 - W(1,k) c x) expands "
-    "into theta-factorial coefficients",
-    "numeric-sampled", {"draws": 12, "n": 4}, 1e-7,
-    ["skewpoly:product_expand", "skewpoly:skew_mul"],
-    ["special_fn:EllipticWeights.binom", "special_fn:qp_factorial"], "n",
-    _run_prop_product_expansion)
-_register(
-    "bq-binomial-thm",
-    "b-weighted binomial theorem via rewriting versus raw factorial "
-    "quotients",
-    "numeric-sampled", {"draws": 20, "n": 8}, 1e-8,
-    ["ncword:expand_power_sum", "special_fn:BQWeights.small"],
-    ["verify:_bq_binom_ref"], "n",
-    _run_bq_binomial)
-_register(
-    "aq-binomial-thm",
-    "a-weighted binomial theorem via rewriting versus raw factorial "
-    "quotients",
-    "numeric-sampled", {"draws": 15, "n": 8}, 1e-8,
-    ["ncword:expand_power_sum", "special_fn:AQWeights.small"],
-    ["verify:_aq_binom_ref"], "n",
-    _run_aq_binomial)
-_register(
-    "bq-reversal",
-    "reversed monomial y^k x^l normal-orders to the closed reversal "
-    "coefficient's reciprocal",
-    "numeric-sampled", {"draws": 20, "max_power": 4}, 1e-8,
-    ["ncword:normal_order", "special_fn:BQWeights.small"],
-    ["special_fn:reversal_coeff_bq"], "max_power",
-    _run_bq_reversal)
-_register(
-    "bq-finite-product",
-    "finite ordered product of (b y + c_k x) expands into b-weighted "
-    "binomials with factorial corrections",
-    "numeric-sampled", {"draws": 10, "n": 6}, 1e-8,
-    ["verify:_bq_finite_lhs", "ncword:normal_order"],
-    ["special_fn:BQWeights.binom", "verify:_qfac_ref"], "n",
-    _run_bq_finite_product)
-_register(
-    "bq-cauchy",
-    "b-weighted exponential of x + y factors as the ordered product of "
-    "exponentials in x and y",
-    "numeric-sampled", {"draws": 10, "degree": 8}, 1e-9,
-    ["special_fn:exp_coeff_bq", "ncword:expand_power_sum"],
-    ["verify:_qfac_ref"], "degree",
-    _run_bq_cauchy)
-_register(
-    "aq-cauchy",
-    "a-weighted exponential of x + y factors as the reversed product of "
-    "exponentials in y and x",
-    "numeric-sampled", {"draws": 10, "degree": 8}, 1e-9,
-    ["special_fn:exp_coeff_bq", "ncword:expand_power_sum"],
-    ["verify:_qfac_ref"], "degree",
-    _run_aq_cauchy)
-_register(
-    "qexp-cauchy",
-    "q-exponential addition rule on the q-commuting plane",
-    "numeric-sampled", {"draws": 15, "degree": 8}, 1e-9,
-    ["verify:_qfac_ref"],
-    ["special_fn:exp_coeff_q", "ncword:expand_power_sum"], "degree",
-    _run_qexp_cauchy)
-_register(
-    "qexp-braiding",
-    "reversing two q-exponentials inserts the exponential of -xy",
-    "numeric-sampled", {"draws": 10, "degree": 8}, 1e-9,
-    ["verify:_qfac_ref"],
-    ["special_fn:exp_coeff_q", "ncword:normal_order"], "degree",
-    _run_qexp_braiding)
-_register(
-    "f-relations",
-    "coefficientwise contiguous relations of the double-factorial series "
-    "F, including the combined two-step form",
-    "numeric-sampled", {"draws": 15, "degree": 12}, 1e-9,
-    ["special_fn:exp_coeff_bq"], ["special_fn:q_factorial"], "degree",
-    _run_f_relations)
-_register(
-    "pincherle",
-    "commutator of D^k with multiplication by x acts as a theta scalar "
-    "times D^(k-1) eta",
-    "numeric-sampled", {"draws": 20, "k": 5, "n": 8}, 1e-7,
-    ["skewpoly:apply_D", "skewpoly:x_mul"],
-    ["skewpoly:apply_eta", "skewpoly:pincherle_coeff"], "n",
-    _run_pincherle)
-_register(
-    "pincherle-k",
-    "explicit theta form of the commutator scalar equals the z-bracket "
-    "at swapped shifted parameters",
-    "numeric-sampled", {"draws": 25, "k": 8}, 1e-8,
-    ["skewpoly:pincherle_coeff"],
-    ["skewpoly:pincherle_coeff_bracket", "special_fn:bracket_z"], "k",
-    _run_pincherle_k)
-_register(
-    "fib-genfun",
-    "generating-function expansion of (1 - x - x^2 eta)^-1 x reproduces "
-    "the two-term theta Fibonacci recursion",
-    "numeric-sampled", {"draws": 2, "degree": 12}, 1e-8,
-    ["skewpoly:genfun_expand", "skewpoly:apply_eta"],
-    ["skewpoly:fib_elliptic"], "degree",
-    _run_fib_genfun)
-_register(
-    "fib-aq-closed",
-    "one-parameter Fibonacci recursion equals its closed single-sum form",
-    "numeric-sampled", {"draws": 12, "n": 15}, 1e-8,
-    ["skewpoly:fib_aq"], ["skewpoly:fib_aq_closed"], "n",
-    _run_fib_aq_closed)
-_register(
-    "lemma-xeta-power",
-    "powers of x + x^2 eta applied to x expand with q-binomial "
-    "coefficients and linear factors",
-    "numeric-sampled", {"draws": 8, "n": 8}, 1e-8,
-    ["skewpoly:apply_eta_aq", "skewpoly:x_mul"],
-    ["special_fn:q_binomial", "verify:raw-linear-factors"], "n",
-    _run_lemma_xeta_power)
-_register(
-    "normalorder-rook",
-    "normal ordering in the weighted Weyl algebra equals the board "
-    "enumeration of rook placements, symbolically exact",
-    "exact-symbolic", {"exhaustive": 8, "random": 60, "max_len": 12}, 0.0,
-    ["ncword:normal_order"], ["boards:rook_poly"], "exhaustive",
-    _run_normalorder_rook)
-_register(
-    "normalorder-file",
-    "normal ordering in the weighted file algebra equals the board "
-    "enumeration of file placements, symbolically exact",
-    "exact-symbolic", {"exhaustive": 8, "random": 60, "max_len": 12}, 0.0,
-    ["ncword:normal_order"], ["boards:file_poly"], "exhaustive",
-    _run_normalorder_file)
-_register(
-    "rook-product",
-    "product of z-brackets over board columns equals the rook-number "
-    "expansion in falling brackets; the left side is conjugation-invariant",
-    "numeric-sampled", {"draws": 6, "boards": 8, "zmax": 4}, 1e-7,
-    ["boards:rook_product_sides:lhs"],
-    ["boards:rook_poly", "boards:rook_product_sides:rhs"], "zmax",
-    _run_rook_product)
-_register(
-    "file-product",
-    "product of shifted z-brackets over board columns equals the "
-    "file-number expansion in powers of the z-bracket",
-    "numeric-sampled", {"draws": 6, "boards": 8, "zmax": 4}, 1e-7,
-    ["boards:file_product_sides:lhs"],
-    ["boards:file_poly", "boards:file_product_sides:rhs"], "zmax",
-    _run_file_product)
-_register(
-    "gr-q-degeneration",
-    "at a = b = 0, p = 0 the product formulas collapse to the classical "
-    "q-analogue with bracket factorials, including the frozen "
-    "two-column example",
-    "numeric-sampled", {"draws": 30, "boards": 6}, 1e-9,
-    ["boards:rook_product_sides", "boards:file_product_sides"],
-    ["verify:raw-q-brackets"], "draws",
-    _run_gr_degeneration)
-_register(
-    "chebyshev-weight",
-    "on the unit circle the a-weight becomes a ratio of sines, the "
-    "Chebyshev-type specialisation",
-    "numeric-sampled", {"draws": 50}, 1e-8,
-    ["special_fn:AQWeights.small"], ["verify:sine-ratio"], "draws",
-    _run_chebyshev_weight)
-
+# running
 
 def list_identities() -> list:
     """The full registry, in registration order."""
@@ -1241,7 +1094,7 @@ def run_check(check_id: str, seed: int = 0, sizes: dict | None = None,
 
     The override key "order" retargets the check's primary size knob.
     Raises KeyError for unknown ids and VerifyError when sampling cannot
-    produce enough admissible draws.
+    produce enough admissible draws or the run records no comparison.
     """
     check = _REGISTRY[check_id]
     effective = dict(check.default_sizes)
@@ -1254,7 +1107,10 @@ def run_check(check_id: str, seed: int = 0, sizes: dict | None = None,
     tol = check.tolerance if tolerance is None else float(tolerance)
     ctx = CheckContext(random.Random(f"{seed}:{check_id}"), effective, tol)
     started = time.perf_counter()
-    check.runner(ctx)
+    if check.kind == "numeric-sampled":
+        ctx.run(check.runner)
+    else:
+        check.runner(ctx)
     ctx.finalize()
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return CheckReport(

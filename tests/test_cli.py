@@ -7,7 +7,7 @@ import pytest
 import ellcomb.cli as cli
 from ellcomb.ncword import NormalForm
 from ellcomb.special_fn import ParameterSet, pair_to_complex, theta
-from ellcomb.verify import CheckReport
+from ellcomb.verify import CheckReport, list_identities
 from ellcomb.weightpoly import WeightPolynomial
 
 
@@ -168,6 +168,23 @@ def test_verify_order_override(capsys):
     code, out, _ = run_cli(capsys, "verify", "--id", "binom-recursion-closed",
                            "--seed", "2", "--order", "3")
     assert code == 0 and out.startswith("PASS")
+
+
+def test_verify_order_below_one_exits_two(capsys):
+    for check_id in [c.id for c in list_identities()]:
+        code, out, err = run_cli(capsys, "verify", "--id", check_id, "--order", "0")
+        assert code == 2 and out == "", check_id
+        assert "--order must be at least 1" in err
+    code, _, err = run_cli(capsys, "verify", "--id", "pincherle", "--order", "-1")
+    assert code == 2 and "--order must be at least 1" in err
+    code, _, err = run_cli(capsys, "verify", "--order", "0")
+    assert code == 2 and "--order must be at least 1" in err
+
+
+def test_verify_order_one_runs_every_check(capsys):
+    for check_id in [c.id for c in list_identities()]:
+        code, out, _ = run_cli(capsys, "verify", "--id", check_id, "--order", "1")
+        assert code == 0 and out.startswith(f"PASS {check_id} "), check_id
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

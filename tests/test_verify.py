@@ -1,8 +1,13 @@
 """Registry, determinism, and reporting of the verification harness."""
 
+import hashlib
+import random
+
 import pytest
 
+from ellcomb.special_fn import EvaluationError, NearPoleError
 from ellcomb.verify import (
+    CheckContext,
     CheckReport,
     VerifyError,
     list_identities,
@@ -132,3 +137,97 @@ def test_samples_expose_digest_material():
     report = run_check("theta-addition", seed=10)
     assert report.samples
     assert len(report.samples) <= 8
+
+
+def test_zero_draws_raise_instead_of_passing_vacuously():
+    with pytest.raises(VerifyError, match="no comparisons recorded"):
+        run_check("theta-inversion", sizes={"draws": 0})
+    # pincherle at n = -1 draws parameters but compares nothing
+    with pytest.raises(VerifyError, match="no comparisons recorded"):
+        run_check("pincherle", sizes={"order": -1})
+
+
+def _context(draws):
+    return CheckContext(random.Random(0), {"draws": draws}, 1e-10)
+
+
+def test_run_gives_up_after_sixty_rejected_draws():
+    calls = []
+
+    def draw(ctx):
+        calls.append(ctx.rng.random())
+        raise NearPoleError("always near a pole")
+
+    ctx = _context(3)
+    with pytest.raises(VerifyError, match="resample cap exceeded"):
+        ctx.run(draw)
+    assert len(calls) == 60
+    assert ctx.total_draws == ctx.rejected == 60
+    assert ctx.trials == 0 and ctx.samples == []
+
+
+def test_finalize_refuses_a_run_with_too_many_rejections():
+    calls = []
+
+    def draw(ctx):
+        calls.append(None)
+        if len(calls) % 10 == 0:
+            raise EvaluationError("every tenth draw")
+        return (1.0,), [(1.0, 1.0)]
+
+    ctx = _context(90)
+    ctx.run(draw)
+    # 90 admitted draws take 99 calls, 9 of them rejected
+    assert ctx.trials == 90 and ctx.failures == 0
+    assert (ctx.total_draws, ctx.rejected) == (99, 9)
+    with pytest.raises(VerifyError, match="only 90 of 99 draws admissible"):
+        ctx.finalize()
+
+
+def test_admitted_draw_records_its_pairs_and_digest():
+    z = 0.5 + 0.25j
+
+    def draw(ctx):
+        return (z,), [(z, z), (z, 1.5 * z), (1e-3, None)]
+
+    ctx = _context(10)
+    ctx.run(draw)
+    ctx.finalize()
+    # per draw: one exact pair, one off by 1/3, one residual of 1e-3
+    assert ctx.trials == 30 and ctx.failures == 20
+    assert ctx.max_rel_err == pytest.approx(1.0 / 3.0)
+    digest = hashlib.sha1(b"5.000000000000e-01,2.500000000000e-01").hexdigest()[:12]
+    # only the first 8 samples are kept
+    assert ctx.samples == [digest] * 8
+
+
+# Reports at seed 0, pinned so that any change in the order of generator
+# calls shows: theta-addition makes 403 draws, 3 of them rejected.
+PINNED_SEED_0 = {
+    "theta-addition": {
+        "trials": 400, "failures": 0, "max_rel_err": 5.171857331553735e-12,
+        "samples": ["9e8c194c3a17", "113ff6bfbeb0", "a8579dfc0239",
+                    "d3fd5fa243bd", "00a54c8ff1a4", "5659e2939f66",
+                    "cefc0d98bcd2", "9ad46096c2d4"],
+    },
+    "weight-shift": {
+        "trials": 120, "failures": 0, "max_rel_err": 5.202546167691068e-15,
+        "samples": ["35790d6edb44", "47f2f4c8201b", "c0ec2ea3f06a",
+                    "39e8c944725a", "f0587e0b3cfe", "39e3ae5a39e4",
+                    "494b734cd8b0", "0c1eda90dd1a"],
+    },
+    "normalorder-rook": {
+        "trials": 570, "failures": 0, "max_rel_err": 0.0, "samples": [],
+    },
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(PINNED_SEED_0))
+def test_seed_zero_reports_are_pinned(check_id):
+    expected = dict(PINNED_SEED_0[check_id], id=check_id, seed=0)
+    expected["pass"] = True
+    doc = run_check(check_id, seed=0).to_json()
+    doc.pop("elapsed_ms")
+    assert doc.pop("max_rel_err") == pytest.approx(
+        expected.pop("max_rel_err"), rel=1e-9)
+    assert doc == expected
