@@ -22,7 +22,6 @@ from .special_fn import (
     WeightFamily,
     bracket_z,
     complex_to_pair,
-    elliptic_weight_single,
     family_from_spec,
     pair_to_complex,
     q_binomial,
@@ -95,7 +94,7 @@ __all__ = [
     "SkewPoly", "TableWeights", "VerifyError", "WeightFamily",
     "WeightPolynomial", "WordParseError", "all_boards_within", "apply_D",
     "apply_eta", "apply_eta_aq", "board_from_word", "bracket_z",
-    "complex_to_pair", "dual_word", "elliptic_weight_single",
+    "complex_to_pair", "dual_word",
     "expand_power_sum", "f_relation_sides", "family_from_spec",
     "fib_aq", "fib_aq_closed", "fib_elliptic", "file_poly",
     "file_product_sides", "genfun_expand", "list_identities", "multiply",

@@ -101,13 +101,17 @@ def _emit(args, text: str, doc) -> None:
         print(text)
 
 
-def _value_doc(value) -> dict:
-    return {"value": complex_to_pair(complex(value))}
+def _emit_value(args, value) -> None:
+    """Emit a symbolic WeightPolynomial or a number."""
+    if isinstance(value, WeightPolynomial):
+        _emit(args, str(value), value.to_json())
+    else:
+        _emit(args, _fmt_number(value), {"value": complex_to_pair(complex(value))})
 
 
 def _cmd_theta(args) -> int:
     value = theta(args.x, args.p)
-    _emit(args, _fmt_number(value), _value_doc(value))
+    _emit_value(args, value)
     return 0
 
 
@@ -117,20 +121,14 @@ def _cmd_weight(args) -> int:
         value = family.big(args.s, args.t)
     else:
         value = family.small(args.s, args.t)
-    if isinstance(value, WeightPolynomial):
-        _emit(args, str(value), value.to_json())
-    else:
-        _emit(args, _fmt_number(value), _value_doc(value))
+    _emit_value(args, value)
     return 0
 
 
 def _cmd_binom(args) -> int:
     family = _family_from_args(args)
     value = family.binom(args.n, args.k)
-    if isinstance(value, WeightPolynomial):
-        _emit(args, str(value), value.to_json())
-    else:
-        _emit(args, _fmt_number(value), _value_doc(value))
+    _emit_value(args, value)
     return 0
 
 
@@ -162,10 +160,7 @@ def _cmd_board_poly(args, poly) -> int:
         value = poly(board, args.k, family_from_spec("generic"))
     else:
         value = poly(board, args.k, _family_from_args(args))
-    if isinstance(value, WeightPolynomial):
-        _emit(args, str(value), value.to_json())
-    else:
-        _emit(args, _fmt_number(value), _value_doc(value))
+    _emit_value(args, value)
     return 0
 
 
@@ -186,7 +181,7 @@ def _cmd_fib(args) -> int:
             value = fib_aq_closed(args.n, args.a, args.q)
         else:
             value = fib_aq(args.n, args.a, args.q)
-    _emit(args, _fmt_number(value), _value_doc(value))
+    _emit_value(args, value)
     return 0
 
 
@@ -318,13 +313,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, WordParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NearPoleError, EvaluationError, VerifyError) as exc:
+    except (_UsageError, DomainError, WordParseError, NearPoleError,
+            EvaluationError, VerifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,6 +29,13 @@ through the one-parameter families down to the constant weight q.  At
 p = 0 each elliptic formula is the same theta form with theta(x; 0) = 1 - x;
 the one-parameter families are implemented directly from their own closed
 formulas, never as numeric limits.
+
+Two values outlive a call, each in a bounded module-level
+``functools.lru_cache`` whose ``cache_info()`` counts hits, misses and
+size: the theta series for p != 0 (``_theta_series``, keyed on (x, p)) and
+the elliptic small weight (``_elliptic_small``, keyed on (ps, s, t)).
+Nothing else is memoised across calls; ``WeightFamily.binom`` builds its
+triangle afresh each time.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .weightpoly import WeightPolynomial
 
@@ -149,10 +157,6 @@ class ParameterSet:
                    pair_to_complex(data["q"]), pair_to_complex(data["p"]))
 
 
-_CACHE: dict = {}
-_CACHE_LIMIT = 400_000
-
-
 def theta(x, p) -> complex:
     """theta(x; p) for |p| < 1: 1 - x when p = 0, else for x != 0 only."""
     x = complex(x)
@@ -164,10 +168,11 @@ def theta(x, p) -> complex:
         return 1.0 - x
     if x == 0:
         raise DomainError("theta(x; p) is undefined at x = 0 for p != 0")
-    key = (x, p)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _theta_series(x, p)
+
+
+@lru_cache(maxsize=1 << 16)
+def _theta_series(x: complex, p: complex) -> complex:
     result = 1.0 + 0.0j
     pj = 1.0 + 0.0j
     inv_x = 1.0 / x
@@ -178,11 +183,7 @@ def theta(x, p) -> complex:
             break
         result *= (1.0 - t1) * (1.0 - t2)
         pj *= p
-    require_finite(result, "theta value")
-    if len(_CACHE) > _CACHE_LIMIT:
-        _CACHE.clear()
-    _CACHE[key] = result
-    return result
+    return require_finite(result, "theta value")
 
 
 def theta_product(args, p) -> complex:
@@ -238,20 +239,8 @@ def guarded(value: complex, index: int = 0, what: str = "denominator factor") ->
 
 
 def q_factorial(a, q, n: int) -> complex:
-    """q-shifted factorial (a; q)_n for any integer n."""
-    a = complex(a)
-    q = complex(q)
-    if n >= 0:
-        result = 1.0 + 0.0j
-        for j in range(n):
-            result *= 1.0 - a * qpow(q, j)
-        return result
-    denom = 1.0 + 0.0j
-    for j in range(-n):
-        factor = 1.0 - a * qpow(q, n + j)
-        guarded(factor, j, "q-factorial factor")
-        denom *= factor
-    return 1.0 / denom
+    """q-shifted factorial (a; q)_n for any integer n: (a; q, 0)_n."""
+    return qp_factorial(a, q, 0, n)
 
 
 def qp_factorial(a, q, p, n: int) -> complex:
@@ -338,31 +327,19 @@ class WeightFamily:
             raise DomainError("binom needs n >= 0")
         if k < 0 or k > n:
             return self._zero()
-        memo = self._binom_memo()
-        return self._binom_rec(n, k, memo)
-
-    def _binom_rec(self, n, k, memo):
-        if k < 0 or k > n:
-            return self._zero()
-        if n == 0:
-            return self._one()
-        key = (n, k)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        value = self._binom_rec(n - 1, k, memo)
-        lower = self._binom_rec(n - 1, k - 1, memo)
-        if not self._is_zero(lower):
-            value = value + lower * self.big(k, n - k)
-        memo[key] = value
-        return value
-
-    def _binom_memo(self) -> dict:
-        memo = getattr(self, "_memo", None)
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_memo", memo)
-        return memo
+        zero = self._zero()
+        # Row m keeps only the columns [m, j] that [n, k] depends on,
+        # k - (n - m) <= j <= k, so no weight outside them is read.
+        row = {0: self._one()}
+        for m in range(1, n + 1):
+            prev, row = row, {}
+            for j in range(max(0, k - n + m), min(m, k) + 1):
+                value = prev.get(j, zero)
+                lower = prev.get(j - 1, zero)
+                if not self._is_zero(lower):
+                    value = value + lower * self.big(j, m - j)
+                row[j] = value
+        return row[k]
 
     def _zero(self):
         return 0.0 + 0.0j
@@ -403,6 +380,18 @@ class GenericWeights(WeightFamily):
         return WeightPolynomial.one()
 
 
+@lru_cache(maxsize=4096)
+def _elliptic_small(ps: ParameterSet, s: int, t: int) -> complex:
+    a, b, q, p = ps.a, ps.b, ps.q, ps.p
+    num = theta_product(
+        [a * qpow(q, s + 2 * t), b * qpow(q, 2 * s + t - 2),
+         _ratio(a * qpow(q, t - s - 1), b)], p)
+    den = theta_product_guarded(
+        [a * qpow(q, s + 2 * t - 2), b * qpow(q, 2 * s + t),
+         _ratio(a * qpow(q, t - s + 1), b)], p)
+    return num / den * q
+
+
 class EllipticWeights(WeightFamily):
     """The four-parameter theta weight family.
 
@@ -420,23 +409,9 @@ class EllipticWeights(WeightFamily):
         if ps.p != 0 and (ps.a == 0 or ps.b == 0):
             raise DomainError("elliptic weights need a, b nonzero when p != 0")
         self.ps = ps
-        self._small_cache: dict = {}
-        self._single_cache: dict = {}
 
     def small(self, s: int, t: int) -> complex:
-        key = (s, t)
-        hit = self._small_cache.get(key)
-        if hit is None:
-            a, b, q, p = self.ps.a, self.ps.b, self.ps.q, self.ps.p
-            num = theta_product(
-                [a * qpow(q, s + 2 * t), b * qpow(q, 2 * s + t - 2),
-                 _ratio(a * qpow(q, t - s - 1), b)], p)
-            den = theta_product_guarded(
-                [a * qpow(q, s + 2 * t - 2), b * qpow(q, 2 * s + t),
-                 _ratio(a * qpow(q, t - s + 1), b)], p)
-            hit = num / den * q
-            self._small_cache[key] = hit
-        return hit
+        return _elliptic_small(self.ps, s, t)
 
     def big(self, s: int, t: int) -> complex:
         """Closed theta form, cross-checked against the column product."""
@@ -483,12 +458,9 @@ class EllipticWeights(WeightFamily):
         return result
 
     def single(self, m: int) -> complex:
-        """Single-index weight w(m), the rook specialisation w(s, t) = w(s - t)."""
-        hit = self._single_cache.get(m)
-        if hit is None:
-            hit = elliptic_weight_single(self.ps, m)
-            self._single_cache[m] = hit
-        return hit
+        """Single-index weight w(m) = w(1, m), the rook specialisation
+        w(s, t) = w(s - t).  At p = 0 with a = b = 0 it is the constant q."""
+        return self.small(1, m)
 
     def dual(self) -> "EllipticWeights":
         return EllipticWeights(self.ps.swapped())
@@ -635,24 +607,6 @@ def bracket_z(ps: ParameterSet, z) -> complex:
     return num / den
 
 
-def elliptic_weight_single(ps: ParameterSet, m: int) -> complex:
-    """Single-index weight
-
-        w(m) = theta(a q^(2m+1), b q^m, a q^(m-2)/b; p)
-             / theta(a q^(2m-1), b q^(m+2), a q^m/b; p) * q,
-
-    the specialisation w(s, t) = w(s - t) used by rook weights.  At p = 0
-    with a = b = 0 every theta factor is 1 and it collapses to the
-    constant q.
-    """
-    a, b, q, p = ps.a, ps.b, ps.q, ps.p
-    num = theta_product(
-        [a * qpow(q, 2 * m + 1), b * qpow(q, m), _ratio(a * qpow(q, m - 2), b)], p)
-    den = theta_product_guarded(
-        [a * qpow(q, 2 * m - 1), b * qpow(q, m + 2), _ratio(a * qpow(q, m), b)], p)
-    return num / den * q
-
-
 def exp_coeff_q(q, n: int) -> complex:
     """Taylor coefficient 1 / (q; q)_n of the q-exponential e_q."""
     den = 1.0 + 0.0j
@@ -673,16 +627,6 @@ def exp_coeff_bq(b, q, n: int) -> complex:
         den *= guarded(1.0 - qpow(q, 1 + j), j, "exp coefficient factor")
         den *= guarded(1.0 - b * qpow(q, 1 + j), j, "exp coefficient factor")
     return 1.0 / den
-
-
-def exp_coeff_bq_upper(b, q, k: int) -> complex:
-    """Taylor coefficient (b q^2; q)_k / (q; q)_k of the upper series E_{b;q},
-    whose terms come with alternating sign (-z)^k."""
-    num = q_factorial(complex(b) * qpow(q, 2), q, k)
-    den = 1.0 + 0.0j
-    for j in range(k):
-        den *= guarded(1.0 - qpow(q, 1 + j), j, "exp coefficient factor")
-    return num / den
 
 
 def reversal_coeff_bq(b, q, l: int, k: int) -> complex:

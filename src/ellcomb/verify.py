@@ -1092,9 +1092,11 @@ def run_check(check_id: str, seed: int = 0, sizes: dict | None = None,
               tolerance: float | None = None) -> CheckReport:
     """Run one registered check; deterministic given (id, seed, sizes).
 
-    The override key "order" retargets the check's primary size knob.
-    Raises KeyError for unknown ids and VerifyError when sampling cannot
-    produce enough admissible draws or the run records no comparison.
+    The override key "order" retargets the check's primary size knob;
+    any other key must be one of the check's ``default_sizes``.  Raises
+    KeyError for unknown ids, and VerifyError for an undeclared size key,
+    when sampling cannot produce enough admissible draws, or when the run
+    records no comparison.
     """
     check = _REGISTRY[check_id]
     effective = dict(check.default_sizes)
@@ -1102,8 +1104,12 @@ def run_check(check_id: str, seed: int = 0, sizes: dict | None = None,
         for key, value in sizes.items():
             if key == "order":
                 effective[check.order_key] = value
-            else:
+            elif key in check.default_sizes:
                 effective[key] = value
+            else:
+                raise VerifyError(
+                    f"{check_id} has no size {key!r}; its sizes are "
+                    f"{sorted(check.default_sizes)} and 'order'")
     tol = check.tolerance if tolerance is None else float(tolerance)
     ctx = CheckContext(random.Random(f"{seed}:{check_id}"), effective, tol)
     started = time.perf_counter()

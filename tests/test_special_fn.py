@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ellcomb import special_fn
 from ellcomb.special_fn import (
     AQWeights,
     BQWeights,
@@ -18,7 +19,6 @@ from ellcomb.special_fn import (
     TableWeights,
     bracket_z,
     complex_to_pair,
-    elliptic_weight_single,
     exp_coeff_q,
     family_from_spec,
     guarded,
@@ -76,6 +76,21 @@ def test_theta_matches_direct_product():
         for j in range(120):
             direct *= (1.0 - p**j * x) * (1.0 - p**(j + 1) / x)
         assert abs(theta(x, p) - direct) <= 1e-12 * max(1.0, abs(direct))
+
+
+def test_theta_cache_is_bounded():
+    series = special_fn._theta_series
+    series.cache_clear()
+    maxsize = series.cache_info().maxsize
+    first = theta(0.5, 0.01)
+    for i in range(1, maxsize + 1000):
+        theta(complex(0.5, i * 1e-6), 0.01)
+    info = series.cache_info()
+    assert info.misses == maxsize + 1000
+    assert info.currsize <= maxsize
+    # the first value was evicted and is computed again, bit for bit
+    assert theta(0.5, 0.01) == first
+    assert series.cache_info().misses == info.misses + 1
 
 
 def test_theta_inversion():
@@ -332,14 +347,14 @@ def test_b_zero_with_a_nonzero_is_a_domain_error():
     fam = EllipticWeights(ps0)
     for call in (lambda: fam.small(1, 1), lambda: fam.big(1, 2),
                  lambda: fam.binom(3, 1), lambda: fam.single(1),
-                 lambda: bracket_z(ps0, 2), lambda: elliptic_weight_single(ps0, 1)):
+                 lambda: bracket_z(ps0, 2)):
         with pytest.raises(DomainError):
             call()
     ps = ParameterSet(0.3, 0.0, 0.5, 0.1)
     with pytest.raises(DomainError):
         bracket_z(ps, 2)
     with pytest.raises(DomainError):
-        elliptic_weight_single(ps, 1)
+        EllipticWeights(ps).single(1)
 
 
 def test_degenerate_families_match_elliptic_limits():
@@ -390,6 +405,13 @@ def test_table_weights():
         fam.small(5, 5)
 
 
+def test_triangle_binom_has_no_recursion_limit():
+    # only the cells [m, j] that [n, k] depends on are read: (1, t) for
+    # k = 1 and (s, 1) for k = n - 1
+    assert TableWeights({(1, t): 1.0 for t in range(1, 1500)}).binom(1500, 1) == 1500
+    assert TableWeights({(s, 1): 1.0 for s in range(1, 1500)}).binom(1500, 1499) == 1500
+
+
 def test_bracket_z_frozen():
     ps = ParameterSet(0.0, 0.0, 0.5, 0.0)
     assert abs(bracket_z(ps, 3) - 1.75) < 1e-15
@@ -405,15 +427,22 @@ def test_bracket_z_elliptic_normalization():
         assert abs(bracket_z(ps, 0)) < 1e-12
 
 
-def test_elliptic_weight_single_matches_small():
+def test_elliptic_single_is_small_at_s_one():
+    # w(m) = theta(a q^(2m+1), b q^m, a q^(m-2)/b; p)
+    #      / theta(a q^(2m-1), b q^(m+2), a q^m/b; p) * q  is  w(1, m)
     rng = random.Random(22)
     for _ in range(20):
         ps = draw_ps(rng)
+        a, b, q, p = ps.a, ps.b, ps.q, ps.p
         fam = EllipticWeights(ps)
-        for m in range(1, 4):
-            lhs = elliptic_weight_single(ps, m)
-            rhs = fam.small(1, m)
-            assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+        for m in range(-6, 7):
+            assert fam.single(m) == fam.small(1, m)
+            num = (theta(a * qpow(q, 2 * m + 1), p) * theta(b * qpow(q, m), p)
+                   * theta(a * qpow(q, m - 2) / b, p))
+            den = (theta(a * qpow(q, 2 * m - 1), p) * theta(b * qpow(q, m + 2), p)
+                   * theta(a * qpow(q, m) / b, p))
+            want = num / den * q
+            assert abs(fam.single(m) - want) <= 1e-10 * max(abs(want), 1.0)
 
 
 def test_exp_coeff_q_frozen():

@@ -147,6 +147,16 @@ def test_zero_draws_raise_instead_of_passing_vacuously():
         run_check("pincherle", sizes={"order": -1})
 
 
+def test_undeclared_size_key_raises():
+    # "trials" is the theta checks' name for "draws" before the rename
+    with pytest.raises(VerifyError, match=r"theta-inversion has no size 'trials'; "
+                                          r"its sizes are \['draws'\] and 'order'"):
+        run_check("theta-inversion", sizes={"trials": 5})
+    with pytest.raises(VerifyError, match="no size 'draw'"):
+        run_check("pincherle", sizes={"draw": 5, "order": 3})
+    assert run_check("theta-inversion", sizes={"draws": 5}).trials == 5
+
+
 def _context(draws):
     return CheckContext(random.Random(0), {"draws": draws}, 1e-10)
 
