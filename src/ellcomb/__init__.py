@@ -29,7 +29,6 @@ from .special_fn import (
     q_factorial,
     qp_factorial,
     theta,
-    theta_product,
 )
 from .weightpoly import WeightPolynomial
 from .ncword import (
@@ -102,5 +101,5 @@ __all__ = [
     "pincherle_check", "pincherle_coeff", "placements", "product_expand",
     "q_binomial", "q_bracket", "q_factorial", "qp_factorial",
     "rook_poly", "rook_product_sides", "run_all", "run_check",
-    "skew_mul", "theta", "theta_product", "word_from_board", "x_mul",
+    "skew_mul", "theta", "word_from_board", "x_mul",
 ]

@@ -156,11 +156,7 @@ def _parse_board(text: str) -> FerrersBoard:
 
 def _cmd_board_poly(args, poly) -> int:
     board = _parse_board(args.board)
-    if args.family is None or args.family == "generic":
-        value = poly(board, args.k, family_from_spec("generic"))
-    else:
-        value = poly(board, args.k, _family_from_args(args))
-    _emit_value(args, value)
+    _emit_value(args, poly(board, args.k, _family_from_args(args)))
     return 0
 
 
@@ -267,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "weight w(s - t), not the two-index small weight w(s, t).")
     p_rook.add_argument("--board", required=True)
     p_rook.add_argument("--k", type=int, required=True)
-    _add_family_flags(p_rook)
+    _add_family_flags(p_rook, default="generic")
     _add_json(p_rook)
     p_rook.set_defaults(handler=lambda a: _cmd_board_poly(a, rook_poly))
 
@@ -278,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "weight w(1 - t), not the two-index small weight w(s, t).")
     p_file.add_argument("--board", required=True)
     p_file.add_argument("--k", type=int, required=True)
-    _add_family_flags(p_file)
+    _add_family_flags(p_file, default="generic")
     _add_json(p_file)
     p_file.set_defaults(handler=lambda a: _cmd_board_poly(a, file_poly))
 

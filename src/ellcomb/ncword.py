@@ -333,9 +333,7 @@ def multiply(a: NormalForm, b: NormalForm, rs: RelationSystem) -> NormalForm:
             scalar = c1 * c2.shift(i1, j1)
             cross = normal_order("x" * i1 + "y" * j1 + "x" * i2 + "y" * j2, rs)
             for key, c in cross.coeffs.items():
-                piece = c * scalar
-                prior = total.get(key)
-                total[key] = piece if prior is None else prior + piece
+                _accumulate(total, key, c * scalar)
     return NormalForm(total)
 
 

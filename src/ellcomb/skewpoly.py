@@ -34,8 +34,6 @@ from .special_fn import (
     q_binomial,
     q_factorial,
     qpow,
-    theta_product,
-    theta_product_guarded,
     theta_quotient,
 )
 
@@ -254,11 +252,9 @@ def skew_mul(p: SkewPoly, other: SkewPoly) -> SkewPoly:
 
 
 def _D_factor(a, b, n: int, q, p) -> complex:
-    num = theta_product(
-        [qpow(q, n), a * qpow(q, n), b * qpow(q, n), a * qpow(q, 2 - n) / b], p)
-    den = theta_product_guarded(
+    return theta_quotient(
+        [qpow(q, n), a * qpow(q, n), b * qpow(q, n), a * qpow(q, 2 - n) / b],
         [q, a * q, b * qpow(q, 2 * n - 1), a * q / b], p)
-    return num / den
 
 
 def apply_D(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
@@ -323,13 +319,10 @@ def pincherle_coeff(k: int, ps: ParameterSet) -> complex:
     """
     if k < 1:
         raise DomainError("pincherle coefficient needs k >= 1")
-    a, b, q, p = ps.a, ps.b, ps.q, ps.p
-    num = theta_product(
-        [qpow(q, k), a * qpow(q, 3 - k), b * qpow(q, 2 - k),
-         a * qpow(q, k - 1) / b], p)
-    den = theta_product_guarded(
-        [q, a * q * q, b * qpow(q, 3 - 2 * k), a / b], p)
-    return num / den * qpow(q, 1 - k)
+    a, b, q = ps.a, ps.b, ps.q
+    return theta_quotient(
+        [qpow(q, k), a * qpow(q, 3 - k), b * qpow(q, 2 - k), a * qpow(q, k - 1) / b],
+        [q, a * q * q, b * qpow(q, 3 - 2 * k), a / b], ps.p) * qpow(q, 1 - k)
 
 
 def pincherle_coeff_bracket(k: int, ps: ParameterSet) -> complex:

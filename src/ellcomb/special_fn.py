@@ -26,9 +26,11 @@ The elliptic family carries the four-parameter theta weight
 
 Setting p = 0, then a = 0, then b = 0 (in this order) degenerates it
 through the one-parameter families down to the constant weight q.  At
-p = 0 each elliptic formula is the same theta form with theta(x; 0) = 1 - x;
-the one-parameter families are implemented directly from their own closed
-formulas, never as numeric limits.
+p = 0 each elliptic formula is the same theta form with theta(x; 0) = 1 - x,
+so ``BQWeights`` is the theta weight at (a, p) = (0, 0) and ``QWeights``
+at (a, b, p) = (0, 0, 0), each evaluating the ``EllipticWeights`` formulas;
+only the a;q family, the b -> 0 limit at fixed a, has formulas of its own.
+Every theta ratio is formed by ``theta_quotient``.
 
 Two values outlive a call, each in a bounded module-level
 ``functools.lru_cache`` whose ``cache_info()`` counts hits, misses and
@@ -186,47 +188,29 @@ def _theta_series(x: complex, p: complex) -> complex:
     return require_finite(result, "theta value")
 
 
-def theta_product(args, p) -> complex:
-    """Product of theta(x; p) over the given arguments."""
-    result = 1.0 + 0.0j
-    for x in args:
-        result *= theta(x, p)
-    return result
-
-
-def theta_product_guarded(args, p) -> complex:
-    """Like ``theta_product`` but intended for denominators.
-
-    A factor that is exactly zero raises PoleError; a factor below the
-    near-pole threshold raises NearPoleError.
-    """
-    result = 1.0 + 0.0j
-    for index, x in enumerate(args):
-        result *= _theta_denominator(x, p, index)
-    return result
-
-
 def theta_quotient(nums, dens, p) -> complex:
-    """prod_i theta(nums[i]; p) / theta(dens[i]; p), one pair at a time.
+    """prod_i theta(nums[i]; p) / theta(dens[i]; p), the one place a theta
+    ratio is formed.
 
-    Whole numerator and denominator products overflow long before their
-    ratio does, which turns the quotient into inf / inf = NaN.  Each
-    denominator factor is guarded as in ``theta_product_guarded``, and a
-    PoleError carries that factor's index.
+    The numerator and denominator products are divided once, as complex
+    division rounds worse than multiplication; a product about to leave
+    [1e-300, 1e300] is divided out early, so no quotient is inf / inf.
+    Each denominator factor is guarded, and a PoleError carries its index.
+    Equal factors are skipped after their guard: z / z need not round to 1.
     """
-    result = 1.0 + 0.0j
+    result = num_prod = den_prod = 1.0 + 0.0j
     for index, (x, y) in enumerate(zip(nums, dens, strict=True)):
-        result *= theta(x, p) / _theta_denominator(y, p, index)
-    return result
-
-
-def _theta_denominator(x, p, index: int) -> complex:
-    value = theta(x, p)
-    if value == 0:
-        raise PoleError(f"denominator theta factor {index} vanished at x = {x!r}", index)
-    if abs(value) < NEAR_POLE_TOL:
-        raise NearPoleError(f"denominator theta factor {index} is near a pole: |{value!r}|")
-    return value
+        num = theta(x, p)
+        den = guarded(theta(y, p), index, "denominator theta factor")
+        if num == den:
+            continue
+        if not (1e-300 < abs(num_prod) * abs(num) < 1e300
+                and 1e-300 < abs(den_prod) * abs(den) < 1e300):
+            result *= num_prod / den_prod
+            num_prod = den_prod = 1.0 + 0.0j
+        num_prod *= num
+        den_prod *= den
+    return result * (num_prod / den_prod)
 
 
 def guarded(value: complex, index: int = 0, what: str = "denominator factor") -> complex:
@@ -308,7 +292,6 @@ class WeightFamily:
     """Base class.  Subclasses provide ``small``; the rest has defaults."""
 
     symbolic = False
-    label = "abstract"
 
     def small(self, s: int, t: int):
         raise NotImplementedError
@@ -329,15 +312,26 @@ class WeightFamily:
             return self._zero()
         zero = self._zero()
         # Row m keeps only the columns [m, j] that [n, k] depends on,
-        # k - (n - m) <= j <= k, so no weight outside them is read.
+        # k - (n - m) <= j <= k, so no weight outside them is read.  The
+        # big weight W(j, t) of a column is carried from the row before
+        # as W(j, t - 1) w(j, t); ``big`` is called only where a column
+        # has no carried weight, so each cell weight is read once.
         row = {0: self._one()}
+        carried = {}
         for m in range(1, n + 1):
             prev, row = row, {}
             for j in range(max(0, k - n + m), min(m, k) + 1):
                 value = prev.get(j, zero)
                 lower = prev.get(j - 1, zero)
                 if not self._is_zero(lower):
-                    value = value + lower * self.big(j, m - j)
+                    t = m - j
+                    last = carried.get(j)
+                    if last is not None and last[0] == t - 1:
+                        weight = last[1] * self.small(j, t)
+                    else:
+                        weight = self.big(j, t)
+                    carried[j] = (t, weight)
+                    value = value + lower * weight
                 row[j] = value
         return row[k]
 
@@ -358,7 +352,6 @@ class GenericWeights(WeightFamily):
     """Fully symbolic weights; every w(s, t) stays an opaque symbol."""
 
     symbolic = True
-    label = "generic"
 
     def small(self, s: int, t: int) -> WeightPolynomial:
         if s < 1 or t < 1:
@@ -382,14 +375,12 @@ class GenericWeights(WeightFamily):
 
 @lru_cache(maxsize=4096)
 def _elliptic_small(ps: ParameterSet, s: int, t: int) -> complex:
-    a, b, q, p = ps.a, ps.b, ps.q, ps.p
-    num = theta_product(
+    a, b, q = ps.a, ps.b, ps.q
+    return theta_quotient(
         [a * qpow(q, s + 2 * t), b * qpow(q, 2 * s + t - 2),
-         _ratio(a * qpow(q, t - s - 1), b)], p)
-    den = theta_product_guarded(
+         _ratio(a * qpow(q, t - s - 1), b)],
         [a * qpow(q, s + 2 * t - 2), b * qpow(q, 2 * s + t),
-         _ratio(a * qpow(q, t - s + 1), b)], p)
-    return num / den * q
+         _ratio(a * qpow(q, t - s + 1), b)], ps.p) * q
 
 
 class EllipticWeights(WeightFamily):
@@ -400,8 +391,6 @@ class EllipticWeights(WeightFamily):
     under the ordered-limit convention (a -> 0 before b -> 0, so a/b -> 0),
     which reproduces the one-parameter and plain-q degenerations.
     """
-
-    label = "elliptic"
 
     def __init__(self, ps: ParameterSet):
         if ps.q == 0:
@@ -419,14 +408,13 @@ class EllipticWeights(WeightFamily):
             raise DomainError("big weight needs t >= 0")
         if t == 0:
             return 1.0 + 0.0j
-        a, b, q, p = self.ps.a, self.ps.b, self.ps.q, self.ps.p
-        num = theta_product(
+        a, b, q = self.ps.a, self.ps.b, self.ps.q
+        closed = theta_quotient(
             [a * qpow(q, s + 2 * t), b * qpow(q, 2 * s), b * qpow(q, 2 * s - 1),
-             _ratio(a * qpow(q, 1 - s), b), _ratio(a * qpow(q, -s), b)], p)
-        den = theta_product_guarded(
+             _ratio(a * qpow(q, 1 - s), b), _ratio(a * qpow(q, -s), b)],
             [a * qpow(q, s), b * qpow(q, 2 * s + t), b * qpow(q, 2 * s + t - 1),
-             _ratio(a * qpow(q, t - s + 1), b), _ratio(a * qpow(q, t - s), b)], p)
-        closed = num / den * qpow(q, t)
+             _ratio(a * qpow(q, t - s + 1), b), _ratio(a * qpow(q, t - s), b)],
+            self.ps.p) * qpow(q, t)
         product = super().big(s, t)
         scale = max(abs(closed), abs(product), 1e-30)
         if abs(closed - product) / scale > _BIG_CONSISTENCY_TOL:
@@ -439,23 +427,15 @@ class EllipticWeights(WeightFamily):
             raise DomainError("binom needs n >= 0")
         if k < 0 or k > n:
             return 0.0 + 0.0j
-        a, b, q, p = self.ps.a, self.ps.b, self.ps.q, self.ps.p
-        m = n - k
-        # The quotient is built factor by factor: the two 4m-factor theta
-        # products overflow long before their ratio does.  Equal factors
-        # are skipped, since z / z need not round to exactly 1.
+        a, b, q = self.ps.a, self.ps.b, self.ps.q
+        # 4 (n - k) factor pairs, j-major: pair 4j + i is base i times q^j.
         num_bases = (qpow(q, 1 + k), a * qpow(q, 1 + k), b * qpow(q, 1 + k),
                      _ratio(a * qpow(q, 1 - k), b))
         den_bases = (q, a * q, b * qpow(q, 1 + 2 * k), _ratio(a * q, b))
-        result = 1.0 + 0.0j
-        for j in range(m):
-            qj = qpow(q, j)
-            for index, (x, y) in enumerate(zip(num_bases, den_bases)):
-                num = theta(x * qj, p)
-                den = guarded(theta(y * qj, p), 4 * j + index, "binom denominator")
-                if num != den:
-                    result *= num / den
-        return result
+        powers = [qpow(q, j) for j in range(n - k)]
+        return theta_quotient([x * qj for qj in powers for x in num_bases],
+                              [y * qj for qj in powers for y in den_bases],
+                              self.ps.p)
 
     def single(self, m: int) -> complex:
         """Single-index weight w(m) = w(1, m), the rook specialisation
@@ -466,44 +446,33 @@ class EllipticWeights(WeightFamily):
         return EllipticWeights(self.ps.swapped())
 
 
-class BQWeights(WeightFamily):
-    """One-parameter family w(s, t) = (1 - b q^(2s+t-2)) / (1 - b q^(2s+t)) q."""
+class _ThetaWeightCase(WeightFamily):
+    """A family that is the theta weight at zero parameters: ``small``,
+    ``big`` and ``binom`` are those of the ``EllipticWeights`` it holds."""
 
-    label = "bq"
+    def __init__(self, ps: ParameterSet):
+        self._elliptic = EllipticWeights(ps)
+
+    def small(self, s: int, t: int) -> complex:
+        return self._elliptic.small(s, t)
+
+    def big(self, s: int, t: int) -> complex:
+        return self._elliptic.big(s, t)
+
+    def binom(self, n: int, k: int) -> complex:
+        return self._elliptic.binom(n, k)
+
+
+class BQWeights(_ThetaWeightCase):
+    """One-parameter family w(s, t) = (1 - b q^(2s+t-2)) / (1 - b q^(2s+t)) q:
+    the theta weight at (a, p) = (0, 0)."""
 
     def __init__(self, b, q):
         self.b = complex(b)
         self.q = complex(q)
         if self.q == 0:
             raise DomainError("bq weights need q != 0")
-
-    def small(self, s: int, t: int) -> complex:
-        b, q = self.b, self.q
-        den = guarded(1.0 - b * qpow(q, 2 * s + t), 0, "bq weight denominator")
-        return (1.0 - b * qpow(q, 2 * s + t - 2)) / den * q
-
-    def big(self, s: int, t: int) -> complex:
-        if t < 0:
-            raise DomainError("big weight needs t >= 0")
-        b, q = self.b, self.q
-        den = guarded(1.0 - b * qpow(q, 2 * s + t), 0, "bq big denominator")
-        den *= guarded(1.0 - b * qpow(q, 2 * s + t - 1), 1, "bq big denominator")
-        num = (1.0 - b * qpow(q, 2 * s)) * (1.0 - b * qpow(q, 2 * s - 1))
-        return num / den * qpow(q, t)
-
-    def binom(self, n: int, k: int) -> complex:
-        if n < 0:
-            raise DomainError("binom needs n >= 0")
-        if k < 0 or k > n:
-            return 0.0 + 0.0j
-        b, q = self.b, self.q
-        m = n - k
-        num = q_factorial(qpow(q, 1 + k), q, m) * q_factorial(b * qpow(q, 1 + k), q, m)
-        den = 1.0 + 0.0j
-        for j in range(m):
-            den *= guarded(1.0 - qpow(q, 1 + j), j, "bq binom denominator")
-            den *= guarded(1.0 - b * qpow(q, 1 + 2 * k + j), j, "bq binom denominator")
-        return num / den
+        super().__init__(ParameterSet(0.0, self.b, self.q, 0.0))
 
     def dual(self) -> "AQWeights":
         return AQWeights(self.b, self.q)
@@ -511,8 +480,6 @@ class BQWeights(WeightFamily):
 
 class AQWeights(WeightFamily):
     """One-parameter family w(s, t) = (1 - a q^(s+2t)) / (1 - a q^(s+2t-2)) / q."""
-
-    label = "aq"
 
     def __init__(self, a, q):
         self.a = complex(a)
@@ -550,34 +517,19 @@ class AQWeights(WeightFamily):
         return BQWeights(self.a, self.q)
 
 
-class QWeights(WeightFamily):
-    """Constant family w(s, t) = q; the classical q-specialisation."""
-
-    label = "q"
+class QWeights(_ThetaWeightCase):
+    """Constant family w(s, t) = q, the classical q-specialisation: the
+    theta weight at (a, b, p) = (0, 0, 0)."""
 
     def __init__(self, q):
         self.q = complex(q)
         if self.q == 0:
             raise DomainError("q weights need q != 0")
-
-    def small(self, s: int, t: int) -> complex:
-        return self.q
-
-    def big(self, s: int, t: int) -> complex:
-        if t < 0:
-            raise DomainError("big weight needs t >= 0")
-        return qpow(self.q, t)
-
-    def binom(self, n: int, k: int) -> complex:
-        if n < 0:
-            raise DomainError("binom needs n >= 0")
-        return q_binomial(n, k, self.q)
+        super().__init__(ParameterSet(0.0, 0.0, self.q, 0.0))
 
 
 class TableWeights(WeightFamily):
     """Weights read from an explicit finite table {(s, t): value}."""
-
-    label = "table"
 
     def __init__(self, table: dict):
         self.table = {(int(s), int(t)): complex(v) for (s, t), v in table.items()}
@@ -600,11 +552,10 @@ def bracket_z(ps: ParameterSet, z) -> complex:
     parameters are allowed, so [z] degenerates through (a, b) -> 0 to
     (1 - q^z)/(1 - q).
     """
-    a, b, q, p = ps.a, ps.b, ps.q, ps.p
+    a, b, q = ps.a, ps.b, ps.q
     qz = qpow(q, z)
-    num = theta_product([qz, a * qz, b * q * q, _ratio(a, b)], p)
-    den = theta_product_guarded([q, a * q, b * q * qz, _ratio(a * qz, q * b)], p)
-    return num / den
+    return theta_quotient([qz, a * qz, b * q * q, _ratio(a, b)],
+                          [q, a * q, b * q * qz, _ratio(a * qz, q * b)], ps.p)
 
 
 def exp_coeff_q(q, n: int) -> complex:

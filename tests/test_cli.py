@@ -95,6 +95,15 @@ def test_rook_file_commands(capsys):
     poly = WeightPolynomial.from_json(json.loads(out))
     w = WeightPolynomial.symbol
     assert poly == w(1, 1) + w(1, 1) * w(2, 2) + w(2, 2)
+    # the one-parameter families weigh board cells by their small weights
+    expected = [("rook", ("--family", "bq", "--b", "0.4", "--q", "0.5"), 0.6982547849961425),
+                ("file", ("--family", "bq", "--b", "0.4", "--q", "0.5"), 0.3470433299582545),
+                ("rook", ("--family", "q", "--q", "0.5"), 0.8125),
+                ("file", ("--family", "q", "--q", "0.5"), 0.4375)]
+    for command, flags, want in expected:
+        code, out, _ = run_cli(capsys, command, "--board", "1,2,2", "--k", "1", *flags)
+        assert code == 0
+        assert abs(float(out) - want) < 1e-12, (command, flags, out)
 
 
 def test_board_cap_enforced(capsys):

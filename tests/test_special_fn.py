@@ -370,6 +370,8 @@ def test_degenerate_families_match_elliptic_limits():
         for s in range(1, 4):
             for t in range(1, 4):
                 assert abs(ell_b.small(s, t) - bq.small(s, t)) < 1e-10
+                want = (1 - b * qpow(q, 2 * s + t - 2)) / (1 - b * qpow(q, 2 * s + t)) * q
+                assert abs(bq.small(s, t) - want) < 1e-12 * max(1.0, abs(want))
                 want = (1 - a * qpow(q, s + 2 * t)) / (1 - a * qpow(q, s + 2 * t - 2)) / q
                 assert abs(aq.small(s, t) - want) < 1e-12 * max(1.0, abs(want))
         for n in range(5):
@@ -410,6 +412,35 @@ def test_triangle_binom_has_no_recursion_limit():
     # k = 1 and (s, 1) for k = n - 1
     assert TableWeights({(1, t): 1.0 for t in range(1, 1500)}).binom(1500, 1) == 1500
     assert TableWeights({(s, 1): 1.0 for s in range(1, 1500)}).binom(1500, 1499) == 1500
+
+
+class _CountingTable(TableWeights):
+    def __init__(self, table):
+        super().__init__(table)
+        self.calls = 0
+
+    def small(self, s, t):
+        self.calls += 1
+        return super().small(s, t)
+
+
+def test_triangle_binom_carries_column_weights():
+    # each column's big weight W(j, t) = W(j, t - 1) w(j, t) comes from the
+    # row before, so [n, k] reads each cell weight once instead of
+    # rebuilding a column product per triangle cell, in the same order
+    rng = random.Random(24)
+    table = {(s, t): complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+             for s in range(1, 201) for t in range(1, 201)}
+    reference = TableWeights(table)
+    row = [1.0 + 0.0j]
+    for m in range(1, 201):
+        row = [(row[j] if j < m else 0.0 + 0.0j)
+               + (row[j - 1] * reference.big(j, m - j) if j else 0.0 + 0.0j)
+               for j in range(m + 1)]
+    for k, cap in ((1, 400), (100, 20_000)):
+        fam = _CountingTable(table)
+        assert fam.binom(200, k) == row[k]
+        assert fam.calls <= cap, (k, fam.calls)
 
 
 def test_bracket_z_frozen():
