@@ -23,14 +23,19 @@ Yoo (Elliptic rook and file numbers, 2017).  Moving west to east, the
 state is the sorted tuple of rows holding the rooks placed so far; it
 decides which cells of the next column are cancelled (rows already
 used, in rook mode) and r for every cell of that column, so the
-weighted sum is carried from column to column per state.  With H the
-tallest column there are at most C(H + k, k) states (sum_{j <= k}
-C(H, j) for rooks), each with at most H + 1 moves per column of at most
-H cells, so for fixed k the cost is polynomial in the board size while
-the number of placements grows exponentially.  The sweep's geometry
-(states, moves and their (s, t) cells) is cached per (heights, kind, k)
-in one bounded cache.  ``placements`` enumerates placements directly
-and is the reference the sweep is tested against.
+weighted sum is carried from column to column per state.  A state's
+moves share one row of (s, t) cells per column: a rook on a row leaves
+the cells above it, a suffix of that row.  With H the tallest column
+there are at most C(H + k, k) states (sum_{j <= k} C(H, j) for rooks),
+each with at most H + 1 moves per column of at most H cells, so for
+fixed k the cost is polynomial in the board size while the number of
+placements grows exponentially.  The final states hold any number of
+rooks from lo to hi, so one sweep gives every k in that range:
+``placement_polys`` sweeps 0..k, ``rook_poly`` and ``file_poly`` k..k.
+The sweep's geometry (states, cell rows and moves) is cached per
+(heights, kind, lo, hi) in one bounded cache.  ``placements``
+enumerates placements directly and is the reference the sweep is
+tested against.
 
 Under the four-parameter theta weights the cell weight specialises to
 the single-index w(s - t): rook cells weigh w(i - j - r) and file cells
@@ -40,6 +45,7 @@ z-brackets, implemented here with both sides computed independently.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,7 +54,7 @@ from .weightpoly import WeightPolynomial, _merge_monomials
 
 __all__ = [
     "FerrersBoard", "Placement", "board_from_word", "word_from_board",
-    "placements", "rook_poly", "file_poly", "path_binom",
+    "placements", "placement_polys", "rook_poly", "file_poly", "path_binom",
     "rook_product_sides", "file_product_sides", "all_boards_within",
 ]
 
@@ -190,37 +196,26 @@ def placements(board: FerrersBoard, k: int, kind: str):
     return results
 
 
-def _column_move(state: tuple, target: tuple, col: int, low: int,
-                 height: int, kind: str) -> tuple:
-    """One move of the sweep through column ``col``.
-
-    Rows ``low..height`` of the column stay uncancelled, except rows a
-    rook to the west already uses in rook mode; each such cell (col, j)
-    carries (s, t) = (col - nw, j), nw counting the rows of ``state``
-    at or above j.
-    """
-    cells = tuple((col - sum(1 for r in state if r >= j), j)
-                  for j in range(low, height + 1)
-                  if kind == "file" or j not in state)
-    counts: dict = {}
-    for cell in cells:
-        counts[cell] = counts.get(cell, 0) + 1
-    return state, target, cells, tuple(sorted(counts.items()))
-
-
 @lru_cache(maxsize=4096)
-def _sweep_plan(heights: tuple, kind: str, k: int) -> tuple:
-    """The column-by-column transfer for k-placements on a board.
+def _sweep_plan(heights: tuple, kind: str, lo: int, hi: int) -> tuple:
+    """The column-by-column transfer for placements of lo..hi rooks.
 
     A sweep state is the sorted tuple of rows holding the rooks placed
-    in the columns already swept.  Column i takes each state either
+    in the columns already swept.  Column ``col`` takes each state either
     without a rook, or with a rook at a row r (in rook mode not a row
-    the state uses) that cancels the cells below it; the uncancelled
-    cells of the column depend only on the state.  Moves that cannot
-    end with exactly k rooks are dropped.  Returns the columns, each a
-    tuple of (source, target, weight_cells, monomial) moves, and the
-    distinct (s, t) over all moves; both depend only on the geometry.
-    None when the board has no k-placement.
+    the state uses) that cancels the cells below it.  The uncancelled
+    cells of the column depend only on the state: the rows it leaves
+    free, bottom-up, each (col, j) carrying (s, t) = (col - nw, j) with
+    nw counting the state's rows at or above j.  A rook on the i-th free
+    row leaves the cells above it, so every move of a state weighs a
+    suffix of one shared cell row.  Moves that cannot end with between
+    lo and hi rooks are dropped, and each row is cut to the cells its
+    kept moves use.
+
+    Returns the columns, each a tuple of (source, cells, moves) rows
+    with moves a tuple of (target, start) weighted by cells[start:], and
+    the distinct (s, t) over all rows; both depend only on the geometry.
+    None when the board has no placement of lo..hi rooks.
     """
     n = len(heights)
     # open_after[i]: columns right of column i that can still take a rook
@@ -230,27 +225,34 @@ def _sweep_plan(heights: tuple, kind: str, k: int) -> tuple:
     columns = []
     states = [()]
     for col, height in enumerate(heights, start=1):
-        moves = []
+        rows = []
         for state in states:
             placed = len(state)
-            if placed + open_after[col] >= k:
-                moves.append(_column_move(state, state, col, 1, height, kind))
-            if placed == k or placed + 1 + open_after[col] < k:
-                continue
-            for row in range(1, height + 1):
-                if kind == "rook" and row in state:
-                    continue
-                target = tuple(sorted(state + (row,)))
-                moves.append(_column_move(state, target, col, row + 1, height, kind))
-        columns.append(moves)
-        states = sorted({move[1] for move in moves})
-    alive = {state for state in states if len(state) == k}
+            free = [j for j in range(1, height + 1) if kind == "file" or j not in state]
+            cells = tuple((col - placed + bisect_left(state, j), j) for j in free)
+            moves = []
+            if placed + open_after[col] >= lo:
+                moves.append((state, 0))
+            if placed < hi and placed + 1 + open_after[col] >= lo:
+                for start, row in enumerate(free, start=1):
+                    moves.append((tuple(sorted(state + (row,))), start))
+            rows.append((state, cells, moves))
+        columns.append(rows)
+        states = sorted({target for _, _, moves in rows for target, _ in moves})
+    alive = {state for state in states if lo <= len(state) <= hi}
     for i in range(n - 1, -1, -1):
-        columns[i] = tuple(move for move in columns[i] if move[1] in alive)
-        alive = {move[0] for move in columns[i]}
+        kept = []
+        for state, cells, moves in columns[i]:
+            moves = [move for move in moves if move[0] in alive]
+            if moves:
+                first = min(start for _, start in moves)
+                kept.append((state, cells[first:],
+                             tuple((target, start - first) for target, start in moves)))
+        columns[i] = tuple(kept)
+        alive = {row[0] for row in kept}
     if () not in alive:
         return None
-    cells = sorted({cell for moves in columns for move in moves for cell in move[2]})
+    cells = sorted({cell for rows in columns for row in rows for cell in row[1]})
     return tuple(columns), tuple(cells)
 
 
@@ -260,40 +262,69 @@ def _cell_weight(family, kind: str, s: int, t: int):
     return family.small(s, t)
 
 
-def _weighted_sum(board: FerrersBoard, k: int, family, kind: str):
-    if k < 0:
+def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> list:
+    """[p_lo, ..., p_hi], the weighted sums over placements of each size,
+    from one sweep."""
+    if hi < 0:
         raise DomainError("placement count k must be nonnegative")
     symbolic = getattr(family, "symbolic", False)
-    plan = _sweep_plan(board.heights, kind, k)
+    plan = _sweep_plan(board.heights, kind, lo, hi)
     if plan is None:
-        return WeightPolynomial.zero() if symbolic else 0.0 + 0.0j
+        return [WeightPolynomial.zero() if symbolic else 0.0 + 0.0j
+                for _ in range(lo, hi + 1)]
     columns, cells = plan
     if symbolic:
         acc = {(): {(): 1}}
-        for moves in columns:
+        for rows in columns:
             nxt: dict = {}
-            for source, target, _, mono in moves:
-                out = nxt.setdefault(target, {})
-                for m, c in acc[source].items():
-                    m = _merge_monomials(m, mono)
-                    out[m] = out.get(m, 0) + c
+            for source, row_cells, moves in rows:
+                # s never falls as j rises within a column, so the row's
+                # cells in order, each to the first power, are a sorted
+                # monomial and so is every suffix of it
+                mono = tuple((cell, 1) for cell in row_cells)
+                part = acc[source]
+                for target, start in moves:
+                    tail = mono[start:]
+                    out = nxt.setdefault(target, {})
+                    for m, c in part.items():
+                        m = _merge_monomials(m, tail)
+                        out[m] = out.get(m, 0) + c
             acc = nxt
-        terms: dict = {}
-        for part in acc.values():
+        sums = [{} for _ in range(lo, hi + 1)]
+        for state, part in acc.items():
+            terms = sums[len(state) - lo]
             for m, c in part.items():
                 terms[m] = terms.get(m, 0) + c
-        return WeightPolynomial(terms)
+        return [WeightPolynomial(terms) for terms in sums]
     weight = {(s, t): _cell_weight(family, kind, s, t) for s, t in cells}
     acc = {(): 1.0 + 0.0j}
-    for moves in columns:
+    for rows in columns:
         nxt = {}
-        for source, target, weight_cells, _ in moves:
-            value = acc[source]
-            for cell in weight_cells:
-                value *= weight[cell]
-            nxt[target] = nxt.get(target, 0.0) + value
+        for source, row_cells, moves in rows:
+            factors = [weight[cell] for cell in row_cells]
+            for target, start in moves:
+                value = acc[source]
+                for factor in factors[start:]:
+                    value *= factor
+                nxt[target] = nxt.get(target, 0.0) + value
         acc = nxt
-    return sum(acc.values(), 0.0 + 0.0j)
+    sums = [0.0 + 0.0j] * (hi - lo + 1)
+    for state, value in acc.items():
+        sums[len(state) - lo] += value
+    return sums
+
+
+def placement_polys(board: FerrersBoard, k: int, family, kind: str) -> list:
+    """[p_0, ..., p_k]: the weighted rook (kind "rook") or file (kind
+    "file") polynomials of every size up to k, from one sweep.
+
+    p_j equals ``rook_poly(board, j, family)`` or ``file_poly(board, j,
+    family)``; the product formulas and normal-ordering coefficients
+    need them all.
+    """
+    if kind not in ("rook", "file"):
+        raise DomainError(f"placement kind must be rook or file: {kind!r}")
+    return _weighted_sums(board, family, kind, 0, k)
 
 
 def rook_poly(board: FerrersBoard, k: int, family):
@@ -307,7 +338,7 @@ def rook_poly(board: FerrersBoard, k: int, family):
     fixed k (times the number of output monomials when symbolic), not
     proportional to the number of placements.
     """
-    return _weighted_sum(board, k, family, "rook")
+    return _weighted_sums(board, family, "rook", k, k)[0]
 
 
 def file_poly(board: FerrersBoard, k: int, family):
@@ -321,7 +352,7 @@ def file_poly(board: FerrersBoard, k: int, family):
     output monomials when symbolic), not proportional to the number of
     placements.
     """
-    return _weighted_sum(board, k, family, "file")
+    return _weighted_sums(board, family, "file", k, k)[0]
 
 
 def path_binom(n: int, k: int, family):
@@ -348,15 +379,6 @@ def path_binom(n: int, k: int, family):
     return prev[rows]
 
 
-def _falling_brackets(ps, z: int, k: int) -> complex:
-    """Product of shifted brackets [z] [z-1] ... [z-k+1], the j-th taken
-    with parameters (a q^(2(j-1)), b q^(j-1))."""
-    result = 1.0 + 0.0j
-    for j in range(1, k + 1):
-        result *= bracket_z(ps.shift(2 * (j - 1), j - 1), z - j + 1)
-    return result
-
-
 def rook_product_sides(board: FerrersBoard, z: int, ps) -> tuple:
     """Both sides of the rook product formula on B embedded in n x n.
 
@@ -372,12 +394,18 @@ def rook_product_sides(board: FerrersBoard, z: int, ps) -> tuple:
         b_i = board.heights[i - 1]
         shift = i - 1 - b_i
         lhs *= bracket_z(ps.shift(2 * shift, shift), z + b_i - i + 1)
+    rook = placement_polys(board, n, family, "rook")
     rhs = 0.0 + 0.0j
+    # falling = [z][z-1]...[z-k+1], the j-th bracket taken with
+    # parameters (a q^(2(j-1)), b q^(j-1))
+    falling = 1.0 + 0.0j
     for k in range(n + 1):
-        r = rook_poly(board, n - k, family)
+        if k:
+            falling *= bracket_z(ps.shift(2 * (k - 1), k - 1), z - k + 1)
+        r = rook[n - k]
         if r == 0:
             continue
-        rhs += r * _falling_brackets(ps, z, k)
+        rhs += r * falling
     return lhs, rhs
 
 
@@ -396,9 +424,10 @@ def file_product_sides(board: FerrersBoard, z: int, ps) -> tuple:
         b_i = board.heights[i - 1]
         lhs *= bracket_z(ps.shift(-2 * b_i, -b_i), z + b_i)
     base = bracket_z(ps, z)
+    files = placement_polys(board, n, family, "file")
     rhs = 0.0 + 0.0j
     for k in range(n + 1):
-        f = file_poly(board, n - k, family)
+        f = files[n - k]
         if f == 0:
             continue
         rhs += f * base ** k

@@ -94,19 +94,22 @@ def _family_from_args(args) -> object:
         q=getattr(args, "q", None), p=getattr(args, "p", None))
 
 
-def _emit(args, text: str, doc) -> None:
+def _emit(args, text, doc) -> None:
+    """Print doc() as JSON under --json, else text().  Only the printed
+    form is built: a large symbolic value takes seconds to render."""
     if getattr(args, "json", False):
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps(doc(), sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def _emit_value(args, value) -> None:
     """Emit a symbolic WeightPolynomial or a number."""
     if isinstance(value, WeightPolynomial):
-        _emit(args, str(value), value.to_json())
+        _emit(args, lambda: str(value), value.to_json)
     else:
-        _emit(args, _fmt_number(value), {"value": complex_to_pair(complex(value))})
+        _emit(args, lambda: _fmt_number(value),
+              lambda: {"value": complex_to_pair(complex(value))})
 
 
 def _cmd_theta(args) -> int:
@@ -137,13 +140,13 @@ def _cmd_normal_order(args) -> int:
     rs = RelationSystem.from_tag(args.system)
     nf = normal_order(word, rs)
     if args.family is None or args.family == "generic":
-        _emit(args, str(nf), nf.to_json())
+        _emit(args, lambda: str(nf), nf.to_json)
         return 0
     family = _family_from_args(args)
     values = nf.evaluate(family)
-    doc = {"terms": [{"i": i, "j": j, "value": complex_to_pair(v)}
-                     for (i, j), v in sorted(values.items())]}
-    _emit(args, _fmt_evaluated_nf(values), doc)
+    _emit(args, lambda: _fmt_evaluated_nf(values),
+          lambda: {"terms": [{"i": i, "j": j, "value": complex_to_pair(v)}
+                             for (i, j), v in sorted(values.items())]})
     return 0
 
 

@@ -58,9 +58,8 @@ from .boards import (
     FerrersBoard,
     all_boards_within,
     board_from_word,
-    file_poly,
     file_product_sides,
-    rook_poly,
+    placement_polys,
     rook_product_sides,
 )
 from .skewpoly import (
@@ -950,16 +949,16 @@ def _expected_rook_form(word: str) -> NormalForm:
     board = board_from_word(word)
     m = word.count("x")
     n = word.count("y")
-    return NormalForm({(m - k, n - k): rook_poly(board, k, _GENERIC)
-                       for k in range(0, min(m, n) + 1)})
+    rook = placement_polys(board, min(m, n), _GENERIC, "rook")
+    return NormalForm({(m - k, n - k): r for k, r in enumerate(rook)})
 
 
 def _expected_file_form(word: str) -> NormalForm:
     board = board_from_word(word)
     m = word.count("x")
     n = word.count("y")
-    return NormalForm({(m - k, n): file_poly(board, k, _GENERIC)
-                       for k in range(0, m + 1)})
+    files = placement_polys(board, m, _GENERIC, "file")
+    return NormalForm({(m - k, n): f for k, f in enumerate(files)})
 
 
 def _normalorder(ctx: CheckContext, rs: RelationSystem, expected) -> None:
@@ -978,7 +977,7 @@ def _normalorder(ctx: CheckContext, rs: RelationSystem, expected) -> None:
         "normal ordering in the weighted Weyl algebra equals the board "
         "enumeration of rook placements, symbolically exact",
         "exact-symbolic", {"exhaustive": 8, "random": 60, "max_len": 12}, 0.0,
-        ["ncword:normal_order"], ["boards:rook_poly"], "exhaustive")
+        ["ncword:normal_order"], ["boards:placement_polys"], "exhaustive")
 def _run_normalorder_rook(ctx: CheckContext) -> None:
     _normalorder(ctx, _WEYL, _expected_rook_form)
 
@@ -987,7 +986,7 @@ def _run_normalorder_rook(ctx: CheckContext) -> None:
         "normal ordering in the weighted file algebra equals the board "
         "enumeration of file placements, symbolically exact",
         "exact-symbolic", {"exhaustive": 8, "random": 60, "max_len": 12}, 0.0,
-        ["ncword:normal_order"], ["boards:file_poly"], "exhaustive")
+        ["ncword:normal_order"], ["boards:placement_polys"], "exhaustive")
 def _run_normalorder_file(ctx: CheckContext) -> None:
     _normalorder(ctx, _FILE, _expected_file_form)
 
@@ -997,7 +996,7 @@ def _run_normalorder_file(ctx: CheckContext) -> None:
         "expansion in falling brackets; the left side is conjugation-invariant",
         "numeric-sampled", {"draws": 6, "boards": 8, "zmax": 4}, 1e-7,
         ["boards:rook_product_sides:lhs"],
-        ["boards:rook_poly", "boards:rook_product_sides:rhs"], "zmax")
+        ["boards:placement_polys", "boards:rook_product_sides:rhs"], "zmax")
 def _draw_rook_product(ctx: CheckContext):
     ps = ctx.draw_ps()
     pairs = []
@@ -1015,7 +1014,7 @@ def _draw_rook_product(ctx: CheckContext):
         "file-number expansion in powers of the z-bracket",
         "numeric-sampled", {"draws": 6, "boards": 8, "zmax": 4}, 1e-7,
         ["boards:file_product_sides:lhs"],
-        ["boards:file_poly", "boards:file_product_sides:rhs"], "zmax")
+        ["boards:placement_polys", "boards:file_product_sides:rhs"], "zmax")
 def _draw_file_product(ctx: CheckContext):
     ps = ctx.draw_ps()
     pairs = []

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import ellcomb.boards as boards_mod
 import ellcomb.cli as cli
 from ellcomb.boards import (
     FerrersBoard,
@@ -14,6 +15,7 @@ from ellcomb.boards import (
     file_poly,
     file_product_sides,
     path_binom,
+    placement_polys,
     placements,
     rook_poly,
     rook_product_sides,
@@ -26,6 +28,7 @@ from ellcomb.special_fn import (
     NearPoleError,
     ParameterSet,
     QWeights,
+    bracket_z,
     q_bracket,
 )
 from ellcomb.weightpoly import WeightPolynomial
@@ -196,6 +199,62 @@ def test_sweep_matches_placement_oracle_elliptic():
                     mass += abs(term)
                 got = poly(board, k, fam)
                 assert abs(got - want) <= 1e-13 * mass, (board, kind, k)
+
+
+def test_placement_polys_match_single_k_sweeps():
+    # placement_polys runs the lo = 0 plan, rook_poly and file_poly the
+    # lo = hi = k plan; the symbolic sums agree exactly, and the numeric
+    # sums multiply the same cells and add the same moves in the same
+    # order, so they agree to the last bit.
+    gen = GenericWeights()
+    rng = random.Random(60)
+    for board in boards_within(4):
+        while True:
+            fam = EllipticWeights(draw_ps(rng))
+            try:
+                for m in range(-4, 4):
+                    fam.single(m)
+            except (NearPoleError, DomainError):
+                continue
+            break
+        for kind, poly in (("rook", rook_poly), ("file", file_poly)):
+            symbolic = placement_polys(board, board.n, gen, kind)
+            numeric = placement_polys(board, board.n, fam, kind)
+            assert len(symbolic) == len(numeric) == board.n + 1
+            for k in range(board.n + 1):
+                assert symbolic[k] == poly(board, k, gen), (board, kind, k)
+                assert numeric[k] == poly(board, k, fam), (board, kind, k)
+    with pytest.raises(DomainError):
+        placement_polys(FerrersBoard((1,)), 1, gen, "queen")
+    with pytest.raises(DomainError):
+        placement_polys(FerrersBoard((1,)), -1, gen, "rook")
+
+
+def test_product_sides_build_one_plan():
+    # one sweep plan serves every rook or file number of the board
+    board = FerrersBoard((1, 2, 3, 4, 5))
+    ps = ParameterSet(0.3 + 0.1j, 0.4, 0.5 + 0.2j, 0.1)
+    for sides in (rook_product_sides, file_product_sides):
+        boards_mod._sweep_plan.cache_clear()
+        sides(board, 2, ps)
+        assert boards_mod._sweep_plan.cache_info().currsize == 1, sides
+
+
+def test_rook_product_carries_falling_brackets(monkeypatch):
+    # n brackets for the column product, n more carried into the falling
+    # product [z][z-1]...[z-k+1] one factor at a time
+    calls = []
+
+    def counting_bracket_z(ps, z):
+        calls.append(z)
+        return bracket_z(ps, z)
+
+    monkeypatch.setattr(boards_mod, "bracket_z", counting_bracket_z)
+    ps = ParameterSet(0.3 + 0.1j, 0.4, 0.5 + 0.2j, 0.1)
+    for board in (FerrersBoard((1, 2)), FerrersBoard((0, 1, 3)), FerrersBoard((1, 2, 3, 4, 5))):
+        calls.clear()
+        rook_product_sides(board, 3, ps)
+        assert len(calls) == 2 * board.n, board
 
 
 def test_path_binom_matches_family_binom():

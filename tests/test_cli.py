@@ -106,6 +106,28 @@ def test_rook_file_commands(capsys):
         assert abs(float(out) - want) < 1e-12, (command, flags, out)
 
 
+def test_cli_builds_only_the_printed_form(capsys, monkeypatch):
+    # rendering a large symbolic value costs seconds, so plain output
+    # never builds the JSON document and --json never builds the text
+    def refuse(self, *args):
+        raise AssertionError("built the form that is not printed")
+
+    commands = [("rook", "--board", "1,2,2", "--k", "1"),
+                ("normal-order", "--system", "weyl", "--word", "yxyx")]
+    with monkeypatch.context() as patch:
+        patch.setattr(WeightPolynomial, "to_json", refuse)
+        patch.setattr(NormalForm, "to_json", refuse)
+        for argv in commands:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and out
+    with monkeypatch.context() as patch:
+        patch.setattr(WeightPolynomial, "__str__", refuse)
+        patch.setattr(NormalForm, "__str__", refuse)
+        for argv in commands:
+            code, out, _ = run_cli(capsys, *argv, "--json")
+            assert code == 0 and json.loads(out)
+
+
 def test_board_cap_enforced(capsys):
     code, _, err = run_cli(capsys, "rook", "--board", "1,2,9", "--k", "1")
     assert code == 2 and "cap" in err
