@@ -49,7 +49,6 @@ from .boards import (
     file_poly,
     file_product_sides,
     path_binom,
-    placement_polys,
     placements,
     rook_poly,
     rook_product_sides,
@@ -99,8 +98,7 @@ __all__ = [
     "fib_aq", "fib_aq_closed", "fib_elliptic", "file_poly",
     "file_product_sides", "genfun_expand", "list_identities", "multiply",
     "normal_order", "pair_to_complex", "parse_word", "path_binom",
-    "pincherle_check", "pincherle_coeff", "placement_polys", "placements",
-    "product_expand",
+    "pincherle_check", "pincherle_coeff", "placements", "product_expand",
     "q_binomial", "q_bracket", "q_factorial", "qp_factorial",
     "rook_poly", "rook_product_sides", "run_all", "run_check",
     "skew_mul", "theta", "word_from_board", "x_mul",

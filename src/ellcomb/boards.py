@@ -31,7 +31,7 @@ each with at most H + 1 moves per column of at most H cells, so for
 fixed k the cost is polynomial in the board size while the number of
 placements grows exponentially.  The final states hold any number of
 rooks from lo to hi, so one sweep gives every k in that range:
-``placement_polys`` sweeps 0..k, ``rook_poly`` and ``file_poly`` k..k.
+``rook_poly`` and ``file_poly`` sweep k..k, or 0..k with ``every``.
 The sweep's geometry (states, cell rows and moves) is cached per
 (heights, kind, lo, hi) in one bounded cache.  ``placements``
 enumerates placements directly and is the reference the sweep is
@@ -54,7 +54,7 @@ from .weightpoly import WeightPolynomial, _merge_monomials
 
 __all__ = [
     "FerrersBoard", "Placement", "board_from_word", "word_from_board",
-    "placements", "placement_polys", "rook_poly", "file_poly", "path_binom",
+    "placements", "rook_poly", "file_poly", "path_binom",
     "rook_product_sides", "file_product_sides", "all_boards_within",
 ]
 
@@ -314,21 +314,9 @@ def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> 
     return sums
 
 
-def placement_polys(board: FerrersBoard, k: int, family, kind: str) -> list:
-    """[p_0, ..., p_k]: the weighted rook (kind "rook") or file (kind
-    "file") polynomials of every size up to k, from one sweep.
-
-    p_j equals ``rook_poly(board, j, family)`` or ``file_poly(board, j,
-    family)``; the product formulas and normal-ordering coefficients
-    need them all.
-    """
-    if kind not in ("rook", "file"):
-        raise DomainError(f"placement kind must be rook or file: {kind!r}")
-    return _weighted_sums(board, family, kind, 0, k)
-
-
-def rook_poly(board: FerrersBoard, k: int, family):
-    """Weighted k-rook polynomial r_k(w; B).
+def rook_poly(board: FerrersBoard, k: int, family, *, every: bool = False):
+    """Weighted k-rook polynomial r_k(w; B); with ``every`` the list
+    [r_0, ..., r_k] from the same one sweep.
 
     Nonattacking placements; a rook cancels rightward in its row and
     downward in its column; uncancelled cell (i, j) weighs w(i - r, j),
@@ -336,13 +324,16 @@ def rook_poly(board: FerrersBoard, k: int, family):
     four-parameter theta family.  Computed by the column sweep over the
     sets of used rows, so the cost is polynomial in the board size for
     fixed k (times the number of output monomials when symbolic), not
-    proportional to the number of placements.
+    proportional to the number of placements.  The product formula and
+    the normal-ordering coefficients need every r_j, hence ``every``.
     """
-    return _weighted_sums(board, family, "rook", k, k)[0]
+    sums = _weighted_sums(board, family, "rook", 0 if every else k, k)
+    return sums if every else sums[0]
 
 
-def file_poly(board: FerrersBoard, k: int, family):
-    """Weighted k-file polynomial f_k(w; B).
+def file_poly(board: FerrersBoard, k: int, family, *, every: bool = False):
+    """Weighted k-file polynomial f_k(w; B); with ``every`` the list
+    [f_0, ..., f_k] from the same one sweep.
 
     Distinct-column placements; a file rook cancels only downward;
     uncancelled cell (i, j) weighs w(i - r, j), specialising to the
@@ -352,7 +343,8 @@ def file_poly(board: FerrersBoard, k: int, family):
     output monomials when symbolic), not proportional to the number of
     placements.
     """
-    return _weighted_sums(board, family, "file", k, k)[0]
+    sums = _weighted_sums(board, family, "file", 0 if every else k, k)
+    return sums if every else sums[0]
 
 
 def path_binom(n: int, k: int, family):
@@ -394,7 +386,7 @@ def rook_product_sides(board: FerrersBoard, z: int, ps) -> tuple:
         b_i = board.heights[i - 1]
         shift = i - 1 - b_i
         lhs *= bracket_z(ps.shift(2 * shift, shift), z + b_i - i + 1)
-    rook = placement_polys(board, n, family, "rook")
+    rook = rook_poly(board, n, family, every=True)
     rhs = 0.0 + 0.0j
     # falling = [z][z-1]...[z-k+1], the j-th bracket taken with
     # parameters (a q^(2(j-1)), b q^(j-1))
@@ -424,7 +416,7 @@ def file_product_sides(board: FerrersBoard, z: int, ps) -> tuple:
         b_i = board.heights[i - 1]
         lhs *= bracket_z(ps.shift(-2 * b_i, -b_i), z + b_i)
     base = bracket_z(ps, z)
-    files = placement_polys(board, n, family, "file")
+    files = file_poly(board, n, family, every=True)
     rhs = 0.0 + 0.0j
     for k in range(n + 1):
         f = files[n - k]

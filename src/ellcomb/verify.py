@@ -58,8 +58,9 @@ from .boards import (
     FerrersBoard,
     all_boards_within,
     board_from_word,
+    file_poly,
     file_product_sides,
-    placement_polys,
+    rook_poly,
     rook_product_sides,
 )
 from .skewpoly import (
@@ -949,7 +950,7 @@ def _expected_rook_form(word: str) -> NormalForm:
     board = board_from_word(word)
     m = word.count("x")
     n = word.count("y")
-    rook = placement_polys(board, min(m, n), _GENERIC, "rook")
+    rook = rook_poly(board, min(m, n), _GENERIC, every=True)
     return NormalForm({(m - k, n - k): r for k, r in enumerate(rook)})
 
 
@@ -957,7 +958,7 @@ def _expected_file_form(word: str) -> NormalForm:
     board = board_from_word(word)
     m = word.count("x")
     n = word.count("y")
-    files = placement_polys(board, m, _GENERIC, "file")
+    files = file_poly(board, m, _GENERIC, every=True)
     return NormalForm({(m - k, n): f for k, f in enumerate(files)})
 
 
@@ -977,7 +978,7 @@ def _normalorder(ctx: CheckContext, rs: RelationSystem, expected) -> None:
         "normal ordering in the weighted Weyl algebra equals the board "
         "enumeration of rook placements, symbolically exact",
         "exact-symbolic", {"exhaustive": 8, "random": 60, "max_len": 12}, 0.0,
-        ["ncword:normal_order"], ["boards:placement_polys"], "exhaustive")
+        ["ncword:normal_order"], ["boards:rook_poly"], "exhaustive")
 def _run_normalorder_rook(ctx: CheckContext) -> None:
     _normalorder(ctx, _WEYL, _expected_rook_form)
 
@@ -986,7 +987,7 @@ def _run_normalorder_rook(ctx: CheckContext) -> None:
         "normal ordering in the weighted file algebra equals the board "
         "enumeration of file placements, symbolically exact",
         "exact-symbolic", {"exhaustive": 8, "random": 60, "max_len": 12}, 0.0,
-        ["ncword:normal_order"], ["boards:placement_polys"], "exhaustive")
+        ["ncword:normal_order"], ["boards:file_poly"], "exhaustive")
 def _run_normalorder_file(ctx: CheckContext) -> None:
     _normalorder(ctx, _FILE, _expected_file_form)
 
@@ -996,7 +997,7 @@ def _run_normalorder_file(ctx: CheckContext) -> None:
         "expansion in falling brackets; the left side is conjugation-invariant",
         "numeric-sampled", {"draws": 6, "boards": 8, "zmax": 4}, 1e-7,
         ["boards:rook_product_sides:lhs"],
-        ["boards:placement_polys", "boards:rook_product_sides:rhs"], "zmax")
+        ["boards:rook_poly", "boards:rook_product_sides:rhs"], "zmax")
 def _draw_rook_product(ctx: CheckContext):
     ps = ctx.draw_ps()
     pairs = []
@@ -1014,7 +1015,7 @@ def _draw_rook_product(ctx: CheckContext):
         "file-number expansion in powers of the z-bracket",
         "numeric-sampled", {"draws": 6, "boards": 8, "zmax": 4}, 1e-7,
         ["boards:file_product_sides:lhs"],
-        ["boards:placement_polys", "boards:file_product_sides:rhs"], "zmax")
+        ["boards:file_poly", "boards:file_product_sides:rhs"], "zmax")
 def _draw_file_product(ctx: CheckContext):
     ps = ctx.draw_ps()
     pairs = []

@@ -15,7 +15,6 @@ from ellcomb.boards import (
     file_poly,
     file_product_sides,
     path_binom,
-    placement_polys,
     placements,
     rook_poly,
     rook_product_sides,
@@ -201,11 +200,11 @@ def test_sweep_matches_placement_oracle_elliptic():
                 assert abs(got - want) <= 1e-13 * mass, (board, kind, k)
 
 
-def test_placement_polys_match_single_k_sweeps():
-    # placement_polys runs the lo = 0 plan, rook_poly and file_poly the
-    # lo = hi = k plan; the symbolic sums agree exactly, and the numeric
-    # sums multiply the same cells and add the same moves in the same
-    # order, so they agree to the last bit.
+def test_every_k_sweep_matches_single_k_sweeps():
+    # every=True runs the lo = 0 plan, a single k the lo = hi = k plan;
+    # the symbolic sums agree exactly, and the numeric sums multiply the
+    # same cells and add the same moves in the same order, so they agree
+    # to the last bit.
     gen = GenericWeights()
     rng = random.Random(60)
     for board in boards_within(4):
@@ -218,16 +217,15 @@ def test_placement_polys_match_single_k_sweeps():
                 continue
             break
         for kind, poly in (("rook", rook_poly), ("file", file_poly)):
-            symbolic = placement_polys(board, board.n, gen, kind)
-            numeric = placement_polys(board, board.n, fam, kind)
+            symbolic = poly(board, board.n, gen, every=True)
+            numeric = poly(board, board.n, fam, every=True)
             assert len(symbolic) == len(numeric) == board.n + 1
             for k in range(board.n + 1):
                 assert symbolic[k] == poly(board, k, gen), (board, kind, k)
                 assert numeric[k] == poly(board, k, fam), (board, kind, k)
-    with pytest.raises(DomainError):
-        placement_polys(FerrersBoard((1,)), 1, gen, "queen")
-    with pytest.raises(DomainError):
-        placement_polys(FerrersBoard((1,)), -1, gen, "rook")
+    for poly in (rook_poly, file_poly):
+        with pytest.raises(DomainError):
+            poly(FerrersBoard((1,)), -1, gen, every=True)
 
 
 def test_product_sides_build_one_plan():
@@ -353,15 +351,24 @@ def test_product_sides_reject_overflowing_board():
         file_product_sides(FerrersBoard((2, 3)), 1, ps)
 
 
-@pytest.mark.parametrize("command", ["rook", "file"])
-def test_cli_large_elliptic_board_bounded_time(capsys, command):
-    # 117,600 rook and 286,720 file placements: the bound fails if the
-    # polynomials are computed by enumerating them.
+_ELLIPTIC = ["--family", "elliptic", "--a", "1.1,0.2", "--b", "0.4",
+             "--q", "0.5,0.1", "--p", "0.2"]
+
+
+# 117,600 rook and 286,720 file placements: the bound fails if the
+# polynomials are computed by enumerating them.  The generic case is
+# the largest symbolic board the command line admits: about 5 s and
+# 140 MB on a 2-core x86 host, against 17 s and 750 MB when the
+# polynomial's JSON form was built alongside the printed text.
+@pytest.mark.parametrize("command, family, bound", [
+    pytest.param("rook", _ELLIPTIC, 5.0, id="rook"),
+    pytest.param("file", _ELLIPTIC, 5.0, id="file"),
+    pytest.param("rook", ["--family", "generic"], 30.0, id="rook-generic"),
+])
+def test_cli_large_elliptic_board_bounded_time(capsys, command, family, bound):
     start = time.perf_counter()
-    code = cli.main([command, "--board", "8,8,8,8,8,8,8,8", "--k", "4",
-                     "--family", "elliptic", "--a", "1.1,0.2", "--b", "0.4",
-                     "--q", "0.5,0.1", "--p", "0.2"])
+    code = cli.main([command, "--board", "8,8,8,8,8,8,8,8", "--k", "4", *family])
     elapsed = time.perf_counter() - start
     assert code == 0
     assert capsys.readouterr().out.strip()
-    assert elapsed < 5.0
+    assert elapsed < bound
