@@ -81,8 +81,22 @@ from .verify import (
     run_all,
     run_check,
 )
+from . import boards, ncword, special_fn
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every module-level memo table, so the next call runs cold.
+
+    Each is a bounded ``functools.lru_cache``; its ``cache_info()`` counts
+    hits, misses and size.
+    """
+    for cache in (special_fn._theta_series, special_fn._elliptic_small,
+                  special_fn._elliptic_big, ncword._swept, ncword._y_x_power,
+                  ncword._y_power_x, ncword._power_sum, boards._sweep_plan):
+        cache.cache_clear()
+
 
 __all__ = [
     "AQWeights", "AQ_RULE", "BQWeights", "CheckReport", "DomainError",
@@ -93,7 +107,7 @@ __all__ = [
     "SkewPoly", "TableWeights", "VerifyError", "WeightFamily",
     "WeightPolynomial", "WordParseError", "all_boards_within", "apply_D",
     "apply_eta", "apply_eta_aq", "board_from_word", "bracket_z",
-    "complex_to_pair", "dual_word",
+    "clear_caches", "complex_to_pair", "dual_word",
     "expand_power_sum", "f_relation_sides", "family_from_spec",
     "fib_aq", "fib_aq_closed", "fib_elliptic", "file_poly",
     "file_product_sides", "genfun_expand", "list_identities", "multiply",

@@ -103,10 +103,26 @@ def _emit(args, text, doc) -> None:
         print(text())
 
 
+def _write_json_list(entries) -> None:
+    """Print the bytes of json.dumps(list(entries), sort_keys=True) one
+    entry at a time, so a large document is never held whole."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    write = sys.stdout.write
+    write("[")
+    for index, entry in enumerate(entries):
+        if index:
+            write(", ")
+        write(encode(entry))
+    write("]\n")
+
+
 def _emit_value(args, value) -> None:
     """Emit a symbolic WeightPolynomial or a number."""
     if isinstance(value, WeightPolynomial):
-        _emit(args, lambda: str(value), value.to_json)
+        if getattr(args, "json", False):
+            _write_json_list(value.json_entries())
+        else:
+            print(value)
     else:
         _emit(args, lambda: _fmt_number(value),
               lambda: {"value": complex_to_pair(complex(value))})

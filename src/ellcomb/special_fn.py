@@ -32,12 +32,15 @@ at (a, b, p) = (0, 0, 0), each evaluating the ``EllipticWeights`` formulas;
 only the a;q family, the b -> 0 limit at fixed a, has formulas of its own.
 Every theta ratio is formed by ``theta_quotient``.
 
-Two values outlive a call, each in a bounded module-level
+Three values outlive a call, each in a bounded module-level
 ``functools.lru_cache`` whose ``cache_info()`` counts hits, misses and
-size: the theta series for p != 0 (``_theta_series``, keyed on (x, p)) and
-the elliptic small weight (``_elliptic_small``, keyed on (ps, s, t)).
-Nothing else is memoised across calls; ``WeightFamily.binom`` builds its
-triangle afresh each time.
+size: the theta series for p != 0 (``_theta_series``, keyed on (x, p)),
+the elliptic small weight (``_elliptic_small``, keyed on (ps, s, t)) and
+the elliptic big weight for t >= 1 (``_elliptic_big``, keyed on
+(ps, s, t)), whose closed form is checked against the column product
+once, when it is first computed.  A call that raises is not cached, so
+it raises again.  Nothing else is memoised across calls;
+``WeightFamily.binom`` builds its triangle afresh each time.
 """
 
 from __future__ import annotations
@@ -180,11 +183,11 @@ def _theta_series(x: complex, p: complex) -> complex:
     inv_x = 1.0 / x
     for _ in range(_MAX_FACTORS):
         t1 = pj * x
-        t2 = pj * p * inv_x
+        pj = pj * p
+        t2 = pj * inv_x
         if abs(t1) < _FACTOR_EPS and abs(t2) < _FACTOR_EPS:
             break
         result *= (1.0 - t1) * (1.0 - t2)
-        pj *= p
     return require_finite(result, "theta value")
 
 
@@ -383,6 +386,26 @@ def _elliptic_small(ps: ParameterSet, s: int, t: int) -> complex:
          _ratio(a * qpow(q, t - s + 1), b)], ps.p) * q
 
 
+@lru_cache(maxsize=4096)
+def _elliptic_big(ps: ParameterSet, s: int, t: int) -> complex:
+    # closed theta form for t >= 1, checked once against the column product
+    a, b, q = ps.a, ps.b, ps.q
+    closed = theta_quotient(
+        [a * qpow(q, s + 2 * t), b * qpow(q, 2 * s), b * qpow(q, 2 * s - 1),
+         _ratio(a * qpow(q, 1 - s), b), _ratio(a * qpow(q, -s), b)],
+        [a * qpow(q, s), b * qpow(q, 2 * s + t), b * qpow(q, 2 * s + t - 1),
+         _ratio(a * qpow(q, t - s + 1), b), _ratio(a * qpow(q, t - s), b)],
+        ps.p) * qpow(q, t)
+    product = 1.0 + 0.0j
+    for k in range(1, t + 1):
+        product *= _elliptic_small(ps, s, k)
+    scale = max(abs(closed), abs(product), 1e-30)
+    if abs(closed - product) / scale > _BIG_CONSISTENCY_TOL:
+        raise EvaluationError(
+            f"big weight mismatch at ({s}, {t}): closed {closed!r} vs product {product!r}")
+    return closed
+
+
 class EllipticWeights(WeightFamily):
     """The four-parameter theta weight family.
 
@@ -403,24 +426,13 @@ class EllipticWeights(WeightFamily):
         return _elliptic_small(self.ps, s, t)
 
     def big(self, s: int, t: int) -> complex:
-        """Closed theta form, cross-checked against the column product."""
+        """Closed theta form, cross-checked against the column product the
+        first time each (ps, s, t) is evaluated."""
         if t < 0:
             raise DomainError("big weight needs t >= 0")
         if t == 0:
             return 1.0 + 0.0j
-        a, b, q = self.ps.a, self.ps.b, self.ps.q
-        closed = theta_quotient(
-            [a * qpow(q, s + 2 * t), b * qpow(q, 2 * s), b * qpow(q, 2 * s - 1),
-             _ratio(a * qpow(q, 1 - s), b), _ratio(a * qpow(q, -s), b)],
-            [a * qpow(q, s), b * qpow(q, 2 * s + t), b * qpow(q, 2 * s + t - 1),
-             _ratio(a * qpow(q, t - s + 1), b), _ratio(a * qpow(q, t - s), b)],
-            self.ps.p) * qpow(q, t)
-        product = super().big(s, t)
-        scale = max(abs(closed), abs(product), 1e-30)
-        if abs(closed - product) / scale > _BIG_CONSISTENCY_TOL:
-            raise EvaluationError(
-                f"big weight mismatch at ({s}, {t}): closed {closed!r} vs product {product!r}")
-        return closed
+        return _elliptic_big(self.ps, s, t)
 
     def binom(self, n: int, k: int) -> complex:
         if n < 0:

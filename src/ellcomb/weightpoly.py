@@ -184,11 +184,13 @@ class WeightPolynomial:
             parts.append("*".join(factors))
         return " + ".join(parts)
 
+    def json_entries(self):
+        """The entries of ``to_json``, one at a time, in the same order."""
+        for m, c in self.monomials():
+            yield {"monomial": [[f"{s},{t}", e] for (s, t), e in m], "c": c}
+
     def to_json(self) -> list:
-        return [
-            {"monomial": [[f"{s},{t}", e] for (s, t), e in m], "c": c}
-            for m, c in self.monomials()
-        ]
+        return list(self.json_entries())
 
     @classmethod
     def from_json(cls, data) -> "WeightPolynomial":

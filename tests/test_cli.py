@@ -5,8 +5,9 @@ import json
 import pytest
 
 import ellcomb.cli as cli
+from ellcomb.boards import FerrersBoard, file_poly, rook_poly
 from ellcomb.ncword import NormalForm
-from ellcomb.special_fn import ParameterSet, pair_to_complex, theta
+from ellcomb.special_fn import GenericWeights, ParameterSet, pair_to_complex, theta
 from ellcomb.verify import CheckReport, list_identities
 from ellcomb.weightpoly import WeightPolynomial
 
@@ -126,6 +127,26 @@ def test_cli_builds_only_the_printed_form(capsys, monkeypatch):
         for argv in commands:
             code, out, _ = run_cli(capsys, *argv, "--json")
             assert code == 0 and json.loads(out)
+
+
+def test_symbolic_json_is_streamed_with_the_bytes_of_one_dump(capsys):
+    # a polynomial under --json is written entry by entry; the bytes are
+    # those of json.dumps over the whole to_json document
+    generic = GenericWeights()
+    cases = [
+        (("rook", "--board", "1,2,3,3", "--k", "2"),
+         rook_poly(FerrersBoard.from_text("1,2,3,3"), 2, generic)),
+        (("file", "--board", "1,2,2", "--k", "2"),
+         file_poly(FerrersBoard.from_text("1,2,2"), 2, generic)),
+        (("rook", "--board", "1", "--k", "2"),
+         rook_poly(FerrersBoard.from_text("1"), 2, generic)),
+        (("binom", "--family", "generic", "--n", "4", "--k", "2"), generic.binom(4, 2)),
+    ]
+    for argv, value in cases:
+        assert cli.main([*argv, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(value.to_json(), sort_keys=True) + "\n", argv
+    assert cases[2][1].is_zero()
 
 
 def test_board_cap_enforced(capsys):

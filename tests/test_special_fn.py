@@ -1,16 +1,20 @@
 """Theta products, shifted factorials, and the weight families."""
 
 import cmath
+import math
 import random
+import sys
 
 import pytest
 
 from ellcomb import special_fn
+from ellcomb.boards import path_binom
 from ellcomb.special_fn import (
     AQWeights,
     BQWeights,
     DomainError,
     EllipticWeights,
+    EvaluationError,
     GenericWeights,
     NearPoleError,
     ParameterSet,
@@ -91,6 +95,40 @@ def test_theta_cache_is_bounded():
     # the first value was evicted and is computed again, bit for bit
     assert theta(0.5, 0.01) == first
     assert series.cache_info().misses == info.misses + 1
+
+
+def _theta_product_loop(x, p):
+    # the series loop as it stood before p^(j+1) was formed once per
+    # factor, copied literally: the current loop must match it bit for bit
+    result = 1.0 + 0.0j
+    pj = 1.0 + 0.0j
+    inv_x = 1.0 / x
+    for _ in range(special_fn._MAX_FACTORS):
+        t1 = pj * x
+        t2 = pj * p * inv_x
+        if abs(t1) < special_fn._FACTOR_EPS and abs(t2) < special_fn._FACTOR_EPS:
+            break
+        result *= (1.0 - t1) * (1.0 - t2)
+        pj *= p
+    return result
+
+
+def test_theta_series_is_bit_identical_to_the_product_loop():
+    compared = 0
+    for x_exp in range(-8, 8):
+        for p_mod in (0.05, 0.3, 0.6, 0.9):
+            for x_phase in (0.0, 0.7, 2.0, -2.9):
+                for p_phase in (0.0, 1.1, -2.4):
+                    x = 1.37 * 10.0 ** x_exp * cmath.exp(1j * x_phase)
+                    p = p_mod * cmath.exp(1j * p_phase)
+                    expected = _theta_product_loop(x, p)
+                    if math.isfinite(expected.real) and math.isfinite(expected.imag):
+                        assert theta(x, p) == expected, (x, p)
+                        compared += 1
+                    else:
+                        with pytest.raises(EvaluationError):
+                            theta(x, p)
+    assert compared > 600
 
 
 def test_theta_inversion():
@@ -263,6 +301,56 @@ def test_big_weight_shift_law():
         lhs = fam.big(s, k + n)
         rhs = fam.big(s, k) * EllipticWeights(ps.shift(2 * k, k)).big(s, n)
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
+
+
+def test_big_weight_closed_form_is_evaluated_once_per_cell(monkeypatch):
+    # the full triangle n <= 8 asks for W(s, t) at every lattice cell;
+    # there are 28 distinct cells with s, t >= 1, s + t <= 8
+    fam = EllipticWeights(ParameterSet(0.83 + 0.21j, 0.47 - 0.36j, 0.62 + 0.18j, 0.11 - 0.07j))
+    closed_forms = 0
+    quotient = special_fn.theta_quotient
+
+    def counting(nums, dens, p):
+        nonlocal closed_forms
+        if sys._getframe(1).f_code.co_name in ("big", "_elliptic_big"):
+            closed_forms += 1
+        return quotient(nums, dens, p)
+
+    special_fn._elliptic_big.cache_clear()
+    monkeypatch.setattr(special_fn, "theta_quotient", counting)
+    for n in range(9):
+        for k in range(n + 1):
+            path_binom(n, k, fam)
+    assert 0 < closed_forms <= 28
+
+
+def test_big_weight_mismatch_still_raises(monkeypatch):
+    # the column product is taken over _elliptic_small, so a wrong small
+    # weight must fail the cross-check; a call that raises is not cached
+    ps = ParameterSet(0.71 - 0.12j, 0.38 + 0.44j, 0.55 - 0.27j, 0.09 + 0.13j)
+    fam = EllipticWeights(ps)
+    small = special_fn._elliptic_small
+    special_fn._elliptic_big.cache_clear()
+    monkeypatch.setattr(special_fn, "_elliptic_small",
+                        lambda ps, s, t: small(ps, s, t) * (1.0 + 1e-6))
+    for _ in range(2):
+        with pytest.raises(EvaluationError, match="big weight mismatch"):
+            fam.big(2, 3)
+    assert special_fn._elliptic_big.cache_info().currsize == 0
+
+
+def test_memoised_big_weight_equals_a_fresh_evaluation():
+    rng = random.Random(25)
+    fresh = special_fn._elliptic_big.__wrapped__
+    for _ in range(20):
+        ps = draw_ps(rng)
+        fam = EllipticWeights(ps)
+        s = rng.randint(1, 5)
+        t = rng.randint(1, 5)
+        first = fam.big(s, t)
+        hits = special_fn._elliptic_big.cache_info().hits
+        assert fam.big(s, t) == first == fresh(ps, s, t)
+        assert special_fn._elliptic_big.cache_info().hits == hits + 1
 
 
 def test_small_weight_p_shift_invariance():

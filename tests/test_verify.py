@@ -2,9 +2,11 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 
+import ellcomb
 from ellcomb.special_fn import EvaluationError, NearPoleError
 from ellcomb.verify import (
     CheckContext,
@@ -241,3 +243,39 @@ def test_seed_zero_reports_are_pinned(check_id):
     assert doc.pop("max_rel_err") == pytest.approx(
         expected.pop("max_rel_err"), rel=1e-9)
     assert doc == expected
+
+
+def _module_caches():
+    return {f"{name}.{attr}": value
+            for name, module in sorted(sys.modules.items())
+            if name == "ellcomb" or name.startswith("ellcomb.")
+            for attr, value in vars(module).items()
+            if hasattr(value, "cache_info")}
+
+
+COLD_CHECKS = ("binom-recursion-closed", "normalorder-rook", "pincherle")
+
+
+def test_clear_caches_empties_every_module_cache():
+    # found by scanning the modules, so a cache added later without a
+    # line in clear_caches fails here
+    for check_id in COLD_CHECKS:
+        run_check(check_id, seed=3)
+    ellcomb.expand_power_sum(4, ellcomb.RelationSystem.ROOK_WEYL)
+    caches = _module_caches()
+    assert sum(c.cache_info().currsize > 0 for c in caches.values()) >= 8, sorted(caches)
+    ellcomb.clear_caches()
+    filled = {name: c.cache_info().currsize for name, c in caches.items()
+              if c.cache_info().currsize}
+    assert not filled, filled
+
+
+@pytest.mark.parametrize("check_id", COLD_CHECKS)
+def test_cold_run_after_clear_caches_matches_a_warm_rerun(check_id):
+    run_check(check_id, seed=4)
+    warm = run_check(check_id, seed=4).to_json()
+    ellcomb.clear_caches()
+    cold = run_check(check_id, seed=4).to_json()
+    warm.pop("elapsed_ms")
+    cold.pop("elapsed_ms")
+    assert cold == warm
