@@ -37,10 +37,13 @@ The sweep's geometry (states, cell rows and moves) is cached per
 enumerates placements directly and is the reference the sweep is
 tested against.
 
-Under the four-parameter theta weights the cell weight specialises to
-the single-index w(s - t): rook cells weigh w(i - j - r) and file cells
-w(1 - j), and the polynomials enter two product formulas for shifted
-z-brackets, implemented here with both sides computed independently.
+Every family weighs a cell by its small weight w(s, t), so under the
+theta weight the polynomials are the normal-ordering coefficients.  The
+two product formulas for shifted z-brackets (Schlosser and Yoo) weigh a
+cell by the single-index theta weight w(1, m) instead, with m = s - t
+for rook cells and m = 1 - t for file cells; the product sides name
+those cells as the family ``SingleIndexCells`` and compute both sides
+independently.
 """
 
 from __future__ import annotations
@@ -49,13 +52,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .special_fn import DomainError, EllipticWeights, GenericWeights, bracket_z
+from .special_fn import DomainError, EllipticWeights, WeightFamily, bracket_z
 from .weightpoly import WeightPolynomial, _merge_monomials
 
 __all__ = [
     "FerrersBoard", "Placement", "board_from_word", "word_from_board",
     "placements", "rook_poly", "file_poly", "path_binom",
-    "rook_product_sides", "file_product_sides", "all_boards_within",
+    "rook_product_sides", "file_product_sides", "SingleIndexCells",
+    "all_boards_within",
 ]
 
 
@@ -256,12 +260,6 @@ def _sweep_plan(heights: tuple, kind: str, lo: int, hi: int) -> tuple:
     return tuple(columns), tuple(cells)
 
 
-def _cell_weight(family, kind: str, s: int, t: int):
-    if isinstance(family, EllipticWeights):
-        return family.single(1 - t) if kind == "file" else family.single(s - t)
-    return family.small(s, t)
-
-
 def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> list:
     """[p_lo, ..., p_hi], the weighted sums over placements of each size,
     from one sweep."""
@@ -296,7 +294,7 @@ def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> 
             for m, c in part.items():
                 terms[m] = terms.get(m, 0) + c
         return [WeightPolynomial(terms) for terms in sums]
-    weight = {(s, t): _cell_weight(family, kind, s, t) for s, t in cells}
+    weight = {cell: family.small(*cell) for cell in cells}
     acc = {(): 1.0 + 0.0j}
     for rows in columns:
         nxt = {}
@@ -319,13 +317,12 @@ def rook_poly(board: FerrersBoard, k: int, family, *, every: bool = False):
     [r_0, ..., r_k] from the same one sweep.
 
     Nonattacking placements; a rook cancels rightward in its row and
-    downward in its column; uncancelled cell (i, j) weighs w(i - r, j),
-    with the single-index specialisation w(i - j - r) for the
-    four-parameter theta family.  Computed by the column sweep over the
-    sets of used rows, so the cost is polynomial in the board size for
-    fixed k (times the number of output monomials when symbolic), not
-    proportional to the number of placements.  The product formula and
-    the normal-ordering coefficients need every r_j, hence ``every``.
+    downward in its column; uncancelled cell (i, j) weighs w(i - r, j).
+    Computed by the column sweep over the sets of used rows, so the cost
+    is polynomial in the board size for fixed k (times the number of
+    output monomials when symbolic), not proportional to the number of
+    placements.  The product formula and the normal-ordering
+    coefficients need every r_j, hence ``every``.
     """
     sums = _weighted_sums(board, family, "rook", 0 if every else k, k)
     return sums if every else sums[0]
@@ -336,12 +333,10 @@ def file_poly(board: FerrersBoard, k: int, family, *, every: bool = False):
     [f_0, ..., f_k] from the same one sweep.
 
     Distinct-column placements; a file rook cancels only downward;
-    uncancelled cell (i, j) weighs w(i - r, j), specialising to the
-    row-only w(1 - j) for the four-parameter theta family.  Computed by
-    the column sweep over the multisets of rook rows, so the cost is
-    polynomial in the board size for fixed k (times the number of
-    output monomials when symbolic), not proportional to the number of
-    placements.
+    uncancelled cell (i, j) weighs w(i - r, j).  Computed by the column
+    sweep over the multisets of rook rows, so the cost is polynomial in
+    the board size for fixed k (times the number of output monomials
+    when symbolic), not proportional to the number of placements.
     """
     sums = _weighted_sums(board, family, "file", 0 if every else k, k)
     return sums if every else sums[0]
@@ -371,6 +366,19 @@ def path_binom(n: int, k: int, family):
     return prev[rows]
 
 
+class SingleIndexCells(WeightFamily):
+    """The cells of the product formulas: under the theta weight w of
+    ``ps`` a rook cell (s, t) weighs w(1, s - t) and a file cell
+    w(1, 1 - t)."""
+
+    def __init__(self, ps, kind: str):
+        self.theta = EllipticWeights(ps)
+        self.kind = kind
+
+    def small(self, s: int, t: int) -> complex:
+        return self.theta.small(1, 1 - t if self.kind == "file" else s - t)
+
+
 def rook_product_sides(board: FerrersBoard, z: int, ps) -> tuple:
     """Both sides of the rook product formula on B embedded in n x n.
 
@@ -380,7 +388,7 @@ def rook_product_sides(board: FerrersBoard, z: int, ps) -> tuple:
     n = board.n
     if board.heights and board.heights[-1] > n:
         raise DomainError(f"board must fit the {n} x {n} square")
-    family = EllipticWeights(ps)
+    family = SingleIndexCells(ps, "rook")
     lhs = 1.0 + 0.0j
     for i in range(1, n + 1):
         b_i = board.heights[i - 1]
@@ -410,7 +418,7 @@ def file_product_sides(board: FerrersBoard, z: int, ps) -> tuple:
     n = board.n
     if board.heights and board.heights[-1] > n:
         raise DomainError(f"board must fit the {n} x {n} square")
-    family = EllipticWeights(ps)
+    family = SingleIndexCells(ps, "file")
     lhs = 1.0 + 0.0j
     for i in range(1, n + 1):
         b_i = board.heights[i - 1]

@@ -277,9 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rook = sub.add_parser(
         "rook", help="weighted rook polynomial of a board",
-        description="Weighted k-rook polynomial of a Ferrers board.  With "
-                    "--family elliptic a cell weighs the single-index theta "
-                    "weight w(s - t), not the two-index small weight w(s, t).")
+        description="Weighted k-rook polynomial of a Ferrers board.")
     p_rook.add_argument("--board", required=True)
     p_rook.add_argument("--k", type=int, required=True)
     _add_family_flags(p_rook, default="generic")
@@ -288,9 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_file = sub.add_parser(
         "file", help="weighted file polynomial of a board",
-        description="Weighted k-file polynomial of a Ferrers board.  With "
-                    "--family elliptic a cell weighs the single-index theta "
-                    "weight w(1 - t), not the two-index small weight w(s, t).")
+        description="Weighted k-file polynomial of a Ferrers board.")
     p_file.add_argument("--board", required=True)
     p_file.add_argument("--k", type=int, required=True)
     _add_family_flags(p_file, default="generic")

@@ -27,20 +27,21 @@ The elliptic family carries the four-parameter theta weight
 Setting p = 0, then a = 0, then b = 0 (in this order) degenerates it
 through the one-parameter families down to the constant weight q.  At
 p = 0 each elliptic formula is the same theta form with theta(x; 0) = 1 - x,
-so ``BQWeights`` is the theta weight at (a, p) = (0, 0) and ``QWeights``
-at (a, b, p) = (0, 0, 0), each evaluating the ``EllipticWeights`` formulas;
-only the a;q family, the b -> 0 limit at fixed a, has formulas of its own.
-Every theta ratio is formed by ``theta_quotient``.
+so ``BQWeights`` is the ``EllipticWeights`` at (a, b, q, p) = (0, b, q, 0)
+and ``QWeights`` at (0, 0, q, 0).  The a;q family is the dual
+w*(s, t) = 1 / w(t, s) of the b;q weight at b = a: its small weight is
+that theta quotient with numerator and denominator exchanged, and only
+its closed binomial is written out.  Every theta ratio is formed by
+``theta_quotient``.
 
 Three values outlive a call, each in a bounded module-level
 ``functools.lru_cache`` whose ``cache_info()`` counts hits, misses and
 size: the theta series for p != 0 (``_theta_series``, keyed on (x, p)),
 the elliptic small weight (``_elliptic_small``, keyed on (ps, s, t)) and
-the elliptic big weight for t >= 1 (``_elliptic_big``, keyed on
-(ps, s, t)), whose closed form is checked against the column product
-once, when it is first computed.  A call that raises is not cached, so
-it raises again.  Nothing else is memoised across calls;
-``WeightFamily.binom`` builds its triangle afresh each time.
+the closed elliptic big weight for t >= 1 (``_elliptic_big``, keyed on
+(ps, s, t)).  A call that raises is not cached, so it raises again.
+Nothing else is memoised across calls; ``WeightFamily.binom`` builds its
+triangle afresh each time.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ NEAR_POLE_TOL = 1e-12
 # this; the remaining factors differ from 1 by less than double noise.
 _FACTOR_EPS = 1e-17
 _MAX_FACTORS = 300
-
-_BIG_CONSISTENCY_TOL = 1e-10
 
 
 class DomainError(ValueError):
@@ -273,14 +272,6 @@ def q_bracket(z, q) -> complex:
     return (1.0 - qpow(q, z)) / (1.0 - q)
 
 
-def q_falling_bracket(z, q, m: int) -> complex:
-    """Falling product [z]_q [z-1]_q ... [z-m+1]_q."""
-    result = 1.0 + 0.0j
-    for j in range(m):
-        result *= q_bracket(z - j, q)
-    return result
-
-
 def _ratio(x: complex, d: complex) -> complex:
     # x / d for x = a q^k, d = b q^l.  Degenerate convention: a -> 0 is
     # taken before b -> 0, so a/b -> 0.
@@ -376,34 +367,31 @@ class GenericWeights(WeightFamily):
         return WeightPolynomial.one()
 
 
+def _small_thetas(ps: ParameterSet, s: int, t: int) -> tuple:
+    # theta arguments (numerators, denominators) of w(s, t) / q
+    a, b, q = ps.a, ps.b, ps.q
+    return ([a * qpow(q, s + 2 * t), b * qpow(q, 2 * s + t - 2),
+             _ratio(a * qpow(q, t - s - 1), b)],
+            [a * qpow(q, s + 2 * t - 2), b * qpow(q, 2 * s + t),
+             _ratio(a * qpow(q, t - s + 1), b)])
+
+
 @lru_cache(maxsize=4096)
 def _elliptic_small(ps: ParameterSet, s: int, t: int) -> complex:
-    a, b, q = ps.a, ps.b, ps.q
-    return theta_quotient(
-        [a * qpow(q, s + 2 * t), b * qpow(q, 2 * s + t - 2),
-         _ratio(a * qpow(q, t - s - 1), b)],
-        [a * qpow(q, s + 2 * t - 2), b * qpow(q, 2 * s + t),
-         _ratio(a * qpow(q, t - s + 1), b)], ps.p) * q
+    nums, dens = _small_thetas(ps, s, t)
+    return theta_quotient(nums, dens, ps.p) * ps.q
 
 
 @lru_cache(maxsize=4096)
 def _elliptic_big(ps: ParameterSet, s: int, t: int) -> complex:
-    # closed theta form for t >= 1, checked once against the column product
+    # closed theta form of prod_{k=1}^{t} w(s, k) for t >= 1
     a, b, q = ps.a, ps.b, ps.q
-    closed = theta_quotient(
+    return theta_quotient(
         [a * qpow(q, s + 2 * t), b * qpow(q, 2 * s), b * qpow(q, 2 * s - 1),
          _ratio(a * qpow(q, 1 - s), b), _ratio(a * qpow(q, -s), b)],
         [a * qpow(q, s), b * qpow(q, 2 * s + t), b * qpow(q, 2 * s + t - 1),
          _ratio(a * qpow(q, t - s + 1), b), _ratio(a * qpow(q, t - s), b)],
         ps.p) * qpow(q, t)
-    product = 1.0 + 0.0j
-    for k in range(1, t + 1):
-        product *= _elliptic_small(ps, s, k)
-    scale = max(abs(closed), abs(product), 1e-30)
-    if abs(closed - product) / scale > _BIG_CONSISTENCY_TOL:
-        raise EvaluationError(
-            f"big weight mismatch at ({s}, {t}): closed {closed!r} vs product {product!r}")
-    return closed
 
 
 class EllipticWeights(WeightFamily):
@@ -426,8 +414,7 @@ class EllipticWeights(WeightFamily):
         return _elliptic_small(self.ps, s, t)
 
     def big(self, s: int, t: int) -> complex:
-        """Closed theta form, cross-checked against the column product the
-        first time each (ps, s, t) is evaluated."""
+        """Closed theta form of the column product."""
         if t < 0:
             raise DomainError("big weight needs t >= 0")
         if t == 0:
@@ -449,35 +436,15 @@ class EllipticWeights(WeightFamily):
                               [y * qj for qj in powers for y in den_bases],
                               self.ps.p)
 
-    def single(self, m: int) -> complex:
-        """Single-index weight w(m) = w(1, m), the rook specialisation
-        w(s, t) = w(s - t).  At p = 0 with a = b = 0 it is the constant q."""
-        return self.small(1, m)
-
     def dual(self) -> "EllipticWeights":
+        """w*(s, t) = 1 / w(t, s), the theta weight with a and b exchanged
+        (for a, b nonzero)."""
         return EllipticWeights(self.ps.swapped())
 
 
-class _ThetaWeightCase(WeightFamily):
-    """A family that is the theta weight at zero parameters: ``small``,
-    ``big`` and ``binom`` are those of the ``EllipticWeights`` it holds."""
-
-    def __init__(self, ps: ParameterSet):
-        self._elliptic = EllipticWeights(ps)
-
-    def small(self, s: int, t: int) -> complex:
-        return self._elliptic.small(s, t)
-
-    def big(self, s: int, t: int) -> complex:
-        return self._elliptic.big(s, t)
-
-    def binom(self, n: int, k: int) -> complex:
-        return self._elliptic.binom(n, k)
-
-
-class BQWeights(_ThetaWeightCase):
+class BQWeights(EllipticWeights):
     """One-parameter family w(s, t) = (1 - b q^(2s+t-2)) / (1 - b q^(2s+t)) q:
-    the theta weight at (a, p) = (0, 0)."""
+    the theta weight at (a, b, q, p) = (0, b, q, 0)."""
 
     def __init__(self, b, q):
         self.b = complex(b)
@@ -491,25 +458,20 @@ class BQWeights(_ThetaWeightCase):
 
 
 class AQWeights(WeightFamily):
-    """One-parameter family w(s, t) = (1 - a q^(s+2t)) / (1 - a q^(s+2t-2)) / q."""
+    """One-parameter family w(s, t) = (1 - a q^(s+2t)) / (1 - a q^(s+2t-2)) / q:
+    the dual 1 / w(t, s) of the b;q weight at b = a.  Big weights are the
+    inherited column product."""
 
     def __init__(self, a, q):
         self.a = complex(a)
         self.q = complex(q)
         if self.q == 0:
             raise DomainError("aq weights need q != 0")
+        self._dual_ps = ParameterSet(0.0, self.a, self.q, 0.0)
 
     def small(self, s: int, t: int) -> complex:
-        a, q = self.a, self.q
-        den = guarded(1.0 - a * qpow(q, s + 2 * t - 2), 0, "aq weight denominator")
-        return (1.0 - a * qpow(q, s + 2 * t)) / den * qpow(q, -1)
-
-    def big(self, s: int, t: int) -> complex:
-        if t < 0:
-            raise DomainError("big weight needs t >= 0")
-        a, q = self.a, self.q
-        den = guarded(1.0 - a * qpow(q, s), 0, "aq big denominator")
-        return (1.0 - a * qpow(q, s + 2 * t)) / den * qpow(q, -t)
+        nums, dens = _small_thetas(self._dual_ps, t, s)
+        return theta_quotient(dens, nums, 0.0) * qpow(self.q, -1)
 
     def binom(self, n: int, k: int) -> complex:
         if n < 0:
@@ -529,15 +491,18 @@ class AQWeights(WeightFamily):
         return BQWeights(self.a, self.q)
 
 
-class QWeights(_ThetaWeightCase):
+class QWeights(EllipticWeights):
     """Constant family w(s, t) = q, the classical q-specialisation: the
-    theta weight at (a, b, p) = (0, 0, 0)."""
+    theta weight at (a, b, q, p) = (0, 0, q, 0)."""
 
     def __init__(self, q):
         self.q = complex(q)
         if self.q == 0:
             raise DomainError("q weights need q != 0")
         super().__init__(ParameterSet(0.0, 0.0, self.q, 0.0))
+
+    def dual(self) -> "QWeights":
+        return QWeights(1 / self.q)
 
 
 class TableWeights(WeightFamily):
@@ -570,19 +535,12 @@ def bracket_z(ps: ParameterSet, z) -> complex:
                           [q, a * q, b * q * qz, _ratio(a * qz, q * b)], ps.p)
 
 
-def exp_coeff_q(q, n: int) -> complex:
-    """Taylor coefficient 1 / (q; q)_n of the q-exponential e_q."""
-    den = 1.0 + 0.0j
-    for j in range(n):
-        den *= guarded(1.0 - qpow(q, 1 + j), j, "exp coefficient factor")
-    return 1.0 / den
-
-
 def exp_coeff_bq(b, q, n: int) -> complex:
     """Taylor coefficient 1 / ((q; q)_n (bq; q)_n) of e_{b;q} and F_{b;q}.
 
     The a-parameter twin e_{a;q} has the same coefficient shape, so this
-    helper serves both, fed a in place of b.
+    helper serves both, fed a in place of b; at b = 0 it is 1 / (q; q)_n,
+    the coefficient of the q-exponential e_q.
     """
     b = complex(b)
     den = 1.0 + 0.0j

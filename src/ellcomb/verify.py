@@ -46,7 +46,6 @@ from .special_fn import (
     QWeights,
     bracket_z,
     exp_coeff_bq,
-    exp_coeff_q,
     q_binomial,
     qp_factorial,
     qpow,
@@ -789,7 +788,7 @@ def _draw_aq_cauchy(ctx: CheckContext):
         "q-exponential addition rule on the q-commuting plane",
         "numeric-sampled", {"draws": 15, "degree": 8}, 1e-9,
         ["verify:_qfac_ref"],
-        ["special_fn:exp_coeff_q", "ncword:expand_power_sum"], "degree")
+        ["special_fn:exp_coeff_bq", "ncword:expand_power_sum"], "degree")
 def _draw_qexp_cauchy(ctx: CheckContext):
     q = ctx.draw_q()
     fam = QWeights(q)
@@ -800,7 +799,7 @@ def _draw_qexp_cauchy(ctx: CheckContext):
             m = total - k
             lhs = 1.0 / (_qfac_ref_guarded(q, q, k)
                          * _qfac_ref_guarded(q, q, m))
-            rhs = exp_coeff_q(q, total) * values[(k, m)]
+            rhs = exp_coeff_bq(0, q, total) * values[(k, m)]
             pairs.append((lhs, rhs))
     return (q,), pairs
 
@@ -809,7 +808,7 @@ def _draw_qexp_cauchy(ctx: CheckContext):
         "reversing two q-exponentials inserts the exponential of -xy",
         "numeric-sampled", {"draws": 10, "degree": 8}, 1e-9,
         ["verify:_qfac_ref"],
-        ["special_fn:exp_coeff_q", "ncword:normal_order"], "degree")
+        ["special_fn:exp_coeff_bq", "ncword:normal_order"], "degree")
 def _draw_qexp_braiding(ctx: CheckContext):
     degree = ctx.size("degree")
     # the compared coefficient carries q^(K M) while the alternating
@@ -835,9 +834,9 @@ def _draw_qexp_braiding(ctx: CheckContext):
             rhs = 0.0 + 0.0j
             spread = 0.0
             for j in range(0, min(big_k, big_m) + 1):
-                term = ((-1.0) ** j * exp_coeff_q(q, big_k - j)
-                        * exp_coeff_q(q, j) * gammas[j]
-                        * exp_coeff_q(q, big_m - j))
+                term = ((-1.0) ** j * exp_coeff_bq(0, q, big_k - j)
+                        * exp_coeff_bq(0, q, j) * gammas[j]
+                        * exp_coeff_bq(0, q, big_m - j))
                 rhs += term
                 spread += abs(term)
             if spread > 1e5 * abs(rhs):

@@ -11,6 +11,7 @@ import random
 import time
 
 from ellcomb.boards import (
+    SingleIndexCells,
     all_boards_within,
     board_from_word,
     file_poly,
@@ -197,7 +198,7 @@ def test_criterion_04_theta_identity_suite():
     report(4, "theta inversion, quasi-periodicity, addition: 1000 draws each", elapsed)
 
 
-class AbsWeights(EllipticWeights):
+class AbsWeights(SingleIndexCells):
     """Same placement sums, absolute-value cell weights.
 
     The resulting polynomial value is the total magnitude flowing
@@ -205,11 +206,11 @@ class AbsWeights(EllipticWeights):
     signed evaluation.
     """
 
-    def single(self, m):
-        return abs(EllipticWeights.single(self, m))
+    def small(self, s, t):
+        return abs(SingleIndexCells.small(self, s, t))
 
 
-def product_noise_mass(board, z, ps, absfam, kind):
+def product_noise_mass(board, z, ps, kind):
     """Total magnitude feeding one product-formula evaluation.
 
     Sums the absolute-weight placement mass of every expansion term and
@@ -218,6 +219,7 @@ def product_noise_mass(board, z, ps, absfam, kind):
     achievable absolute agreement of the two sides.
     """
     n = board.n
+    absfam = AbsWeights(ps, kind)
     factors = []
     mass = 0.0
     if kind == "rook":
@@ -252,7 +254,7 @@ def product_noise_mass(board, z, ps, absfam, kind):
     return mass + product * amplification
 
 
-def check_product_pair(board, z, ps, absfam, kind, lhs, rhs, tol):
+def check_product_pair(board, z, ps, kind, lhs, rhs, tol):
     if lhs == 0 or rhs == 0:
         # A bracket factor vanished exactly, so a short prefix of the
         # board cannot hold enough rooks and the expansion side vanishes
@@ -260,7 +262,7 @@ def check_product_pair(board, z, ps, absfam, kind, lhs, rhs, tol):
         assert lhs == 0 and rhs == 0
         return
     scale = max(abs(lhs), abs(rhs))
-    if 1e-15 * product_noise_mass(board, z, ps, absfam, kind) > scale * tol / 10.0:
+    if 1e-15 * product_noise_mass(board, z, ps, kind) > scale * tol / 10.0:
         raise IllConditioned
     assert rel_err(lhs, rhs) <= tol
 
@@ -285,11 +287,10 @@ def test_criterion_05_product_formulas_all_boards():
                 assert attempts < 400
                 try:
                     ps = draw_ps(rng)
-                    absfam = AbsWeights(ps)
                     lhs, rhs = rook_product_sides(board, z, ps)
-                    check_product_pair(board, z, ps, absfam, "rook", lhs, rhs, 1e-7)
+                    check_product_pair(board, z, ps, "rook", lhs, rhs, 1e-7)
                     lhs, rhs = file_product_sides(board, z, ps)
-                    check_product_pair(board, z, ps, absfam, "file", lhs, rhs, 1e-7)
+                    check_product_pair(board, z, ps, "file", lhs, rhs, 1e-7)
                 except (NearPoleError, PoleError, IllConditioned):
                     continue
                 done += 1

@@ -10,6 +10,7 @@ import ellcomb.boards as boards_mod
 import ellcomb.cli as cli
 from ellcomb.boards import (
     FerrersBoard,
+    SingleIndexCells,
     all_boards_within,
     board_from_word,
     file_poly,
@@ -27,9 +28,11 @@ from ellcomb.special_fn import (
     NearPoleError,
     ParameterSet,
     QWeights,
+    WeightFamily,
     bracket_z,
     q_bracket,
 )
+from ellcomb.ncword import RelationSystem, normal_order
 from ellcomb.weightpoly import WeightPolynomial
 
 
@@ -174,19 +177,21 @@ def test_sweep_matches_placement_oracle_symbolic():
 
 
 def test_sweep_matches_placement_oracle_elliptic():
-    # Elliptic cells take the single-index weights w(s - t) (rook) and
-    # w(1 - t) (file); the sums cancel, so agreement is judged against
-    # the absolute-weight mass, whose eps multiple bounds the roundoff.
+    # The product-formula cells take the single-index weights w(1, s - t)
+    # (rook) and w(1, 1 - t) (file); the sums cancel, so agreement is
+    # judged against the absolute-weight mass, whose eps multiple bounds
+    # the roundoff.
     rng = random.Random(59)
     for board in boards_within(5):
         while True:
-            fam = EllipticWeights(draw_ps(rng))
+            ps = draw_ps(rng)
             try:
-                weight = {m: fam.single(m) for m in range(-5, 5)}
+                weight = {m: EllipticWeights(ps).small(1, m) for m in range(-5, 5)}
             except (NearPoleError, DomainError):
                 continue
             break
         for kind, poly in (("rook", rook_poly), ("file", file_poly)):
+            fam = SingleIndexCells(ps, kind)
             for k in range(board.n + 1):
                 want = 0.0 + 0.0j
                 mass = 0.0
@@ -200,6 +205,52 @@ def test_sweep_matches_placement_oracle_elliptic():
                 assert abs(got - want) <= 1e-13 * mass, (board, kind, k)
 
 
+class AbsSmall(WeightFamily):
+    """Absolute values of a family's small weights: the sweep under it
+    gives the absolute-weight mass of each placement sum."""
+
+    def __init__(self, family):
+        self.family = family
+
+    def small(self, s, t):
+        return abs(self.family.small(s, t))
+
+
+def test_elliptic_sweep_gives_the_normal_ordering_coefficients():
+    # Under the theta weight at p != 0, r_k of the outlining board is the
+    # coefficient of x^(m-k) y^(n-k) in the Weyl normal form and f_k that
+    # of x^(m-k) y^n in the file normal form; the normal forms are
+    # evaluated from their symbolic coefficients, the polynomials by the
+    # numeric sweep, and agreement is judged against the mass.
+    rng = random.Random(61)
+    checked = 0
+    while checked < 60:
+        ps = draw_ps(rng)
+        word = "".join(rng.choice("xy") for _ in range(rng.randint(6, 10)))
+        board = board_from_word(word)
+        m, n = word.count("x"), word.count("y")
+        fam = EllipticWeights(ps)
+        try:
+            cases = [
+                (normal_order(word, RelationSystem.ROOK_WEYL).evaluate(fam),
+                 rook_poly(board, min(m, n), fam, every=True),
+                 rook_poly(board, min(m, n), AbsSmall(fam), every=True),
+                 lambda k: (m - k, n - k)),
+                (normal_order(word, RelationSystem.FILE).evaluate(fam),
+                 file_poly(board, m, fam, every=True),
+                 file_poly(board, m, AbsSmall(fam), every=True),
+                 lambda k: (m - k, n)),
+            ]
+        except NearPoleError:
+            continue
+        for coeffs, sums, masses, key in cases:
+            assert set(coeffs) <= {key(k) for k in range(len(sums))}, word
+            for k, (got, mass) in enumerate(zip(sums, masses)):
+                want = coeffs.get(key(k), 0.0)
+                assert abs(got - want) <= 1e-13 * abs(mass), (word, ps, k)
+        checked += 1
+
+
 def test_every_k_sweep_matches_single_k_sweeps():
     # every=True runs the lo = 0 plan, a single k the lo = hi = k plan;
     # the symbolic sums agree exactly, and the numeric sums multiply the
@@ -209,14 +260,15 @@ def test_every_k_sweep_matches_single_k_sweeps():
     rng = random.Random(60)
     for board in boards_within(4):
         while True:
-            fam = EllipticWeights(draw_ps(rng))
+            ps = draw_ps(rng)
             try:
                 for m in range(-4, 4):
-                    fam.single(m)
+                    EllipticWeights(ps).small(1, m)
             except (NearPoleError, DomainError):
                 continue
             break
         for kind, poly in (("rook", rook_poly), ("file", file_poly)):
+            fam = SingleIndexCells(ps, kind)
             symbolic = poly(board, board.n, gen, every=True)
             numeric = poly(board, board.n, fam, every=True)
             assert len(symbolic) == len(numeric) == board.n + 1

@@ -107,6 +107,17 @@ def test_rook_file_commands(capsys):
         assert abs(float(out) - want) < 1e-12, (command, flags, out)
 
 
+def test_elliptic_board_cells_are_the_small_weights(capsys):
+    # every family weighs a cell by w(s, t): the theta weight at
+    # (a, b, q, p) = (0, 0.4, 0.5, 0) gives the b;q value
+    for command, want in (("rook", 0.6982547849961425), ("file", 0.3470433299582545)):
+        code, out, _ = run_cli(capsys, command, "--board", "1,2,2", "--k", "1",
+                               "--family", "elliptic", "--a", "0", "--b", "0.4",
+                               "--q", "0.5", "--p", "0")
+        assert code == 0
+        assert abs(float(out) - want) < 1e-12, (command, out)
+
+
 def test_cli_builds_only_the_printed_form(capsys, monkeypatch):
     # rendering a large symbolic value costs seconds, so plain output
     # never builds the JSON document and --json never builds the text

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from ellcomb import special_fn
-from ellcomb.boards import path_binom
+from ellcomb.boards import SingleIndexCells, path_binom
 from ellcomb.special_fn import (
     AQWeights,
     BQWeights,
@@ -23,14 +23,13 @@ from ellcomb.special_fn import (
     TableWeights,
     bracket_z,
     complex_to_pair,
-    exp_coeff_q,
+    exp_coeff_bq,
     family_from_spec,
     guarded,
     pair_to_complex,
     q_binomial,
     q_bracket,
     q_factorial,
-    q_falling_bracket,
     qp_factorial,
     qpow,
     theta,
@@ -232,9 +231,6 @@ def test_q_binomial_pascal_and_symmetry():
 def test_q_brackets():
     q = 0.4
     assert abs(q_bracket(3, q) - (1 + q + q * q)) < 1e-15
-    assert q_falling_bracket(3, q, 0) == 1.0
-    got = q_falling_bracket(3, q, 2)
-    assert abs(got - q_bracket(3, q) * q_bracket(2, q)) < 1e-15
 
 
 def test_guarded_poles():
@@ -324,19 +320,61 @@ def test_big_weight_closed_form_is_evaluated_once_per_cell(monkeypatch):
     assert 0 < closed_forms <= 28
 
 
-def test_big_weight_mismatch_still_raises(monkeypatch):
-    # the column product is taken over _elliptic_small, so a wrong small
-    # weight must fail the cross-check; a call that raises is not cached
-    ps = ParameterSet(0.71 - 0.12j, 0.38 + 0.44j, 0.55 - 0.27j, 0.09 + 0.13j)
-    fam = EllipticWeights(ps)
-    small = special_fn._elliptic_small
-    special_fn._elliptic_big.cache_clear()
-    monkeypatch.setattr(special_fn, "_elliptic_small",
-                        lambda ps, s, t: small(ps, s, t) * (1.0 + 1e-6))
-    for _ in range(2):
-        with pytest.raises(EvaluationError, match="big weight mismatch"):
-            fam.big(2, 3)
-    assert special_fn._elliptic_big.cache_info().currsize == 0
+def test_closed_big_weight_equals_column_product_on_grid():
+    # the closed form of _elliptic_big against the column product of
+    # _elliptic_small, s in -2..3, t in 1..5, relative 1e-10 against
+    # max(|closed|, |product|, 1e-30); near-pole draws are redrawn
+    rng = random.Random(26)
+    done = 0
+    while done < 20:
+        ps = draw_ps(rng)
+        try:
+            for s in range(-2, 4):
+                product = 1.0 + 0.0j
+                for t in range(1, 6):
+                    product *= special_fn._elliptic_small(ps, s, t)
+                    closed = special_fn._elliptic_big(ps, s, t)
+                    scale = max(abs(closed), abs(product), 1e-30)
+                    assert abs(closed - product) <= 1e-10 * scale, (ps, s, t)
+        except NearPoleError:
+            continue
+        done += 1
+
+
+def test_big_weight_is_finite_where_a_small_weight_of_its_column_is_a_pole():
+    # b = q^-4: small(1, 2) has the denominator 1 - b q^4 = 0, which the
+    # column product cancels; the closed b;q value is 3.5
+    fam = BQWeights(16, 0.5)
+    with pytest.raises(PoleError):
+        fam.small(1, 2)
+    assert fam.big(1, 4) == 3.5
+
+
+def test_dual_weight_is_the_reciprocal_at_exchanged_indices():
+    # w*(s, t) = 1 / w(t, s): the theta weight with a and b exchanged at
+    # p != 0, and the a;q weight against the b;q weight at p = 0
+    rng = random.Random(27)
+    checked = 0
+    while checked < 20:
+        ps = draw_ps(rng)
+        a, q = ps.a, ps.q
+        try:
+            for s in range(-2, 4):
+                for t in range(-2, 4):
+                    prod = (EllipticWeights(ps.swapped()).small(s, t)
+                            * EllipticWeights(ps).small(t, s))
+                    assert abs(prod - 1.0) <= 2e-14, (ps, s, t)
+                    prod = AQWeights(a, q).small(s, t) * BQWeights(a, q).small(t, s)
+                    assert abs(prod - 1.0) <= 2e-14, (a, q, s, t)
+        except NearPoleError:
+            continue
+        checked += 1
+    assert QWeights(0.5).dual().small(1, 2) == 2.0
+    # at a = q^-5 the a;q weight has an exact zero and an exact pole
+    aq = AQWeights(0.5 ** -5, 0.5)
+    assert aq.small(1, 2) == 0
+    with pytest.raises(PoleError):
+        aq.small(1, 3)
 
 
 def test_memoised_big_weight_equals_a_fresh_evaluation():
@@ -434,7 +472,8 @@ def test_b_zero_with_a_nonzero_is_a_domain_error():
     ps0 = ParameterSet(0.3, 0.0, 0.5, 0.0)
     fam = EllipticWeights(ps0)
     for call in (lambda: fam.small(1, 1), lambda: fam.big(1, 2),
-                 lambda: fam.binom(3, 1), lambda: fam.single(1),
+                 lambda: fam.binom(3, 1),
+                 lambda: SingleIndexCells(ps0, "rook").small(2, 1),
                  lambda: bracket_z(ps0, 2)):
         with pytest.raises(DomainError):
             call()
@@ -442,7 +481,7 @@ def test_b_zero_with_a_nonzero_is_a_domain_error():
     with pytest.raises(DomainError):
         bracket_z(ps, 2)
     with pytest.raises(DomainError):
-        EllipticWeights(ps).single(1)
+        SingleIndexCells(ps, "rook").small(2, 1)
 
 
 def test_degenerate_families_match_elliptic_limits():
@@ -548,26 +587,30 @@ def test_bracket_z_elliptic_normalization():
 
 def test_elliptic_single_is_small_at_s_one():
     # w(m) = theta(a q^(2m+1), b q^m, a q^(m-2)/b; p)
-    #      / theta(a q^(2m-1), b q^(m+2), a q^m/b; p) * q  is  w(1, m)
+    #      / theta(a q^(2m-1), b q^(m+2), a q^m/b; p) * q  is  w(1, m),
+    # the weight of the rook cell (m + t, t) and the file cell (s, 1 - m)
     rng = random.Random(22)
     for _ in range(20):
         ps = draw_ps(rng)
         a, b, q, p = ps.a, ps.b, ps.q, ps.p
         fam = EllipticWeights(ps)
+        rook = SingleIndexCells(ps, "rook")
+        file = SingleIndexCells(ps, "file")
         for m in range(-6, 7):
-            assert fam.single(m) == fam.small(1, m)
+            single = rook.small(m + 2, 2)
+            assert single == rook.small(m + 1, 1) == file.small(3, 1 - m) == fam.small(1, m)
             num = (theta(a * qpow(q, 2 * m + 1), p) * theta(b * qpow(q, m), p)
                    * theta(a * qpow(q, m - 2) / b, p))
             den = (theta(a * qpow(q, 2 * m - 1), p) * theta(b * qpow(q, m + 2), p)
                    * theta(a * qpow(q, m) / b, p))
             want = num / den * q
-            assert abs(fam.single(m) - want) <= 1e-10 * max(abs(want), 1.0)
+            assert abs(single - want) <= 1e-10 * max(abs(want), 1.0)
 
 
 def test_exp_coeff_q_frozen():
     q = 0.5
     want = 1.0 / ((1 - q) * (1 - q * q))
-    assert abs(exp_coeff_q(q, 2) - want) < 1e-14
+    assert abs(exp_coeff_bq(0, q, 2) - want) < 1e-14
 
 
 def test_family_from_spec():

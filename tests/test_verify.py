@@ -1,6 +1,7 @@
 """Registry, determinism, and reporting of the verification harness."""
 
 import hashlib
+import importlib
 import random
 import sys
 
@@ -58,6 +59,30 @@ def test_lhs_rhs_paths_are_disjoint():
         assert check.lhs_path and check.rhs_path
         overlap = set(check.lhs_path) & set(check.rhs_path)
         assert not overlap, (check.id, overlap)
+
+
+# labels that name an inline computation inside a draw function, not a
+# library attribute
+INLINE_PATH_LABELS = {"verify:sine-ratio", "verify:raw-linear-factors",
+                      "verify:raw-q-brackets"}
+
+
+def test_path_labels_name_real_code():
+    # every module:name label, after stripping a :lhs / :rhs side suffix,
+    # resolves to an attribute of ellcomb.<module>, so a refactor that
+    # deletes a function cannot leave the disjointness test comparing
+    # stale names
+    unresolved = set()
+    for check in list_identities():
+        for label in check.lhs_path + check.rhs_path:
+            module, _, name = label.removesuffix(":lhs").removesuffix(":rhs").partition(":")
+            target = importlib.import_module(f"ellcomb.{module}")
+            try:
+                for part in name.split("."):
+                    target = getattr(target, part)
+            except AttributeError:
+                unresolved.add(label)
+    assert unresolved == INLINE_PATH_LABELS
 
 
 def test_run_check_is_deterministic():
