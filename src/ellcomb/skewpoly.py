@@ -292,10 +292,8 @@ def apply_eta(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
 
 
 def _eta_aq_factor(a, b, n: int, q) -> complex:
-    num = (1.0 - a * qpow(q, 1 + n)) * (1.0 - a * qpow(q, 2 + n))
-    den = guarded(1.0 - a * q, 0, "eta factor")
-    den *= guarded(1.0 - a * q * q, 1, "eta factor")
-    return num / den * qpow(q, -n)
+    return theta_quotient([a * qpow(q, 1 + n), a * qpow(q, 2 + n)],
+                          [a * q, a * q * q], 0.0) * qpow(q, -n)
 
 
 def apply_eta_aq(p: SkewPoly, q) -> SkewPoly:
@@ -427,10 +425,9 @@ def fib_aq(n: int, a, q) -> complex:
         hit = memo.get(key)
         if hit is None:
             ai = a * qpow(q, i)
-            num = (1.0 - ai * qpow(q, 1 + m)) * (1.0 - ai * qpow(q, 2 + m))
-            den = guarded(1.0 - ai * qpow(q, 3), 0, "fib factor")
-            den *= guarded(1.0 - ai * qpow(q, 4), 1, "fib factor")
-            hit = rec(m - 1, i + 1) + num / den * qpow(q, 2 - m) * rec(m - 2, i + 2)
+            factor = theta_quotient([ai * qpow(q, 1 + m), ai * qpow(q, 2 + m)],
+                                    [ai * qpow(q, 3), ai * qpow(q, 4)], 0.0)
+            hit = rec(m - 1, i + 1) + factor * qpow(q, 2 - m) * rec(m - 2, i + 2)
             memo[key] = hit
         return hit
 
@@ -454,14 +451,12 @@ def fib_aq_closed(n: int, a, q) -> complex:
     a = complex(a)
     q = complex(q)
     total = 0.0 + 0.0j
+    top = theta_quotient([a * qpow(q, n + 1), a * qpow(q, n + 2)], (), 0.0)
     for j in range(0, (n - 1) // 2 + 1):
         binomial = q_binomial(n - j - 1, j, q)
-        num = ((1.0 - a * qpow(q, n + 1)) * (1.0 - a * qpow(q, n + 2))) ** j
-        den = 1.0 + 0.0j
-        for i in range(j):
-            den *= guarded(1.0 - a * qpow(q, 3 + i), i, "closed-form factor")
-            den *= guarded(1.0 - a * qpow(q, n - j + 2 + i), i, "closed-form factor")
-        total += qpow(q, -(n - j - 1) * j) * binomial * num / den
+        inv_den = theta_quotient(
+            (), [a * qpow(q, e + i) for i in range(j) for e in (3, n - j + 2)], 0.0)
+        total += qpow(q, -(n - j - 1) * j) * binomial * top ** j * inv_den
     return total
 
 

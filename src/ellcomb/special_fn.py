@@ -31,8 +31,16 @@ so ``BQWeights`` is the ``EllipticWeights`` at (a, b, q, p) = (0, b, q, 0)
 and ``QWeights`` at (0, 0, q, 0).  The a;q family is the dual
 w*(s, t) = 1 / w(t, s) of the b;q weight at b = a: its small weight is
 that theta quotient with numerator and denominator exchanged, and only
-its closed binomial is written out.  Every theta ratio is formed by
-``theta_quotient``.
+its closed binomial is written out.
+
+Every theta ratio and every q- or theta-shifted factorial quotient is
+one ``theta_quotient`` call: since theta(x; 0) = 1 - x, the q-shifted
+factorial (x; q)_n is (x; q, 0)_n (Gasper-Rahman, section 11.2), so
+``qp_factorial``, ``q_binomial``, ``q_bracket``, ``AQWeights.binom``,
+``exp_coeff_bq`` and ``reversal_coeff_bq`` have no loop of their own.
+The raw references in ``verify`` and the right sides of
+``skewpoly.f_relation_sides`` keep theirs: they are the independent
+sides of their checks.
 
 Three values outlive a call, each in a bounded module-level
 ``functools.lru_cache`` whose ``cache_info()`` counts hits, misses and
@@ -47,9 +55,9 @@ triangle afresh each time.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 from .weightpoly import WeightPolynomial
 
@@ -92,7 +100,7 @@ class EvaluationError(ArithmeticError):
 
 
 def require_finite(z: complex, context: str = "result") -> complex:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise EvaluationError(f"non-finite {context}: {z!r}")
     return z
 
@@ -164,12 +172,13 @@ class ParameterSet:
 def theta(x, p) -> complex:
     """theta(x; p) for |p| < 1: 1 - x when p = 0, else for x != 0 only."""
     x = complex(x)
+    # first: every factor of a q-shifted factorial takes this branch
+    if p == 0:
+        return 1.0 - require_finite(x, "theta argument")
     p = complex(p)
     if abs(p) >= 1:
         raise DomainError(f"theta requires |p| < 1, got |p| = {abs(p)}")
     require_finite(x, "theta argument")
-    if p == 0:
-        return 1.0 - x
     if x == 0:
         raise DomainError("theta(x; p) is undefined at x = 0 for p != 0")
     return _theta_series(x, p)
@@ -192,18 +201,21 @@ def _theta_series(x: complex, p: complex) -> complex:
 
 def theta_quotient(nums, dens, p) -> complex:
     """prod_i theta(nums[i]; p) / theta(dens[i]; p), the one place a theta
-    ratio is formed.
+    or q-shifted factorial quotient is formed.
 
     The numerator and denominator products are divided once, as complex
     division rounds worse than multiplication; a product about to leave
     [1e-300, 1e300] is divided out early, so no quotient is inf / inf.
     Each denominator factor is guarded, and a PoleError carries its index.
     Equal factors are skipped after their guard: z / z need not round to 1.
+    The shorter list is padded with factors 1, so a plain product or the
+    reciprocal of one is a single call.
     """
     result = num_prod = den_prod = 1.0 + 0.0j
-    for index, (x, y) in enumerate(zip(nums, dens, strict=True)):
-        num = theta(x, p)
-        den = guarded(theta(y, p), index, "denominator theta factor")
+    for index, (x, y) in enumerate(zip_longest(nums, dens)):
+        num = 1.0 + 0.0j if x is None else theta(x, p)
+        den = (1.0 + 0.0j if y is None
+               else guarded(theta(y, p), index, "denominator theta factor"))
         if num == den:
             continue
         if not (1e-300 < abs(num_prod) * abs(num) < 1e300
@@ -213,6 +225,14 @@ def theta_quotient(nums, dens, p) -> complex:
         num_prod *= num
         den_prod *= den
     return result * (num_prod / den_prod)
+
+
+def _shifted(bases, q, start: int, stop: int) -> list:
+    # x q^j for j in range(start, stop) and x in bases, j-major: a base
+    # list of length L gives entry L (j - start) + i = bases[i] q^j.  A
+    # base 1 gives the exact powers q^j, the arguments of (q; q)_n.
+    powers = [qpow(q, j) for j in range(start, stop)]
+    return [x * qj for qj in powers for x in bases]
 
 
 def guarded(value: complex, index: int = 0, what: str = "denominator factor") -> complex:
@@ -230,7 +250,9 @@ def q_factorial(a, q, n: int) -> complex:
 
 
 def qp_factorial(a, q, p, n: int) -> complex:
-    """Theta shifted factorial (a; q, p)_n for any integer n.
+    """Theta shifted factorial (a; q, p)_n for any integer n: the product
+    of theta(a q^j; p) over 0 <= j < n, or the reciprocal of the product
+    over n <= j < 0.
 
     At p = 0 the theta factors are 1 - a q^j, so this is (a; q)_n, also
     at a = 0.
@@ -241,16 +263,8 @@ def qp_factorial(a, q, p, n: int) -> complex:
     a = complex(a)
     q = complex(q)
     if n >= 0:
-        result = 1.0 + 0.0j
-        for j in range(n):
-            result *= theta(a * qpow(q, j), p)
-        return result
-    denom = 1.0 + 0.0j
-    for j in range(-n):
-        factor = theta(a * qpow(q, n + j), p)
-        guarded(factor, j, "theta-factorial factor")
-        denom *= factor
-    return 1.0 / denom
+        return theta_quotient(_shifted((a,), q, 0, n), (), p)
+    return theta_quotient((), _shifted((a,), q, n, 0), p)
 
 
 def q_binomial(n: int, k: int, q) -> complex:
@@ -258,18 +272,14 @@ def q_binomial(n: int, k: int, q) -> complex:
     if k < 0 or k > n:
         return 0.0 + 0.0j
     q = complex(q)
-    num = q_factorial(qpow(q, 1 + k), q, n - k)
-    den = 1.0 + 0.0j
-    for j in range(n - k):
-        den *= guarded(1.0 - qpow(q, 1 + j), j, "q-binomial factor")
-    return num / den
+    return theta_quotient(_shifted((qpow(q, 1 + k),), q, 0, n - k),
+                          _shifted((1,), q, 1, n - k + 1), 0.0)
 
 
 def q_bracket(z, q) -> complex:
     """The q-number [z]_q = (1 - q^z) / (1 - q)."""
     q = complex(q)
-    guarded(1.0 - q, 0, "q-bracket denominator")
-    return (1.0 - qpow(q, z)) / (1.0 - q)
+    return theta_quotient([qpow(q, z)], [q], 0.0)
 
 
 def _ratio(x: complex, d: complex) -> complex:
@@ -293,9 +303,9 @@ class WeightFamily:
     def big(self, s: int, t: int):
         if t < 0:
             raise DomainError("big weight needs t >= 0")
-        result = 1.0 + 0.0j
+        result = self._one()
         for k in range(1, t + 1):
-            result *= self.small(s, k)
+            result = result * self.small(s, k)
         return result
 
     def binom(self, n: int, k: int):
@@ -317,7 +327,7 @@ class WeightFamily:
             for j in range(max(0, k - n + m), min(m, k) + 1):
                 value = prev.get(j, zero)
                 lower = prev.get(j - 1, zero)
-                if not self._is_zero(lower):
+                if lower != 0:
                     t = m - j
                     last = carried.get(j)
                     if last is not None and last[0] == t - 1:
@@ -335,12 +345,6 @@ class WeightFamily:
     def _one(self):
         return 1.0 + 0.0j
 
-    @staticmethod
-    def _is_zero(value) -> bool:
-        if isinstance(value, WeightPolynomial):
-            return value.is_zero()
-        return value == 0
-
 
 class GenericWeights(WeightFamily):
     """Fully symbolic weights; every w(s, t) stays an opaque symbol."""
@@ -351,14 +355,6 @@ class GenericWeights(WeightFamily):
         if s < 1 or t < 1:
             raise DomainError(f"generic weight needs s, t >= 1, got ({s}, {t})")
         return WeightPolynomial.symbol(s, t)
-
-    def big(self, s: int, t: int) -> WeightPolynomial:
-        if t < 0:
-            raise DomainError("big weight needs t >= 0")
-        result = WeightPolynomial.one()
-        for k in range(1, t + 1):
-            result = result.times_symbol(s, k)
-        return result
 
     def _zero(self):
         return WeightPolynomial.zero()
@@ -431,14 +427,15 @@ class EllipticWeights(WeightFamily):
         num_bases = (qpow(q, 1 + k), a * qpow(q, 1 + k), b * qpow(q, 1 + k),
                      _ratio(a * qpow(q, 1 - k), b))
         den_bases = (q, a * q, b * qpow(q, 1 + 2 * k), _ratio(a * q, b))
-        powers = [qpow(q, j) for j in range(n - k)]
-        return theta_quotient([x * qj for qj in powers for x in num_bases],
-                              [y * qj for qj in powers for y in den_bases],
-                              self.ps.p)
+        return theta_quotient(_shifted(num_bases, q, 0, n - k),
+                              _shifted(den_bases, q, 0, n - k), self.ps.p)
 
-    def dual(self) -> "EllipticWeights":
-        """w*(s, t) = 1 / w(t, s), the theta weight with a and b exchanged
-        (for a, b nonzero)."""
+    def dual(self) -> WeightFamily:
+        """w*(s, t) = 1 / w(t, s): the theta weight with a and b exchanged.
+        At a = 0 (so p = 0) this weight is the b;q one, whose dual is the
+        a;q weight at a = b; at b = 0 that is the constant weight 1/q."""
+        if self.ps.a == 0:
+            return AQWeights(self.ps.b, self.ps.q)
         return EllipticWeights(self.ps.swapped())
 
 
@@ -452,9 +449,6 @@ class BQWeights(EllipticWeights):
         if self.q == 0:
             raise DomainError("bq weights need q != 0")
         super().__init__(ParameterSet(0.0, self.b, self.q, 0.0))
-
-    def dual(self) -> "AQWeights":
-        return AQWeights(self.b, self.q)
 
 
 class AQWeights(WeightFamily):
@@ -479,13 +473,12 @@ class AQWeights(WeightFamily):
         if k < 0 or k > n:
             return 0.0 + 0.0j
         a, q = self.a, self.q
-        m = n - k
-        num = q_factorial(qpow(q, 1 + k), q, m) * q_factorial(a * qpow(q, 1 + k), q, m)
-        den = 1.0 + 0.0j
-        for j in range(m):
-            den *= guarded(1.0 - qpow(q, 1 + j), j, "aq binom denominator")
-            den *= guarded(1.0 - a * qpow(q, 1 + j), j, "aq binom denominator")
-        return num / den * qpow(q, k * (k - n))
+        # 2 (n - k) factor pairs, j-major: pair 2j + i is factor j of the
+        # i-th factorial, (q^(1+k); q) over (q; q), then (a q^(1+k); q)
+        # over (a q; q)
+        return theta_quotient(
+            _shifted((qpow(q, 1 + k), a * qpow(q, 1 + k)), q, 0, n - k),
+            _shifted((1, a), q, 1, n - k + 1), 0.0) * qpow(q, k * (k - n))
 
     def dual(self) -> BQWeights:
         return BQWeights(self.a, self.q)
@@ -500,9 +493,6 @@ class QWeights(EllipticWeights):
         if self.q == 0:
             raise DomainError("q weights need q != 0")
         super().__init__(ParameterSet(0.0, 0.0, self.q, 0.0))
-
-    def dual(self) -> "QWeights":
-        return QWeights(1 / self.q)
 
 
 class TableWeights(WeightFamily):
@@ -542,12 +532,7 @@ def exp_coeff_bq(b, q, n: int) -> complex:
     helper serves both, fed a in place of b; at b = 0 it is 1 / (q; q)_n,
     the coefficient of the q-exponential e_q.
     """
-    b = complex(b)
-    den = 1.0 + 0.0j
-    for j in range(n):
-        den *= guarded(1.0 - qpow(q, 1 + j), j, "exp coefficient factor")
-        den *= guarded(1.0 - b * qpow(q, 1 + j), j, "exp coefficient factor")
-    return 1.0 / den
+    return theta_quotient((), _shifted((1, complex(b)), q, 1, n + 1), 0.0)
 
 
 def reversal_coeff_bq(b, q, l: int, k: int) -> complex:
@@ -556,11 +541,8 @@ def reversal_coeff_bq(b, q, l: int, k: int) -> complex:
         c = (b q^(1+k); q)_(2l) / (b q; q)_(2l) * q^(-k l).
     """
     b = complex(b)
-    num = q_factorial(b * qpow(q, 1 + k), q, 2 * l)
-    den = 1.0 + 0.0j
-    for j in range(2 * l):
-        den *= guarded(1.0 - b * qpow(q, 1 + j), j, "reversal denominator")
-    return num / den * qpow(q, -k * l)
+    return theta_quotient(_shifted((b * qpow(q, 1 + k),), q, 0, 2 * l),
+                          _shifted((b,), q, 1, 2 * l + 1), 0.0) * qpow(q, -k * l)
 
 
 _FAMILY_TAGS = ("generic", "elliptic", "bq", "aq", "q")

@@ -742,9 +742,10 @@ def _draw_bq_cauchy(ctx: CheckContext):
     pairs = []
     for total in range(0, ctx.size("degree") + 1):
         values = expand_power_sum(total, _HOM).evaluate(fam)
+        coeff = exp_coeff_bq(b, q, total)
         for k in range(total + 1):
             m = total - k
-            lhs = exp_coeff_bq(b, q, total) * values[(k, m)]
+            lhs = coeff * values[(k, m)]
             rhs = (1.0
                    / (_qfac_ref_guarded(q, q, k)
                       * _qfac_ref_guarded(b * q, q, k))
@@ -767,9 +768,10 @@ def _draw_aq_cauchy(ctx: CheckContext):
     pairs = []
     for total in range(0, ctx.size("degree") + 1):
         values = expand_power_sum(total, _HOM).evaluate(fam)
+        coeff = exp_coeff_bq(a, q, total)
         for k in range(total + 1):
             m = total - k
-            lhs = exp_coeff_bq(a, q, total) * values[(k, m)]
+            lhs = coeff * values[(k, m)]
             # reversal scalar for y^m x^k -> x^k y^m, raw form
             rev = (_qfac_ref(a * qpow(q, 1 + k), q, 2 * m)
                    / _qfac_ref_guarded(a * q, q, 2 * m)
@@ -795,11 +797,12 @@ def _draw_qexp_cauchy(ctx: CheckContext):
     pairs = []
     for total in range(0, ctx.size("degree") + 1):
         values = expand_power_sum(total, _HOM).evaluate(fam)
+        coeff = exp_coeff_bq(0, q, total)
         for k in range(total + 1):
             m = total - k
             lhs = 1.0 / (_qfac_ref_guarded(q, q, k)
                          * _qfac_ref_guarded(q, q, m))
-            rhs = exp_coeff_bq(0, q, total) * values[(k, m)]
+            rhs = coeff * values[(k, m)]
             pairs.append((lhs, rhs))
     return (q,), pairs
 
@@ -824,6 +827,7 @@ def _draw_qexp_braiding(ctx: CheckContext):
             gammas.append(normal_order(word, _HOM).evaluate(fam)[(j, j)])
         else:
             gammas.append(1.0 + 0.0j)
+    coeffs = [exp_coeff_bq(0, q, n) for n in range(degree + 1)]
     pairs = []
     for total in range(0, degree + 1):
         for big_k in range(total + 1):
@@ -834,9 +838,8 @@ def _draw_qexp_braiding(ctx: CheckContext):
             rhs = 0.0 + 0.0j
             spread = 0.0
             for j in range(0, min(big_k, big_m) + 1):
-                term = ((-1.0) ** j * exp_coeff_bq(0, q, big_k - j)
-                        * exp_coeff_bq(0, q, j) * gammas[j]
-                        * exp_coeff_bq(0, q, big_m - j))
+                term = ((-1.0) ** j * coeffs[big_k - j] * coeffs[j] * gammas[j]
+                        * coeffs[big_m - j])
                 rhs += term
                 spread += abs(term)
             if spread > 1e5 * abs(rhs):

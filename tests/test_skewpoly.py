@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from ellcomb import skewpoly
 from ellcomb.skewpoly import (
     AQ_RULE,
     ELLIPTIC_RULE,
@@ -31,7 +32,10 @@ from ellcomb.special_fn import (
     EvaluationError,
     NearPoleError,
     ParameterSet,
+    PoleError,
     exp_coeff_bq,
+    guarded,
+    q_binomial,
     q_factorial,
     qpow,
 )
@@ -237,6 +241,91 @@ def test_fib_aq_matches_closed_form():
             lhs = fib_aq(n, a, q)
             rhs = fib_aq_closed(n, a, q)
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
+
+
+# Literal copies of the hand-written loops the one-parameter factors
+# used before they became theta_quotient calls.  _eta_aq_factor and the
+# fib_aq factor keep their operation order, so they match bit for bit
+# except where an exactly equal numerator and denominator factor is now
+# skipped (n = 0); the closed form multiplies its factors in another
+# order and agrees to 1e-14 relative.
+
+def _loop_eta_aq_factor(a, n, q):
+    num = (1.0 - a * qpow(q, 1 + n)) * (1.0 - a * qpow(q, 2 + n))
+    den = guarded(1.0 - a * q, 0, "eta factor")
+    den *= guarded(1.0 - a * q * q, 1, "eta factor")
+    return num / den * qpow(q, -n)
+
+
+def _loop_fib_aq(n, a, q):
+    memo = {}
+
+    def rec(m, i):
+        if m == 0:
+            return 0.0 + 0.0j
+        if m == 1:
+            return 1.0 + 0.0j
+        if (m, i) not in memo:
+            ai = a * qpow(q, i)
+            num = (1.0 - ai * qpow(q, 1 + m)) * (1.0 - ai * qpow(q, 2 + m))
+            den = guarded(1.0 - ai * qpow(q, 3), 0, "fib factor")
+            den *= guarded(1.0 - ai * qpow(q, 4), 1, "fib factor")
+            memo[(m, i)] = rec(m - 1, i + 1) + num / den * qpow(q, 2 - m) * rec(m - 2, i + 2)
+        return memo[(m, i)]
+
+    return rec(n, 0)
+
+
+def _loop_fib_aq_closed(n, a, q):
+    if n == 0:
+        return 0.0 + 0.0j
+    total = 0.0 + 0.0j
+    for j in range(0, (n - 1) // 2 + 1):
+        binomial = q_binomial(n - j - 1, j, q)
+        num = ((1.0 - a * qpow(q, n + 1)) * (1.0 - a * qpow(q, n + 2))) ** j
+        den = 1.0 + 0.0j
+        for i in range(j):
+            den *= guarded(1.0 - a * qpow(q, 3 + i), i, "closed-form factor")
+            den *= guarded(1.0 - a * qpow(q, n - j + 2 + i), i, "closed-form factor")
+        total += qpow(q, -(n - j - 1) * j) * binomial * num / den
+    return total
+
+
+def test_one_parameter_factors_match_the_loops_they_replace():
+    rng = random.Random(72)
+    for _ in range(40):
+        a = draw_annulus(rng, 0.2, 2.0)
+        q = draw_annulus(rng, 0.3, 1.5)
+        try:
+            for n in range(12):
+                new, old = skewpoly._eta_aq_factor(a, None, n, q), _loop_eta_aq_factor(a, n, q)
+                if n:
+                    assert new == old
+                else:
+                    assert abs(new - old) <= 1e-14 * max(abs(new), abs(old))
+                assert fib_aq(n, a, q) == _loop_fib_aq(n, a, q)
+                new, old = fib_aq_closed(n, a, q), _loop_fib_aq_closed(n, a, q)
+                assert abs(new - old) <= 1e-14 * max(abs(new), abs(old)), (a, q, n)
+        except NearPoleError:
+            continue
+
+
+def test_one_parameter_factors_raise_at_exact_and_near_poles():
+    # q = 0.5, a = 8 (1 + eps): the factor 1 - a q^3 vanishes at eps = 0
+    # and falls below NEAR_POLE_TOL at eps = 1e-14
+    q = 0.5
+    cases = [
+        (lambda a: skewpoly._eta_aq_factor(a / 4, None, 2, q), 0),
+        (lambda a: skewpoly._eta_aq_factor(a / 2, None, 2, q), 1),
+        (lambda a: fib_aq(3, a, q), 0),
+        (lambda a: fib_aq_closed(3, a, q), 0),
+    ]
+    for case, index in cases:
+        with pytest.raises(PoleError) as info:
+            case(8.0)
+        assert info.value.index == index
+        with pytest.raises(NearPoleError, match="denominator theta factor"):
+            case(8.0 * (1 + 1e-14))
 
 
 def test_fib_aq_classical_limit():

@@ -1,9 +1,11 @@
 """Theta products, shifted factorials, and the weight families."""
 
+import ast
 import cmath
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +243,169 @@ def test_guarded_poles():
     assert guarded(0.5) == 0.5
 
 
+def test_one_sided_theta_quotient_pads_with_factors_one():
+    rng = random.Random(31)
+    for p in (0.0, draw_annulus(rng, 0.05, 0.5)):
+        xs = [draw_annulus(rng, 0.3, 2.0) for _ in range(4)]
+        product = 1.0 + 0.0j
+        for x in xs:
+            product *= theta(x, p)
+        assert special_fn.theta_quotient(xs, (), p) == product
+        assert special_fn.theta_quotient((), xs, p) == 1.0 / product
+        assert special_fn.theta_quotient(xs[:1], xs, p) == (
+            special_fn.theta_quotient(xs[:1], xs[:1], p)
+            * special_fn.theta_quotient((), xs[1:], p))
+        assert special_fn.theta_quotient((), (), p) == 1.0
+    with pytest.raises(PoleError) as info:
+        special_fn.theta_quotient((), [0.5, 1.0], 0.3)
+    assert info.value.index == 1
+    with pytest.raises(NearPoleError, match="denominator theta factor 0"):
+        special_fn.theta_quotient((), [1.0 + 1e-14], 0.0)
+
+
+# Literal copies of the hand-written loops that every q- and
+# theta-factorial quotient used before it became a theta_quotient call.
+# Where the operation order is unchanged the results match them bit for
+# bit; where an exactly equal numerator and denominator factor is now
+# skipped (k = 0, z = 1), or the factors are multiplied in another
+# order, they agree to 1e-14 relative.
+
+def _loop_qp_factorial(a, q, p, n):
+    a = complex(a)
+    q = complex(q)
+    if n >= 0:
+        result = 1.0 + 0.0j
+        for j in range(n):
+            result *= theta(a * qpow(q, j), p)
+        return result
+    denom = 1.0 + 0.0j
+    for j in range(-n):
+        factor = theta(a * qpow(q, n + j), p)
+        guarded(factor, j, "theta-factorial factor")
+        denom *= factor
+    return 1.0 / denom
+
+
+def _loop_q_binomial(n, k, q):
+    if k < 0 or k > n:
+        return 0.0 + 0.0j
+    q = complex(q)
+    num = _loop_qp_factorial(qpow(q, 1 + k), q, 0, n - k)
+    den = 1.0 + 0.0j
+    for j in range(n - k):
+        den *= guarded(1.0 - qpow(q, 1 + j), j, "q-binomial factor")
+    return num / den
+
+
+def _loop_q_bracket(z, q):
+    q = complex(q)
+    guarded(1.0 - q, 0, "q-bracket denominator")
+    return (1.0 - qpow(q, z)) / (1.0 - q)
+
+
+def _loop_aq_binom(a, q, n, k):
+    if k < 0 or k > n:
+        return 0.0 + 0.0j
+    a = complex(a)
+    q = complex(q)
+    m = n - k
+    num = (_loop_qp_factorial(qpow(q, 1 + k), q, 0, m)
+           * _loop_qp_factorial(a * qpow(q, 1 + k), q, 0, m))
+    den = 1.0 + 0.0j
+    for j in range(m):
+        den *= guarded(1.0 - qpow(q, 1 + j), j, "aq binom denominator")
+        den *= guarded(1.0 - a * qpow(q, 1 + j), j, "aq binom denominator")
+    return num / den * qpow(q, k * (k - n))
+
+
+def _loop_exp_coeff_bq(b, q, n):
+    b = complex(b)
+    den = 1.0 + 0.0j
+    for j in range(n):
+        den *= guarded(1.0 - qpow(q, 1 + j), j, "exp coefficient factor")
+        den *= guarded(1.0 - b * qpow(q, 1 + j), j, "exp coefficient factor")
+    return 1.0 / den
+
+
+def _loop_reversal_coeff_bq(b, q, l, k):
+    b = complex(b)
+    num = _loop_qp_factorial(b * qpow(q, 1 + k), q, 0, 2 * l)
+    den = 1.0 + 0.0j
+    for j in range(2 * l):
+        den *= guarded(1.0 - b * qpow(q, 1 + j), j, "reversal denominator")
+    return num / den * qpow(q, -k * l)
+
+
+def assert_parity(new, old, exact):
+    if exact:
+        assert new == old
+    else:
+        assert abs(new - old) <= 1e-14 * max(abs(new), abs(old))
+
+
+def test_factorial_quotients_match_the_loops_they_replace():
+    rng = random.Random(32)
+    for draw in range(40):
+        a = draw_annulus(rng, 0.2, 2.0)
+        b = draw_annulus(rng, 0.2, 2.0)
+        q = draw_annulus(rng, 0.3, 1.5)
+        p = 0.0 if draw % 2 else draw_annulus(rng, 0.05, 0.6)
+        try:
+            for n in range(-6, 8):
+                assert_parity(qp_factorial(a, q, p, n), _loop_qp_factorial(a, q, p, n), True)
+                assert_parity(q_factorial(a, q, n), _loop_qp_factorial(a, q, 0, n), True)
+            for n in range(8):
+                assert_parity(exp_coeff_bq(b, q, n), _loop_exp_coeff_bq(b, q, n), True)
+                assert_parity(exp_coeff_bq(0, q, n), _loop_exp_coeff_bq(0, q, n), True)
+                for k in range(-1, n + 2):
+                    assert_parity(q_binomial(n, k, q), _loop_q_binomial(n, k, q), k != 0)
+                    assert_parity(AQWeights(a, q).binom(n, k), _loop_aq_binom(a, q, n, k),
+                                  k == n or not 0 <= k <= n)
+                for l in range(4):
+                    assert_parity(special_fn.reversal_coeff_bq(b, q, l, n),
+                                  _loop_reversal_coeff_bq(b, q, l, n), n != 0)
+            for z in (0, 1, 2, 5, -3, 0.5, 1.5 - 0.25j):
+                assert_parity(q_bracket(z, q), _loop_q_bracket(z, q), z != 1)
+        except NearPoleError:
+            continue
+
+
+def test_factorial_quotients_raise_at_exact_and_near_poles():
+    # q = 0.5: the factor 1 - 4 q^2 (or theta(4 q^2; p)) vanishes
+    # exactly; 4 (1 + 1e-14) puts it within NEAR_POLE_TOL of zero
+    q = 0.5
+    cases = [
+        (lambda x: qp_factorial(x * q ** 4, q, 0, -3), 1),
+        (lambda x: qp_factorial(x * q ** 4, q, 0.3, -3), 1),
+        (lambda x: q_binomial(3, 1, -x / 4), 1),
+        (lambda x: q_bracket(3, x * q ** 2), 0),
+        (lambda x: AQWeights(x, q).binom(3, 0), 3),
+        (lambda x: exp_coeff_bq(x, q, 3), 3),
+        (lambda x: special_fn.reversal_coeff_bq(x, q, 2, 1), 1),
+    ]
+    for case, index in cases:
+        with pytest.raises(PoleError) as info:
+            case(4.0)
+        assert info.value.index == index
+        with pytest.raises(NearPoleError, match="denominator theta factor"):
+            case(4.0 * (1 + 1e-14))
+
+
+def test_guarded_is_called_only_by_theta_quotient_and_f_relation_sides():
+    # every q- and theta-factorial quotient goes through theta_quotient;
+    # f_relation_sides keeps its own guarded factorials as the reference
+    # side of the f-relations check
+    package = Path(special_fn.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "guarded" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add(f"{path.stem}:{getattr(top, 'name', None)}")
+    assert callers == {"special_fn:theta_quotient", "skewpoly:f_relation_sides"}
+
+
 def test_parameter_set_shift_and_json():
     ps = ParameterSet(0.3 + 0.1j, 0.4, 0.5 + 0.2j, 0.1)
     shifted = ps.shift(2, 1)
@@ -370,6 +535,12 @@ def test_dual_weight_is_the_reciprocal_at_exchanged_indices():
             continue
         checked += 1
     assert QWeights(0.5).dual().small(1, 2) == 2.0
+    # the theta weight at a = 0 is the b;q weight, whose dual is a;q
+    assert EllipticWeights(ParameterSet(0, 0, 0.5, 0)).dual().small(1, 1) == 2.0
+    bq = EllipticWeights(ParameterSet(0, 0.4, 0.5, 0))
+    for s in range(-2, 4):
+        for t in range(-2, 4):
+            assert abs(bq.dual().small(s, t) * bq.small(t, s) - 1.0) <= 2e-14, (s, t)
     # at a = q^-5 the a;q weight has an exact zero and an exact pole
     aq = AQWeights(0.5 ** -5, 0.5)
     assert aq.small(1, 2) == 0
