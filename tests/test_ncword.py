@@ -1,6 +1,8 @@
 """Word parsing, rewriting systems, and normal ordering."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -286,3 +288,21 @@ def test_suffix_cache_holds_one_entry_per_suffix():
     ncword._swept.cache_clear()
     normal_order("y" * 6 + "x" * 6, WEYL)
     assert ncword._swept.cache_info().currsize <= 13
+
+
+def test_normal_form_json_bytes_are_pinned():
+    # SHA-1 of the JSON bytes of every word up to 8 letters, both
+    # strategies, all three systems, then (x + y)^0..10: the digest was
+    # taken before weight monomials were packed into integers, so any
+    # change to a coefficient, a monomial or the output order shows here
+    digest = hashlib.sha1()
+    for rs in RelationSystem:
+        for strategy in ("rightmost", "leftmost"):
+            for length in range(9):
+                for word in all_words(length):
+                    nf = normal_order(word, rs, strategy)
+                    digest.update(json.dumps(nf.to_json(), sort_keys=True).encode())
+    for rs in RelationSystem:
+        for n in range(11):
+            digest.update(json.dumps(expand_power_sum(n, rs).to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == "1781464a47accd1b936fc9da8df30f0208ff1e0d"
