@@ -53,7 +53,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .special_fn import DomainError, EllipticWeights, WeightFamily, bracket_z
-from .weightpoly import WeightPolynomial, _merge_monomials
+from .weightpoly import (WeightPolynomial, _cell_basis, _suffix_monomials,
+                         _with_basis)
 
 __all__ = [
     "FerrersBoard", "Placement", "board_from_word", "word_from_board",
@@ -272,20 +273,21 @@ def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> 
                 for _ in range(lo, hi + 1)]
     columns, cells = plan
     if symbolic:
-        acc = {(): {(): 1}}
+        # a column adds each (s, t) at most once to a monomial, so no
+        # exponent exceeds the number of columns; in one packed frame a
+        # move's product is the sum of the packed monomials
+        basis = _cell_basis(cells, len(columns))
+        acc = {(): {0: 1}}
         for rows in columns:
             nxt: dict = {}
             for source, row_cells, moves in rows:
-                # s never falls as j rises within a column, so the row's
-                # cells in order, each to the first power, are a sorted
-                # monomial and so is every suffix of it
-                mono = tuple((cell, 1) for cell in row_cells)
+                tails = _suffix_monomials(basis, row_cells)
                 part = acc[source]
                 for target, start in moves:
-                    tail = mono[start:]
+                    tail = tails[start]
                     out = nxt.setdefault(target, {})
                     for m, c in part.items():
-                        m = _merge_monomials(m, tail)
+                        m += tail
                         out[m] = out.get(m, 0) + c
             acc = nxt
         sums = [{} for _ in range(lo, hi + 1)]
@@ -293,7 +295,7 @@ def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> 
             terms = sums[len(state) - lo]
             for m, c in part.items():
                 terms[m] = terms.get(m, 0) + c
-        return [WeightPolynomial(terms) for terms in sums]
+        return [_with_basis(terms, basis) for terms in sums]
     weight = {cell: family.small(*cell) for cell in cells}
     acc = {(): 1.0 + 0.0j}
     for rows in columns:

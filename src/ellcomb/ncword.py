@@ -105,17 +105,6 @@ class RelationSystem(enum.Enum):
             f"{[m.value for m in cls]}")
 
 
-def _poly_const(poly: WeightPolynomial):
-    """The integer value of a constant polynomial, else None."""
-    if not poly.terms:
-        return 0
-    if len(poly.terms) == 1:
-        ((monomial, c),) = poly.terms.items()
-        if monomial == ():
-            return c
-    return None
-
-
 class NormalForm:
     """A finite sum  sum_{i,j} c_{i,j} x^i y^j  with WeightPolynomial
     coefficients.  Immutable by convention; zero coefficients are never
@@ -175,7 +164,7 @@ class NormalForm:
         rendered = []
         for (i, j), c in self.sorted_terms():
             parts = []
-            const = _poly_const(c)
+            const = c._constant()
             if const is None:
                 parts.append(f"({c})")
             elif const != 1 or (i == 0 and j == 0):

@@ -2,63 +2,262 @@
 
 The coefficient ring for symbolic normal ordering: commuting symbols
 w(s, t) indexed by integer pairs, integer coefficients, all arithmetic
-exact.  A monomial is stored as a sorted tuple of ((s, t), exponent)
-pairs with positive exponents; the polynomial maps monomials to nonzero
-integer coefficients.  The empty monomial () is the constant 1.
+exact.  The polynomial maps monomials to nonzero integer coefficients.
+
+Each monomial is one Python int (Kronecker packing), read in a frame
+private to its polynomial: an origin (s0, t0), a row width W and a field
+width of 8 * nb bits.  The symbol w(s, t) owns field number
+(s - s0) * W + (t - t0), and the monomial is
+
+    sum of  e * 2^(8 * nb * ((s - s0) * W + (t - t0)))
+
+over its symbols w(s, t)^e.  So the constant monomial is 0 in every
+frame, a product of monomials is an integer sum, and a uniform shift
+of every symbol moves only the origin.  Field order is the order of
+(s, t), which keeps the output order of the tuple form: a decoded
+monomial is the sorted tuple of ((s, t), e) pairs with e >= 1, and the
+constructor and ``from_json`` take that form.
+
+Besides its frame a polynomial keeps two bounds: every symbol has
+t0 <= t < tend <= t0 + W, and every exponent is at most top < 2^(8 nb).
+Operands in different frames are re-encoded into a frame holding both
+before +, * and ==; the field width doubles before a product could
+carry out of a field.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import re
 
-Monomial = tuple
+# sort key digit of a one-byte field: an exponent e >= 1 gives e - 1 and
+# an absent symbol (0) gives 255, so bytewise order is tuple order
+_ORDER = bytes((e - 1) % 256 for e in range(256))
+_NONZERO_RUN = re.compile(rb"[^\x00]+")
+# fields per chunk in ``evaluate``: one 64-bit word of one-byte fields
+_CHUNK_FIELDS = 8
 
 
-def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    """Product of two monomials: the shorter one's pairs are inserted into
-    the longer one by bisection, so pairs that do not change are reused."""
-    if len(m1) < len(m2):
-        m1, m2 = m2, m1
-    if not m2:
-        return m1
-    out = list(m1)
-    lo = 0
-    for pair in m2:
-        key = pair[0]
-        # (key,) sorts before every (key, e), so this finds key's slot
-        lo = bisect_left(out, (key,), lo)
-        if lo < len(out) and out[lo][0] == key:
-            out[lo] = (key, out[lo][1] + pair[1])
-        else:
-            out.insert(lo, pair)
-    return tuple(out)
+def _width(span: int) -> int:
+    """Row width for symbols with span distinct t values: a power of two
+    and at least one ``evaluate`` chunk of eight fields, so frames built
+    from different data mostly agree and re-encode by a shift."""
+    return max(_CHUNK_FIELDS, 1 << (span - 1).bit_length())
+
+
+def _bytes_for(top: int) -> int:
+    """Bytes per field that hold exponents up to top: a power of two."""
+    nb = 1
+    while top >> (nb << 3):
+        nb <<= 1
+    return nb
+
+
+def _fields(m: int, nb: int):
+    """Exponents of the fields of m from field 0 up to its last nonzero
+    field: the raw bytes when a field is one byte."""
+    raw = m.to_bytes(-(-m.bit_length() // (nb << 3)) * nb, "little")
+    if nb == 1:
+        return raw
+    return [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
+
+
+def _nonzero_fields(m: int, nb: int) -> list:
+    """(field number, exponent) of every symbol of m, in field order.
+    Runs of zero bytes are skipped by a regular expression, so a
+    monomial with a few symbols far apart decodes in a few steps."""
+    raw = m.to_bytes(-(-m.bit_length() // (nb << 3)) * nb, "little")
+    spans = [run.span() for run in _NONZERO_RUN.finditer(raw)]
+    if nb == 1:
+        return [pair for a, b in spans for pair in zip(range(a, b), raw[a:b])]
+    fields = dict.fromkeys(i // nb for a, b in spans for i in range(a, b))
+    return [(f, int.from_bytes(raw[f * nb:(f + 1) * nb], "little")) for f in fields]
+
+
+def _order_key(m: int, nb: int) -> bytes:
+    """Bytes that sort like the decoded tuple monomials: field by field
+    from the smallest (s, t), e - 1 for an exponent and the largest digit
+    for an absent symbol, so a monomial that ends first sorts first."""
+    if nb == 1:
+        return _fields(m, 1).translate(_ORDER)
+    full = 1 << (nb << 3)
+    return b"".join(((e - 1) % full).to_bytes(nb, "big") for e in _fields(m, nb))
+
+
+def _recode(m: int, src: tuple, dst: tuple) -> int:
+    """Monomial m of frame src in frame dst, which holds its symbols, has
+    its origin at or below src's and fields at least as wide.  Each row
+    is cut or padded to the new width, then the whole moves to the new
+    origin."""
+    s0, t0, w, nb = src
+    S0, T0, W, NB = dst
+    if w != W or nb != NB:
+        row = w * nb
+        raw = m.to_bytes(-(-m.bit_length() // (row << 3)) * row, "little")
+        if nb != NB:
+            pad = bytes(NB - nb)
+            raw = b"".join(raw[i:i + nb] + pad for i in range(0, len(raw), nb))
+            row = w * NB
+        keep = min(w, W) * NB
+        pad = bytes(W * NB - keep)
+        m = int.from_bytes(pad.join(raw[i:i + keep] for i in range(0, len(raw), row)),
+                           "little")
+    return m << (NB << 3) * ((s0 - S0) * W + t0 - T0)
+
+
+def _join(fa, tend_a, fb, tend_b) -> tuple:
+    """A frame holding the symbols of two frames and the joint t bound:
+    one of the two when it already holds the other's symbols."""
+    if fa is None:
+        return fb, tend_b
+    if fb is None:
+        return fa, tend_a
+    tend = tend_a if tend_a > tend_b else tend_b
+    if fa == fb:
+        return fa, tend
+    sa, ta, wa, na = fa
+    sb, tb, wb, nbb = fb
+    if sa <= sb and ta <= tb and tend_b <= ta + wa and na >= nbb:
+        return fa, tend
+    if sb <= sa and tb <= ta and tend_a <= tb + wb and nbb >= na:
+        return fb, tend
+    t0 = ta if ta < tb else tb
+    w = wa if wa > wb else wb
+    if tend - t0 > w:
+        w = _width(tend - t0)
+    return (sa if sa < sb else sb, t0, w, na if na > nbb else nbb), tend
+
+
+def _terms_in(poly: "WeightPolynomial", frame) -> dict:
+    """The terms of poly with monomials in frame, which holds poly's."""
+    own = poly._frame
+    if own is None or own == frame:
+        return poly.terms
+    return {_recode(m, own, frame): c for m, c in poly.terms.items()}
+
+
+def _exact_top(poly: "WeightPolynomial") -> int:
+    """The largest exponent in poly; it replaces the stored bound."""
+    if poly._frame is None:
+        return 0
+    nb = poly._frame[3]
+    top = max((e for m in poly.terms for _, e in _nonzero_fields(m, nb)), default=0)
+    poly._top = top
+    return top
+
+
+def _fit(frame, top: int, *operands) -> tuple:
+    """(frame, top) for a product whose exponents are at most top, the
+    sum of the operands' bounds and a constant.  A sum that does not fit
+    in a field is first redone from the operands' exact exponents, then
+    the fields widen, so a product never carries between fields."""
+    if frame is None or not top >> (frame[3] << 3):
+        return frame, top
+    bound = sum(poly._top for poly in operands)
+    top += sum(_exact_top(poly) for poly in operands) - bound
+    return frame[:3] + (max(frame[3], _bytes_for(top)),), top
+
+
+def _poly(terms: dict, frame, tend, top: int) -> "WeightPolynomial":
+    poly = WeightPolynomial.__new__(WeightPolynomial)
+    poly.terms = terms
+    poly._frame = frame
+    poly._tend = tend
+    poly._top = top
+    return poly
+
+
+def _encode(entries) -> tuple:
+    """(terms, frame, tend, top) from (pairs, c) entries, pairs an
+    iterable of ((s, t), e): repeated symbols add their exponents and
+    repeated monomials their coefficients."""
+    monomials = []
+    for pairs, c in entries:
+        mon: dict = {}
+        for (s, t), e in pairs:
+            e = int(e)
+            if e < 1:
+                raise ValueError(f"exponent of w({s},{t}) must be >= 1, got {e}")
+            key = (int(s), int(t))
+            mon[key] = mon.get(key, 0) + e
+        monomials.append((mon, c))
+    symbols = [key for mon, _ in monomials for key in mon]
+    frame = tend = None
+    top = 0
+    if symbols:
+        s0 = min(s for s, _ in symbols)
+        t0 = min(t for _, t in symbols)
+        tend = max(t for _, t in symbols) + 1
+        top = max(e for mon, _ in monomials for e in mon.values())
+        frame = (s0, t0, _width(tend - t0), _bytes_for(top))
+    terms: dict = {}
+    for mon, c in monomials:
+        m = _pack(frame, mon.items()) if mon else 0
+        terms[m] = terms.get(m, 0) + c
+    return {m: c for m, c in terms.items() if c != 0}, frame, tend, top
+
+
+def _pack(frame: tuple, pairs) -> int:
+    """The monomial of ((s, t), e) pairs in frame, which holds them."""
+    s0, t0, w, nb = frame
+    bits = nb << 3
+    m = 0
+    for (s, t), e in pairs:
+        m += e << bits * ((s - s0) * w + t - t0)
+    return m
+
+
+def _cell_basis(cells, top: int) -> tuple:
+    """(frame, tend, top) for polynomials whose symbols are among the
+    (s, t) in cells, with exponents at most top."""
+    if not cells:
+        return None, None, 0
+    s0 = min(s for s, _ in cells)
+    t0 = min(t for _, t in cells)
+    tend = max(t for _, t in cells) + 1
+    return (s0, t0, _width(tend - t0), _bytes_for(top)), tend, top
+
+
+def _suffix_monomials(basis: tuple, cells) -> list:
+    """[m_0, ..., m_n]: m_i is the product of the symbols cells[i:], each
+    to the first power, packed in the basis frame."""
+    frame = basis[0]
+    out = [0]
+    for cell in reversed(cells):
+        out.append(out[-1] + _pack(frame, ((cell, 1),)))
+    out.reverse()
+    return out
+
+
+def _with_basis(terms: dict, basis: tuple) -> "WeightPolynomial":
+    """The polynomial of packed terms in a ``_cell_basis`` frame."""
+    frame, tend, top = basis
+    return _poly({m: c for m, c in terms.items() if c != 0}, frame, tend, top)
 
 
 class WeightPolynomial:
     """Integer-coefficient polynomial in the symbols w(s, t)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_frame", "_tend", "_top")
 
     def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms, self._frame, self._tend, self._top = _encode(
+            terms.items() if terms else ())
 
     @classmethod
     def zero(cls) -> "WeightPolynomial":
-        return cls()
+        return _poly({}, None, None, 0)
 
     @classmethod
     def one(cls) -> "WeightPolynomial":
-        return cls({(): 1})
+        return _poly({0: 1}, None, None, 0)
 
     @classmethod
     def from_int(cls, n: int) -> "WeightPolynomial":
-        return cls({(): int(n)}) if n else cls()
+        return _poly({0: int(n)} if n else {}, None, None, 0)
 
     @classmethod
     def symbol(cls, s: int, t: int) -> "WeightPolynomial":
-        return cls({(((s, t), 1),): 1})
+        return _poly({1: 1}, (s, t, _CHUNK_FIELDS, 1), t + 1, 1)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -66,36 +265,47 @@ class WeightPolynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def _constant(self):
+        """The integer value of a constant polynomial, else None."""
+        if not self.terms:
+            return 0
+        if len(self.terms) == 1:
+            return self.terms.get(0)
+        return None
+
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = WeightPolynomial.from_int(other)
         if not isinstance(other, WeightPolynomial):
             return NotImplemented
-        return self.terms == other.terms
+        if len(self.terms) != len(other.terms):
+            return False
+        if self._frame == other._frame:
+            return self.terms == other.terms
+        frame, _ = _join(self._frame, self._tend, other._frame, other._tend)
+        return _terms_in(self, frame) == _terms_in(other, frame)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self.monomials()))
 
     def __add__(self, other) -> "WeightPolynomial":
         if isinstance(other, int):
             other = WeightPolynomial.from_int(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        frame, tend = _join(self._frame, self._tend, other._frame, other._tend)
+        out = dict(_terms_in(self, frame))
+        for m, c in _terms_in(other, frame).items():
             n = out.get(m, 0) + c
             if n:
                 out[m] = n
             elif m in out:
                 del out[m]
-        poly = WeightPolynomial.__new__(WeightPolynomial)
-        poly.terms = out
-        return poly
+        return _poly(out, frame, tend, max(self._top, other._top))
 
     __radd__ = __add__
 
     def __neg__(self) -> "WeightPolynomial":
-        poly = WeightPolynomial.__new__(WeightPolynomial)
-        poly.terms = {m: -c for m, c in self.terms.items()}
-        return poly
+        return _poly({m: -c for m, c in self.terms.items()},
+                     self._frame, self._tend, self._top)
 
     def __sub__(self, other) -> "WeightPolynomial":
         if isinstance(other, int):
@@ -106,66 +316,97 @@ class WeightPolynomial:
         if isinstance(other, int):
             if other == 0:
                 return WeightPolynomial.zero()
-            poly = WeightPolynomial.__new__(WeightPolynomial)
-            poly.terms = {m: c * other for m, c in self.terms.items()}
-            return poly
+            return _poly({m: c * other for m, c in self.terms.items()},
+                         self._frame, self._tend, self._top)
         if not isinstance(other, WeightPolynomial):
             return NotImplemented
+        frame, tend = _join(self._frame, self._tend, other._frame, other._tend)
+        frame, top = _fit(frame, self._top + other._top, self, other)
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _merge_monomials(m1, m2)
+        others = _terms_in(other, frame).items()
+        for m1, c1 in _terms_in(self, frame).items():
+            for m2, c2 in others:
+                m = m1 + m2
                 n = out.get(m, 0) + c1 * c2
                 if n:
                     out[m] = n
                 elif m in out:
                     del out[m]
-        poly = WeightPolynomial.__new__(WeightPolynomial)
-        poly.terms = out
-        return poly
+        return _poly(out, frame, tend, top)
 
     __rmul__ = __mul__
 
     def times_symbol(self, s: int, t: int) -> "WeightPolynomial":
         """Fast multiplication by a single symbol w(s, t)."""
-        factor = (((s, t), 1),)
-        out = {_merge_monomials(m, factor): c for m, c in self.terms.items()}
-        poly = WeightPolynomial.__new__(WeightPolynomial)
-        poly.terms = out
-        return poly
+        frame, tend = _join(self._frame, self._tend, (s, t, _CHUNK_FIELDS, 1), t + 1)
+        frame, top = _fit(frame, self._top + 1, self)
+        factor = _pack(frame, (((s, t), 1),))
+        out = {m + factor: c for m, c in _terms_in(self, frame).items()}
+        return _poly(out, frame, tend, top)
 
     def shift(self, ds: int, dt: int) -> "WeightPolynomial":
         """Rename every symbol w(s, t) to w(s + ds, t + dt)."""
-        if ds == 0 and dt == 0:
+        if (ds == 0 and dt == 0) or self._frame is None:
             return self
-        # a uniform shift keeps the symbols of a monomial in sorted order
-        out = {tuple(((s + ds, t + dt), e) for (s, t), e in m): c
-               for m, c in self.terms.items()}
-        poly = WeightPolynomial.__new__(WeightPolynomial)
-        poly.terms = out
-        return poly
+        s0, t0, w, nb = self._frame
+        return _poly(self.terms, (s0 + ds, t0 + dt, w, nb), self._tend + dt, self._top)
 
     def evaluate(self, family, cache: dict | None = None) -> complex:
-        """Substitute numeric weights from a family for the symbols."""
+        """Substitute numeric weights from a family for the symbols.
+
+        Each monomial multiplies its coefficient by its factors w or w^e
+        in ascending (s, t), and the monomials are summed in the order of
+        ``terms``.  Monomials are read eight fields at a time, and each
+        distinct chunk is decoded into its factors once per call."""
         if getattr(family, "symbolic", False):
             from .special_fn import DomainError
             raise DomainError("cannot evaluate symbols against a symbolic family")
         if cache is None:
             cache = {}
+        frame = self._frame
+        bits = 8 * _CHUNK_FIELDS * (frame[3] if frame else 1)
+        mask = (1 << bits) - 1
+        chunks: dict = {}
         total = 0.0 + 0.0j
         for m, c in self.terms.items():
             value = complex(c)
-            for key, e in m:
-                w = cache.get(key)
-                if w is None:
-                    w = complex(family.small(key[0], key[1]))
-                    cache[key] = w
-                value *= w if e == 1 else w ** e
+            index = 0
+            while m:
+                chunk = m & mask
+                if chunk:
+                    key = (index, chunk)
+                    factors = chunks.get(key)
+                    if factors is None:
+                        factors = chunks[key] = _chunk_factors(
+                            frame, index, chunk, family, cache)
+                    for w in factors:
+                        value *= w
+                    m >>= bits
+                    index += 1
+                else:
+                    skip = ((m & -m).bit_length() - 1) // bits
+                    m >>= skip * bits
+                    index += skip
             total += value
         return total
 
+    def _ordered(self, fmt):
+        """(factors, coefficient) in sorted monomial order, factors the
+        list of (fmt(s, t), e) over the symbols w(s, t)^e.  A monomial is
+        decoded only when it is reached, and fmt runs once per cell."""
+        frame = self._frame
+        terms = self.terms
+        if frame is None:
+            for c in terms.values():
+                yield [], c
+            return
+        nb = frame[3]
+        names = _Names(frame, fmt)
+        for m in sorted(terms, key=lambda m: _order_key(m, nb)):
+            yield [(names[p], e) for p, e in _nonzero_fields(m, nb)], terms[m]
+
     def monomials(self):
-        return sorted(self.terms.items())
+        return [(tuple(factors), c) for factors, c in self._ordered(_cell)]
 
     def __repr__(self):
         return f"WeightPolynomial({self})"
@@ -174,31 +415,70 @@ class WeightPolynomial:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in self.monomials():
-            factors = []
-            if c != 1 or not m:
-                factors.append(str(c))
-            for (s, t), e in m:
-                sym = f"w({s},{t})"
-                factors.append(sym if e == 1 else f"{sym}^{e}")
-            parts.append("*".join(factors))
+        for factors, c in self._ordered("w({},{})".format):
+            head = [str(c)] if c != 1 or not factors else []
+            parts.append("*".join(head + [name if e == 1 else f"{name}^{e}"
+                                          for name, e in factors]))
         return " + ".join(parts)
 
     def json_entries(self):
         """The entries of ``to_json``, one at a time, in the same order."""
-        for m, c in self.monomials():
-            yield {"monomial": [[f"{s},{t}", e] for (s, t), e in m], "c": c}
+        for factors, c in self._ordered("{},{}".format):
+            yield {"monomial": [[name, e] for name, e in factors], "c": c}
 
     def to_json(self) -> list:
         return list(self.json_entries())
 
     @classmethod
     def from_json(cls, data) -> "WeightPolynomial":
-        terms = {}
+        """The polynomial of ``to_json`` entries.  Repeated symbols add
+        their exponents and repeated monomials their coefficients; an
+        exponent below 1 is a ValueError."""
+        entries = []
         for entry in data:
-            mon = []
+            pairs = []
             for key, e in entry["monomial"]:
                 s_txt, t_txt = key.split(",")
-                mon.append(((int(s_txt), int(t_txt)), int(e)))
-            terms[tuple(sorted(mon))] = int(entry["c"])
-        return cls(terms)
+                pairs.append(((int(s_txt), int(t_txt)), e))
+            entries.append((pairs, int(entry["c"])))
+        poly = cls.__new__(cls)
+        poly.terms, poly._frame, poly._tend, poly._top = _encode(entries)
+        return poly
+
+
+def _cell(s: int, t: int) -> tuple:
+    return (s, t)
+
+
+class _Names(dict):
+    """Field number -> fmt(s, t) in one frame, filled on first use."""
+
+    __slots__ = ("frame", "fmt")
+
+    def __init__(self, frame: tuple, fmt):
+        super().__init__()
+        self.frame = frame
+        self.fmt = fmt
+
+    def __missing__(self, p: int):
+        s0, t0, w, _ = self.frame
+        ds, dt = divmod(p, w)
+        name = self[p] = self.fmt(s0 + ds, t0 + dt)
+        return name
+
+
+def _chunk_factors(frame: tuple, index: int, chunk: int, family, cache: dict) -> tuple:
+    """The factors w or w^e of the eight fields of chunk number index, in
+    field order; weights come from cache, keyed (s, t), or the family."""
+    s0, t0, w, nb = frame
+    factors = []
+    for p, e in enumerate(_fields(chunk, nb), index * _CHUNK_FIELDS):
+        if e:
+            ds, dt = divmod(p, w)
+            key = (s0 + ds, t0 + dt)
+            weight = cache.get(key)
+            if weight is None:
+                weight = complex(family.small(key[0], key[1]))
+                cache[key] = weight
+            factors.append(weight if e == 1 else weight ** e)
+    return tuple(factors)

@@ -1,5 +1,6 @@
 """Exact polynomial ring in the weight symbols w(s, t)."""
 
+import json
 import random
 
 import pytest
@@ -113,3 +114,175 @@ def test_hash_consistency():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_from_json_adds_repeated_symbols():
+    got = WeightPolynomial.from_json([{"monomial": [["1,1", 1], ["1,1", 1]], "c": 1}])
+    assert got == w(1, 1) * w(1, 1)
+    assert str(got) == "w(1,1)^2"
+
+
+def test_from_json_rejects_exponent_zero():
+    with pytest.raises(ValueError):
+        WeightPolynomial.from_json([{"monomial": [["1,1", 0]], "c": 3}])
+
+
+def test_from_json_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        WeightPolynomial.from_json([{"monomial": [["1,1", -1]], "c": 3}])
+
+
+def test_from_json_adds_repeated_monomials():
+    entry = {"monomial": [["1,1", 1]], "c": 2}
+    got = WeightPolynomial.from_json([entry, {"monomial": [["1,1", 1]], "c": -2}])
+    assert got == 0
+    assert WeightPolynomial.from_json([entry, entry]) == 4 * w(1, 1)
+
+
+# -- the tuple-monomial reference --------------------------------------
+#
+# Monomials as sorted tuples of ((s, t), e) pairs, with the arithmetic
+# and evaluation order the packed form must reproduce exactly: the same
+# dict insertion order, so evaluated sums are bit-identical.
+
+def _merge(m1, m2):
+    if len(m1) < len(m2):
+        m1, m2 = m2, m1
+    out = dict(m1)
+    for key, e in m2:
+        out[key] = out.get(key, 0) + e
+    return tuple(sorted(out.items()))
+
+
+def _oracle_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        n = out.get(m, 0) + c
+        if n:
+            out[m] = n
+        elif m in out:
+            del out[m]
+    return out
+
+
+def _oracle_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _merge(m1, m2)
+            n = out.get(m, 0) + c1 * c2
+            if n:
+                out[m] = n
+            elif m in out:
+                del out[m]
+    return out
+
+
+def _oracle_shift(a, ds, dt):
+    return {tuple(((s + ds, t + dt), e) for (s, t), e in m): c for m, c in a.items()}
+
+
+def _oracle_evaluate(a, family):
+    total = 0.0 + 0.0j
+    for m, c in a.items():
+        value = complex(c)
+        for (s, t), e in m:
+            weight = complex(family.small(s, t))
+            value *= weight if e == 1 else weight ** e
+        total += value
+    return total
+
+
+def _oracle_str(a):
+    if not a:
+        return "0"
+    parts = []
+    for m, c in sorted(a.items()):
+        factors = [str(c)] if c != 1 or not m else []
+        factors += [f"w({s},{t})" if e == 1 else f"w({s},{t})^{e}" for (s, t), e in m]
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+def _oracle_json(a):
+    return [{"monomial": [[f"{s},{t}", e] for (s, t), e in m], "c": c}
+            for m, c in sorted(a.items())]
+
+
+class _AnyCellWeights:
+    """A numeric weight at every integer cell, negative indices included."""
+
+    def small(self, s, t):
+        return complex(1 + s / 1300, (t % 17 - 8) / 9)
+
+
+# index ranges of s and of t: negative, small, wide, and t up to 1200;
+# a packed monomial spans its polynomial's whole box of cells, so each
+# polynomial draws from one box and mixing boxes makes wide frames
+_RANGES = [(-40, -30), (1, 6), (-40, 40), (1100, 1200)]
+
+
+def _random_pair(rng):
+    """A random polynomial built by arithmetic (so its frame comes from
+    the operations) and its tuple-monomial twin."""
+    s_range, t_range = rng.choice(_RANGES), rng.choice(_RANGES)
+    poly, ref = WeightPolynomial.zero(), {}
+    for _ in range(rng.randint(0, 5)):
+        c = rng.choice([-3, -2, -1, 1, 2, 5])
+        term, mono = WeightPolynomial.from_int(c), {(): c}
+        for _ in range(rng.randint(0, 4)):
+            s, t = rng.randint(*s_range), rng.randint(*t_range)
+            if rng.random() < 0.5:
+                term = term.times_symbol(s, t)
+            else:
+                term = term * w(s, t)
+            mono = _oracle_mul(mono, {(((s, t), 1),): 1})
+        poly, ref = poly + term, _oracle_add(ref, mono)
+    return poly, ref
+
+
+def _assert_matches(poly, ref):
+    assert poly.monomials() == sorted(ref.items())
+    assert str(poly) == _oracle_str(ref)
+    assert json.dumps(poly.to_json()) == json.dumps(_oracle_json(ref))
+    assert list(poly.terms.values()) == list(ref.values())
+    assert poly.evaluate(_AnyCellWeights()) == _oracle_evaluate(ref, _AnyCellWeights())
+    assert poly == WeightPolynomial(ref)
+    assert hash(poly) == hash(WeightPolynomial(ref))
+
+
+def test_packed_arithmetic_matches_tuple_monomials():
+    rng = random.Random(33)
+    for _ in range(60):
+        a, ra = _random_pair(rng)
+        b, rb = _random_pair(rng)
+        _assert_matches(a, ra)
+        _assert_matches(a + b, _oracle_add(ra, rb))
+        _assert_matches(a - b, _oracle_add(ra, {m: -c for m, c in rb.items()}))
+        _assert_matches(a * b, _oracle_mul(ra, rb))
+        _assert_matches(a.shift(-3, 5) * b, _oracle_mul(_oracle_shift(ra, -3, 5), rb))
+        _assert_matches(b * a.shift(-3, 5) + a, _oracle_add(
+            _oracle_mul(rb, _oracle_shift(ra, -3, 5)), ra))
+        # the same polynomial in two frames: equal, one hash, one set entry
+        moved = (a.shift(-3, 5) + b).shift(3, -5) - b.shift(3, -5)
+        assert moved == a and hash(moved) == hash(a)
+        assert len({moved, a}) == 1 and moved in {a}
+        assert (a == b) == (ra == rb)
+
+
+def test_exponents_beyond_one_byte_widen_the_field():
+    # w(1,1)^300 by repeated squaring: 128 + 128 would carry out of a byte
+    powers = [w(1, 1)]
+    for _ in range(8):
+        powers.append(powers[-1] * powers[-1])
+    p300 = powers[8] * powers[5] * powers[3] * powers[2]
+    ref = {(((1, 1), 300),): 1}
+    _assert_matches(p300, ref)
+    assert str(p300) == "w(1,1)^300"
+    mixed = (p300 + w(2, 1)) * (w(1, 1) + w(-4, 9))
+    _assert_matches(mixed, _oracle_mul(_oracle_add(ref, {(((2, 1), 1),): 1}),
+                                       {(((1, 1), 1),): 1, (((-4, 9), 1),): 1}))
+    _assert_matches(p300.shift(-3, 5).times_symbol(-2, 6),
+                    {(((-2, 6), 301),): 1})
+    # cancellation leaves no stale field: the square of w^300 - w^300 is 0
+    assert (p300 - powers[8] * powers[5] * powers[3] * powers[2]) * p300 == 0
