@@ -53,8 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .special_fn import DomainError, EllipticWeights, WeightFamily, bracket_z
-from .weightpoly import (WeightPolynomial, _cell_basis, _suffix_monomials,
-                         _with_basis)
+from .weightpoly import WeightPolynomial, _cell_basis, _poly, _suffix_monomials
 
 __all__ = [
     "FerrersBoard", "Placement", "board_from_word", "word_from_board",
@@ -275,7 +274,8 @@ def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> 
     if symbolic:
         # a column adds each (s, t) at most once to a monomial, so no
         # exponent exceeds the number of columns; in one packed frame a
-        # move's product is the sum of the packed monomials
+        # move's product is the sum of the packed monomials, and every
+        # coefficient is a positive count
         basis = _cell_basis(cells, len(columns))
         acc = {(): {0: 1}}
         for rows in columns:
@@ -295,7 +295,7 @@ def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> 
             terms = sums[len(state) - lo]
             for m, c in part.items():
                 terms[m] = terms.get(m, 0) + c
-        return [_with_basis(terms, basis) for terms in sums]
+        return [_poly(terms, *basis) for terms in sums]
     weight = {cell: family.small(*cell) for cell in cells}
     acc = {(): 1.0 + 0.0j}
     for rows in columns:

@@ -19,10 +19,12 @@ monomial is the sorted tuple of ((s, t), e) pairs with e >= 1, and the
 constructor and ``from_json`` take that form.
 
 Besides its frame a polynomial keeps two bounds: every symbol has
-t0 <= t < tend <= t0 + W, and every exponent is at most top < 2^(8 nb).
-Operands in different frames are re-encoded into a frame holding both
-before +, * and ==; the field width doubles before a product could
-carry out of a field.
+s >= s0 and t0 <= t < tend <= t0 + W, and every exponent is at most
+top < 2^(8 nb).  W (a power of two, at least 8) and nb (a power of two)
+follow from the data.  Operands in different frames are re-encoded
+into a frame holding both before +, * and ==, and the field width
+doubles before a product could carry out of a field.  Hashes are taken
+over the decoded monomials, so they do not depend on the frame.
 """
 
 from __future__ import annotations
@@ -207,8 +209,9 @@ def _pack(frame: tuple, pairs) -> int:
 
 
 def _cell_basis(cells, top: int) -> tuple:
-    """(frame, tend, top) for polynomials whose symbols are among the
-    (s, t) in cells, with exponents at most top."""
+    """(frame, tend, top), the last three arguments of ``_poly``, for
+    polynomials whose symbols are among the (s, t) in cells, with
+    exponents at most top."""
     if not cells:
         return None, None, 0
     s0 = min(s for s, _ in cells)
@@ -226,12 +229,6 @@ def _suffix_monomials(basis: tuple, cells) -> list:
         out.append(out[-1] + _pack(frame, ((cell, 1),)))
     out.reverse()
     return out
-
-
-def _with_basis(terms: dict, basis: tuple) -> "WeightPolynomial":
-    """The polynomial of packed terms in a ``_cell_basis`` frame."""
-    frame, tend, top = basis
-    return _poly({m: c for m, c in terms.items() if c != 0}, frame, tend, top)
 
 
 class WeightPolynomial:
