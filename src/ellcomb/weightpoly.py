@@ -25,6 +25,11 @@ follow from the data.  Operands in different frames are re-encoded
 into a frame holding both before +, * and ==, and the field width
 doubles before a product could carry out of a field.  Hashes are taken
 over the decoded monomials, so they do not depend on the frame.
+
+Printing, JSON and ``monomials()`` decode one monomial at a time in
+sorted order.  ``evaluate`` decodes a polynomial on its first call and
+keeps that form, so a polynomial evaluated under many parameter draws
+is decoded once.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import re
 # an absent symbol (0) gives 255, so bytewise order is tuple order
 _ORDER = bytes((e - 1) % 256 for e in range(256))
 _NONZERO_RUN = re.compile(rb"[^\x00]+")
-# fields per chunk in ``evaluate``: one 64-bit word of one-byte fields
+# fields per chunk when ``evaluate`` decodes: a 64-bit word of byte fields
 _CHUNK_FIELDS = 8
 
 
@@ -87,9 +92,9 @@ def _order_key(m: int, nb: int) -> bytes:
 
 def _recode(m: int, src: tuple, dst: tuple) -> int:
     """Monomial m of frame src in frame dst, which holds its symbols, has
-    its origin at or below src's and fields at least as wide.  Each row
-    is cut or padded to the new width, then the whole moves to the new
-    origin."""
+    its origin at or below src's, and rows and fields at least as wide.
+    Each field and row is padded to the new width, then the whole moves
+    to the new origin."""
     s0, t0, w, nb = src
     S0, T0, W, NB = dst
     if w != W or nb != NB:
@@ -99,16 +104,17 @@ def _recode(m: int, src: tuple, dst: tuple) -> int:
             pad = bytes(NB - nb)
             raw = b"".join(raw[i:i + nb] + pad for i in range(0, len(raw), nb))
             row = w * NB
-        keep = min(w, W) * NB
-        pad = bytes(W * NB - keep)
-        m = int.from_bytes(pad.join(raw[i:i + keep] for i in range(0, len(raw), row)),
+        pad = bytes((W - w) * NB)
+        m = int.from_bytes(pad.join(raw[i:i + row] for i in range(0, len(raw), row)),
                            "little")
     return m << (NB << 3) * ((s0 - S0) * W + t0 - T0)
 
 
 def _join(fa, tend_a, fb, tend_b) -> tuple:
     """A frame holding the symbols of two frames and the joint t bound:
-    one of the two when it already holds the other's symbols."""
+    one of the two when it already holds the other's symbols.  A frame
+    wider than 8 is less than twice its t span (tend - t0), so a frame
+    that holds another's symbols is never the narrower one."""
     if fa is None:
         return fb, tend_b
     if fb is None:
@@ -165,6 +171,7 @@ def _poly(terms: dict, frame, tend, top: int) -> "WeightPolynomial":
     poly._frame = frame
     poly._tend = tend
     poly._top = top
+    poly._plan = None
     return poly
 
 
@@ -182,15 +189,8 @@ def _encode(entries) -> tuple:
             key = (int(s), int(t))
             mon[key] = mon.get(key, 0) + e
         monomials.append((mon, c))
-    symbols = [key for mon, _ in monomials for key in mon]
-    frame = tend = None
-    top = 0
-    if symbols:
-        s0 = min(s for s, _ in symbols)
-        t0 = min(t for _, t in symbols)
-        tend = max(t for _, t in symbols) + 1
-        top = max(e for mon, _ in monomials for e in mon.values())
-        frame = (s0, t0, _width(tend - t0), _bytes_for(top))
+    top = max((e for mon, _ in monomials for e in mon.values()), default=0)
+    frame, tend, top = _cell_basis([key for mon, _ in monomials for key in mon], top)
     terms: dict = {}
     for mon, c in monomials:
         m = _pack(frame, mon.items()) if mon else 0
@@ -234,11 +234,12 @@ def _suffix_monomials(basis: tuple, cells) -> list:
 class WeightPolynomial:
     """Integer-coefficient polynomial in the symbols w(s, t)."""
 
-    __slots__ = ("terms", "_frame", "_tend", "_top")
+    __slots__ = ("terms", "_frame", "_tend", "_top", "_plan")
 
     def __init__(self, terms=None):
         self.terms, self._frame, self._tend, self._top = _encode(
             terms.items() if terms else ())
+        self._plan = None
 
     @classmethod
     def zero(cls) -> "WeightPolynomial":
@@ -353,37 +354,29 @@ class WeightPolynomial:
 
         Each monomial multiplies its coefficient by its factors w or w^e
         in ascending (s, t), and the monomials are summed in the order of
-        ``terms``.  Monomials are read eight fields at a time, and each
-        distinct chunk is decoded into its factors once per call."""
+        ``terms``, so the value does not depend on the packing.  The
+        decoded form is built on the first call and kept (see
+        ``_evaluation_plan``); each call looks up every distinct weight
+        once, in ``cache`` (keyed (s, t)) or the family."""
         if getattr(family, "symbolic", False):
             from .special_fn import DomainError
             raise DomainError("cannot evaluate symbols against a symbolic family")
         if cache is None:
             cache = {}
-        frame = self._frame
-        bits = 8 * _CHUNK_FIELDS * (frame[3] if frame else 1)
-        mask = (1 << bits) - 1
-        chunks: dict = {}
+        if self._plan is None:
+            self._plan = _evaluation_plan(self)
+        cells, rows = self._plan
+        weights = []
+        for cell, e in cells:
+            weight = cache.get(cell)
+            if weight is None:
+                weight = cache[cell] = complex(family.small(cell[0], cell[1]))
+            weights.append(weight if e == 1 else weight ** e)
         total = 0.0 + 0.0j
-        for m, c in self.terms.items():
+        for c, ids in rows:
             value = complex(c)
-            index = 0
-            while m:
-                chunk = m & mask
-                if chunk:
-                    key = (index, chunk)
-                    factors = chunks.get(key)
-                    if factors is None:
-                        factors = chunks[key] = _chunk_factors(
-                            frame, index, chunk, family, cache)
-                    for w in factors:
-                        value *= w
-                    m >>= bits
-                    index += 1
-                else:
-                    skip = ((m & -m).bit_length() - 1) // bits
-                    m >>= skip * bits
-                    index += skip
+            for i in ids:
+                value *= weights[i]
             total += value
         return total
 
@@ -438,9 +431,7 @@ class WeightPolynomial:
                 s_txt, t_txt = key.split(",")
                 pairs.append(((int(s_txt), int(t_txt)), e))
             entries.append((pairs, int(entry["c"])))
-        poly = cls.__new__(cls)
-        poly.terms, poly._frame, poly._tend, poly._top = _encode(entries)
-        return poly
+        return _poly(*_encode(entries))
 
 
 def _cell(s: int, t: int) -> tuple:
@@ -464,18 +455,46 @@ class _Names(dict):
         return name
 
 
-def _chunk_factors(frame: tuple, index: int, chunk: int, family, cache: dict) -> tuple:
-    """The factors w or w^e of the eight fields of chunk number index, in
-    field order; weights come from cache, keyed (s, t), or the family."""
+def _evaluation_plan(poly: WeightPolynomial) -> tuple:
+    """(cells, rows) for ``evaluate``: cells are the distinct ((s, t), e)
+    in order of first use, rows one (c, ids) per monomial in ``terms``
+    order, ids indexing cells in ascending (s, t).  Monomials are read
+    eight fields at a time, and each distinct chunk is decoded once."""
+    frame = poly._frame
+    cells: list = []
+    if frame is None:
+        return cells, [(c, ()) for c in poly.terms.values()]
     s0, t0, w, nb = frame
-    factors = []
-    for p, e in enumerate(_fields(chunk, nb), index * _CHUNK_FIELDS):
-        if e:
-            ds, dt = divmod(p, w)
-            key = (s0 + ds, t0 + dt)
-            weight = cache.get(key)
-            if weight is None:
-                weight = complex(family.small(key[0], key[1]))
-                cache[key] = weight
-            factors.append(weight if e == 1 else weight ** e)
-    return tuple(factors)
+    bits = 8 * _CHUNK_FIELDS * nb
+    mask = (1 << bits) - 1
+    parts: dict = {}  # (chunk number, chunk) -> ids of its cells
+    ids: dict = {}  # (field number, e) -> id
+    rows = []
+    for m, c in poly.terms.items():
+        row = ()
+        index = 0
+        while m:
+            chunk = m & mask
+            if chunk:
+                key = (index, chunk)
+                part = parts.get(key)
+                if part is None:
+                    part = []
+                    for p, e in enumerate(_fields(chunk, nb), index * _CHUNK_FIELDS):
+                        if e:
+                            i = ids.get((p, e))
+                            if i is None:
+                                i = ids[(p, e)] = len(cells)
+                                ds, dt = divmod(p, w)
+                                cells.append(((s0 + ds, t0 + dt), e))
+                            part.append(i)
+                    part = parts[key] = tuple(part)
+                row += part
+                m >>= bits
+                index += 1
+            else:
+                skip = ((m & -m).bit_length() - 1) // bits
+                m >>= skip * bits
+                index += skip
+        rows.append((c, row))
+    return cells, rows

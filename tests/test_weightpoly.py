@@ -212,8 +212,11 @@ def _oracle_json(a):
 class _AnyCellWeights:
     """A numeric weight at every integer cell, negative indices included."""
 
+    def __init__(self, shift=0):
+        self.shift = shift
+
     def small(self, s, t):
-        return complex(1 + s / 1300, (t % 17 - 8) / 9)
+        return complex(1 + (s + self.shift) / 1300, (t % 17 - 8) / 9)
 
 
 # index ranges of s and of t: negative, small, wide, and t up to 1200;
@@ -246,7 +249,9 @@ def _assert_matches(poly, ref):
     assert str(poly) == _oracle_str(ref)
     assert json.dumps(poly.to_json()) == json.dumps(_oracle_json(ref))
     assert list(poly.terms.values()) == list(ref.values())
-    assert poly.evaluate(_AnyCellWeights()) == _oracle_evaluate(ref, _AnyCellWeights())
+    # the second family reuses the decoded form kept by the first call
+    for family in (_AnyCellWeights(), _AnyCellWeights(7)):
+        assert poly.evaluate(family) == _oracle_evaluate(ref, family)
     assert poly == WeightPolynomial(ref)
     assert hash(poly) == hash(WeightPolynomial(ref))
 
