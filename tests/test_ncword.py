@@ -292,9 +292,8 @@ def test_suffix_cache_holds_one_entry_per_suffix():
 
 def test_normal_form_json_bytes_are_pinned():
     # SHA-1 of the JSON bytes of every word up to 8 letters, both
-    # strategies, all three systems, then (x + y)^0..10: the digest was
-    # taken before weight monomials were packed into integers, so any
-    # change to a coefficient, a monomial or the output order shows here
+    # strategies, all three systems, then (x + y)^0..10, so a change to
+    # any coefficient, monomial or output order of a normal form shows
     digest = hashlib.sha1()
     for rs in RelationSystem:
         for strategy in ("rightmost", "leftmost"):
