@@ -104,7 +104,7 @@ def _emit(args, text, doc) -> None:
 
 
 def _write_json_list(entries) -> None:
-    """Print the bytes of json.dumps(list(entries), sort_keys=True) one
+    """Write the bytes of json.dumps(list(entries), sort_keys=True) one
     entry at a time, so a large document is never held whole."""
     encode = json.JSONEncoder(sort_keys=True).encode
     write = sys.stdout.write
@@ -113,7 +113,7 @@ def _write_json_list(entries) -> None:
         if index:
             write(", ")
         write(encode(entry))
-    write("]\n")
+    write("]")
 
 
 def _emit_value(args, value) -> None:
@@ -121,6 +121,7 @@ def _emit_value(args, value) -> None:
     if isinstance(value, WeightPolynomial):
         if getattr(args, "json", False):
             _write_json_list(value.json_entries())
+            sys.stdout.write("\n")
         else:
             print(value)
     else:
@@ -151,12 +152,28 @@ def _cmd_binom(args) -> int:
     return 0
 
 
+def _write_normal_form(nf: NormalForm) -> None:
+    """Print the bytes of json.dumps(nf.to_json(), sort_keys=True) one
+    coefficient entry at a time: a long word's document is hundreds of
+    megabytes when held whole."""
+    write = sys.stdout.write
+    write('{"terms": [')
+    for index, ((i, j), coeff) in enumerate(sorted(nf.coeffs.items())):
+        write(', {"coeff": ' if index else '{"coeff": ')
+        _write_json_list(coeff.json_entries())
+        write(f', "i": {i}, "j": {j}}}')
+    write("]}\n")
+
+
 def _cmd_normal_order(args) -> int:
     word = parse_word(args.word)
     rs = RelationSystem.from_tag(args.system)
     nf = normal_order(word, rs)
     if args.family is None or args.family == "generic":
-        _emit(args, lambda: str(nf), nf.to_json)
+        if args.json:
+            _write_normal_form(nf)
+        else:
+            print(nf)
         return 0
     family = _family_from_args(args)
     values = nf.evaluate(family)

@@ -26,28 +26,29 @@ into a frame holding both before +, * and ==, and the field width
 doubles before a product could carry out of a field.  Hashes are taken
 over the decoded monomials, so they do not depend on the frame.
 
-Printing, JSON and ``monomials()`` decode one monomial at a time in
-sorted order.  ``evaluate`` decodes a polynomial on its first call and
-keeps that form, so a polynomial evaluated under many parameter draws
-is decoded once.
+One reader, ``_reader``, decodes the packed form: eight fields at a
+time, each distinct chunk once, into ids of the polynomial's distinct
+cells ((s, t), e).  Printing, JSON and ``monomials()`` read one monomial
+at a time in sorted order and render each cell once.  ``evaluate``
+reads a polynomial on its first call and keeps that form, so a
+polynomial evaluated under many parameter draws is decoded once.  The
+exact largest exponent, and re-encoding into wider rows or fields,
+which packs each cell once, read through it too.
 """
 
 from __future__ import annotations
 
-import re
-
 # sort key digit of a one-byte field: an exponent e >= 1 gives e - 1 and
 # an absent symbol (0) gives 255, so bytewise order is tuple order
 _ORDER = bytes((e - 1) % 256 for e in range(256))
-_NONZERO_RUN = re.compile(rb"[^\x00]+")
-# fields per chunk when ``evaluate`` decodes: a 64-bit word of byte fields
+# fields per chunk when a monomial is read: a 64-bit word of byte fields
 _CHUNK_FIELDS = 8
 
 
 def _width(span: int) -> int:
     """Row width for symbols with span distinct t values: a power of two
-    and at least one ``evaluate`` chunk of eight fields, so frames built
-    from different data mostly agree and re-encode by a shift."""
+    and at least one chunk of eight fields, so frames built from
+    different data mostly agree and re-encode by a shift."""
     return max(_CHUNK_FIELDS, 1 << (span - 1).bit_length())
 
 
@@ -68,18 +69,6 @@ def _fields(m: int, nb: int):
     return [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
 
 
-def _nonzero_fields(m: int, nb: int) -> list:
-    """(field number, exponent) of every symbol of m, in field order.
-    Runs of zero bytes are skipped by a regular expression, so a
-    monomial with a few symbols far apart decodes in a few steps."""
-    raw = m.to_bytes(-(-m.bit_length() // (nb << 3)) * nb, "little")
-    spans = [run.span() for run in _NONZERO_RUN.finditer(raw)]
-    if nb == 1:
-        return [pair for a, b in spans for pair in zip(range(a, b), raw[a:b])]
-    fields = dict.fromkeys(i // nb for a, b in spans for i in range(a, b))
-    return [(f, int.from_bytes(raw[f * nb:(f + 1) * nb], "little")) for f in fields]
-
-
 def _order_key(m: int, nb: int) -> bytes:
     """Bytes that sort like the decoded tuple monomials: field by field
     from the smallest (s, t), e - 1 for an exponent and the largest digit
@@ -88,26 +77,6 @@ def _order_key(m: int, nb: int) -> bytes:
         return _fields(m, 1).translate(_ORDER)
     full = 1 << (nb << 3)
     return b"".join(((e - 1) % full).to_bytes(nb, "big") for e in _fields(m, nb))
-
-
-def _recode(m: int, src: tuple, dst: tuple) -> int:
-    """Monomial m of frame src in frame dst, which holds its symbols, has
-    its origin at or below src's, and rows and fields at least as wide.
-    Each field and row is padded to the new width, then the whole moves
-    to the new origin."""
-    s0, t0, w, nb = src
-    S0, T0, W, NB = dst
-    if w != W or nb != NB:
-        row = w * nb
-        raw = m.to_bytes(-(-m.bit_length() // (row << 3)) * row, "little")
-        if nb != NB:
-            pad = bytes(NB - nb)
-            raw = b"".join(raw[i:i + nb] + pad for i in range(0, len(raw), nb))
-            row = w * NB
-        pad = bytes((W - w) * NB)
-        m = int.from_bytes(pad.join(raw[i:i + row] for i in range(0, len(raw), row)),
-                           "little")
-    return m << (NB << 3) * ((s0 - S0) * W + t0 - T0)
 
 
 def _join(fa, tend_a, fb, tend_b) -> tuple:
@@ -135,21 +104,78 @@ def _join(fa, tend_a, fb, tend_b) -> tuple:
     return (sa if sa < sb else sb, t0, w, na if na > nbb else nbb), tend
 
 
+def _reader(frame) -> tuple:
+    """(cells, read) for monomials in frame, the one decoder of the
+    packed form: read(m) gives the ids of the symbols of m in ascending
+    (s, t), ids indexing cells, the distinct ((s, t), e) in order of
+    first reading.  A monomial is read eight fields at a time, runs of
+    zero chunks are skipped, and each distinct chunk is decoded once, so
+    the monomials of one polynomial, which share most of their chunks,
+    cost a few dict lookups each.  A constant polynomial has no frame;
+    its one monomial, 0, reads as () in any frame."""
+    s0, t0, w, nb = frame or (0, 0, _CHUNK_FIELDS, 1)
+    bits = 8 * _CHUNK_FIELDS * nb
+    mask = (1 << bits) - 1
+    cells: list = []
+    parts: dict = {}  # (chunk number, chunk) -> ids of its cells
+    ids: dict = {}  # (field number, e) -> id
+
+    def read(m: int) -> tuple:
+        row = ()
+        index = 0
+        while m:
+            chunk = m & mask
+            if chunk:
+                key = (index, chunk)
+                part = parts.get(key)
+                if part is None:
+                    part = []
+                    for p, e in enumerate(_fields(chunk, nb), index * _CHUNK_FIELDS):
+                        if e:
+                            i = ids.get((p, e))
+                            if i is None:
+                                i = ids[(p, e)] = len(cells)
+                                ds, dt = divmod(p, w)
+                                cells.append(((s0 + ds, t0 + dt), e))
+                            part.append(i)
+                    part = parts[key] = tuple(part)
+                row += part
+                m >>= bits
+                index += 1
+            else:
+                skip = ((m & -m).bit_length() - 1) // bits
+                m >>= skip * bits
+                index += skip
+        return row
+
+    return cells, read
+
+
 def _terms_in(poly: "WeightPolynomial", frame) -> dict:
-    """The terms of poly with monomials in frame, which holds poly's."""
+    """The terms of poly with monomials in frame, which holds poly's.
+    With rows and fields as wide as poly's a monomial moves by a shift;
+    otherwise each distinct symbol is packed once in frame and a
+    monomial is the sum of its symbols."""
     own = poly._frame
     if own is None or own == frame:
         return poly.terms
-    return {_recode(m, own, frame): c for m, c in poly.terms.items()}
+    s0, t0, w, nb = own
+    S0, T0, W, NB = frame
+    if w == W and nb == NB:
+        shift = (NB << 3) * ((s0 - S0) * W + t0 - T0)
+        return {m << shift: c for m, c in poly.terms.items()}
+    cells, read = _reader(own)
+    rows = [(read(m), c) for m, c in poly.terms.items()]
+    packed = [_pack(frame, (cell,)) for cell in cells]
+    return {sum([packed[i] for i in ids]): c for ids, c in rows}
 
 
 def _exact_top(poly: "WeightPolynomial") -> int:
     """The largest exponent in poly; it replaces the stored bound."""
-    if poly._frame is None:
-        return 0
-    nb = poly._frame[3]
-    top = max((e for m in poly.terms for _, e in _nonzero_fields(m, nb)), default=0)
-    poly._top = top
+    cells, read = _reader(poly._frame)
+    for m in poly.terms:
+        read(m)
+    top = poly._top = max((e for _, e in cells), default=0)
     return top
 
 
@@ -289,6 +315,8 @@ class WeightPolynomial:
     def __add__(self, other) -> "WeightPolynomial":
         if isinstance(other, int):
             other = WeightPolynomial.from_int(other)
+        if not isinstance(other, WeightPolynomial):
+            return NotImplemented
         frame, tend = _join(self._frame, self._tend, other._frame, other._tend)
         out = dict(_terms_in(self, frame))
         for m, c in _terms_in(other, frame).items():
@@ -306,8 +334,8 @@ class WeightPolynomial:
                      self._frame, self._tend, self._top)
 
     def __sub__(self, other) -> "WeightPolynomial":
-        if isinstance(other, int):
-            other = WeightPolynomial.from_int(other)
+        if not isinstance(other, (int, WeightPolynomial)):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "WeightPolynomial":
@@ -355,16 +383,18 @@ class WeightPolynomial:
         Each monomial multiplies its coefficient by its factors w or w^e
         in ascending (s, t), and the monomials are summed in the order of
         ``terms``, so the value does not depend on the packing.  The
-        decoded form is built on the first call and kept (see
-        ``_evaluation_plan``); each call looks up every distinct weight
-        once, in ``cache`` (keyed (s, t)) or the family."""
+        decoded form, the distinct cells ((s, t), e) and one row of cell
+        ids per monomial, is built on the first call and kept; each call
+        looks up every distinct weight once, in ``cache`` (keyed (s, t))
+        or the family."""
         if getattr(family, "symbolic", False):
             from .special_fn import DomainError
             raise DomainError("cannot evaluate symbols against a symbolic family")
         if cache is None:
             cache = {}
         if self._plan is None:
-            self._plan = _evaluation_plan(self)
+            cells, read = _reader(self._frame)
+            self._plan = cells, [(c, read(m)) for m, c in self.terms.items()]
         cells, rows = self._plan
         weights = []
         for cell, e in cells:
@@ -380,23 +410,22 @@ class WeightPolynomial:
             total += value
         return total
 
-    def _ordered(self, fmt):
+    def _ordered(self, factor):
         """(factors, coefficient) in sorted monomial order, factors the
-        list of (fmt(s, t), e) over the symbols w(s, t)^e.  A monomial is
-        decoded only when it is reached, and fmt runs once per cell."""
-        frame = self._frame
+        list of factor(cell) over the cells ((s, t), e) of the monomial in
+        ascending (s, t).  A monomial is decoded only when it is reached,
+        and factor runs once per distinct cell."""
         terms = self.terms
-        if frame is None:
-            for c in terms.values():
-                yield [], c
-            return
-        nb = frame[3]
-        names = _Names(frame, fmt)
+        nb = self._frame[3] if self._frame else 1
+        cells, read = _reader(self._frame)
+        made: list = []
         for m in sorted(terms, key=lambda m: _order_key(m, nb)):
-            yield [(names[p], e) for p, e in _nonzero_fields(m, nb)], terms[m]
+            ids = read(m)
+            made.extend(map(factor, cells[len(made):]))
+            yield [made[i] for i in ids], terms[m]
 
     def monomials(self):
-        return [(tuple(factors), c) for factors, c in self._ordered(_cell)]
+        return [(tuple(cells), c) for cells, c in self._ordered(lambda cell: cell)]
 
     def __repr__(self):
         return f"WeightPolynomial({self})"
@@ -404,17 +433,21 @@ class WeightPolynomial:
     def __str__(self):
         if not self.terms:
             return "0"
+
+        def power(cell):
+            (s, t), e = cell
+            return f"w({s},{t})" if e == 1 else f"w({s},{t})^{e}"
+
         parts = []
-        for factors, c in self._ordered("w({},{})".format):
+        for factors, c in self._ordered(power):
             head = [str(c)] if c != 1 or not factors else []
-            parts.append("*".join(head + [name if e == 1 else f"{name}^{e}"
-                                          for name, e in factors]))
+            parts.append("*".join(head + factors))
         return " + ".join(parts)
 
     def json_entries(self):
         """The entries of ``to_json``, one at a time, in the same order."""
-        for factors, c in self._ordered("{},{}".format):
-            yield {"monomial": [[name, e] for name, e in factors], "c": c}
+        for factors, c in self._ordered(lambda cell: ("{},{}".format(*cell[0]), cell[1])):
+            yield {"monomial": [list(factor) for factor in factors], "c": c}
 
     def to_json(self) -> list:
         return list(self.json_entries())
@@ -432,69 +465,3 @@ class WeightPolynomial:
                 pairs.append(((int(s_txt), int(t_txt)), e))
             entries.append((pairs, int(entry["c"])))
         return _poly(*_encode(entries))
-
-
-def _cell(s: int, t: int) -> tuple:
-    return (s, t)
-
-
-class _Names(dict):
-    """Field number -> fmt(s, t) in one frame, filled on first use."""
-
-    __slots__ = ("frame", "fmt")
-
-    def __init__(self, frame: tuple, fmt):
-        super().__init__()
-        self.frame = frame
-        self.fmt = fmt
-
-    def __missing__(self, p: int):
-        s0, t0, w, _ = self.frame
-        ds, dt = divmod(p, w)
-        name = self[p] = self.fmt(s0 + ds, t0 + dt)
-        return name
-
-
-def _evaluation_plan(poly: WeightPolynomial) -> tuple:
-    """(cells, rows) for ``evaluate``: cells are the distinct ((s, t), e)
-    in order of first use, rows one (c, ids) per monomial in ``terms``
-    order, ids indexing cells in ascending (s, t).  Monomials are read
-    eight fields at a time, and each distinct chunk is decoded once."""
-    frame = poly._frame
-    cells: list = []
-    if frame is None:
-        return cells, [(c, ()) for c in poly.terms.values()]
-    s0, t0, w, nb = frame
-    bits = 8 * _CHUNK_FIELDS * nb
-    mask = (1 << bits) - 1
-    parts: dict = {}  # (chunk number, chunk) -> ids of its cells
-    ids: dict = {}  # (field number, e) -> id
-    rows = []
-    for m, c in poly.terms.items():
-        row = ()
-        index = 0
-        while m:
-            chunk = m & mask
-            if chunk:
-                key = (index, chunk)
-                part = parts.get(key)
-                if part is None:
-                    part = []
-                    for p, e in enumerate(_fields(chunk, nb), index * _CHUNK_FIELDS):
-                        if e:
-                            i = ids.get((p, e))
-                            if i is None:
-                                i = ids[(p, e)] = len(cells)
-                                ds, dt = divmod(p, w)
-                                cells.append(((s0 + ds, t0 + dt), e))
-                            part.append(i)
-                    part = parts[key] = tuple(part)
-                row += part
-                m >>= bits
-                index += 1
-            else:
-                skip = ((m & -m).bit_length() - 1) // bits
-                m >>= skip * bits
-                index += skip
-        rows.append((c, row))
-    return cells, rows

@@ -6,7 +6,7 @@ import pytest
 
 import ellcomb.cli as cli
 from ellcomb.boards import FerrersBoard, file_poly, rook_poly
-from ellcomb.ncword import NormalForm
+from ellcomb.ncword import NormalForm, RelationSystem, normal_order, parse_word
 from ellcomb.special_fn import GenericWeights, ParameterSet, pair_to_complex, theta
 from ellcomb.verify import CheckReport, list_identities
 from ellcomb.weightpoly import WeightPolynomial
@@ -120,7 +120,8 @@ def test_elliptic_board_cells_are_the_small_weights(capsys):
 
 def test_cli_builds_only_the_printed_form(capsys, monkeypatch):
     # rendering a large symbolic value costs seconds, so plain output
-    # never builds the JSON document and --json never builds the text
+    # never builds the JSON document, and --json never builds the text
+    # or the whole document: it is written one entry at a time
     def refuse(self, *args):
         raise AssertionError("built the form that is not printed")
 
@@ -133,17 +134,22 @@ def test_cli_builds_only_the_printed_form(capsys, monkeypatch):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0 and out
     with monkeypatch.context() as patch:
-        patch.setattr(WeightPolynomial, "__str__", refuse)
-        patch.setattr(NormalForm, "__str__", refuse)
+        for cls in (WeightPolynomial, NormalForm):
+            patch.setattr(cls, "__str__", refuse)
+            patch.setattr(cls, "to_json", refuse)
         for argv in commands:
             code, out, _ = run_cli(capsys, *argv, "--json")
             assert code == 0 and json.loads(out)
 
 
 def test_symbolic_json_is_streamed_with_the_bytes_of_one_dump(capsys):
-    # a polynomial under --json is written entry by entry; the bytes are
-    # those of json.dumps over the whole to_json document
+    # a polynomial or normal form under --json is written entry by entry;
+    # the bytes are those of json.dumps over the whole to_json document
     generic = GenericWeights()
+
+    def nf(system, word):
+        return normal_order(parse_word(word), RelationSystem.from_tag(system))
+
     cases = [
         (("rook", "--board", "1,2,3,3", "--k", "2"),
          rook_poly(FerrersBoard.from_text("1,2,3,3"), 2, generic)),
@@ -152,6 +158,9 @@ def test_symbolic_json_is_streamed_with_the_bytes_of_one_dump(capsys):
         (("rook", "--board", "1", "--k", "2"),
          rook_poly(FerrersBoard.from_text("1"), 2, generic)),
         (("binom", "--family", "generic", "--n", "4", "--k", "2"), generic.binom(4, 2)),
+        (("normal-order", "--system", "weyl", "--word", "yyxyxx"), nf("weyl", "yyxyxx")),
+        (("normal-order", "--system", "file", "--word", "yxyyx"), nf("file", "yxyyx")),
+        (("normal-order", "--system", "comm", "--word", "x"), nf("comm", "x")),
     ]
     for argv, value in cases:
         assert cli.main([*argv, "--json"]) == 0

@@ -108,6 +108,18 @@ def test_equality_with_ints():
     assert w(1, 1) != 1
 
 
+def test_arithmetic_with_non_integers_is_a_type_error():
+    # the ring has integer coefficients: a float or complex operand is
+    # refused by every operator, never read as a polynomial
+    p = w(1, 1)
+    for other in (1.5, 2j, "1"):
+        for op in (lambda: p + other, lambda: other + p, lambda: p - other,
+                   lambda: other - p, lambda: p * other, lambda: other * p):
+            with pytest.raises(TypeError):
+                op()
+    assert p + True == p + 1 and p - 2 == p + (-2)
+
+
 def test_hash_consistency():
     a = 1 + w(1, 1)
     b = w(1, 1) + 1
