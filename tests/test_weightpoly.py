@@ -301,5 +301,9 @@ def test_exponents_beyond_one_byte_widen_the_field():
                                        {(((1, 1), 1),): 1, (((-4, 9), 1),): 1}))
     _assert_matches(p300.shift(-3, 5).times_symbol(-2, 6),
                     {(((-2, 6), 301),): 1})
+    # the exact bound reads every monomial, not only the first (here 1)
+    later = WeightPolynomial.one() + powers[7] * powers[6]
+    ref192 = {(): 1, (((1, 1), 192),): 1}
+    _assert_matches(later * later, _oracle_mul(ref192, ref192))
     # cancellation leaves no stale field: the square of w^300 - w^300 is 0
     assert (p300 - powers[8] * powers[5] * powers[3] * powers[2]) * p300 == 0
