@@ -89,11 +89,13 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every module-level memo table, so the next call runs cold.
 
-    Each is a bounded ``functools.lru_cache``; its ``cache_info()`` counts
-    hits, misses and size.
+    There are seven, each a bounded ``functools.lru_cache``: theta
+    series, elliptic small and big weights, the normal forms of y x^i
+    and of y^j x, powers of x + y, and board sweep plans.  Each one's
+    ``cache_info()`` counts hits, misses and size.
     """
     for cache in (special_fn._theta_series, special_fn._elliptic_small,
-                  special_fn._elliptic_big, ncword._swept, ncword._y_x_power,
+                  special_fn._elliptic_big, ncword._y_x_power,
                   ncword._y_power_x, ncword._power_sum, boards._sweep_plan):
         cache.cache_clear()
 

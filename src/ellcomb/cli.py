@@ -23,7 +23,9 @@ from .special_fn import (
     theta,
 )
 from .weightpoly import WeightPolynomial
-from .ncword import NormalForm, RelationSystem, WordParseError, normal_order, parse_word
+from .ncword import (
+    NormalForm, RelationSystem, WordParseError, normal_order, parse_word, sum_chunks,
+)
 from .boards import FerrersBoard, file_poly, rook_poly
 from .skewpoly import fib_aq, fib_aq_closed, fib_elliptic
 from .verify import VerifyError, list_identities, run_all, run_check
@@ -62,31 +64,6 @@ def _fmt_number(value) -> str:
     return f"{re_part}{sign}{im_part}j"
 
 
-def _fmt_monomial(i: int, j: int) -> str:
-    pieces = []
-    if i:
-        pieces.append("x" if i == 1 else f"x^{i}")
-    if j:
-        pieces.append("y" if j == 1 else f"y^{j}")
-    return " ".join(pieces)
-
-
-def _fmt_evaluated_nf(values: dict) -> str:
-    terms = []
-    for (i, j), value in sorted(values.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0])):
-        if value == 0:
-            continue
-        mono = _fmt_monomial(i, j)
-        coeff = _fmt_number(value)
-        if not mono:
-            terms.append(coeff)
-        elif coeff == "1":
-            terms.append(mono)
-        else:
-            terms.append(f"{coeff} {mono}")
-    return " + ".join(terms) if terms else "0"
-
-
 def _family_from_args(args) -> object:
     return family_from_spec(
         args.family,
@@ -94,44 +71,31 @@ def _family_from_args(args) -> object:
         q=getattr(args, "q", None), p=getattr(args, "p", None))
 
 
-def _emit(args, text, doc) -> None:
-    """Print doc() as JSON under --json, else text().  Only the printed
-    form is built: a large symbolic value takes seconds to render."""
-    if getattr(args, "json", False):
-        print(json.dumps(doc(), sort_keys=True))
-    else:
-        print(text())
-
-
-def _write_json_list(entries) -> None:
-    """Write the bytes of json.dumps(list(entries), sort_keys=True) one
-    entry at a time, so a large document is never held whole."""
-    encode = json.JSONEncoder(sort_keys=True).encode
-    write = sys.stdout.write
-    write("[")
-    for index, entry in enumerate(entries):
-        if index:
-            write(", ")
-        write(encode(entry))
-    write("]")
-
-
-def _emit_value(args, value) -> None:
-    """Emit a symbolic WeightPolynomial or a number."""
-    if isinstance(value, WeightPolynomial):
-        if getattr(args, "json", False):
-            _write_json_list(value.json_entries())
-            sys.stdout.write("\n")
+def _emit(args, value) -> None:
+    """Print a number, a WeightPolynomial, a NormalForm or an evaluated
+    normal form {(i, j): number} as text, or as JSON under --json.  A
+    symbolic value is written in chunks: its text or document can be
+    hundreds of megabytes when held whole."""
+    if isinstance(value, (WeightPolynomial, NormalForm)):
+        chunks = value.json_chunks() if args.json else value.text_chunks()
+    elif isinstance(value, dict):
+        if args.json:
+            chunks = [json.dumps({"terms": [
+                {"i": i, "j": j, "value": complex_to_pair(v)}
+                for (i, j), v in sorted(value.items())]}, sort_keys=True)]
         else:
-            print(value)
+            chunks = sum_chunks({key: _fmt_number(v) for key, v in value.items() if v != 0})
+    elif args.json:
+        chunks = [json.dumps({"value": complex_to_pair(complex(value))}, sort_keys=True)]
     else:
-        _emit(args, lambda: _fmt_number(value),
-              lambda: {"value": complex_to_pair(complex(value))})
+        chunks = [_fmt_number(value)]
+    sys.stdout.writelines(chunks)
+    sys.stdout.write("\n")
 
 
 def _cmd_theta(args) -> int:
     value = theta(args.x, args.p)
-    _emit_value(args, value)
+    _emit(args, value)
     return 0
 
 
@@ -141,45 +105,24 @@ def _cmd_weight(args) -> int:
         value = family.big(args.s, args.t)
     else:
         value = family.small(args.s, args.t)
-    _emit_value(args, value)
+    _emit(args, value)
     return 0
 
 
 def _cmd_binom(args) -> int:
     family = _family_from_args(args)
     value = family.binom(args.n, args.k)
-    _emit_value(args, value)
+    _emit(args, value)
     return 0
-
-
-def _write_normal_form(nf: NormalForm) -> None:
-    """Print the bytes of json.dumps(nf.to_json(), sort_keys=True) one
-    coefficient entry at a time: a long word's document is hundreds of
-    megabytes when held whole."""
-    write = sys.stdout.write
-    write('{"terms": [')
-    for index, ((i, j), coeff) in enumerate(sorted(nf.coeffs.items())):
-        write(', {"coeff": ' if index else '{"coeff": ')
-        _write_json_list(coeff.json_entries())
-        write(f', "i": {i}, "j": {j}}}')
-    write("]}\n")
 
 
 def _cmd_normal_order(args) -> int:
     word = parse_word(args.word)
-    rs = RelationSystem.from_tag(args.system)
-    nf = normal_order(word, rs)
+    nf = normal_order(word, RelationSystem.from_tag(args.system))
     if args.family is None or args.family == "generic":
-        if args.json:
-            _write_normal_form(nf)
-        else:
-            print(nf)
-        return 0
-    family = _family_from_args(args)
-    values = nf.evaluate(family)
-    _emit(args, lambda: _fmt_evaluated_nf(values),
-          lambda: {"terms": [{"i": i, "j": j, "value": complex_to_pair(v)}
-                             for (i, j), v in sorted(values.items())]})
+        _emit(args, nf)
+    else:
+        _emit(args, nf.evaluate(_family_from_args(args)))
     return 0
 
 
@@ -192,7 +135,7 @@ def _parse_board(text: str) -> FerrersBoard:
 
 def _cmd_board_poly(args, poly) -> int:
     board = _parse_board(args.board)
-    _emit_value(args, poly(board, args.k, _family_from_args(args)))
+    _emit(args, poly(board, args.k, _family_from_args(args)))
     return 0
 
 
@@ -213,7 +156,7 @@ def _cmd_fib(args) -> int:
             value = fib_aq_closed(args.n, args.a, args.q)
         else:
             value = fib_aq(args.n, args.a, args.q)
-    _emit_value(args, value)
+    _emit(args, value)
     return 0
 
 

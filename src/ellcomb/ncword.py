@@ -29,9 +29,14 @@ read: right to left for rightmost-first rewriting, left to right for
 leftmost-first (see ``normal_order``).  The only rewriting left is in
 two small tables, the normal forms of y x^i and y^j x, built from the
 defining one-step rewrite; no board polynomial is used, so the
-placement theorems remain an independent check.  Suffix and prefix
-normal forms, the tables, and powers of x + y are cached in bounded
-LRUs.
+placement theorems remain an independent check.  The tables and powers
+of x + y are cached in bounded LRUs; suffix and prefix normal forms
+live only for the call.
+
+A normal form prints as a sum of c x^i y^j (``sum_chunks``, shared with
+the command line's evaluated normal forms), and both its text and its
+JSON are produced in chunks, one term at a time, so a large one is
+written without being held whole.
 
 Weight families from ``special_fn`` are substituted only after
 rewriting, keeping the combinatorial layer exact.
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from itertools import chain
 
 from .special_fn import DomainError
 from .weightpoly import WeightPolynomial
@@ -48,7 +54,7 @@ from .weightpoly import WeightPolynomial
 __all__ = [
     "Word", "WordParseError", "RelationSystem", "NormalForm",
     "parse_word", "dual_word", "normal_order", "multiply",
-    "expand_power_sum", "WeightPolynomial",
+    "expand_power_sum", "sum_chunks", "WeightPolynomial",
 ]
 
 Word = str
@@ -105,6 +111,27 @@ class RelationSystem(enum.Enum):
             f"{[m.value for m in cls]}")
 
 
+def sum_chunks(terms: dict):
+    """Text chunks of the sum of c x^i y^j over terms {(i, j): c}, c the
+    text of a coefficient as a string or an iterable of chunks.  Terms go
+    by descending total degree, then x-degree, joined by " + "; a
+    coefficient "1" before a monomial is left out, and an empty sum is
+    "0"."""
+    if not terms:
+        yield "0"
+    for index, (i, j) in enumerate(sorted(terms, key=lambda key: (-(key[0] + key[1]), -key[0]))):
+        if index:
+            yield " + "
+        text = terms[(i, j)]
+        powers = " ".join(f"{v}^{n}" if n > 1 else v for v, n in (("x", i), ("y", j)) if n)
+        if powers and text == "1":
+            yield powers
+            continue
+        yield from text
+        if powers:
+            yield " " + powers
+
+
 class NormalForm:
     """A finite sum  sum_{i,j} c_{i,j} x^i y^j  with WeightPolynomial
     coefficients.  Immutable by convention; zero coefficients are never
@@ -154,31 +181,19 @@ class NormalForm:
             cache = {}
         return {key: c.evaluate(family, cache) for key, c in self.coeffs.items()}
 
-    def sorted_terms(self):
-        """Terms ordered by descending total degree, then x-degree."""
-        return sorted(self.coeffs.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0]))
-
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        rendered = []
-        for (i, j), c in self.sorted_terms():
-            parts = []
+        return "".join(self.text_chunks())
+
+    def text_chunks(self):
+        """The text of ``str``, one term or coefficient piece at a time;
+        a coefficient that is not an integer is parenthesised."""
+        def text(c):
             const = c._constant()
             if const is None:
-                parts.append(f"({c})")
-            elif const != 1 or (i == 0 and j == 0):
-                parts.append(str(const))
-            if i == 1:
-                parts.append("x")
-            elif i > 1:
-                parts.append(f"x^{i}")
-            if j == 1:
-                parts.append("y")
-            elif j > 1:
-                parts.append(f"y^{j}")
-            rendered.append(" ".join(parts))
-        return " + ".join(rendered)
+                return chain("(", c.text_chunks(), ")")
+            return str(const)
+
+        return sum_chunks({key: text(c) for key, c in self.coeffs.items()})
 
     def __repr__(self) -> str:
         return f"NormalForm({self})"
@@ -188,6 +203,17 @@ class NormalForm:
         for (i, j), c in sorted(self.coeffs.items()):
             terms.append({"i": i, "j": j, "coeff": c.to_json()})
         return {"terms": terms}
+
+    def json_chunks(self):
+        """The text of ``json.dumps(self.to_json(), sort_keys=True)``,
+        one coefficient entry at a time: a long word's document is
+        hundreds of megabytes when held whole."""
+        yield '{"terms": ['
+        for index, ((i, j), c) in enumerate(sorted(self.coeffs.items())):
+            yield ', {"coeff": ' if index else '{"coeff": '
+            yield from c.json_chunks()
+            yield f', "i": {i}, "j": {j}}}'
+        yield "]}"
 
     @classmethod
     def from_json(cls, data) -> "NormalForm":
@@ -270,17 +296,6 @@ def _append(nf: NormalForm, letter: str, rs: RelationSystem) -> NormalForm:
     return NormalForm(total)
 
 
-@lru_cache(maxsize=4096)
-def _swept(word: Word, rs: RelationSystem, strategy: str) -> NormalForm:
-    """Normal form of a suffix (rightmost) or prefix (leftmost) of a word,
-    one letter on from the cached form of the part before it."""
-    if not word:
-        return NormalForm.unit()
-    if strategy == "rightmost":
-        return _prepend(word[0], _swept(word[1:], rs, strategy), rs)
-    return _append(_swept(word[:-1], rs, strategy), word[-1], rs)
-
-
 def normal_order(word: Word, rs: RelationSystem,
                  strategy: str = "rightmost") -> NormalForm:
     """Normal order a word under the given rewriting system.
@@ -294,19 +309,17 @@ def normal_order(word: Word, rs: RelationSystem,
     the prefix.  Prepending x (appending y) only moves keys and shifts
     symbols; prepending y (appending x) multiplies in the normal form of
     y x^i (of y^j x), tabulated from the defining one-step rewrite.
-    Suffix (prefix) normal forms are cached in a bounded LRU, filled
-    shortest first so the stack depth does not grow with the word.
     """
     word = parse_word(word)
-    n = len(word)
+    result = NormalForm.unit()
     if strategy == "rightmost":
-        parts = (word[n - k:] for k in range(n + 1))
+        for letter in reversed(word):
+            result = _prepend(letter, result, rs)
     elif strategy == "leftmost":
-        parts = (word[:k] for k in range(n + 1))
+        for letter in word:
+            result = _append(result, letter, rs)
     else:
         raise DomainError(f"unknown strategy {strategy!r}; expected rightmost or leftmost")
-    for part in parts:
-        result = _swept(part, rs, strategy)
     return result
 
 

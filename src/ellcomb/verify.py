@@ -331,17 +331,9 @@ def _aq_binom_ref(a, q, n: int, k: int) -> complex:
     return num / den * qpow(q, k * (k - n))
 
 
-def _bq_binom_ref(b, q, n: int, k: int) -> complex:
-    if k < 0 or k > n:
-        return 0.0 + 0.0j
-    m = n - k
-    num = _qfac_ref(qpow(q, 1 + k), q, m) * _qfac_ref(b * qpow(q, 1 + k), q, m)
-    den = _qfac_ref_guarded(q, q, m) * _qfac_ref_guarded(b * qpow(q, 1 + 2 * k), q, m)
-    return num / den
-
-
 def _full_binom_ref(a, b, q, n: int, k: int) -> complex:
-    """Four-factor closed form at p = 0 with a, b nonzero, raw loops."""
+    """Four-factor closed form at p = 0 with b nonzero, raw loops.  At
+    a = 0 the factors in a and a/b are 1, which leaves the b;q binomial."""
     m = n - k
     r = a / b
     num = (_qfac_ref(qpow(q, 1 + k), q, m) * _qfac_ref(a * qpow(q, 1 + k), q, m)
@@ -479,7 +471,7 @@ def _draw_binom_recursion_closed(ctx: CheckContext):
         "order is rejected",
         "numeric-sampled", {"draws": 60, "n": 6}, 1e-8,
         ["special_fn:EllipticWeights.binom"],
-        ["verify:_full_binom_ref", "verify:_bq_binom_ref", "special_fn:q_binomial"],
+        ["verify:_full_binom_ref", "special_fn:q_binomial"],
         "n")
 def _draw_binom_limit_chain(ctx: CheckContext):
     a = ctx.draw_ab()
@@ -491,7 +483,7 @@ def _draw_binom_limit_chain(ctx: CheckContext):
         (EllipticWeights(ParameterSet(a, b, q, 0.0)).binom(n, k),
          _full_binom_ref(a, b, q, n, k)),
         (EllipticWeights(ParameterSet(0.0, b, q, 0.0)).binom(n, k),
-         _bq_binom_ref(b, q, n, k)),
+         _full_binom_ref(0.0, b, q, n, k)),
         (EllipticWeights(ParameterSet(0.0, 0.0, q, 0.0)).binom(n, k),
          q_binomial(n, k, q)),
     ]
@@ -611,7 +603,7 @@ def _draw_prop_product_expansion(ctx: CheckContext):
         "quotients",
         "numeric-sampled", {"draws": 20, "n": 8}, 1e-8,
         ["ncword:expand_power_sum", "special_fn:BQWeights.small"],
-        ["verify:_bq_binom_ref"], "n")
+        ["verify:_full_binom_ref"], "n")
 def _draw_bq_binomial(ctx: CheckContext):
     b = ctx.draw_ab()
     q = ctx.draw_q()
@@ -620,7 +612,7 @@ def _draw_bq_binomial(ctx: CheckContext):
     for n in range(0, ctx.size("n") + 1):
         values = expand_power_sum(n, _HOM).evaluate(fam)
         for k in range(n + 1):
-            pairs.append((values[(k, n - k)], _bq_binom_ref(b, q, n, k)))
+            pairs.append((values[(k, n - k)], _full_binom_ref(0.0, b, q, n, k)))
     return (b, q), pairs
 
 

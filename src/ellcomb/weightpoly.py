@@ -28,8 +28,10 @@ over the decoded monomials, so they do not depend on the frame.
 
 One reader, ``_reader``, decodes the packed form: eight fields at a
 time, each distinct chunk once, into ids of the polynomial's distinct
-cells ((s, t), e).  Printing, JSON and ``monomials()`` read one monomial
-at a time in sorted order and render each cell once.  ``evaluate``
+cells ((s, t), e).  Text, JSON and ``monomials()`` read one monomial
+at a time in sorted order and render each cell once; text and JSON come
+out in chunks, one term at a time (``text_chunks``, ``json_chunks``),
+so a large polynomial is written without being held whole.  ``evaluate``
 reads a polynomial on its first call and keeps that form, so a
 polynomial evaluated under many parameter draws is decoded once.  The
 exact largest exponent, and re-encoding into wider rows or fields,
@@ -37,6 +39,8 @@ which packs each cell once, read through it too.
 """
 
 from __future__ import annotations
+
+import json
 
 # sort key digit of a one-byte field: an exponent e >= 1 gives e - 1 and
 # an absent symbol (0) gives 255, so bytewise order is tuple order
@@ -431,23 +435,37 @@ class WeightPolynomial:
         return f"WeightPolynomial({self})"
 
     def __str__(self):
+        return "".join(self.text_chunks())
+
+    def text_chunks(self):
+        """The text of ``str``, one term at a time: the terms in sorted
+        monomial order joined by " + ", each a coefficient (left out when
+        it is 1 before a monomial) and powers w(s,t)^e joined by "*"."""
         if not self.terms:
-            return "0"
+            yield "0"
+            return
 
         def power(cell):
             (s, t), e = cell
             return f"w({s},{t})" if e == 1 else f"w({s},{t})^{e}"
 
-        parts = []
-        for factors, c in self._ordered(power):
+        for index, (factors, c) in enumerate(self._ordered(power)):
             head = [str(c)] if c != 1 or not factors else []
-            parts.append("*".join(head + factors))
-        return " + ".join(parts)
+            yield (" + " if index else "") + "*".join(head + factors)
 
     def json_entries(self):
         """The entries of ``to_json``, one at a time, in the same order."""
         for factors, c in self._ordered(lambda cell: ("{},{}".format(*cell[0]), cell[1])):
             yield {"monomial": [list(factor) for factor in factors], "c": c}
+
+    def json_chunks(self):
+        """The text of ``json.dumps(self.to_json(), sort_keys=True)``,
+        one entry at a time, so a large document is never held whole."""
+        encode = json.JSONEncoder(sort_keys=True).encode
+        yield "["
+        for index, entry in enumerate(self.json_entries()):
+            yield ", " + encode(entry) if index else encode(entry)
+        yield "]"
 
     def to_json(self) -> list:
         return list(self.json_entries())

@@ -120,16 +120,17 @@ def test_elliptic_board_cells_are_the_small_weights(capsys):
 
 def test_cli_builds_only_the_printed_form(capsys, monkeypatch):
     # rendering a large symbolic value costs seconds, so plain output
-    # never builds the JSON document, and --json never builds the text
-    # or the whole document: it is written one entry at a time
+    # never builds the JSON document, and neither format builds its
+    # whole text: both are written one entry at a time
     def refuse(self, *args):
         raise AssertionError("built the form that is not printed")
 
     commands = [("rook", "--board", "1,2,2", "--k", "1"),
                 ("normal-order", "--system", "weyl", "--word", "yxyx")]
     with monkeypatch.context() as patch:
-        patch.setattr(WeightPolynomial, "to_json", refuse)
-        patch.setattr(NormalForm, "to_json", refuse)
+        for cls in (WeightPolynomial, NormalForm):
+            patch.setattr(cls, "__str__", refuse)
+            patch.setattr(cls, "to_json", refuse)
         for argv in commands:
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0 and out
@@ -143,8 +144,9 @@ def test_cli_builds_only_the_printed_form(capsys, monkeypatch):
 
 
 def test_symbolic_json_is_streamed_with_the_bytes_of_one_dump(capsys):
-    # a polynomial or normal form under --json is written entry by entry;
-    # the bytes are those of json.dumps over the whole to_json document
+    # a polynomial or normal form is written entry by entry; the bytes
+    # are those of json.dumps over the whole to_json document under
+    # --json, and those of str otherwise
     generic = GenericWeights()
 
     def nf(system, word):
@@ -166,6 +168,8 @@ def test_symbolic_json_is_streamed_with_the_bytes_of_one_dump(capsys):
         assert cli.main([*argv, "--json"]) == 0
         out = capsys.readouterr().out
         assert out == json.dumps(value.to_json(), sort_keys=True) + "\n", argv
+        assert cli.main(list(argv)) == 0
+        assert capsys.readouterr().out == str(value) + "\n", argv
     assert cases[2][1].is_zero()
 
 

@@ -1,9 +1,11 @@
 """Word parsing, rewriting systems, and normal ordering."""
 
+import gc
 import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -283,11 +285,21 @@ def test_long_words_do_not_recurse_per_letter():
     assert normal_order("y" * n + "x", HOM, "leftmost") == NormalForm({(1, n): y_side})
 
 
-def test_suffix_cache_holds_one_entry_per_suffix():
-    from ellcomb import ncword
-    ncword._swept.cache_clear()
-    normal_order("y" * 6 + "x" * 6, WEYL)
-    assert ncword._swept.cache_info().currsize <= 13
+def test_dropped_normal_form_leaves_no_memory_behind():
+    # no cache outlives the call with the normal forms of a word's
+    # suffixes: those of y^7 x^7 alone take about 20 MB
+    normal_order("yx", WEYL)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        nf = normal_order("y" * 7 + "x" * 7, WEYL)
+        assert len(nf.coeffs) == 8
+        del nf
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20, retained
 
 
 def test_normal_form_json_bytes_are_pinned():

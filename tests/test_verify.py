@@ -288,7 +288,7 @@ def test_clear_caches_empties_every_module_cache():
         run_check(check_id, seed=3)
     ellcomb.expand_power_sum(4, ellcomb.RelationSystem.ROOK_WEYL)
     caches = _module_caches()
-    assert sum(c.cache_info().currsize > 0 for c in caches.values()) >= 8, sorted(caches)
+    assert sum(c.cache_info().currsize > 0 for c in caches.values()) >= 7, sorted(caches)
     ellcomb.clear_caches()
     filled = {name: c.cache_info().currsize for name, c in caches.items()
               if c.cache_info().currsize}
