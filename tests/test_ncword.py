@@ -288,7 +288,6 @@ def test_long_words_do_not_recurse_per_letter():
 def test_dropped_normal_form_leaves_no_memory_behind():
     # no cache outlives the call with the normal forms of a word's
     # suffixes: those of y^7 x^7 alone take about 20 MB
-    normal_order("yx", WEYL)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
