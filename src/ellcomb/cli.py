@@ -33,6 +33,9 @@ from .verify import VerifyError, list_identities, run_all, run_check
 __all__ = ["main"]
 
 _BOARD_CAP = 8
+# characters per write of streamed output: each write to a pipe costs a
+# call into the text layer and, past its buffer, a system call
+_BLOCK = 1 << 16
 
 
 class _UsageError(Exception):
@@ -74,8 +77,9 @@ def _family_from_args(args) -> object:
 def _emit(args, value) -> None:
     """Print a number, a WeightPolynomial, a NormalForm or an evaluated
     normal form {(i, j): number} as text, or as JSON under --json.  A
-    symbolic value is written in chunks: its text or document can be
-    hundreds of megabytes when held whole."""
+    symbolic value is written in chunks, joined into blocks of about
+    64 KB: its text or document can be hundreds of megabytes when held
+    whole."""
     if isinstance(value, (WeightPolynomial, NormalForm)):
         chunks = value.json_chunks() if args.json else value.text_chunks()
     elif isinstance(value, dict):
@@ -89,8 +93,16 @@ def _emit(args, value) -> None:
         chunks = [json.dumps({"value": complex_to_pair(complex(value))}, sort_keys=True)]
     else:
         chunks = [_fmt_number(value)]
-    sys.stdout.writelines(chunks)
-    sys.stdout.write("\n")
+    block: list = []
+    size = 0
+    for chunk in chunks:
+        block.append(chunk)
+        size += len(chunk)
+        if size >= _BLOCK:
+            sys.stdout.write("".join(block))
+            block, size = [], 0
+    block.append("\n")
+    sys.stdout.write("".join(block))
 
 
 def _cmd_theta(args) -> int:

@@ -106,12 +106,16 @@ def require_finite(z: complex, context: str = "result") -> complex:
 
 
 def qpow(q: complex, z) -> complex:
-    """q**z.  Exact integer powers for integral z, principal branch otherwise."""
-    if isinstance(z, int):
-        return complex(q) ** z
-    if isinstance(z, float) and z.is_integer():
-        return complex(q) ** int(z)
-    return cmath.exp(complex(z) * cmath.log(complex(q)))
+    """q**z.  Exact integer powers for integral z, principal branch otherwise.
+    A power beyond the double range is an EvaluationError."""
+    try:
+        if isinstance(z, int):
+            return complex(q) ** z
+        if isinstance(z, float) and z.is_integer():
+            return complex(q) ** int(z)
+        return cmath.exp(complex(z) * cmath.log(complex(q)))
+    except OverflowError as exc:
+        raise EvaluationError(f"q^z out of range: q = {q!r}, z = {z!r}") from exc
 
 
 def complex_to_pair(z: complex) -> list:
@@ -209,7 +213,8 @@ def theta_quotient(nums, dens, p) -> complex:
     Each denominator factor is guarded, and a PoleError carries its index.
     Equal factors are skipped after their guard: z / z need not round to 1.
     The shorter list is padded with factors 1, so a plain product or the
-    reciprocal of one is a single call.
+    reciprocal of one is a single call.  A quotient beyond the double
+    range is an EvaluationError.
     """
     result = num_prod = den_prod = 1.0 + 0.0j
     for index, (x, y) in enumerate(zip_longest(nums, dens)):
@@ -224,7 +229,7 @@ def theta_quotient(nums, dens, p) -> complex:
             num_prod = den_prod = 1.0 + 0.0j
         num_prod *= num
         den_prod *= den
-    return result * (num_prod / den_prod)
+    return require_finite(result * (num_prod / den_prod), "theta quotient")
 
 
 def _shifted(bases, q, start: int, stop: int) -> list:

@@ -969,8 +969,9 @@ def _normalorder(ctx: CheckContext, rs: RelationSystem, expected) -> None:
 
 
 @_check("normalorder-rook",
-        "normal ordering in the weighted Weyl algebra equals the board "
-        "enumeration of rook placements, symbolically exact",
+        "normal ordering in the weighted Weyl algebra equals the rook "
+        "numbers of the word's board from the column sweep (rook_poly), "
+        "symbolically exact",
         "exact-symbolic", {"exhaustive": 8, "random": 60, "max_len": 12}, 0.0,
         ["ncword:normal_order"], ["boards:rook_poly"], "exhaustive")
 def _run_normalorder_rook(ctx: CheckContext) -> None:
@@ -978,8 +979,9 @@ def _run_normalorder_rook(ctx: CheckContext) -> None:
 
 
 @_check("normalorder-file",
-        "normal ordering in the weighted file algebra equals the board "
-        "enumeration of file placements, symbolically exact",
+        "normal ordering in the weighted file algebra equals the file "
+        "numbers of the word's board from the column sweep (file_poly), "
+        "symbolically exact",
         "exact-symbolic", {"exhaustive": 8, "random": 60, "max_len": 12}, 0.0,
         ["ncword:normal_order"], ["boards:file_poly"], "exhaustive")
 def _run_normalorder_file(ctx: CheckContext) -> None:

@@ -32,10 +32,13 @@ cells ((s, t), e).  Text, JSON and ``monomials()`` read one monomial
 at a time in sorted order and render each cell once; text and JSON come
 out in chunks, one term at a time (``text_chunks``, ``json_chunks``),
 so a large polynomial is written without being held whole.  ``evaluate``
-reads a polynomial on its first call and keeps that form, so a
-polynomial evaluated under many parameter draws is decoded once.  The
-exact largest exponent, and re-encoding into wider rows or fields,
-which packs each cell once, read through it too.
+reads row by row, a row being the W fields of one s: each distinct row
+is read and multiplied out once per call.  Its first call keeps nothing
+per monomial; the second keeps each monomial as its row ids, which later
+calls reuse, so a polynomial evaluated under many parameter draws is
+read twice and one evaluated once holds no decoded form.  The exact
+largest exponent, and re-encoding into wider rows or fields, which packs
+each cell once, read through ``_reader`` too.
 """
 
 from __future__ import annotations
@@ -115,8 +118,10 @@ def _reader(frame) -> tuple:
     first reading.  A monomial is read eight fields at a time, runs of
     zero chunks are skipped, and each distinct chunk is decoded once, so
     the monomials of one polynomial, which share most of their chunks,
-    cost a few dict lookups each.  A constant polynomial has no frame;
-    its one monomial, 0, reads as () in any frame."""
+    cost a few dict lookups each.  read(m, index) reads m as the fields
+    from chunk number index on, so a slice of a monomial is read in
+    place.  A constant polynomial has no frame; its one monomial, 0,
+    reads as () in any frame."""
     s0, t0, w, nb = frame or (0, 0, _CHUNK_FIELDS, 1)
     bits = 8 * _CHUNK_FIELDS * nb
     mask = (1 << bits) - 1
@@ -124,9 +129,8 @@ def _reader(frame) -> tuple:
     parts: dict = {}  # (chunk number, chunk) -> ids of its cells
     ids: dict = {}  # (field number, e) -> id
 
-    def read(m: int) -> tuple:
-        row = ()
-        index = 0
+    def read(m: int, index: int = 0) -> tuple:
+        found = ()
         while m:
             chunk = m & mask
             if chunk:
@@ -143,14 +147,14 @@ def _reader(frame) -> tuple:
                                 cells.append(((s0 + ds, t0 + dt), e))
                             part.append(i)
                     part = parts[key] = tuple(part)
-                row += part
+                found += part
                 m >>= bits
                 index += 1
             else:
                 skip = ((m & -m).bit_length() - 1) // bits
                 m >>= skip * bits
                 index += skip
-        return row
+        return found
 
     return cells, read
 
@@ -264,6 +268,8 @@ def _suffix_monomials(basis: tuple, cells) -> list:
 class WeightPolynomial:
     """Integer-coefficient polynomial in the symbols w(s, t)."""
 
+    # _plan is None before the first evaluate, () after it, and from the
+    # second on the kept (cells, rows, monomials) of ``evaluate``
     __slots__ = ("terms", "_frame", "_tend", "_top", "_plan")
 
     def __init__(self, terms=None):
@@ -384,34 +390,84 @@ class WeightPolynomial:
     def evaluate(self, family, cache: dict | None = None) -> complex:
         """Substitute numeric weights from a family for the symbols.
 
-        Each monomial multiplies its coefficient by its factors w or w^e
-        in ascending (s, t), and the monomials are summed in the order of
-        ``terms``, so the value does not depend on the packing.  The
-        decoded form, the distinct cells ((s, t), e) and one row of cell
-        ids per monomial, is built on the first call and kept; each call
-        looks up every distinct weight once, in ``cache`` (keyed (s, t))
-        or the family."""
+        A row of a monomial is its factors w or w^e of one s, multiplied
+        in ascending t.  Each monomial multiplies its coefficient by its
+        row products in ascending s, and the monomials are summed in the
+        order of ``terms``.  Rows are fixed by s, so the value does not
+        depend on the packing.  Each call multiplies out every distinct
+        (row number, row) once and looks up every distinct weight once,
+        in ``cache`` (keyed (s, t)) or the family.  The first call reads
+        the monomials as it goes and keeps nothing per monomial; the
+        second also keeps the distinct rows and each monomial as its
+        coefficient and row ids, which later calls reuse.  All calls
+        multiply in one order, so they give identical bits."""
         if getattr(family, "symbolic", False):
             from .special_fn import DomainError
             raise DomainError("cannot evaluate symbols against a symbolic family")
         if cache is None:
             cache = {}
-        if self._plan is None:
-            cells, read = _reader(self._frame)
-            self._plan = cells, [(c, read(m)) for m, c in self.terms.items()]
-        cells, rows = self._plan
-        weights = []
-        for cell, e in cells:
-            weight = cache.get(cell)
+
+        def weigh(cell):
+            key, e = cell
+            weight = cache.get(key)
             if weight is None:
-                weight = cache[cell] = complex(family.small(cell[0], cell[1]))
-            weights.append(weight if e == 1 else weight ** e)
+                weight = cache[key] = complex(family.small(*key))
+            return weight if e == 1 else weight ** e
+
+        def multiply(ids):
+            product = weights[ids[0]]
+            for i in ids[1:]:
+                product *= weights[i]
+            return product
+
         total = 0.0 + 0.0j
-        for c, ids in rows:
+        if self._plan:
+            cells, rows, monomials = self._plan
+            weights = list(map(weigh, cells))
+            products = list(map(multiply, rows))
+            for value, ids in monomials:
+                for i in ids:
+                    value *= products[i]
+                total += value
+            return total
+        keep = self._plan is not None
+        w, nb = self._frame[2:] if self._frame else (_CHUNK_FIELDS, 1)
+        bits = 8 * nb * w
+        mask = (1 << bits) - 1
+        chunks = w // _CHUNK_FIELDS
+        cells, read = _reader(self._frame)
+        weights: list = []
+        rows: list = []  # the distinct rows, each as the ids of its cells
+        products: list = []  # the product of each row
+        seen: dict = {}  # (row number, row) -> its index in rows
+        monomials: list = []
+        for m, c in self.terms.items():
             value = complex(c)
-            for i in ids:
-                value *= weights[i]
+            if keep:
+                ids = []
+            k = 0
+            while m:
+                row = m & mask
+                if row:
+                    i = seen.get((k, row))
+                    if i is None:
+                        i = seen[(k, row)] = len(rows)
+                        rows.append(read(row, k * chunks))
+                        weights += map(weigh, cells[len(weights):])
+                        products.append(multiply(rows[i]))
+                    value *= products[i]
+                    if keep:
+                        ids.append(i)
+                    m >>= bits
+                    k += 1
+                else:
+                    skip = ((m & -m).bit_length() - 1) // bits
+                    m >>= skip * bits
+                    k += skip
             total += value
+            if keep:
+                monomials.append((complex(c), tuple(ids)))
+        self._plan = (cells, rows, monomials) if keep else ()
         return total
 
     def _ordered(self, factor):

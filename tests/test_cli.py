@@ -173,6 +173,28 @@ def test_symbolic_json_is_streamed_with_the_bytes_of_one_dump(capsys):
     assert cases[2][1].is_zero()
 
 
+def test_streamed_output_is_joined_into_blocks(capsys, monkeypatch):
+    # blocks smaller than one term: every block boundary keeps the bytes
+    monkeypatch.setattr(cli, "_BLOCK", 7)
+    value = rook_poly(FerrersBoard.from_text("1,2,3,3"), 2, GenericWeights())
+    for flags, expected in (((), str(value)),
+                            (("--json",), json.dumps(value.to_json(), sort_keys=True))):
+        assert cli.main(["rook", "--board", "1,2,3,3", "--k", "2", *flags]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("binom", "--family", "q", "--n", "5000", "--k", "2500", "--q", "0.999"),
+    ("binom", "--family", "bq", "--n", "4000", "--k", "2000", "--b", "0.3", "--q", "0.999"),
+    ("binom", "--family", "aq", "--n", "4000", "--k", "2000", "--a", "0.3", "--q", "0.999"),
+])
+def test_binomials_beyond_the_double_range_exit_2(capsys, argv):
+    # the q-factorial products overflow: a reason on stderr and exit 2,
+    # never a printed inf or nan or a traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_board_cap_enforced(capsys):
     code, _, err = run_cli(capsys, "rook", "--board", "1,2,9", "--k", "1")
     assert code == 2 and "cap" in err

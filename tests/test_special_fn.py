@@ -35,6 +35,7 @@ from ellcomb.special_fn import (
     qp_factorial,
     qpow,
     theta,
+    theta_quotient,
 )
 
 
@@ -797,3 +798,13 @@ def test_family_from_spec():
         family_from_spec("elliptic", a=0.3, b=0.4, q=0.5)
     with pytest.raises(DomainError):
         family_from_spec("nonsense")
+
+
+def test_out_of_range_powers_and_quotients_are_evaluation_errors():
+    for z in (-2000, -2000.0, -2000.5):
+        with pytest.raises(EvaluationError):
+            qpow(0.5, z)
+    with pytest.raises(EvaluationError, match="non-finite theta quotient"):
+        theta_quotient([3.0] * 1100, [], 0)
+    # a quotient that underflows is finite: 0 is a value, not an error
+    assert theta_quotient([], [3.0] * 1100, 0) == 0

@@ -2,6 +2,7 @@
 
 import json
 import random
+import struct
 
 import pytest
 
@@ -195,12 +196,18 @@ def _oracle_shift(a, ds, dt):
 
 
 def _oracle_evaluate(a, family):
+    """Per monomial, c times its row products in ascending s, a row
+    product being the weights of one s multiplied in ascending t."""
     total = 0.0 + 0.0j
     for m, c in a.items():
-        value = complex(c)
+        rows: dict = {}
         for (s, t), e in m:
             weight = complex(family.small(s, t))
-            value *= weight if e == 1 else weight ** e
+            weight = weight if e == 1 else weight ** e
+            rows[s] = rows[s] * weight if s in rows else weight
+        value = complex(c)
+        for product in rows.values():
+            value *= product
         total += value
     return total
 
@@ -261,8 +268,8 @@ def _assert_matches(poly, ref):
     assert str(poly) == _oracle_str(ref)
     assert json.dumps(poly.to_json()) == json.dumps(_oracle_json(ref))
     assert list(poly.terms.values()) == list(ref.values())
-    # the second family reuses the decoded form kept by the first call
-    for family in (_AnyCellWeights(), _AnyCellWeights(7)):
+    # the first call streams, the second keeps a plan that the third reuses
+    for family in (_AnyCellWeights(), _AnyCellWeights(7), _AnyCellWeights(-3)):
         assert poly.evaluate(family) == _oracle_evaluate(ref, family)
     assert poly == WeightPolynomial(ref)
     assert hash(poly) == hash(WeightPolynomial(ref))
@@ -307,3 +314,53 @@ def test_exponents_beyond_one_byte_widen_the_field():
     _assert_matches(later * later, _oracle_mul(ref192, ref192))
     # cancellation leaves no stale field: the square of w^300 - w^300 is 0
     assert (p300 - powers[8] * powers[5] * powers[3] * powers[2]) * p300 == 0
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _power(poly, n):
+    out = WeightPolynomial.one()
+    for _ in range(n):
+        out = out * poly
+    return out
+
+
+def test_first_and_later_evaluations_agree_bit_for_bit():
+    # the first call streams the monomials, the second builds the kept
+    # plan and the third reads it: one order of multiplication throughout
+    rng = random.Random(34)
+    polys = [_random_pair(rng)[0] for _ in range(30)]
+    polys.append(_power(w(1, 1) + 2 * w(1, 3) + w(2, 1) * w(2, 2) - w(4, 9), 6))
+    for poly in polys:
+        for family in (_AnyCellWeights(5), QWeights(0.7)):
+            fresh = poly + 0
+            assert len({_bits(fresh.evaluate(family)) for _ in range(3)}) == 1
+
+
+def test_value_does_not_depend_on_the_frame():
+    # a far-off symbol added and taken away leaves the same terms, in the
+    # same order, in a frame with another origin and row width
+    rng = random.Random(35)
+    far = w(-45, -90)
+    family = _AnyCellWeights(2)
+    for _ in range(20):
+        poly, ref = _random_pair(rng)
+        wide = poly + far - far
+        assert wide == poly and wide._frame != poly._frame
+        assert list(wide.terms.values()) == list(poly.terms.values())
+        expected = _bits(_oracle_evaluate(ref, family))
+        for _ in range(3):
+            assert _bits(wide.evaluate(family)) == expected
+            assert _bits(poly.evaluate(family)) == expected
+
+
+def test_a_polynomial_evaluated_once_keeps_no_plan():
+    poly = _power(w(1, 1) + w(1, 2) + w(2, 1) + w(3, 3), 5)
+    family = _AnyCellWeights()
+    poly.evaluate(family)
+    assert not poly._plan
+    poly.evaluate(family)
+    _cells, _rows, monomials = poly._plan
+    assert len(monomials) == len(poly.terms)
