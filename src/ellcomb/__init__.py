@@ -55,13 +55,9 @@ from .boards import (
     word_from_board,
 )
 from .skewpoly import (
-    AQ_RULE,
-    ELLIPTIC_RULE,
-    ShiftRule,
     SkewPoly,
     apply_D,
     apply_eta,
-    apply_eta_aq,
     f_relation_sides,
     fib_aq,
     fib_aq_closed,
@@ -101,21 +97,20 @@ def clear_caches() -> None:
 
 
 __all__ = [
-    "AQWeights", "AQ_RULE", "BQWeights", "CheckReport", "DomainError",
-    "ELLIPTIC_RULE", "EllipticWeights", "EvaluationError",
-    "FerrersBoard", "GenericWeights", "IdentityCheck",
-    "NearPoleError", "NormalForm", "ParameterSet", "Placement",
-    "PoleError", "QWeights", "RelationSystem", "ShiftRule",
-    "SkewPoly", "TableWeights", "VerifyError", "WeightFamily",
-    "WeightPolynomial", "WordParseError", "all_boards_within", "apply_D",
-    "apply_eta", "apply_eta_aq", "board_from_word", "bracket_z",
-    "clear_caches", "complex_to_pair", "dual_word",
-    "expand_power_sum", "f_relation_sides", "family_from_spec",
-    "fib_aq", "fib_aq_closed", "fib_elliptic", "file_poly",
-    "file_product_sides", "genfun_expand", "list_identities", "multiply",
-    "normal_order", "pair_to_complex", "parse_word", "path_binom",
-    "pincherle_check", "pincherle_coeff", "placements", "product_expand",
-    "q_binomial", "q_bracket", "q_factorial", "qp_factorial",
-    "rook_poly", "rook_product_sides", "run_all", "run_check",
-    "skew_mul", "theta", "word_from_board", "x_mul",
+    "AQWeights", "BQWeights", "CheckReport", "DomainError",
+    "EllipticWeights", "EvaluationError", "FerrersBoard",
+    "GenericWeights", "IdentityCheck", "NearPoleError", "NormalForm",
+    "ParameterSet", "Placement", "PoleError", "QWeights",
+    "RelationSystem", "SkewPoly", "TableWeights", "VerifyError",
+    "WeightFamily", "WeightPolynomial", "WordParseError",
+    "all_boards_within", "apply_D", "apply_eta", "board_from_word",
+    "bracket_z", "clear_caches", "complex_to_pair", "dual_word",
+    "expand_power_sum", "f_relation_sides", "family_from_spec", "fib_aq",
+    "fib_aq_closed", "fib_elliptic", "file_poly", "file_product_sides",
+    "genfun_expand", "list_identities", "multiply", "normal_order",
+    "pair_to_complex", "parse_word", "path_binom", "pincherle_check",
+    "pincherle_coeff", "placements", "product_expand", "q_binomial",
+    "q_bracket", "q_factorial", "qp_factorial", "rook_poly",
+    "rook_product_sides", "run_all", "run_check", "skew_mul", "theta",
+    "word_from_board", "x_mul",
 ]

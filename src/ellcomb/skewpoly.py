@@ -4,14 +4,13 @@ operators built on them.
 Elements are finite sums  sum_k c_k(a, b) x^k  where the coefficients
 are functions of the parameters and the variable obeys the skew rule
 
-    x f(a, b) = f(a q^da, b q^db) x,
+    x f(a, b) = f(a q, b q^2) x;
 
-with (da, db) = (1, 2) for the four-parameter theta setting and
-(1, 0) for its one-parameter a-degeneration.  Coefficients are kept as
-plain data: constants, user callables (a, b) -> complex, operator
-factors, and shifts, products and sums of these.  Evaluation at a
-parameter point computes each node once per offset (i, j), its value
-at (a q^i, b q^j), so subterms shared by many coefficients cost
+the one-parameter a;q setting is its case b = 0, p = 0.  Coefficients
+are kept as plain data: constants, user callables (a, b) -> complex,
+operator factors, and shifts, products and sums of these.  Evaluation
+at a parameter point computes each node once per offset (i, j), its
+value at (a q^i, b q^j), so subterms shared by many coefficients cost
 nothing extra; equality of coefficients is always decided numerically
 at sampled parameters.
 
@@ -23,39 +22,26 @@ finite skew products used by the product-expansion identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .special_fn import (
     DomainError,
     ParameterSet,
+    _ratio,
     bracket_z,
     exp_coeff_bq,
     guarded,
     q_binomial,
     q_factorial,
     qpow,
+    require_finite,
     theta_quotient,
 )
 
 __all__ = [
-    "ShiftRule", "ELLIPTIC_RULE", "AQ_RULE", "SkewPoly",
-    "x_mul", "skew_mul", "apply_D", "apply_eta", "apply_eta_aq",
+    "SkewPoly", "x_mul", "skew_mul", "apply_D", "apply_eta",
     "pincherle_coeff", "pincherle_coeff_bracket", "pincherle_check",
     "fib_elliptic", "fib_aq", "fib_aq_closed", "genfun_expand",
     "product_expand", "f_relation_sides",
 ]
-
-
-@dataclass(frozen=True)
-class ShiftRule:
-    """Exponents in the skew rule x f(a, b) = f(a q^da, b q^db) x."""
-
-    da: int
-    db: int
-
-
-ELLIPTIC_RULE = ShiftRule(1, 2)
-AQ_RULE = ShiftRule(1, 0)
 
 
 # A coefficient is plain data, one of these nodes:
@@ -118,16 +104,16 @@ def _node(c):
 
 
 class SkewPoly:
-    """Finite sum of c_k(a, b) x^k under a fixed shift rule.
+    """Finite sum of c_k(a, b) x^k under the skew rule.
 
     Coefficients may be passed as complex constants or as callables
     (a, b) -> complex; exact numeric zeros are dropped.  Instances are
     immutable by convention.
     """
 
-    __slots__ = ("coeffs", "rule", "q")
+    __slots__ = ("coeffs", "q")
 
-    def __init__(self, coeffs: dict, q, rule: ShiftRule = ELLIPTIC_RULE):
+    def __init__(self, coeffs: dict, q):
         cleaned = {}
         for k, c in coeffs.items():
             k = int(k)
@@ -138,29 +124,28 @@ class SkewPoly:
                 cleaned[k] = c
         self.coeffs = cleaned
         self.q = complex(q)
-        self.rule = rule
 
     @classmethod
-    def _of(cls, nodes: dict, q, rule: ShiftRule) -> "SkewPoly":
+    def _of(cls, nodes: dict, q) -> "SkewPoly":
         """An instance over coefficient nodes built by the operations here."""
         poly = cls.__new__(cls)
-        poly.coeffs, poly.q, poly.rule = nodes, q, rule
+        poly.coeffs, poly.q = nodes, q
         return poly
 
     @classmethod
-    def unit(cls, q, rule: ShiftRule = ELLIPTIC_RULE) -> "SkewPoly":
-        return cls({0: 1.0}, q, rule)
+    def unit(cls, q) -> "SkewPoly":
+        return cls({0: 1.0}, q)
 
     @classmethod
-    def x_power(cls, n: int, q, rule: ShiftRule = ELLIPTIC_RULE) -> "SkewPoly":
-        return cls({n: 1.0}, q, rule)
+    def x_power(cls, n: int, q) -> "SkewPoly":
+        return cls({n: 1.0}, q)
 
     def degree(self) -> int:
         return max(self.coeffs, default=-1)
 
     def _compatible(self, other: "SkewPoly"):
-        if self.rule != other.rule or self.q != other.q:
-            raise DomainError("skew polynomials have mismatched rules")
+        if self.q != other.q:
+            raise DomainError("skew polynomials have mismatched q")
 
     def __add__(self, other: "SkewPoly") -> "SkewPoly":
         self._compatible(other)
@@ -173,18 +158,18 @@ class SkewPoly:
                 merged[k] = _Sum(prior.terms + (c,))
             else:
                 merged[k] = _Sum((prior, c))
-        return SkewPoly._of(merged, self.q, self.rule)
+        return SkewPoly._of(merged, self.q)
 
     def scale(self, factor) -> "SkewPoly":
         """Left multiplication by a scalar function of (a, b); being on
         the left, it picks up no shifts."""
         factor = _node(factor)
         return SkewPoly._of({k: _mul(factor, c) for k, c in self.coeffs.items()},
-                            self.q, self.rule)
+                            self.q)
 
     def truncated(self, max_degree: int) -> "SkewPoly":
         return SkewPoly._of({k: c for k, c in self.coeffs.items() if k <= max_degree},
-                            self.q, self.rule)
+                            self.q)
 
     def evaluate(self, ps: ParameterSet) -> dict:
         """Coefficient values at the parameter point: map degree -> complex."""
@@ -220,7 +205,8 @@ class SkewPoly:
                 memo[key] = hit
             return hit
 
-        return {k: value(c, 0, 0) for k, c in sorted(self.coeffs.items())}
+        return {k: require_finite(value(c, 0, 0), "skew coefficient")
+                for k, c in sorted(self.coeffs.items())}
 
     def to_json(self, ps: ParameterSet) -> dict:
         values = self.evaluate(ps)
@@ -233,22 +219,19 @@ def x_mul(p: SkewPoly, power: int = 1) -> SkewPoly:
         raise DomainError("x_mul power must be nonnegative")
     if power == 0:
         return p
-    u, v = p.rule.da * power, p.rule.db * power
-    return SkewPoly._of({k + power: _shift(c, u, v) for k, c in p.coeffs.items()},
-                        p.q, p.rule)
+    return SkewPoly._of({k + power: _shift(c, power, 2 * power)
+                         for k, c in p.coeffs.items()}, p.q)
 
 
 def skew_mul(p: SkewPoly, other: SkewPoly) -> SkewPoly:
-    """Product p * other under the shift rule: the right factor's
+    """Product p * other under the skew rule: the right factor's
     coefficients travel past the left factor's powers of x."""
     p._compatible(other)
-    rule = p.rule
     terms: dict = {}
     for i, c in p.coeffs.items():
         for j, d in other.coeffs.items():
-            terms.setdefault(i + j, []).append(
-                _mul(c, _shift(d, rule.da * i, rule.db * i)))
-    return SkewPoly._of({k: _sum(t) for k, t in terms.items()}, p.q, rule)
+            terms.setdefault(i + j, []).append(_mul(c, _shift(d, i, 2 * i)))
+    return SkewPoly._of({k: _sum(t) for k, t in terms.items()}, p.q)
 
 
 def _D_factor(a, b, n: int, q, p) -> complex:
@@ -268,44 +251,31 @@ def apply_D(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
     return SkewPoly._of(
         {n - 1: _mul(_shift(c, -1, -2), (_D_factor, n, ps.q, ps.p))
          for n, c in p.coeffs.items() if n != 0},
-        p.q, p.rule)
+        p.q)
 
 
 def _eta_factor(a, b, n: int, q, p) -> complex:
     return theta_quotient(
         [a * qpow(q, 1 + n), a * qpow(q, 2 + n), b * q,
-         a * qpow(q, 1 - n) / b, a * qpow(q, -n) / b],
-        [a * q, a * q * q, b * qpow(q, 1 + 2 * n), a * q / b, a / b],
-        p) * qpow(q, n)
+         _ratio(b * qpow(q, n - 1), a), _ratio(b * qpow(q, n), a)],
+        [a * q, a * q * q, b * qpow(q, 1 + 2 * n), _ratio(b, a * q), _ratio(b, a)],
+        p) * qpow(q, -n)
 
 
 def apply_eta(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
     """The diagonal operator: termwise multiplication by
 
-        theta(a q^(1+n), a q^(2+n), b q, a q^(1-n)/b, a q^(-n)/b; p)
-      / theta(a q, a q^2, b q^(1+2n), a q/b, a/b; p) * q^n,
+        theta(a q^(1+n), a q^(2+n), b q, b q^(n-1)/a, b q^n/a; p)
+      / theta(a q, a q^2, b q^(1+2n), b/(a q), b/a; p) * q^(-n),
 
-    leaving the coefficient's arguments untouched."""
+    leaving the coefficient's arguments untouched.  Its a/b thetas are
+    written inverted, by theta(x) = -x theta(1/x), so that at b = 0,
+    p = 0 it is the one-parameter factor
+    (1 - a q^(1+n)) (1 - a q^(2+n)) / ((1 - a q)(1 - a q^2)) * q^(-n).
+    b != 0 needs a != 0."""
     return SkewPoly._of(
         {n: _mul(c, (_eta_factor, n, ps.q, ps.p)) for n, c in p.coeffs.items()},
-        p.q, p.rule)
-
-
-def _eta_aq_factor(a, b, n: int, q) -> complex:
-    return theta_quotient([a * qpow(q, 1 + n), a * qpow(q, 2 + n)],
-                          [a * q, a * q * q], 0.0) * qpow(q, -n)
-
-
-def apply_eta_aq(p: SkewPoly, q) -> SkewPoly:
-    """One-parameter diagonal operator: termwise multiplication by
-
-        (1 - a q^(1+n)) (1 - a q^(2+n)) / ((1 - a q)(1 - a q^2)) * q^(-n),
-
-    for use with the (da, db) = (1, 0) shift rule."""
-    q = complex(q)
-    return SkewPoly._of(
-        {n: _mul(c, (_eta_aq_factor, n, q)) for n, c in p.coeffs.items()},
-        p.q, p.rule)
+        p.q)
 
 
 def pincherle_coeff(k: int, ps: ParameterSet) -> complex:
@@ -367,40 +337,35 @@ def fib_elliptic(n: int, ps: ParameterSet) -> complex:
     """Theta Fibonacci numbers: S_0 = 0, S_1 = 1 and
 
         S_n(a, b) = S_(n-1)(a q, b q^2)
-          + theta(a q^(1+n), a q^(2+n), b q^5, a q^(1-n)/b, a q^(-n)/b; p)
-          / theta(a q^3, a q^4, b q^(1+2n), a/(b q), a/(b q^2)); p)
-          * q^(n-2) * S_(n-2)(a q^2, b q^4).
+          + theta(a q^(1+n), a q^(2+n), b q^5, b q^(n-1)/a, b q^n/a; p)
+          / theta(a q^3, a q^4, b q^(1+2n), b q/a, b q^2/a; p)
+          * q^(2-n) * S_(n-2)(a q^2, b q^4),
+
+    the paper's factor with its a/b thetas inverted by
+    theta(x) = -x theta(1/x).  At b = 0, p = 0 the b thetas are 1 and
+    this is the one-parameter recursion of fib_aq.  Domain: b = 0 needs
+    p = 0 (theta(0; p) is undefined), and b != 0 needs a != 0.
+
+    A loop over i from n - 2 down to 0 carries S_(n-i-1) and S_(n-i-2)
+    at (a q^i, b q^(2i)).
     """
     if n < 0:
         raise DomainError("fib_elliptic needs n >= 0")
+    if n == 0:
+        return 0.0 + 0.0j
     q, p = ps.q, ps.p
-    memo: dict = {}
-
-    def factor(m: int, a, b) -> complex:
-        if b == 0:
-            raise DomainError(
-                "fib_elliptic needs b != 0; the b -> 0 branch is fib_aq")
-        return theta_quotient(
+    s1, s2 = 1.0 + 0.0j, 0.0 + 0.0j
+    for i in range(n - 2, -1, -1):
+        m = n - i
+        a = ps.a * qpow(q, i)
+        b = ps.b * qpow(q, 2 * i)
+        factor = theta_quotient(
             [a * qpow(q, 1 + m), a * qpow(q, 2 + m), b * qpow(q, 5),
-             a * qpow(q, 1 - m) / b, a * qpow(q, -m) / b],
+             _ratio(b * qpow(q, m - 1), a), _ratio(b * qpow(q, m), a)],
             [a * qpow(q, 3), a * qpow(q, 4), b * qpow(q, 1 + 2 * m),
-             a / (b * q), a / (b * q * q)], p) * qpow(q, m - 2)
-
-    def rec(m: int, i: int, j: int) -> complex:
-        if m == 0:
-            return 0.0 + 0.0j
-        if m == 1:
-            return 1.0 + 0.0j
-        key = (m, i, j)
-        hit = memo.get(key)
-        if hit is None:
-            a = ps.a * qpow(q, i)
-            b = ps.b * qpow(q, j)
-            hit = rec(m - 1, i + 1, j + 2) + factor(m, a, b) * rec(m - 2, i + 2, j + 4)
-            memo[key] = hit
-        return hit
-
-    return rec(n, 0, 0)
+             _ratio(b * q, a), _ratio(b * q * q, a)], p) * qpow(q, 2 - m)
+        s1, s2 = s1 + factor * s2, s1
+    return require_finite(s1, "Fibonacci number")
 
 
 def fib_aq(n: int, a, q) -> complex:
@@ -408,30 +373,11 @@ def fib_aq(n: int, a, q) -> complex:
 
         S_n(a) = S_(n-1)(a q)
           + (1 - a q^(1+n))(1 - a q^(2+n)) / ((1 - a q^3)(1 - a q^4))
-          * q^(2-n) * S_(n-2)(a q^2).
+          * q^(2-n) * S_(n-2)(a q^2),
+
+    the theta Fibonacci numbers at b = 0, p = 0.
     """
-    if n < 0:
-        raise DomainError("fib_aq needs n >= 0")
-    a = complex(a)
-    q = complex(q)
-    memo: dict = {}
-
-    def rec(m: int, i: int) -> complex:
-        if m == 0:
-            return 0.0 + 0.0j
-        if m == 1:
-            return 1.0 + 0.0j
-        key = (m, i)
-        hit = memo.get(key)
-        if hit is None:
-            ai = a * qpow(q, i)
-            factor = theta_quotient([ai * qpow(q, 1 + m), ai * qpow(q, 2 + m)],
-                                    [ai * qpow(q, 3), ai * qpow(q, 4)], 0.0)
-            hit = rec(m - 1, i + 1) + factor * qpow(q, 2 - m) * rec(m - 2, i + 2)
-            memo[key] = hit
-        return hit
-
-    return rec(n, 0)
+    return fib_elliptic(n, ParameterSet(a, 0, q, 0))
 
 
 def fib_aq_closed(n: int, a, q) -> complex:
@@ -457,7 +403,7 @@ def fib_aq_closed(n: int, a, q) -> complex:
         inv_den = theta_quotient(
             (), [a * qpow(q, e + i) for i in range(j) for e in (3, n - j + 2)], 0.0)
         total += qpow(q, -(n - j - 1) * j) * binomial * top ** j * inv_den
-    return total
+    return require_finite(total, "Fibonacci closed form")
 
 
 def genfun_expand(N: int, ps: ParameterSet) -> list:
@@ -477,14 +423,13 @@ def genfun_expand(N: int, ps: ParameterSet) -> list:
     return [values.get(k, 0.0 + 0.0j) for k in range(1, N + 1)]
 
 
-def product_expand(factors, direction: str, q,
-                   rule: ShiftRule = ELLIPTIC_RULE) -> SkewPoly:
+def product_expand(factors, direction: str, q) -> SkewPoly:
     """Ordered product of skew-polynomial factors.
 
     "left-to-right" forms F_0 F_1 ... F_(n-1); "right-to-left" forms
     F_(n-1) ... F_1 F_0.  The empty product is 1.
     """
-    acc = SkewPoly.unit(q, rule)
+    acc = SkewPoly.unit(q)
     if direction == "left-to-right":
         for f in factors:
             acc = skew_mul(acc, f)

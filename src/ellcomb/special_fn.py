@@ -288,12 +288,13 @@ def q_bracket(z, q) -> complex:
 
 
 def _ratio(x: complex, d: complex) -> complex:
-    # x / d for x = a q^k, d = b q^l.  Degenerate convention: a -> 0 is
-    # taken before b -> 0, so a/b -> 0.
+    # x / d for x = a q^k, d = b q^l, or with a and b exchanged.
+    # Degenerate convention: the numerator's parameter goes to 0 first,
+    # so 0/0 is 0.
     if x == 0:
         return 0.0 + 0.0j
     if d == 0:
-        raise DomainError("a/b undefined for b = 0 with a != 0")
+        raise DomainError("a/b or b/a undefined: zero denominator, nonzero numerator")
     return x / d
 
 

@@ -63,9 +63,8 @@ from .boards import (
     rook_product_sides,
 )
 from .skewpoly import (
-    AQ_RULE,
     SkewPoly,
-    apply_eta_aq,
+    apply_eta,
     f_relation_sides,
     fib_aq,
     fib_aq_closed,
@@ -904,7 +903,8 @@ def _draw_fib_genfun(ctx: CheckContext):
 @_check("fib-aq-closed",
         "one-parameter Fibonacci recursion equals its closed single-sum form",
         "numeric-sampled", {"draws": 12, "n": 15}, 1e-8,
-        ["skewpoly:fib_aq"], ["skewpoly:fib_aq_closed"], "n")
+        ["skewpoly:fib_aq", "skewpoly:fib_elliptic"],
+        ["skewpoly:fib_aq_closed"], "n")
 def _draw_fib_aq_closed(ctx: CheckContext):
     a = ctx.draw_ab()
     q = ctx.draw_q()
@@ -917,13 +917,13 @@ def _draw_fib_aq_closed(ctx: CheckContext):
         "powers of x + x^2 eta applied to x expand with q-binomial "
         "coefficients and linear factors",
         "numeric-sampled", {"draws": 8, "n": 8}, 1e-8,
-        ["skewpoly:apply_eta_aq", "skewpoly:x_mul"],
+        ["skewpoly:apply_eta", "skewpoly:x_mul"],
         ["special_fn:q_binomial", "verify:raw-linear-factors"], "n")
 def _draw_lemma_xeta_power(ctx: CheckContext):
     a = ctx.draw_ab()
     q = ctx.draw_q()
-    psq = ParameterSet(a, 1.0, q, 0.0)
-    term = SkewPoly.x_power(1, q, AQ_RULE)
+    psq = ParameterSet(a, 0.0, q, 0.0)
+    term = SkewPoly.x_power(1, q)
     pairs = []
     for n in range(0, ctx.size("n") + 1):
         values = term.evaluate(psq)
@@ -936,7 +936,7 @@ def _draw_lemma_xeta_power(ctx: CheckContext):
                 den *= _guard_ref(1.0 - a * qpow(q, n + 3 + i))
             rhs = qpow(q, -n * j) * q_binomial(n, j, q) * num / den
             pairs.append((values.get(n + j + 1, 0.0 + 0.0j), rhs))
-        term = x_mul(term) + x_mul(apply_eta_aq(term, q), 2)
+        term = x_mul(term) + x_mul(apply_eta(term, psq), 2)
     return (a, q), pairs
 
 

@@ -195,6 +195,23 @@ def test_binomials_beyond_the_double_range_exit_2(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+_FIB_ELLIPTIC = ("fib", "--elliptic", "--a", "1.1", "--b", "0.4", "--q", "0.99", "--p", "0.2")
+_FIB_AQ = ("fib", "--aq", "--n", "1200", "--a", "0.3", "--q", "0.999")
+
+
+@pytest.mark.parametrize("argv", [
+    (*_FIB_ELLIPTIC, "--n", "600"),
+    (*_FIB_ELLIPTIC, "--n", "3000"),
+    (*_FIB_AQ, "--closed"),
+    _FIB_AQ,
+])
+def test_fib_beyond_the_double_range_exit_2(capsys, argv):
+    # the recursion and the closed sum overflow, and a long recursion
+    # does not reach the interpreter's depth limit: exit 2 with a reason
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_board_cap_enforced(capsys):
     code, _, err = run_cli(capsys, "rook", "--board", "1,2,9", "--k", "1")
     assert code == 2 and "cap" in err

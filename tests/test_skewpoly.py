@@ -8,13 +8,9 @@ import pytest
 
 from ellcomb import skewpoly
 from ellcomb.skewpoly import (
-    AQ_RULE,
-    ELLIPTIC_RULE,
-    ShiftRule,
     SkewPoly,
     apply_D,
     apply_eta,
-    apply_eta_aq,
     f_relation_sides,
     fib_aq,
     fib_aq_closed,
@@ -53,24 +49,16 @@ def draw_ps(rng):
         draw_annulus(rng, 0.3, 0.9), draw_annulus(rng, 0.05, 0.5))
 
 
-def test_shift_rules():
-    assert ELLIPTIC_RULE == ShiftRule(1, 2)
-    assert AQ_RULE == ShiftRule(1, 0)
-
-
 def test_x_mul_shifts_coefficients():
     rng = random.Random(61)
     ps = draw_ps(rng)
     poly = SkewPoly({0: lambda a, b: a + 2 * b}, ps.q)
     moved = x_mul(poly)
     got = moved.evaluate(ps)
-    # x f(a, b) = f(a q, b q^2) x under the elliptic rule
+    # x f(a, b) = f(a q, b q^2) x
     want = ps.a * ps.q + 2 * ps.b * ps.q**2
     assert set(got) == {1}
     assert abs(got[1] - want) < 1e-14
-    aq_poly = SkewPoly({0: lambda a, b: a + 2 * b}, ps.q, AQ_RULE)
-    got = x_mul(aq_poly).evaluate(ps)
-    assert abs(got[1] - (ps.a * ps.q + 2 * ps.b)) < 1e-14
 
 
 def test_skew_mul_associative_and_graded():
@@ -100,11 +88,13 @@ def test_skew_mul_crossing_shift():
     assert abs(got[1] - want) < 1e-13
 
 
-def test_rule_mismatch_rejected():
+def test_q_mismatch_rejected():
     poly = SkewPoly({0: lambda a, b: 1.0}, 0.5)
-    other = SkewPoly({0: lambda a, b: 1.0}, 0.5, AQ_RULE)
+    other = SkewPoly({0: lambda a, b: 1.0}, 0.25)
     with pytest.raises(DomainError):
         skew_mul(poly, other)
+    with pytest.raises(DomainError):
+        poly + other
 
 
 def test_negative_degree_rejected():
@@ -130,12 +120,12 @@ def test_apply_eta_base_case():
     assert abs(got[0] - 1.0) < 1e-12
 
 
-def test_apply_eta_aq_diagonal():
+def test_apply_eta_at_b_zero_is_the_one_parameter_diagonal():
     rng = random.Random(66)
     a = draw_annulus(rng, 0.2, 1.5)
     q = draw_annulus(rng, 0.3, 0.9)
-    poly = SkewPoly.x_power(2, q, AQ_RULE)
-    got = apply_eta_aq(poly, q).evaluate(ParameterSet(a, 0.0, q, 0.0))
+    ps = ParameterSet(a, 0.0, q, 0.0)
+    got = apply_eta(SkewPoly.x_power(2, q), ps).evaluate(ps)
     want = ((1 - a * qpow(q, 3)) * (1 - a * qpow(q, 4))
             / ((1 - a * q) * (1 - a * q * q)) * qpow(q, -2))
     assert set(got) == {2}
@@ -244,8 +234,9 @@ def test_fib_aq_matches_closed_form():
 
 
 # Literal copies of the hand-written loops the one-parameter factors
-# used before they became theta_quotient calls.  _eta_aq_factor and the
-# fib_aq factor keep their operation order, so they match bit for bit
+# used before they became theta_quotient calls.  The eta factor and the
+# Fibonacci factor at b = 0, p = 0 keep their operation order, so they
+# match bit for bit
 # except where an exactly equal numerator and denominator factor is now
 # skipped (n = 0); the closed form multiplies its factors in another
 # order and agrees to 1e-14 relative.
@@ -298,7 +289,7 @@ def test_one_parameter_factors_match_the_loops_they_replace():
         q = draw_annulus(rng, 0.3, 1.5)
         try:
             for n in range(12):
-                new, old = skewpoly._eta_aq_factor(a, None, n, q), _loop_eta_aq_factor(a, n, q)
+                new, old = skewpoly._eta_factor(a, 0.0, n, q, 0.0), _loop_eta_aq_factor(a, n, q)
                 if n:
                     assert new == old
                 else:
@@ -315,8 +306,8 @@ def test_one_parameter_factors_raise_at_exact_and_near_poles():
     # and falls below NEAR_POLE_TOL at eps = 1e-14
     q = 0.5
     cases = [
-        (lambda a: skewpoly._eta_aq_factor(a / 4, None, 2, q), 0),
-        (lambda a: skewpoly._eta_aq_factor(a / 2, None, 2, q), 1),
+        (lambda a: skewpoly._eta_factor(a / 4, 0.0, 2, q, 0.0), 0),
+        (lambda a: skewpoly._eta_factor(a / 2, 0.0, 2, q, 0.0), 1),
         (lambda a: fib_aq(3, a, q), 0),
         (lambda a: fib_aq_closed(3, a, q), 0),
     ]
@@ -386,10 +377,30 @@ def test_f_relation_commuting_reading_is_false():
     assert abs(lhs - right) < 1e-12
 
 
-def test_fib_elliptic_rejects_b_zero():
-    # b = 0 with a generic belongs to the one-parameter recursion
+def test_fib_elliptic_at_b_zero_is_fib_aq():
+    # the inverted a/b thetas are theta(0; 0) = 1 at b = 0, p = 0, so the
+    # two-parameter recursion is the one-parameter one, a = 0 included
+    rng = random.Random(76)
+    for a in [0.0] + [draw_annulus(rng, 0.2, 1.5) for _ in range(10)]:
+        q = draw_annulus(rng, 0.3, 0.9)
+        for n in range(12):
+            got = fib_elliptic(n, ParameterSet(a, 0.0, q, 0.0))
+            assert got == _loop_fib_aq(n, complex(a), q) == fib_aq(n, a, q)
+
+
+def test_fib_elliptic_b_zero_needs_p_zero():
+    # theta(0; p) is undefined for p != 0
     with pytest.raises(DomainError):
-        fib_elliptic(4, ParameterSet(0.4, 0.0, 0.5, 0.0))
+        fib_elliptic(4, ParameterSet(0.4, 0.0, 0.5, 0.1))
+
+
+def test_fib_elliptic_and_eta_need_a_when_b_is_nonzero():
+    # the inverted thetas divide b by a; a = b = 0 stays legal
+    ps = ParameterSet(0.0, 0.4, 0.5, 0.0)
+    with pytest.raises(DomainError):
+        fib_elliptic(4, ps)
+    with pytest.raises(DomainError):
+        apply_eta(SkewPoly.x_power(2, ps.q), ps).evaluate(ps)
 
 
 def test_fib_elliptic_approaches_fib_aq_as_b_vanishes():
