@@ -236,10 +236,9 @@ def test_fib_aq_matches_closed_form():
 # Literal copies of the hand-written loops the one-parameter factors
 # used before they became theta_quotient calls.  The eta factor and the
 # Fibonacci factor at b = 0, p = 0 keep their operation order, so they
-# match bit for bit
-# except where an exactly equal numerator and denominator factor is now
-# skipped (n = 0); the closed form multiplies its factors in another
-# order and agrees to 1e-14 relative.
+# match bit for bit except where an exactly equal numerator and
+# denominator factor is now skipped (n = 0); the closed form multiplies
+# its factors in another order and agrees to 1e-14 relative.
 
 def _loop_eta_aq_factor(a, n, q):
     num = (1.0 - a * qpow(q, 1 + n)) * (1.0 - a * qpow(q, 2 + n))
