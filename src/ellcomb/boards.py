@@ -52,7 +52,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .special_fn import DomainError, EllipticWeights, WeightFamily, bracket_z
+from .special_fn import (DomainError, EllipticWeights, WeightFamily, bracket_z,
+                         require_finite)
 from .weightpoly import WeightPolynomial, _cell_basis, _poly, _suffix_monomials
 
 __all__ = [
@@ -262,7 +263,8 @@ def _sweep_plan(heights: tuple, kind: str, lo: int, hi: int) -> tuple:
 
 def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> list:
     """[p_lo, ..., p_hi], the weighted sums over placements of each size,
-    from one sweep."""
+    from one sweep.  A numeric sum beyond the double range is an
+    EvaluationError."""
     if hi < 0:
         raise DomainError("placement count k must be nonnegative")
     symbolic = getattr(family, "symbolic", False)
@@ -311,7 +313,7 @@ def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> 
     sums = [0.0 + 0.0j] * (hi - lo + 1)
     for state, value in acc.items():
         sums[len(state) - lo] += value
-    return sums
+    return [require_finite(value, "weighted board sum") for value in sums]
 
 
 def rook_poly(board: FerrersBoard, k: int, family, *, every: bool = False):

@@ -40,7 +40,11 @@ factorial (x; q)_n is (x; q, 0)_n (Gasper-Rahman, section 11.2), so
 ``exp_coeff_bq`` and ``reversal_coeff_bq`` have no loop of their own.
 The raw references in ``verify`` and the right sides of
 ``skewpoly.f_relation_sides`` keep theirs: they are the independent
-sides of their checks.
+sides of their checks.  ``theta_quotient`` checks the nome once per
+call and forms each factor by the rule ``theta`` uses: 1 - x at p = 0,
+otherwise the cached series, which checks x on a cache miss.  The
+series is sized once from log|x| and log|p|, so its stopping test runs
+only near its end.
 
 Three values outlive a call, each in a bounded module-level
 ``functools.lru_cache`` whose ``cache_info()`` counts hits, misses and
@@ -55,6 +59,7 @@ triangle afresh each time.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
@@ -67,6 +72,7 @@ NEAR_POLE_TOL = 1e-12
 # Theta truncation: stop once both |p^j x| and |p^(j+1)/x| drop below
 # this; the remaining factors differ from 1 by less than double noise.
 _FACTOR_EPS = 1e-17
+_LOG_EPS = math.log(_FACTOR_EPS)
 _MAX_FACTORS = 300
 
 
@@ -175,29 +181,58 @@ class ParameterSet:
 
 def theta(x, p) -> complex:
     """theta(x; p) for |p| < 1: 1 - x when p = 0, else for x != 0 only."""
-    x = complex(x)
-    # first: every factor of a q-shifted factorial takes this branch
-    if p == 0:
-        return 1.0 - require_finite(x, "theta argument")
+    return next(_thetas((x,), _nome(p)))
+
+
+def _nome(p) -> complex:
+    # the nome, checked once per theta or theta_quotient call
     p = complex(p)
     if abs(p) >= 1:
         raise DomainError(f"theta requires |p| < 1, got |p| = {abs(p)}")
-    require_finite(x, "theta argument")
-    if x == 0:
-        raise DomainError("theta(x; p) is undefined at x = 0 for p != 0")
-    return _theta_series(x, p)
+    return require_finite(p, "nome")
+
+
+def _thetas(xs, p: complex):
+    # theta(x; p) for each x in xs, lazily, at a nome that passed _nome:
+    # the one per-factor rule of theta and theta_quotient.  p is tested
+    # once, not once per factor; require_finite is called only to raise.
+    if p == 0:
+        for x in xs:
+            x = complex(x)
+            if not cmath.isfinite(x):
+                require_finite(x, "theta argument")
+            yield 1.0 - x
+        return
+    for x in xs:
+        yield _theta_series(complex(x), p)
 
 
 @lru_cache(maxsize=1 << 16)
 def _theta_series(x: complex, p: complex) -> complex:
+    # x is checked here, on a cache miss only: a call that raises is not
+    # cached, so a non-finite x or x = 0 raises on every call.
+    require_finite(x, "theta argument")
+    if x == 0:
+        raise DomainError("theta(x; p) is undefined at x = 0 for p != 0")
+    # Factor j is (1 - p^j x)(1 - p^(j+1)/x).  The product stops at the
+    # first j with both |p^j x| and |p^(j+1)/x| below _FACTOR_EPS.  Since
+    # log|p^j x| = j log|p| + log|x|, that j is sized once from the
+    # logarithms, which cannot overflow where |p|/|x| does.  The loop
+    # stops at most one factor from it, where a term or the quotient of
+    # the logarithms lies within rounding of a bound, so the two tests
+    # run from two factors before it on.
+    log_p = math.log(abs(p))
+    log_x = math.log(abs(x))
+    tested = max(math.floor((_LOG_EPS - log_x) / log_p) + 1,
+                 math.floor((_LOG_EPS + log_x) / log_p)) - 2
     result = 1.0 + 0.0j
     pj = 1.0 + 0.0j
     inv_x = 1.0 / x
-    for _ in range(_MAX_FACTORS):
+    for j in range(_MAX_FACTORS):
         t1 = pj * x
         pj = pj * p
         t2 = pj * inv_x
-        if abs(t1) < _FACTOR_EPS and abs(t2) < _FACTOR_EPS:
+        if j >= tested and abs(t1) < _FACTOR_EPS and abs(t2) < _FACTOR_EPS:
             break
         result *= (1.0 - t1) * (1.0 - t2)
     return require_finite(result, "theta value")
@@ -207,26 +242,30 @@ def theta_quotient(nums, dens, p) -> complex:
     """prod_i theta(nums[i]; p) / theta(dens[i]; p), the one place a theta
     or q-shifted factorial quotient is formed.
 
-    The numerator and denominator products are divided once, as complex
-    division rounds worse than multiplication; a product about to leave
-    [1e-300, 1e300] is divided out early, so no quotient is inf / inf.
-    Each denominator factor is guarded, and a PoleError carries its index.
-    Equal factors are skipped after their guard: z / z need not round to 1.
-    The shorter list is padded with factors 1, so a plain product or the
-    reciprocal of one is a single call.  A quotient beyond the double
-    range is an EvaluationError.
+    The nome is checked once per call.  The numerator and denominator
+    products are divided once, as complex division rounds worse than
+    multiplication; a product about to leave [1e-300, 1e300] is divided
+    out early, so no quotient is inf / inf.  A denominator factor below
+    NEAR_POLE_TOL in magnitude goes to ``guarded``, so a PoleError
+    carries its index.  Equal factors are skipped after their guard:
+    z / z need not round to 1.  The shorter list is padded with factors
+    1, so a plain product or the reciprocal of one is a single call.  A
+    quotient beyond the double range is an EvaluationError.
     """
-    result = num_prod = den_prod = 1.0 + 0.0j
-    for index, (x, y) in enumerate(zip_longest(nums, dens)):
-        num = 1.0 + 0.0j if x is None else theta(x, p)
-        den = (1.0 + 0.0j if y is None
-               else guarded(theta(y, p), index, "denominator theta factor"))
+    p = _nome(p)
+    one = 1.0 + 0.0j
+    result = num_prod = den_prod = one
+    pairs = zip_longest(_thetas(nums, p), _thetas(dens, p), fillvalue=one)
+    for index, (num, den) in enumerate(pairs):
+        den_abs = abs(den)
+        if den_abs < NEAR_POLE_TOL:
+            guarded(den, index, "denominator theta factor")
         if num == den:
             continue
         if not (1e-300 < abs(num_prod) * abs(num) < 1e300
-                and 1e-300 < abs(den_prod) * abs(den) < 1e300):
+                and 1e-300 < abs(den_prod) * den_abs < 1e300):
             result *= num_prod / den_prod
-            num_prod = den_prod = 1.0 + 0.0j
+            num_prod = den_prod = one
         num_prod *= num
         den_prod *= den
     return require_finite(result * (num_prod / den_prod), "theta quotient")
@@ -262,9 +301,6 @@ def qp_factorial(a, q, p, n: int) -> complex:
     At p = 0 the theta factors are 1 - a q^j, so this is (a; q)_n, also
     at a = 0.
     """
-    p = complex(p)
-    if abs(p) >= 1:
-        raise DomainError(f"qp_factorial requires |p| < 1, got |p| = {abs(p)}")
     a = complex(a)
     q = complex(q)
     if n >= 0:

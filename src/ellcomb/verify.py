@@ -443,8 +443,16 @@ def _draw_weight_shift(ctx: CheckContext):
 def _draw_bigweight_closed(ctx: CheckContext):
     ps = ctx.draw_ps()
     fam = EllipticWeights(ps)
-    pairs = [(fam.big(s, t), _big_ref(ps, s, t))
-             for s in range(1, 4) for t in range(0, 6)]
+    pairs = []
+    for s in range(1, 4):
+        # _big_ref(ps, s, t), carried from t - 1: the same products in
+        # the same order, each small weight computed once per column
+        ref = 1.0 + 0.0j
+        for t in range(0, 6):
+            closed = fam.big(s, t)
+            if t:
+                ref *= _small_ref(ps, s, t)
+            pairs.append((closed, ref))
     return (ps.a, ps.b, ps.q, ps.p), pairs
 
 

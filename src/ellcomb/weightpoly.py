@@ -45,6 +45,9 @@ from __future__ import annotations
 
 import json
 
+# special_fn imports this module first, so its names are read at call time
+from . import special_fn
+
 # sort key digit of a one-byte field: an exponent e >= 1 gives e - 1 and
 # an absent symbol (0) gives 255, so bytewise order is tuple order
 _ORDER = bytes((e - 1) % 256 for e in range(256))
@@ -400,10 +403,10 @@ class WeightPolynomial:
         the monomials as it goes and keeps nothing per monomial; the
         second also keeps the distinct rows and each monomial as its
         coefficient and row ids, which later calls reuse.  All calls
-        multiply in one order, so they give identical bits."""
+        multiply in one order, so they give identical bits.  A value
+        beyond the double range is an EvaluationError."""
         if getattr(family, "symbolic", False):
-            from .special_fn import DomainError
-            raise DomainError("cannot evaluate symbols against a symbolic family")
+            raise special_fn.DomainError("cannot evaluate symbols against a symbolic family")
         if cache is None:
             cache = {}
 
@@ -412,7 +415,7 @@ class WeightPolynomial:
             weight = cache.get(key)
             if weight is None:
                 weight = cache[key] = complex(family.small(*key))
-            return weight if e == 1 else weight ** e
+            return weight if e == 1 else special_fn.qpow(weight, e)
 
         def multiply(ids):
             product = weights[ids[0]]
@@ -429,7 +432,7 @@ class WeightPolynomial:
                 for i in ids:
                     value *= products[i]
                 total += value
-            return total
+            return special_fn.require_finite(total, "weight polynomial value")
         keep = self._plan is not None
         w, nb = self._frame[2:] if self._frame else (_CHUNK_FIELDS, 1)
         bits = 8 * nb * w
@@ -468,7 +471,7 @@ class WeightPolynomial:
             if keep:
                 monomials.append((complex(c), tuple(ids)))
         self._plan = (cells, rows, monomials) if keep else ()
-        return total
+        return special_fn.require_finite(total, "weight polynomial value")
 
     def _ordered(self, factor):
         """(factors, coefficient) in sorted monomial order, factors the

@@ -212,6 +212,14 @@ def test_fib_beyond_the_double_range_exit_2(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_board_sums_beyond_the_double_range_exit_2(capsys):
+    # the weighted sums of the numeric board sweep overflow, and inf - inf
+    # gives NaN: exit 2 with a reason, never a printed nan
+    code, out, err = run_cli(capsys, "rook", "--board", "8,8,8,8,8,8,8,8", "--k", "8",
+                             "--family", "q", "--q", "1e12")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_board_cap_enforced(capsys):
     code, _, err = run_cli(capsys, "rook", "--board", "1,2,9", "--k", "1")
     assert code == 2 and "cap" in err

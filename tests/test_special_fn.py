@@ -236,6 +236,120 @@ def test_q_brackets():
     assert abs(q_bracket(3, q) - (1 + q + q * q)) < 1e-15
 
 
+def _theta_series_tested_loop(x, p):
+    # the series loop as it stood before its length was sized from the
+    # logarithms, copied literally: two abs tests on every factor, at most
+    # 300 factors
+    result = 1.0 + 0.0j
+    pj = 1.0 + 0.0j
+    inv_x = 1.0 / x
+    for _ in range(300):
+        t1 = pj * x
+        pj = pj * p
+        t2 = pj * inv_x
+        if abs(t1) < 1e-17 and abs(t2) < 1e-17:
+            break
+        result *= (1.0 - t1) * (1.0 - t2)
+    return result
+
+
+def _assert_series_matches_tested_loop(x, p):
+    expected = _theta_series_tested_loop(x, p)
+    if cmath.isfinite(expected):
+        got = special_fn._theta_series.__wrapped__(x, p)
+        assert (got.real, got.imag) == (expected.real, expected.imag), (x, p)
+        return True
+    with pytest.raises(EvaluationError):
+        special_fn._theta_series.__wrapped__(x, p)
+    return False
+
+
+def test_sized_theta_series_is_bit_identical_to_the_tested_loop():
+    rng = random.Random(57)
+    finite = 0
+    for _ in range(3000):
+        x = 10.0 ** rng.uniform(-15, 15) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        p = 10.0 ** rng.uniform(-6, math.log10(0.95)) * cmath.exp(
+            1j * rng.uniform(-math.pi, math.pi))
+        finite += _assert_series_matches_tested_loop(x, p)
+    assert finite > 1500
+    # round arguments put a term exactly at the stopping bound in exact
+    # arithmetic: 10 * (1e-6)^3 = 1e-17
+    for x in (10.0, 10j, -10.0, 1.0, 0.5, 1e-5, 1e5, 1e-17):
+        for p in (1e-6, -1e-6, 1e-6j, 0.1, 0.1j, 0.5, 0.01, 1e-3):
+            _assert_series_matches_tested_loop(complex(x), complex(p))
+
+
+def test_theta_series_length_edges():
+    # |p| / |x| overflows: the length is sized from logarithms, and the
+    # series itself is non-finite, as before
+    for x in (5e-324, 5e-324j, 1e-310):
+        with pytest.raises(EvaluationError):
+            theta(x, 0.3)
+    # the 300-factor cap: at |p| = 0.99 the terms are still far above
+    # the stopping bound after 300 factors
+    for x, p in ((0.5 + 0.5j, 0.99), (2.0, -0.99j), (0.7j, 0.95 + 0.2j)):
+        assert abs(p) ** 300 * abs(x) > 1e-10
+        _assert_series_matches_tested_loop(complex(x), complex(p))
+        capped = 1.0 + 0.0j
+        pj = 1.0 + 0.0j
+        for _ in range(300):
+            t1 = pj * x
+            pj = pj * p
+            capped *= (1.0 - t1) * (1.0 - pj * (1.0 / complex(x)))
+        assert theta(x, p) == capped
+
+
+def test_theta_quotient_raises_what_theta_raises():
+    # the nome is checked once per call, each argument once per factor;
+    # the exception types are those of a theta call on the factor
+    for p in (1.0, 1.2, 0.6 + 0.8j, -1.0, cmath.inf):
+        with pytest.raises(DomainError):
+            theta_quotient([0.5], [0.25], p)
+        with pytest.raises(DomainError):
+            theta(0.5, p)
+    for nums, dens in (([0.5, 0.0], [0.25, 0.75]), ([0.5], [0.25, 0j])):
+        with pytest.raises(DomainError, match="x = 0"):
+            theta_quotient(nums, dens, 0.3)
+    # x = 0 is a factor 1 at p = 0
+    assert theta_quotient([0.0], [0.5], 0.0) == 1.0 / 0.5
+    nan, inf = math.nan, math.inf
+    for p in (0.0, 0.3, 0.2 - 0.1j):
+        for bad in (nan, inf, -inf, complex(1.0, nan), complex(inf, 0.0)):
+            for nums, dens in (([0.5, bad], [0.25, 0.75]), ([0.5], [0.25, bad]),
+                               ([bad], [bad])):
+                with pytest.raises(EvaluationError, match="theta argument"):
+                    theta_quotient(nums, dens, p)
+            with pytest.raises(EvaluationError):
+                theta(bad, p)
+    with pytest.raises(EvaluationError):
+        theta_quotient([0.5], [0.25], nan)
+    with pytest.raises(EvaluationError):
+        theta(0.5, complex(0.1, nan))
+
+
+def test_theta_quotient_pole_indices():
+    # an exact pole is a PoleError carrying the index of its factor pair,
+    # a near pole a NearPoleError naming it; an exact pole raises before
+    # any later factor is formed
+    q = 0.5
+    cases = (
+        ([0.3, 0.4], [0.6, 1.0], 0.0, 1),
+        ([0.3], [1.0, 0.6, 0.7], 0.0, 0),
+        ([], [0.6, 0.7, 1.0 + 0.0j], 0.0, 2),
+        ([0.3, 0.4, 0.5], [0.6, 0.7, 1.0], 0.3, 2),
+        ([0.3], [0.6, 0.3, 1.0], 0.2j, 2),
+        ([], [q ** 2, q, 1.0, 0.0], 0.1, 2),
+    )
+    for nums, dens, p, index in cases:
+        with pytest.raises(PoleError) as info:
+            theta_quotient(nums, dens, p)
+        assert info.value.index == index
+        near = [d * (1 + 1e-14) if d == 1.0 else d for d in dens]
+        with pytest.raises(NearPoleError, match=f"denominator theta factor {index}"):
+            theta_quotient(nums, near, p)
+
+
 def test_guarded_poles():
     with pytest.raises(PoleError):
         guarded(0.0)

@@ -304,3 +304,25 @@ def test_cold_run_after_clear_caches_matches_a_warm_rerun(check_id):
     warm.pop("elapsed_ms")
     cold.pop("elapsed_ms")
     assert cold == warm
+
+
+def test_bigweight_reference_is_the_column_product_carried_over_t():
+    # the draw builds W(s, 0..5) as one running product of _small_ref;
+    # each value equals the column product formed afresh by _big_ref
+    verify = importlib.import_module("ellcomb.verify")
+    check = next(c for c in list_identities() if c.id == "bigweight-closed-vs-product")
+    assert check.rhs_path == ("verify:_big_ref", "verify:_theta_ref")
+    compared = 0
+    for seed in range(12):
+        ctx = CheckContext(random.Random(seed), {"draws": 1}, 1e-7)
+        try:
+            (a, b, q, p), pairs = verify._draw_bigweight_closed(ctx)
+        except (NearPoleError, EvaluationError):
+            continue
+        ps = verify.ParameterSet(a, b, q, p)
+        cells = [(s, t) for s in range(1, 4) for t in range(0, 6)]
+        assert len(pairs) == len(cells)
+        for (s, t), (_, ref) in zip(cells, pairs):
+            assert ref == verify._big_ref(ps, s, t), (seed, s, t)
+            compared += 1
+    assert compared >= 180

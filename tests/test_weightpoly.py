@@ -6,7 +6,8 @@ import struct
 
 import pytest
 
-from ellcomb.special_fn import DomainError, GenericWeights, QWeights, TableWeights
+from ellcomb.special_fn import (DomainError, EvaluationError, GenericWeights, QWeights,
+                                TableWeights)
 from ellcomb.weightpoly import WeightPolynomial
 
 
@@ -78,6 +79,19 @@ def test_evaluate_against_families():
 def test_evaluate_rejects_symbolic_family():
     with pytest.raises(DomainError):
         (1 + w(1, 1)).evaluate(GenericWeights())
+
+
+def test_evaluate_beyond_the_double_range_is_an_evaluation_error():
+    # a product of weights that overflows, and inf - inf, are errors on
+    # the first (streaming) call and on later calls that reuse the plan;
+    # so is a power of one weight that overflows
+    table = TableWeights({(1, 1): 1e200, (1, 2): 1e200, (2, 2): 1e200})
+    for poly in (w(1, 1) * w(2, 2), w(1, 1) * w(2, 2) - w(1, 1) * w(1, 2),
+                 w(1, 1) * w(1, 1)):
+        for _ in range(3):
+            with pytest.raises(EvaluationError):
+                poly.evaluate(table)
+    assert (w(1, 1) + w(2, 2)).evaluate(table) == 2e200
 
 
 def test_evaluate_shares_cache():
