@@ -288,15 +288,15 @@ def test_theta_series_length_edges():
             theta(x, 0.3)
     # the 300-factor cap: at |p| = 0.99 the terms are still far above
     # the stopping bound after 300 factors
-    for x, p in ((0.5 + 0.5j, 0.99), (2.0, -0.99j), (0.7j, 0.95 + 0.2j)):
+    for x, p in ((0.5 + 0.5j, 0.99 + 0j), (2.0 + 0j, -0.99j), (0.7j, 0.95 + 0.2j)):
         assert abs(p) ** 300 * abs(x) > 1e-10
-        _assert_series_matches_tested_loop(complex(x), complex(p))
+        _assert_series_matches_tested_loop(x, p)
         capped = 1.0 + 0.0j
         pj = 1.0 + 0.0j
         for _ in range(300):
             t1 = pj * x
             pj = pj * p
-            capped *= (1.0 - t1) * (1.0 - pj * (1.0 / complex(x)))
+            capped *= (1.0 - t1) * (1.0 - pj * (1.0 / x))
         assert theta(x, p) == capped
 
 
