@@ -41,10 +41,9 @@ factorial (x; q)_n is (x; q, 0)_n (Gasper-Rahman, section 11.2), so
 The raw references in ``verify`` and the right sides of
 ``skewpoly.f_relation_sides`` keep theirs: they are the independent
 sides of their checks.  ``theta_quotient`` checks the nome once per
-call and forms each factor by the rule ``theta`` uses: 1 - x at p = 0,
-otherwise the cached series, which checks x on a cache miss.  The
-series is sized once from log|x| and log|p|, so its stopping test runs
-only near its end.
+call and forms each factor with ``theta``, the one per-factor rule:
+1 - x at p = 0, otherwise the cached series, which checks p and x on a
+cache miss only.
 
 Three values outlive a call, each in a bounded module-level
 ``functools.lru_cache`` whose ``cache_info()`` counts hits, misses and
@@ -59,7 +58,6 @@ triangle afresh each time.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
@@ -72,7 +70,6 @@ NEAR_POLE_TOL = 1e-12
 # Theta truncation: stop once both |p^j x| and |p^(j+1)/x| drop below
 # this; the remaining factors differ from 1 by less than double noise.
 _FACTOR_EPS = 1e-17
-_LOG_EPS = math.log(_FACTOR_EPS)
 _MAX_FACTORS = 300
 
 
@@ -180,59 +177,40 @@ class ParameterSet:
 
 
 def theta(x, p) -> complex:
-    """theta(x; p) for |p| < 1: 1 - x when p = 0, else for x != 0 only."""
-    return next(_thetas((x,), _nome(p)))
+    """theta(x; p) for |p| < 1: 1 - x when p = 0, else for x != 0 only.
+
+    The one per-factor rule: ``theta_quotient`` calls it for each factor."""
+    x = complex(x)
+    # first: every factor of a q-shifted factorial takes this branch
+    if p == 0:
+        return 1.0 - require_finite(x, "theta argument")
+    return _theta_series(x, complex(p))
 
 
 def _nome(p) -> complex:
-    # the nome, checked once per theta or theta_quotient call
     p = complex(p)
     if abs(p) >= 1:
         raise DomainError(f"theta requires |p| < 1, got |p| = {abs(p)}")
     return require_finite(p, "nome")
 
 
-def _thetas(xs, p: complex):
-    # theta(x; p) for each x in xs, lazily, at a nome that passed _nome:
-    # the one per-factor rule of theta and theta_quotient.  p is tested
-    # once, not once per factor; require_finite is called only to raise.
-    if p == 0:
-        for x in xs:
-            x = complex(x)
-            if not cmath.isfinite(x):
-                require_finite(x, "theta argument")
-            yield 1.0 - x
-        return
-    for x in xs:
-        yield _theta_series(complex(x), p)
-
-
 @lru_cache(maxsize=1 << 16)
 def _theta_series(x: complex, p: complex) -> complex:
-    # x is checked here, on a cache miss only: a call that raises is not
-    # cached, so a non-finite x or x = 0 raises on every call.
+    # p and x are checked here, on a cache miss only: a call that raises
+    # is not cached, so a bad nome, a non-finite x or x = 0 raises on
+    # every call.
+    _nome(p)
     require_finite(x, "theta argument")
     if x == 0:
         raise DomainError("theta(x; p) is undefined at x = 0 for p != 0")
-    # Factor j is (1 - p^j x)(1 - p^(j+1)/x).  The product stops at the
-    # first j with both |p^j x| and |p^(j+1)/x| below _FACTOR_EPS.  Since
-    # log|p^j x| = j log|p| + log|x|, that j is sized once from the
-    # logarithms, which cannot overflow where |p|/|x| does.  The loop
-    # stops at most one factor from it, where a term or the quotient of
-    # the logarithms lies within rounding of a bound, so the two tests
-    # run from two factors before it on.
-    log_p = math.log(abs(p))
-    log_x = math.log(abs(x))
-    tested = max(math.floor((_LOG_EPS - log_x) / log_p) + 1,
-                 math.floor((_LOG_EPS + log_x) / log_p)) - 2
     result = 1.0 + 0.0j
     pj = 1.0 + 0.0j
     inv_x = 1.0 / x
-    for j in range(_MAX_FACTORS):
+    for _ in range(_MAX_FACTORS):
         t1 = pj * x
         pj = pj * p
         t2 = pj * inv_x
-        if j >= tested and abs(t1) < _FACTOR_EPS and abs(t2) < _FACTOR_EPS:
+        if abs(t1) < _FACTOR_EPS and abs(t2) < _FACTOR_EPS:
             break
         result *= (1.0 - t1) * (1.0 - t2)
     return require_finite(result, "theta value")
@@ -255,8 +233,9 @@ def theta_quotient(nums, dens, p) -> complex:
     p = _nome(p)
     one = 1.0 + 0.0j
     result = num_prod = den_prod = one
-    pairs = zip_longest(_thetas(nums, p), _thetas(dens, p), fillvalue=one)
-    for index, (num, den) in enumerate(pairs):
+    for index, (x, y) in enumerate(zip_longest(nums, dens)):
+        num = one if x is None else theta(x, p)
+        den = one if y is None else theta(y, p)
         den_abs = abs(den)
         if den_abs < NEAR_POLE_TOL:
             guarded(den, index, "denominator theta factor")
