@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .special_fn import (
     DomainError,
@@ -29,6 +30,7 @@ from .ncword import (
 from .boards import FerrersBoard, file_poly, rook_poly
 from .skewpoly import fib_aq, fib_aq_closed, fib_elliptic
 from .verify import VerifyError, list_identities, run_all, run_check
+from . import _CACHES
 
 __all__ = ["main"]
 
@@ -172,21 +174,39 @@ def _cmd_fib(args) -> int:
     return 0
 
 
+def _cache_counts() -> dict:
+    return {name: cache.cache_info() for name, cache in _CACHES.items()}
+
+
+def _print_stats(check_id: str, seconds: float, before: dict) -> None:
+    # one stderr line per check: its time and, per module-level cache,
+    # the change in hits, misses and size while it ran
+    parts = [f"stats {check_id} {seconds * 1000:.1f} ms"]
+    for name, info in _cache_counts().items():
+        old = before[name]
+        parts.append(f"{name} hits +{info.hits - old.hits} "
+                     f"misses +{info.misses - old.misses} "
+                     f"size {info.currsize - old.currsize:+d}")
+    print("; ".join(parts), file=sys.stderr)
+
+
 def _cmd_verify(args) -> int:
     if args.order is not None and args.order < 1:
         raise _UsageError(f"--order must be at least 1, got {args.order}")
     sizes = {"order": args.order} if args.order is not None else None
-    if args.id is not None:
-        try:
-            reports = [run_check(args.id, seed=args.seed, sizes=sizes)]
-        except KeyError:
-            known = ", ".join(c.id for c in list_identities())
-            raise _UsageError(f"unknown check id {args.id!r}; known ids: {known}")
-    elif sizes is not None:
-        reports = [run_check(c.id, seed=args.seed, sizes=sizes)
-                   for c in list_identities()]
-    else:
+    known = [c.id for c in list_identities()]
+    if args.id is not None and args.id not in known:
+        raise _UsageError(f"unknown check id {args.id!r}; known ids: {', '.join(known)}")
+    if args.id is None and sizes is None and not args.stats:
         reports = run_all(args.seed)
+    else:
+        reports = []
+        for check_id in known if args.id is None else [args.id]:
+            before = _cache_counts() if args.stats else None
+            started = time.perf_counter()
+            reports.append(run_check(check_id, seed=args.seed, sizes=sizes))
+            if args.stats:
+                _print_stats(check_id, time.perf_counter() - started, before)
     if args.json:
         if args.id is not None:
             print(json.dumps(reports[0].to_json(), sort_keys=True))
@@ -283,6 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--order", type=int, default=None)
     p_verify.add_argument("--json", action="store_true", dest="json")
+    p_verify.add_argument("--stats", action="store_true",
+                          help="print each check's time and cache hits, misses "
+                               "and size changes to stderr")
     p_verify.set_defaults(handler=_cmd_verify)
 
     return parser

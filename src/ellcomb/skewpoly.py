@@ -12,7 +12,12 @@ operator factors, and shifts, products and sums of these.  Evaluation
 at a parameter point computes each node once per offset (i, j), its
 value at (a q^i, b q^j), so subterms shared by many coefficients cost
 nothing extra; equality of coefficients is always decided numerically
-at sampled parameters.
+at sampled parameters.  A user callable receives the shifted point
+(a q^i, b q^j).  An operator factor receives the unshifted (a, b) and
+the exact offsets (i, j), and forms each theta argument from its whole
+exponent, a q^(i+k) as ``a * qpow(q, i + k)`` (the argument rule of
+``special_fn``), so it finds the theta values that ``fib_elliptic`` and
+the weights cache for the same argument.
 
 On top of the arithmetic sit the lowering operator D and the diagonal
 operator eta, their Pincherle-type commutation identity, the theta
@@ -46,13 +51,18 @@ __all__ = [
 
 # A coefficient is plain data, one of these nodes:
 #   complex                   a constant;
-#   tuple (fn, *args)         a leaf fn(a, b, *args): a user callable
-#                             (a, b) -> complex, or an operator factor;
+#   tuple (fn,)               a user callable fn(a q^i, b q^j);
+#   _Factor (fn, *args)       an operator factor fn(a, b, i, j, *args),
+#                             given the unshifted (a, b) and the offsets;
 #   _Shift, _Product, _Sum    a shift by (u, v), a product, a sum.
 # Leaves compare by value, so equal factors share memo entries; the
 # other nodes compare by identity.  The value of a node at offset
 # (i, j) is c(a q^i, b q^j), and each (node, i, j) is computed once per
 # evaluation.
+
+
+class _Factor(tuple):
+    __slots__ = ()
 
 
 class _Shift:
@@ -187,14 +197,16 @@ class SkewPoly:
             key = (node, i, j)
             hit = memo.get(key)
             if hit is None:
-                if kind is tuple:
+                if kind is _Factor:
+                    hit = node[0](ps.a, ps.b, i, j, *node[1:])
+                elif kind is tuple:
                     a = a_at.get(i)
                     if a is None:
                         a = a_at[i] = ps.a * qpow(q, i)
                     b = b_at.get(j)
                     if b is None:
                         b = b_at[j] = ps.b * qpow(q, j)
-                    hit = complex(node[0](a, b, *node[1:]))
+                    hit = complex(node[0](a, b))
                 elif kind is _Product:
                     hit = value(node.left, i, j) * value(node.right, i, j)
                 else:
@@ -234,10 +246,13 @@ def skew_mul(p: SkewPoly, other: SkewPoly) -> SkewPoly:
     return SkewPoly._of({k: _sum(t) for k, t in terms.items()}, p.q)
 
 
-def _D_factor(a, b, n: int, q, p) -> complex:
+def _D_factor(a, b, i: int, j: int, n: int, q, p) -> complex:
+    # the D factor at (a q^i, b q^j)
     return theta_quotient(
-        [qpow(q, n), a * qpow(q, n), b * qpow(q, n), a * qpow(q, 2 - n) / b],
-        [q, a * q, b * qpow(q, 2 * n - 1), a * q / b], p)
+        [qpow(q, n), a * qpow(q, i + n), b * qpow(q, j + n),
+         _ratio(a * qpow(q, i - j + 2 - n), b)],
+        [q, a * qpow(q, i + 1), b * qpow(q, j + 2 * n - 1),
+         _ratio(a * qpow(q, i - j + 1), b)], p)
 
 
 def apply_D(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
@@ -249,16 +264,18 @@ def apply_D(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
 
     with the n = 0 term annihilated."""
     return SkewPoly._of(
-        {n - 1: _mul(_shift(c, -1, -2), (_D_factor, n, ps.q, ps.p))
+        {n - 1: _mul(_shift(c, -1, -2), _Factor((_D_factor, n, ps.q, ps.p)))
          for n, c in p.coeffs.items() if n != 0},
         p.q)
 
 
-def _eta_factor(a, b, n: int, q, p) -> complex:
+def _eta_factor(a, b, i: int, j: int, n: int, q, p) -> complex:
+    # the eta factor at (a q^i, b q^j)
     return theta_quotient(
-        [a * qpow(q, 1 + n), a * qpow(q, 2 + n), b * q,
-         _ratio(b * qpow(q, n - 1), a), _ratio(b * qpow(q, n), a)],
-        [a * q, a * q * q, b * qpow(q, 1 + 2 * n), _ratio(b, a * q), _ratio(b, a)],
+        [a * qpow(q, i + 1 + n), a * qpow(q, i + 2 + n), b * qpow(q, j + 1),
+         _ratio(b * qpow(q, j - i + n - 1), a), _ratio(b * qpow(q, j - i + n), a)],
+        [a * qpow(q, i + 1), a * qpow(q, i + 2), b * qpow(q, j + 1 + 2 * n),
+         _ratio(b * qpow(q, j - i - 1), a), _ratio(b * qpow(q, j - i), a)],
         p) * qpow(q, -n)
 
 
@@ -274,7 +291,7 @@ def apply_eta(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
     (1 - a q^(1+n)) (1 - a q^(2+n)) / ((1 - a q)(1 - a q^2)) * q^(-n).
     b != 0 needs a != 0."""
     return SkewPoly._of(
-        {n: _mul(c, (_eta_factor, n, ps.q, ps.p)) for n, c in p.coeffs.items()},
+        {n: _mul(c, _Factor((_eta_factor, n, ps.q, ps.p))) for n, c in p.coeffs.items()},
         p.q)
 
 
@@ -347,23 +364,23 @@ def fib_elliptic(n: int, ps: ParameterSet) -> complex:
     p = 0 (theta(0; p) is undefined), and b != 0 needs a != 0.
 
     A loop over i from n - 2 down to 0 carries S_(n-i-1) and S_(n-i-2)
-    at (a q^i, b q^(2i)).
+    at (a q^i, b q^(2i)); each theta argument there is formed from its
+    whole exponent, a q^(i+1+m) as ``a * qpow(q, i + 1 + m)``.
     """
     if n < 0:
         raise DomainError("fib_elliptic needs n >= 0")
     if n == 0:
         return 0.0 + 0.0j
-    q, p = ps.q, ps.p
+    a, b, q, p = ps.a, ps.b, ps.q, ps.p
     s1, s2 = 1.0 + 0.0j, 0.0 + 0.0j
     for i in range(n - 2, -1, -1):
         m = n - i
-        a = ps.a * qpow(q, i)
-        b = ps.b * qpow(q, 2 * i)
         factor = theta_quotient(
-            [a * qpow(q, 1 + m), a * qpow(q, 2 + m), b * qpow(q, 5),
-             _ratio(b * qpow(q, m - 1), a), _ratio(b * qpow(q, m), a)],
-            [a * qpow(q, 3), a * qpow(q, 4), b * qpow(q, 1 + 2 * m),
-             _ratio(b * q, a), _ratio(b * q * q, a)], p) * qpow(q, 2 - m)
+            [a * qpow(q, i + 1 + m), a * qpow(q, i + 2 + m), b * qpow(q, 2 * i + 5),
+             _ratio(b * qpow(q, i + m - 1), a), _ratio(b * qpow(q, i + m), a)],
+            [a * qpow(q, i + 3), a * qpow(q, i + 4), b * qpow(q, 2 * i + 1 + 2 * m),
+             _ratio(b * qpow(q, i + 1), a), _ratio(b * qpow(q, i + 2), a)],
+            p) * qpow(q, 2 - m)
         s1, s2 = s1 + factor * s2, s1
     return require_finite(s1, "Fibonacci number")
 

@@ -33,6 +33,19 @@ w*(s, t) = 1 / w(t, s) of the b;q weight at b = a: its small weight is
 that theta quotient with numerator and denominator exchanged, and only
 its closed binomial is written out.
 
+Every theta argument is a monomial c q^k with c in {1, a, b}, or a
+ratio of two (Gasper-Rahman, section 11.2), and it is formed by one
+rule: ``c * qpow(q, k)`` from its exact integer exponent k, and a ratio
+as ``_ratio(c * qpow(q, k), d)``.  A value already shifted by a power
+of q is never multiplied by a further power; the caller adds the
+exponents instead.  A power rounded once is more accurate than a
+product of two rounded powers (Higham, Accuracy and Stability of
+Numerical Algorithms, chapter 3), and the same argument then has the
+same bits wherever it is formed, so it finds its ``_theta_series``
+entry: the small and big weights, ``EllipticWeights.binom``,
+``bracket_z``, ``skewpoly.fib_elliptic`` and the skew operator factors
+all follow it.
+
 Every theta ratio and every q- or theta-shifted factorial quotient is
 one ``theta_quotient`` call: since theta(x; 0) = 1 - x, the q-shifted
 factorial (x; q)_n is (x; q, 0)_n (Gasper-Rahman, section 11.2), so
@@ -444,12 +457,15 @@ class EllipticWeights(WeightFamily):
         if k < 0 or k > n:
             return 0.0 + 0.0j
         a, b, q = self.ps.a, self.ps.b, self.ps.q
-        # 4 (n - k) factor pairs, j-major: pair 4j + i is base i times q^j.
-        num_bases = (qpow(q, 1 + k), a * qpow(q, 1 + k), b * qpow(q, 1 + k),
-                     _ratio(a * qpow(q, 1 - k), b))
-        den_bases = (q, a * q, b * qpow(q, 1 + 2 * k), _ratio(a * q, b))
-        return theta_quotient(_shifted(num_bases, q, 0, n - k),
-                              _shifted(den_bases, q, 0, n - k), self.ps.p)
+        # 4 (n - k) factor pairs, j-major: pair 4j + i is factor j of the
+        # i-th theta factorial, (q^(1+k), a q^(1+k), b q^(1+k), a q^(1-k)/b)
+        # over (q, a q, b q^(1+2k), a q/b), each shifted by q^j
+        nums, dens = [], []
+        for j in range(n - k):
+            top, low = qpow(q, 1 + k + j), qpow(q, 1 + j)
+            nums += (top, a * top, b * top, _ratio(a * qpow(q, 1 - k + j), b))
+            dens += (low, a * low, b * qpow(q, 1 + 2 * k + j), _ratio(a * low, b))
+        return theta_quotient(nums, dens, self.ps.p)
 
     def dual(self) -> WeightFamily:
         """w*(s, t) = 1 / w(t, s): the theta weight with a and b exchanged.
@@ -542,8 +558,9 @@ def bracket_z(ps: ParameterSet, z) -> complex:
     """
     a, b, q = ps.a, ps.b, ps.q
     qz = qpow(q, z)
-    return theta_quotient([qz, a * qz, b * q * q, _ratio(a, b)],
-                          [q, a * q, b * q * qz, _ratio(a * qz, q * b)], ps.p)
+    return theta_quotient([qz, a * qz, b * qpow(q, 2), _ratio(a, b)],
+                          [q, a * q, b * qpow(q, z + 1), _ratio(a * qpow(q, z - 1), b)],
+                          ps.p)
 
 
 def exp_coeff_bq(b, q, n: int) -> complex:

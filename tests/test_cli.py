@@ -1,6 +1,7 @@
 """Command-line interface: contract outputs, exit codes, JSON round trips."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -342,3 +343,24 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "theta" in out and "verify" in out
+
+
+def test_verify_stats_leave_the_json_bytes_alone(capsys, monkeypatch):
+    # --stats writes one line per check to stderr and nothing to stdout;
+    # the check clock is stopped so elapsed_ms is the same in both runs
+    import ellcomb
+    import ellcomb.verify as verify
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    outputs = []
+    for extra in ((), ("--stats",)):
+        ellcomb.clear_caches()
+        code = cli.main(["verify", "--seed", "3", "--json", *extra])
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out))
+    assert outputs[0] == outputs[1]
+    lines = captured.err.splitlines()
+    assert [line.split()[1] for line in lines] == [c.id for c in list_identities()]
+    for line in lines:
+        for name in ellcomb._CACHES:
+            assert f"; {name} hits +" in line, (name, line)
+    assert "special_fn._theta_series hits +0 misses +0" not in lines[0]

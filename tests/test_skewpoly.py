@@ -233,17 +233,19 @@ def test_fib_aq_matches_closed_form():
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
 
 
-# Literal copies of the hand-written loops the one-parameter factors
-# used before they became theta_quotient calls.  The eta factor and the
-# Fibonacci factor at b = 0, p = 0 keep their operation order, so they
-# match bit for bit except where an exactly equal numerator and
-# denominator factor is now skipped (n = 0); the closed form multiplies
-# its factors in another order and agrees to 1e-14 relative.
+# Copies of the hand-written loops the one-parameter factors used before
+# they became theta_quotient calls, with each argument a q^k formed from
+# its whole exponent as a * qpow(q, k), the argument rule of special_fn.
+# The eta factor and the Fibonacci factor at b = 0, p = 0 keep their
+# operation order, so they match bit for bit except where an exactly
+# equal numerator and denominator factor is now skipped (n = 0); the
+# closed form multiplies its factors in another order and agrees to
+# 1e-14 relative.
 
 def _loop_eta_aq_factor(a, n, q):
     num = (1.0 - a * qpow(q, 1 + n)) * (1.0 - a * qpow(q, 2 + n))
     den = guarded(1.0 - a * q, 0, "eta factor")
-    den *= guarded(1.0 - a * q * q, 1, "eta factor")
+    den *= guarded(1.0 - a * qpow(q, 2), 1, "eta factor")
     return num / den * qpow(q, -n)
 
 
@@ -256,10 +258,9 @@ def _loop_fib_aq(n, a, q):
         if m == 1:
             return 1.0 + 0.0j
         if (m, i) not in memo:
-            ai = a * qpow(q, i)
-            num = (1.0 - ai * qpow(q, 1 + m)) * (1.0 - ai * qpow(q, 2 + m))
-            den = guarded(1.0 - ai * qpow(q, 3), 0, "fib factor")
-            den *= guarded(1.0 - ai * qpow(q, 4), 1, "fib factor")
+            num = (1.0 - a * qpow(q, i + 1 + m)) * (1.0 - a * qpow(q, i + 2 + m))
+            den = guarded(1.0 - a * qpow(q, i + 3), 0, "fib factor")
+            den *= guarded(1.0 - a * qpow(q, i + 4), 1, "fib factor")
             memo[(m, i)] = rec(m - 1, i + 1) + num / den * qpow(q, 2 - m) * rec(m - 2, i + 2)
         return memo[(m, i)]
 
@@ -288,7 +289,7 @@ def test_one_parameter_factors_match_the_loops_they_replace():
         q = draw_annulus(rng, 0.3, 1.5)
         try:
             for n in range(12):
-                new, old = skewpoly._eta_factor(a, 0.0, n, q, 0.0), _loop_eta_aq_factor(a, n, q)
+                new, old = skewpoly._eta_factor(a, 0.0, 0, 0, n, q, 0.0), _loop_eta_aq_factor(a, n, q)
                 if n:
                     assert new == old
                 else:
@@ -305,8 +306,8 @@ def test_one_parameter_factors_raise_at_exact_and_near_poles():
     # and falls below NEAR_POLE_TOL at eps = 1e-14
     q = 0.5
     cases = [
-        (lambda a: skewpoly._eta_factor(a / 4, 0.0, 2, q, 0.0), 0),
-        (lambda a: skewpoly._eta_factor(a / 2, 0.0, 2, q, 0.0), 1),
+        (lambda a: skewpoly._eta_factor(a / 4, 0.0, 0, 0, 2, q, 0.0), 0),
+        (lambda a: skewpoly._eta_factor(a / 2, 0.0, 0, 0, 2, q, 0.0), 1),
         (lambda a: fib_aq(3, a, q), 0),
         (lambda a: fib_aq_closed(3, a, q), 0),
     ]
@@ -412,3 +413,21 @@ def test_fib_elliptic_approaches_fib_aq_as_b_vanishes():
             lhs = fib_elliptic(n, ps)
             rhs = fib_aq(n, a, q)
             assert abs(lhs - rhs) <= 1e-6 * max(abs(lhs), abs(rhs), 1.0)
+
+
+def test_fibonacci_factors_find_the_theta_values_of_the_expansion():
+    # each theta argument c q^k is formed from its whole exponent, in the
+    # eta leaves of genfun_expand and in fib_elliptic alike, so after the
+    # expansion every Fibonacci factor is a theta cache hit
+    from ellcomb import clear_caches
+    from ellcomb.special_fn import _theta_series
+    rng = random.Random(77)
+    N = 12
+    for _ in range(4):
+        ps = draw_ps(rng)
+        clear_caches()
+        genfun_expand(N, ps)
+        misses = _theta_series.cache_info().misses
+        for n in range(N + 1):
+            fib_elliptic(n, ps)
+        assert _theta_series.cache_info().misses == misses, ps
