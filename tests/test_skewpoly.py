@@ -113,6 +113,20 @@ def test_apply_D_base_cases():
     assert apply_D(const, ps).evaluate(ps) == {}
 
 
+def test_apply_D_at_b_zero():
+    # its a/b thetas divide through _ratio: at a = b = 0, p = 0 they are
+    # theta(0; 0) = 1 and D is the q-derivative, D x^n = [n]_q x^(n-1);
+    # b = 0 with a != 0 is outside the domain
+    q = 0.5 + 0.2j
+    ps = ParameterSet(0.0, 0.0, q, 0.0)
+    got = apply_D(SkewPoly.x_power(3, q), ps).evaluate(ps)
+    assert set(got) == {2}
+    assert abs(got[2] - (1 + q + q * q)) < 1e-14
+    ps = ParameterSet(0.3, 0.0, q, 0.0)
+    with pytest.raises(DomainError):
+        apply_D(SkewPoly.x_power(3, q), ps).evaluate(ps)
+
+
 def test_apply_eta_base_case():
     rng = random.Random(65)
     ps = draw_ps(rng)
