@@ -33,9 +33,13 @@ placements grows exponentially.  The final states hold any number of
 rooks from lo to hi, so one sweep gives every k in that range:
 ``rook_poly`` and ``file_poly`` sweep k..k, or 0..k with ``every``.
 The sweep's geometry (states, cell rows and moves) is cached per
-(heights, kind, lo, hi) in one bounded cache.  ``placements``
-enumerates placements directly and is the reference the sweep is
-tested against.
+(heights, kind, lo, hi) in one bounded cache; only a plan with lo > 0
+(a single k) needs a backward pass, to drop the moves that cannot
+reach lo rooks.  A numeric move is one
+in-order product, ``math.prod`` of its cells started at the source
+state's sum, the same multiplications as a loop over the cells.
+``placements`` enumerates placements directly and is the reference the
+sweep is tested against.
 
 Every family weighs a cell by its small weight w(s, t), so under the
 theta weight the polynomials are the normal-ordering coefficients.  The
@@ -43,7 +47,10 @@ two product formulas for shifted z-brackets (Schlosser and Yoo) weigh a
 cell by the single-index theta weight w(1, m) instead, with m = s - t
 for rook cells and m = 1 - t for file cells; the product sides name
 those cells as the family ``SingleIndexCells`` and compute both sides
-independently.
+independently.  Their z-brackets take the unshifted parameters and
+the exact offsets of each shift (``bracket_z(ps, z, u, v)``), so every
+theta argument follows the argument rule of ``special_fn`` and meets
+the cell weights' theta values.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .special_fn import (DomainError, EllipticWeights, WeightFamily, bracket_z,
                          require_finite)
@@ -213,9 +221,12 @@ def _sweep_plan(heights: tuple, kind: str, lo: int, hi: int) -> tuple:
     free, bottom-up, each (col, j) carrying (s, t) = (col - nw, j) with
     nw counting the state's rows at or above j.  A rook on the i-th free
     row leaves the cells above it, so every move of a state weighs a
-    suffix of one shared cell row.  Moves that cannot end with between
-    lo and hi rooks are dropped, and each row is cut to the cells its
-    kept moves use.
+    suffix of one shared cell row.  The forward pass adds no rook beyond
+    hi and, for lo > 0, no move that leaves too few columns to reach lo;
+    only then does a backward pass drop the moves that cannot end with
+    between lo and hi rooks and cut each row to the cells its kept moves
+    use.  At lo = 0 that pass would drop nothing: every state keeps its
+    move without a rook, which starts at the row's first cell.
 
     Returns the columns, each a tuple of (source, cells, moves) rows
     with moves a tuple of (target, start) weighted by cells[start:], and
@@ -241,22 +252,23 @@ def _sweep_plan(heights: tuple, kind: str, lo: int, hi: int) -> tuple:
             if placed < hi and placed + 1 + open_after[col] >= lo:
                 for start, row in enumerate(free, start=1):
                     moves.append((tuple(sorted(state + (row,))), start))
-            rows.append((state, cells, moves))
-        columns.append(rows)
+            rows.append((state, cells, tuple(moves)))
+        columns.append(tuple(rows))
         states = sorted({target for _, _, moves in rows for target, _ in moves})
-    alive = {state for state in states if lo <= len(state) <= hi}
-    for i in range(n - 1, -1, -1):
-        kept = []
-        for state, cells, moves in columns[i]:
-            moves = [move for move in moves if move[0] in alive]
-            if moves:
-                first = min(start for _, start in moves)
-                kept.append((state, cells[first:],
-                             tuple((target, start - first) for target, start in moves)))
-        columns[i] = tuple(kept)
-        alive = {row[0] for row in kept}
-    if () not in alive:
-        return None
+    if lo > 0:
+        alive = {state for state in states if lo <= len(state) <= hi}
+        for i in range(n - 1, -1, -1):
+            kept = []
+            for state, cells, moves in columns[i]:
+                moves = [move for move in moves if move[0] in alive]
+                if moves:
+                    first = min(start for _, start in moves)
+                    kept.append((state, cells[first:],
+                                 tuple((target, start - first) for target, start in moves)))
+            columns[i] = tuple(kept)
+            alive = {row[0] for row in kept}
+        if () not in alive:
+            return None
     cells = sorted({cell for rows in columns for row in rows for cell in row[1]})
     return tuple(columns), tuple(cells)
 
@@ -305,10 +317,7 @@ def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> 
         for source, row_cells, moves in rows:
             factors = [weight[cell] for cell in row_cells]
             for target, start in moves:
-                value = acc[source]
-                for factor in factors[start:]:
-                    value *= factor
-                nxt[target] = nxt.get(target, 0.0) + value
+                nxt[target] = nxt.get(target, 0.0) + prod(factors[start:], start=acc[source])
         acc = nxt
     sums = [0.0 + 0.0j] * (hi - lo + 1)
     for state, value in acc.items():
@@ -397,7 +406,7 @@ def rook_product_sides(board: FerrersBoard, z: int, ps) -> tuple:
     for i in range(1, n + 1):
         b_i = board.heights[i - 1]
         shift = i - 1 - b_i
-        lhs *= bracket_z(ps.shift(2 * shift, shift), z + b_i - i + 1)
+        lhs *= bracket_z(ps, z + b_i - i + 1, 2 * shift, shift)
     rook = rook_poly(board, n, family, every=True)
     rhs = 0.0 + 0.0j
     # falling = [z][z-1]...[z-k+1], the j-th bracket taken with
@@ -405,7 +414,7 @@ def rook_product_sides(board: FerrersBoard, z: int, ps) -> tuple:
     falling = 1.0 + 0.0j
     for k in range(n + 1):
         if k:
-            falling *= bracket_z(ps.shift(2 * (k - 1), k - 1), z - k + 1)
+            falling *= bracket_z(ps, z - k + 1, 2 * (k - 1), k - 1)
         r = rook[n - k]
         if r == 0:
             continue
@@ -426,7 +435,7 @@ def file_product_sides(board: FerrersBoard, z: int, ps) -> tuple:
     lhs = 1.0 + 0.0j
     for i in range(1, n + 1):
         b_i = board.heights[i - 1]
-        lhs *= bracket_z(ps.shift(-2 * b_i, -b_i), z + b_i)
+        lhs *= bracket_z(ps, z + b_i, -2 * b_i, -b_i)
     base = bracket_z(ps, z)
     files = file_poly(board, n, family, every=True)
     rhs = 0.0 + 0.0j

@@ -306,8 +306,8 @@ def pincherle_coeff(k: int, ps: ParameterSet) -> complex:
         raise DomainError("pincherle coefficient needs k >= 1")
     a, b, q = ps.a, ps.b, ps.q
     return theta_quotient(
-        [qpow(q, k), a * qpow(q, 3 - k), b * qpow(q, 2 - k), a * qpow(q, k - 1) / b],
-        [q, a * q * q, b * qpow(q, 3 - 2 * k), a / b], ps.p) * qpow(q, 1 - k)
+        [qpow(q, k), a * qpow(q, 3 - k), b * qpow(q, 2 - k), _ratio(a * qpow(q, k - 1), b)],
+        [q, a * qpow(q, 2), b * qpow(q, 3 - 2 * k), _ratio(a, b)], ps.p) * qpow(q, 1 - k)
 
 
 def pincherle_coeff_bracket(k: int, ps: ParameterSet) -> complex:
@@ -315,9 +315,7 @@ def pincherle_coeff_bracket(k: int, ps: ParameterSet) -> complex:
     and shifted parameters (b q^(2-2k), a q^(1-k))."""
     if k < 1:
         raise DomainError("pincherle coefficient needs k >= 1")
-    swapped = ParameterSet(ps.b * qpow(ps.q, 2 - 2 * k),
-                           ps.a * qpow(ps.q, 1 - k), ps.q, ps.p)
-    return bracket_z(swapped, k)
+    return bracket_z(ps.swapped(), k, 2 - 2 * k, 1 - k)
 
 
 def pincherle_check(k: int, n: int, ps: ParameterSet) -> float:

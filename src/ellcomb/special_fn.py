@@ -44,7 +44,9 @@ Numerical Algorithms, chapter 3), and the same argument then has the
 same bits wherever it is formed, so it finds its ``_theta_series``
 entry: the small and big weights, ``EllipticWeights.binom``,
 ``bracket_z``, ``skewpoly.fib_elliptic`` and the skew operator factors
-all follow it.
+all follow it.  A caller that needs a bracket at shifted parameters
+(a q^u, b q^v) passes the offsets, ``bracket_z(ps, z, u, v)``, rather
+than a ``ParameterSet.shift`` copy, for the same reason.
 
 Every theta ratio and every q- or theta-shifted factorial quotient is
 one ``theta_quotient`` call: since theta(x; 0) = 1 - x, the q-shifted
@@ -545,22 +547,25 @@ class TableWeights(WeightFamily):
             raise DomainError(f"no table entry for cell ({s}, {t})") from None
 
 
-def bracket_z(ps: ParameterSet, z) -> complex:
-    """The z-bracket
+def bracket_z(ps: ParameterSet, z, u: int = 0, v: int = 0) -> complex:
+    """The z-bracket at the parameters (a q^u, b q^v)
 
         [z] = theta(q^z, a q^z, b q^2, a/b; p)
-            / theta(q, a q, b q^(z+1), a q^(z-1)/b; p).
+            / theta(q, a q, b q^(z+1), a q^(z-1)/b; p),
 
-    Integer z uses exact powers of q; otherwise the principal branch.
-    At p = 0 this is the same formula with theta(x; 0) = 1 - x, and zero
-    parameters are allowed, so [z] degenerates through (a, b) -> 0 to
-    (1 - q^z)/(1 - q).
+    each argument formed from its whole exponent (a q^(u+z), not
+    (a q^u) q^z), so the offsets (u, v) follow the argument rule and
+    ``bracket_z(ps, z, u, v)`` is ``bracket_z(ps.shift(u, v), z)``
+    rounded once.  Integer z uses exact powers of q; otherwise the
+    principal branch.  At p = 0 this is the same formula with
+    theta(x; 0) = 1 - x, and zero parameters are allowed, so [z]
+    degenerates through (a, b) -> 0 to (1 - q^z)/(1 - q).
     """
     a, b, q = ps.a, ps.b, ps.q
-    qz = qpow(q, z)
-    return theta_quotient([qz, a * qz, b * qpow(q, 2), _ratio(a, b)],
-                          [q, a * q, b * qpow(q, z + 1), _ratio(a * qpow(q, z - 1), b)],
-                          ps.p)
+    return theta_quotient(
+        [qpow(q, z), a * qpow(q, u + z), b * qpow(q, v + 2), _ratio(a * qpow(q, u - v), b)],
+        [q, a * qpow(q, u + 1), b * qpow(q, v + z + 1), _ratio(a * qpow(q, u - v + z - 1), b)],
+        ps.p)
 
 
 def exp_coeff_bq(b, q, n: int) -> complex:

@@ -29,9 +29,13 @@ from ellcomb.special_fn import (
     NearPoleError,
     ParameterSet,
     QWeights,
+    TableWeights,
     WeightFamily,
+    _ratio,
     bracket_z,
     q_bracket,
+    qpow,
+    theta_quotient,
 )
 from ellcomb.ncword import RelationSystem, normal_order
 from ellcomb.weightpoly import WeightPolynomial
@@ -296,9 +300,9 @@ def test_rook_product_carries_falling_brackets(monkeypatch):
     # product [z][z-1]...[z-k+1] one factor at a time
     calls = []
 
-    def counting_bracket_z(ps, z):
+    def counting_bracket_z(ps, z, *offsets):
         calls.append(z)
-        return bracket_z(ps, z)
+        return bracket_z(ps, z, *offsets)
 
     monkeypatch.setattr(boards_mod, "bracket_z", counting_bracket_z)
     ps = ParameterSet(0.3 + 0.1j, 0.4, 0.5 + 0.2j, 0.1)
@@ -306,6 +310,131 @@ def test_rook_product_carries_falling_brackets(monkeypatch):
         calls.clear()
         rook_product_sides(board, 3, ps)
         assert len(calls) == 2 * board.n, board
+
+
+def _loop_weighted_sums(board, family, kind, lo, hi):
+    # the numeric sweep as it was written before math.prod: one Python
+    # multiplication per cell of a move, left to right
+    plan = boards_mod._sweep_plan(board.heights, kind, lo, hi)
+    if plan is None:
+        return [0.0 + 0.0j for _ in range(lo, hi + 1)]
+    columns, cells = plan
+    weight = {cell: family.small(*cell) for cell in cells}
+    acc = {(): 1.0 + 0.0j}
+    for rows in columns:
+        nxt = {}
+        for source, row_cells, moves in rows:
+            factors = [weight[cell] for cell in row_cells]
+            for target, start in moves:
+                value = acc[source]
+                for factor in factors[start:]:
+                    value *= factor
+                nxt[target] = nxt.get(target, 0.0) + value
+        acc = nxt
+    sums = [0.0 + 0.0j] * (hi - lo + 1)
+    for state, value in acc.items():
+        sums[len(state) - lo] += value
+    return sums
+
+
+def test_numeric_sweep_is_the_per_move_loop():
+    # math.prod with the source sum as its start does the same
+    # multiplications in the same order as the loop, so every sum is
+    # bit for bit the loop's; each cell weighs an independent draw, so a
+    # reordered product would show
+    rng = random.Random(62)
+    table = TableWeights({(s, t): draw_annulus(rng, 0.5, 2.0)
+                          for s in range(-6, 7) for t in range(7)})
+    for board in boards_within(5):
+        n = board.n
+        for kind in ("rook", "file"):
+            want = _loop_weighted_sums(board, table, kind, 0, n)
+            assert boards_mod._weighted_sums(board, table, kind, 0, n) == want, (board, kind)
+            for k in range(n + 2):
+                want = _loop_weighted_sums(board, table, kind, k, k)
+                assert boards_mod._weighted_sums(board, table, kind, k, k) == want, (board, kind, k)
+
+
+def _old_bracket_z(ps, z):
+    # bracket_z as written before its offsets
+    a, b, q = ps.a, ps.b, ps.q
+    qz = qpow(q, z)
+    return theta_quotient([qz, a * qz, b * qpow(q, 2), _ratio(a, b)],
+                          [q, a * q, b * qpow(q, z + 1), _ratio(a * qpow(q, z - 1), b)],
+                          ps.p)
+
+
+def test_bracket_without_offsets_is_the_old_formula():
+    rng = random.Random(63)
+    for _ in range(60):
+        ps = draw_ps(rng)
+        for point in (ps, ParameterSet(ps.a, ps.b, ps.q, 0.0),
+                      ParameterSet(0.0, ps.b, ps.q, 0.0), ParameterSet(0.0, 0.0, ps.q, 0.0)):
+            for z in (-2, -1, 0, 1, 2, 3, 5, 0.5, 2.25):
+                try:
+                    want = _old_bracket_z(point, z)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        bracket_z(point, z)
+                    continue
+                assert bracket_z(point, z) == want, (point, z)
+
+
+def test_bracket_offsets_are_the_shifted_parameter_set():
+    # (u, v) forms each argument from its whole exponent, where
+    # ps.shift(u, v) rounds a q^u and b q^v first: equal to roundoff
+    rng = random.Random(64)
+    worst = 0.0
+    for _ in range(60):
+        ps = draw_ps(rng)
+        for u, v in ((0, 0), (2, 1), (-4, -2), (6, 3), (-3, 2), (1, -5)):
+            for z in (-1, 0, 1, 2, 4):
+                try:
+                    want = bracket_z(ps.shift(u, v), z)
+                except DomainError:
+                    continue
+                got = bracket_z(ps, z, u, v)
+                worst = max(worst, abs(got - want) / max(abs(want), 1.0))
+    assert worst < 1e-11, worst
+
+
+def test_product_sides_miss_the_theta_cache_once_per_argument(monkeypatch):
+    # the brackets take the unshifted parameters and exact offsets, so
+    # an argument that a bracket shares with another bracket or with a
+    # cell weight has the same bits and misses the theta cache once:
+    # after clear_caches() the misses equal the distinct arguments,
+    # counted to 12 significant digits
+    import ellcomb
+    from ellcomb import special_fn
+
+    seen = []
+    theta = special_fn.theta
+
+    def recording_theta(x, p):
+        if p != 0:
+            seen.append(complex(x))
+        return theta(x, p)
+
+    def key(x):
+        r = abs(x)
+        return f"{r:.11e}", round(x.real / r, 11), round(x.imag / r, 11)
+
+    monkeypatch.setattr(special_fn, "theta", recording_theta)
+    rng = random.Random(65)
+    for board in (FerrersBoard((1, 2, 3, 5, 5)), FerrersBoard((0, 2, 2, 4)),
+                  FerrersBoard((2, 3, 3, 4, 6, 6))):
+        for sides in (rook_product_sides, file_product_sides):
+            while True:
+                ps = draw_ps(rng)
+                ellcomb.clear_caches()
+                seen.clear()
+                try:
+                    sides(board, 3, ps)
+                except (NearPoleError, DomainError):
+                    continue
+                break
+            misses = special_fn._theta_series.cache_info().misses
+            assert misses == len({key(x) for x in seen}), (board, sides, ps)
 
 
 def test_path_binom_matches_family_binom():

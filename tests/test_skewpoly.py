@@ -127,6 +127,20 @@ def test_apply_D_at_b_zero():
         apply_D(SkewPoly.x_power(3, q), ps).evaluate(ps)
 
 
+def test_pincherle_coeff_at_b_zero():
+    # its a/b thetas divide through _ratio: at a = b = 0, p = 0 they are
+    # theta(0; 0) = 1 and C_k is [k]_q q^(1-k); b = 0 with a != 0 is
+    # outside the domain
+    q = 0.5 + 0.2j
+    ps = ParameterSet(0.0, 0.0, q, 0.0)
+    for k in range(1, 6):
+        want = (1 - qpow(q, k)) / (1 - q) * qpow(q, 1 - k)
+        assert abs(pincherle_coeff(k, ps) - want) < 1e-14 * max(1.0, abs(want)), k
+    ps = ParameterSet(0.3, 0.0, q, 0.0)
+    with pytest.raises(DomainError):
+        pincherle_coeff(2, ps)
+
+
 def test_apply_eta_base_case():
     rng = random.Random(65)
     ps = draw_ps(rng)
