@@ -35,11 +35,10 @@ rooks from lo to hi, so one sweep gives every k in that range:
 The sweep's geometry (states, cell rows and moves) is cached per
 (heights, kind, lo, hi) in one bounded cache; only a plan with lo > 0
 (a single k) needs a backward pass, to drop the moves that cannot
-reach lo rooks.  A numeric move is one
-in-order product, ``math.prod`` of its cells started at the source
-state's sum, the same multiplications as a loop over the cells.
-``placements`` enumerates placements directly and is the reference the
-sweep is tested against.
+reach lo rooks.  A numeric move is one in-order product, ``math.prod``
+of its cells started at the source state's sum, the same
+multiplications as a loop over the cells.  ``placements`` enumerates
+placements directly and is the reference the sweep is tested against.
 
 Every family weighs a cell by its small weight w(s, t), so under the
 theta weight the polynomials are the normal-ordering coefficients.  The

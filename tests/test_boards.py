@@ -313,8 +313,8 @@ def test_rook_product_carries_falling_brackets(monkeypatch):
 
 
 def _loop_weighted_sums(board, family, kind, lo, hi):
-    # the numeric sweep as it was written before math.prod: one Python
-    # multiplication per cell of a move, left to right
+    # the numeric sweep with one Python multiplication per cell of a
+    # move, left to right: the reference for its math.prod
     plan = boards_mod._sweep_plan(board.heights, kind, lo, hi)
     if plan is None:
         return [0.0 + 0.0j for _ in range(lo, hi + 1)]
@@ -356,7 +356,8 @@ def test_numeric_sweep_is_the_per_move_loop():
 
 
 def _old_bracket_z(ps, z):
-    # bracket_z as written before its offsets
+    # bracket_z with a q^z and the other arguments formed from the
+    # unshifted (a, b): the reference for offsets (0, 0)
     a, b, q = ps.a, ps.b, ps.q
     qz = qpow(q, z)
     return theta_quotient([qz, a * qz, b * qpow(q, 2), _ratio(a, b)],
