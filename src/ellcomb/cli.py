@@ -29,7 +29,7 @@ from .ncword import (
 )
 from .boards import FerrersBoard, file_poly, rook_poly
 from .skewpoly import fib_aq, fib_aq_closed, fib_elliptic
-from .verify import VerifyError, list_identities, run_all, run_check
+from .verify import VerifyError, list_identities, run_check
 from . import _CACHES
 
 __all__ = ["main"]
@@ -197,16 +197,13 @@ def _cmd_verify(args) -> int:
     known = [c.id for c in list_identities()]
     if args.id is not None and args.id not in known:
         raise _UsageError(f"unknown check id {args.id!r}; known ids: {', '.join(known)}")
-    if args.id is None and sizes is None and not args.stats:
-        reports = run_all(args.seed)
-    else:
-        reports = []
-        for check_id in known if args.id is None else [args.id]:
-            before = _cache_counts() if args.stats else None
-            started = time.perf_counter()
-            reports.append(run_check(check_id, seed=args.seed, sizes=sizes))
-            if args.stats:
-                _print_stats(check_id, time.perf_counter() - started, before)
+    reports = []
+    for check_id in known if args.id is None else [args.id]:
+        before = _cache_counts() if args.stats else None
+        started = time.perf_counter()
+        reports.append(run_check(check_id, seed=args.seed, sizes=sizes))
+        if args.stats:
+            _print_stats(check_id, time.perf_counter() - started, before)
     if args.json:
         if args.id is not None:
             print(json.dumps(reports[0].to_json(), sort_keys=True))

@@ -175,10 +175,10 @@ class NormalForm:
             total[key] = c if prior is None else prior + c
         return NormalForm(total)
 
-    def evaluate(self, family, cache: dict | None = None) -> dict:
-        """Substitute family weights for the symbols in every coefficient."""
-        if cache is None:
-            cache = {}
+    def evaluate(self, family) -> dict:
+        """Substitute family weights for the symbols in every coefficient;
+        the coefficients share one weight cache."""
+        cache = {}
         return {key: c.evaluate(family, cache) for key, c in self.coeffs.items()}
 
     def __str__(self) -> str:

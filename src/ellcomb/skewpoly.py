@@ -7,17 +7,17 @@ are functions of the parameters and the variable obeys the skew rule
     x f(a, b) = f(a q, b q^2) x;
 
 the one-parameter a;q setting is its case b = 0, p = 0.  Coefficients
-are kept as plain data: constants, user callables (a, b) -> complex,
-operator factors, and shifts, products and sums of these.  Evaluation
-at a parameter point computes each node once per offset (i, j), its
-value at (a q^i, b q^j), so subterms shared by many coefficients cost
-nothing extra; equality of coefficients is always decided numerically
-at sampled parameters.  A user callable receives the shifted point
-(a q^i, b q^j).  An operator factor receives the unshifted (a, b) and
-the exact offsets (i, j), and forms each theta argument from its whole
-exponent, a q^(i+k) as ``a * qpow(q, i + k)`` (the argument rule of
-``special_fn``), so it finds the theta values that ``fib_elliptic`` and
-the weights cache for the same argument.
+are kept as plain data: constants, leaves, and shifts, products and
+sums of these.  Evaluation at a parameter point computes each node once
+per offset (i, j), its value at (a q^i, b q^j), so subterms shared by
+many coefficients cost nothing extra; equality of coefficients is
+always decided numerically at sampled parameters.  Every leaf is called
+with the unshifted (a, b) and the exact offsets (i, j).  An operator
+factor forms each theta argument from its whole exponent, a q^(i+k) as
+``a * qpow(q, i + k)`` (the argument rule of ``special_fn``), so it
+finds the theta values that ``fib_elliptic`` and the weights cache for
+the same argument; a user callable (a, b) -> complex is a leaf that
+receives the shifted point (a q^i, b q^j).
 
 On top of the arithmetic sit the lowering operator D and the diagonal
 operator eta, their Pincherle-type commutation identity, the theta
@@ -35,7 +35,6 @@ from .special_fn import (
     exp_coeff_bq,
     guarded,
     q_binomial,
-    q_factorial,
     qpow,
     require_finite,
     theta_quotient,
@@ -51,18 +50,14 @@ __all__ = [
 
 # A coefficient is plain data, one of these nodes:
 #   complex                   a constant;
-#   tuple (fn,)               a user callable fn(a q^i, b q^j);
-#   _Factor (fn, *args)       an operator factor fn(a, b, i, j, *args),
-#                             given the unshifted (a, b) and the offsets;
+#   tuple (fn, *args)         a leaf fn(a, b, i, j, *args), given the
+#                             unshifted (a, b) and the offsets (i, j);
 #   _Shift, _Product, _Sum    a shift by (u, v), a product, a sum.
-# Leaves compare by value, so equal factors share memo entries; the
-# other nodes compare by identity.  The value of a node at offset
-# (i, j) is c(a q^i, b q^j), and each (node, i, j) is computed once per
+# A user callable c is the leaf (_at_shifted_point, c, q).  Leaves
+# compare by value, so equal leaves share memo entries; the other nodes
+# compare by identity.  The value of a node at offset (i, j) is
+# c(a q^i, b q^j), and each (node, i, j) is computed once per
 # evaluation.
-
-
-class _Factor(tuple):
-    __slots__ = ()
 
 
 class _Shift:
@@ -108,9 +103,14 @@ def _sum(terms: list):
     return terms[0] if len(terms) == 1 else _Sum(tuple(terms))
 
 
-def _node(c):
+def _at_shifted_point(a, b, i: int, j: int, fn, q) -> complex:
+    # a user callable at (a q^i, b q^j)
+    return complex(fn(a * qpow(q, i) if i else a, b * qpow(q, j) if j else b))
+
+
+def _node(c, q):
     """A user coefficient, a callable or a constant, as a node."""
-    return (c,) if callable(c) else complex(c)
+    return (_at_shifted_point, c, q) if callable(c) else complex(c)
 
 
 class SkewPoly:
@@ -124,16 +124,16 @@ class SkewPoly:
     __slots__ = ("coeffs", "q")
 
     def __init__(self, coeffs: dict, q):
+        self.q = complex(q)
         cleaned = {}
         for k, c in coeffs.items():
             k = int(k)
             if k < 0:
                 raise DomainError("skew polynomial degrees must be nonnegative")
-            c = _node(c)
+            c = _node(c, self.q)
             if c != 0:
                 cleaned[k] = c
         self.coeffs = cleaned
-        self.q = complex(q)
 
     @classmethod
     def _of(cls, nodes: dict, q) -> "SkewPoly":
@@ -149,9 +149,6 @@ class SkewPoly:
     @classmethod
     def x_power(cls, n: int, q) -> "SkewPoly":
         return cls({n: 1.0}, q)
-
-    def degree(self) -> int:
-        return max(self.coeffs, default=-1)
 
     def _compatible(self, other: "SkewPoly"):
         if self.q != other.q:
@@ -170,22 +167,13 @@ class SkewPoly:
                 merged[k] = _Sum((prior, c))
         return SkewPoly._of(merged, self.q)
 
-    def scale(self, factor) -> "SkewPoly":
-        """Left multiplication by a scalar function of (a, b); being on
-        the left, it picks up no shifts."""
-        factor = _node(factor)
-        return SkewPoly._of({k: _mul(factor, c) for k, c in self.coeffs.items()},
-                            self.q)
-
     def truncated(self, max_degree: int) -> "SkewPoly":
         return SkewPoly._of({k: c for k, c in self.coeffs.items() if k <= max_degree},
                             self.q)
 
     def evaluate(self, ps: ParameterSet) -> dict:
         """Coefficient values at the parameter point: map degree -> complex."""
-        q = self.q
-        a_at = {0: ps.a}
-        b_at = {0: ps.b}
+        a, b = ps.a, ps.b
         memo: dict = {}
 
         def value(node, i: int, j: int) -> complex:
@@ -197,16 +185,8 @@ class SkewPoly:
             key = (node, i, j)
             hit = memo.get(key)
             if hit is None:
-                if kind is _Factor:
-                    hit = node[0](ps.a, ps.b, i, j, *node[1:])
-                elif kind is tuple:
-                    a = a_at.get(i)
-                    if a is None:
-                        a = a_at[i] = ps.a * qpow(q, i)
-                    b = b_at.get(j)
-                    if b is None:
-                        b = b_at[j] = ps.b * qpow(q, j)
-                    hit = complex(node[0](a, b))
+                if kind is tuple:
+                    hit = node[0](a, b, i, j, *node[1:])
                 elif kind is _Product:
                     hit = value(node.left, i, j) * value(node.right, i, j)
                 else:
@@ -219,10 +199,6 @@ class SkewPoly:
 
         return {k: require_finite(value(c, 0, 0), "skew coefficient")
                 for k, c in sorted(self.coeffs.items())}
-
-    def to_json(self, ps: ParameterSet) -> dict:
-        values = self.evaluate(ps)
-        return {"coeffs": [[k, [v.real, v.imag]] for k, v in sorted(values.items())]}
 
 
 def x_mul(p: SkewPoly, power: int = 1) -> SkewPoly:
@@ -264,7 +240,7 @@ def apply_D(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
 
     with the n = 0 term annihilated."""
     return SkewPoly._of(
-        {n - 1: _mul(_shift(c, -1, -2), _Factor((_D_factor, n, ps.q, ps.p)))
+        {n - 1: _mul(_shift(c, -1, -2), (_D_factor, n, ps.q, ps.p))
          for n, c in p.coeffs.items() if n != 0},
         p.q)
 
@@ -291,7 +267,7 @@ def apply_eta(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
     (1 - a q^(1+n)) (1 - a q^(2+n)) / ((1 - a q)(1 - a q^2)) * q^(-n).
     b != 0 needs a != 0."""
     return SkewPoly._of(
-        {n: _mul(c, _Factor((_eta_factor, n, ps.q, ps.p))) for n, c in p.coeffs.items()},
+        {n: _mul(c, (_eta_factor, n, ps.q, ps.p)) for n, c in p.coeffs.items()},
         p.q)
 
 
@@ -470,7 +446,7 @@ def f_relation_sides(b, q, n: int) -> dict:
                                         / ((1 - b q)(1 - b q^2))
 
     Left sides go through the exponential-coefficient helper; right
-    sides rebuild their factorials directly.
+    sides multiply out their factorials in a loop of their own.
     """
     if n < 1:
         raise DomainError("f_relation_sides needs n >= 1")
@@ -478,7 +454,9 @@ def f_relation_sides(b, q, n: int) -> dict:
     q = complex(q)
 
     def series_coeff(bb, m):
-        den = q_factorial(q, q, m) * q_factorial(bb * q, q, m)
+        den = 1.0 + 0.0j
+        for i in range(1, m + 1):
+            den *= (1.0 - qpow(q, i)) * (1.0 - bb * qpow(q, i))
         return 1.0 / guarded(den, 0, "series denominator")
 
     lhs_base = exp_coeff_bq(b, q, n)

@@ -203,9 +203,13 @@ class CheckContext:
         else:
             err = 0.0 if lhs == rhs else 1.0
         self.trials += 1
-        self.max_rel_err = max(self.max_rel_err, err)
-        if err > self.tolerance:
+        if not err <= self.tolerance:
+            # NaN compares false both ways: a non-finite error fails and
+            # shows as inf
             self.failures += 1
+            if not math.isfinite(err):
+                err = math.inf
+        self.max_rel_err = max(self.max_rel_err, err)
 
     def run(self, draw) -> None:
         """Admit size("draws") draws of draw(self) -> (sample values,
@@ -851,7 +855,7 @@ def _draw_qexp_braiding(ctx: CheckContext):
         "coefficientwise contiguous relations of the double-factorial series "
         "F, including the combined two-step form",
         "numeric-sampled", {"draws": 15, "degree": 12}, 1e-9,
-        ["special_fn:exp_coeff_bq"], ["special_fn:q_factorial"], "degree")
+        ["special_fn:exp_coeff_bq"], ["skewpoly:f_relation_sides:rhs"], "degree")
 def _draw_f_relations(ctx: CheckContext):
     b = ctx.draw_ab()
     q = ctx.draw_q()

@@ -332,7 +332,9 @@ def test_verify_all_emits_one_json_document(capsys, monkeypatch):
         CheckReport(id="b-check", trials=1, failures=0, max_rel_err=0.0,
                     seed=0, elapsed_ms=1, passed=True, samples=()),
     ]]
-    monkeypatch.setattr(cli, "run_all", lambda seed: reports)
+    by_id = {r.id: r for r in reports}
+    monkeypatch.setattr(cli, "list_identities", lambda: reports)
+    monkeypatch.setattr(cli, "run_check", lambda check_id, seed, sizes: by_id[check_id])
     code, out, _ = run_cli(capsys, "verify", "--json")
     assert code == 0
     docs = json.loads(out)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ellcomb import skewpoly
+from ellcomb import skewpoly, special_fn
 from ellcomb.skewpoly import (
     SkewPoly,
     apply_D,
@@ -211,7 +211,9 @@ def test_shared_coefficients_evaluate_once_per_offset():
     for _ in range(20):
         poly = (poly + x_mul(poly)).truncated(6)
     got = poly.evaluate(ps)
-    assert len(calls) <= 7
+    # each call gets the shifted point rounded once, a q^k as a * qpow(q, k)
+    assert set(calls) == {(ps.a * qpow(ps.q, k), ps.b * qpow(ps.q, 2 * k)) for k in range(7)}
+    assert len(calls) == 7
     assert set(got) == set(range(7))
     for k in range(7):
         want = math.comb(20, k) * coeff(ps.a * ps.q**k, ps.b * ps.q**(2 * k))
@@ -392,6 +394,22 @@ def test_f_relations_hold():
         for n in range(1, 13):
             for name, (lhs, rhs) in f_relation_sides(b, q, n).items():
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0), name
+
+
+def test_f_relation_right_sides_keep_their_own_loops(monkeypatch):
+    # the right sides are the independent side of the f-relations check:
+    # only the left side's exp_coeff_bq reaches theta_quotient
+    calls = []
+    original = special_fn.theta_quotient
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(special_fn, "theta_quotient", spy)
+    monkeypatch.setattr(skewpoly, "theta_quotient", spy)
+    f_relation_sides(0.3 + 0.1j, 0.5 - 0.2j, 5)
+    assert len(calls) == 1
 
 
 def test_f_relation_commuting_reading_is_false():

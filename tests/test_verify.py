@@ -238,6 +238,20 @@ def test_admitted_draw_records_its_pairs_and_digest():
     assert ctx.samples == [digest] * 8
 
 
+def test_non_finite_comparisons_fail_and_show_in_max_rel_err():
+    # NaN compares false both ways, so err > tolerance would let it pass
+    nan, inf = float("nan"), float("inf")
+    for lhs, rhs in ((nan, 1.0), (inf, inf), (nan, None), (complex(1.0, nan), 1.0)):
+        ctx = _context(1)
+        ctx.record(0.5, 0.5)
+        ctx.record(lhs, rhs)
+        assert (ctx.trials, ctx.failures) == (2, 1), (lhs, rhs)
+        assert ctx.max_rel_err == inf, (lhs, rhs)
+    ctx = _context(1)
+    ctx.record(1.0 + 1e-12, 1.0)
+    assert ctx.failures == 0 and 0.0 < ctx.max_rel_err < 1e-10
+
+
 # Reports at seed 0, pinned so that any change in the order of generator
 # calls shows: theta-addition makes 403 draws, 3 of them rejected.
 PINNED_SEED_0 = {
