@@ -147,9 +147,6 @@ class Placement:
                 raise DomainError("rook placement has two rooks in one row")
         object.__setattr__(self, "rooks", rooks)
 
-    def to_json(self) -> list:
-        return [[c, r] for c, r in self.rooks]
-
 
 def board_from_word(word: str) -> FerrersBoard:
     """Board outlined by a word: the i-th x gives a column of height

@@ -19,6 +19,7 @@ from .special_fn import (
     EvaluationError,
     NearPoleError,
     ParameterSet,
+    _FAMILY_TAGS,
     complex_to_pair,
     family_from_spec,
     theta,
@@ -218,8 +219,7 @@ def _cmd_verify(args) -> int:
 
 
 def _add_family_flags(parser, default=None) -> None:
-    parser.add_argument("--family", choices=["generic", "elliptic", "bq", "aq", "q"],
-                        default=default)
+    parser.add_argument("--family", choices=_FAMILY_TAGS, default=default)
     parser.add_argument("--a", type=_parse_complex, default=None)
     parser.add_argument("--b", type=_parse_complex, default=None)
     parser.add_argument("--q", type=_parse_complex, default=None)
@@ -258,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_binom.set_defaults(handler=_cmd_binom)
 
     p_no = sub.add_parser("normal-order", help="normal-order a word in x, y")
-    p_no.add_argument("--system", choices=["comm", "weyl", "file"], required=True)
+    p_no.add_argument("--system", choices=[m.value for m in RelationSystem], required=True)
     p_no.add_argument("--word", required=True)
     _add_family_flags(p_no)
     _add_json(p_no)

@@ -153,10 +153,6 @@ class NormalForm:
         return cls({(0, 0): WeightPolynomial.one()})
 
     @classmethod
-    def zero(cls) -> "NormalForm":
-        return cls({})
-
-    @classmethod
     def monomial(cls, i: int, j: int, coeff=1) -> "NormalForm":
         return cls({(i, j): coeff})
 

@@ -16,8 +16,10 @@ with the unshifted (a, b) and the exact offsets (i, j).  An operator
 factor forms each theta argument from its whole exponent, a q^(i+k) as
 ``a * qpow(q, i + k)`` (the argument rule of ``special_fn``), so it
 finds the theta values that ``fib_elliptic`` and the weights cache for
-the same argument; a user callable (a, b) -> complex is a leaf that
-receives the shifted point (a q^i, b q^j).
+the same argument.  The D factor is the elliptic number [n] at
+(a q^i, b q^(j+n-2)), so it is ``bracket_z`` with those offsets and
+writes no theta argument of its own.  A user callable (a, b) -> complex
+is a leaf that receives the shifted point (a q^i, b q^j).
 
 On top of the arithmetic sit the lowering operator D and the diagonal
 operator eta, their Pincherle-type commutation identity, the theta
@@ -223,12 +225,8 @@ def skew_mul(p: SkewPoly, other: SkewPoly) -> SkewPoly:
 
 
 def _D_factor(a, b, i: int, j: int, n: int, q, p) -> complex:
-    # the D factor at (a q^i, b q^j)
-    return theta_quotient(
-        [qpow(q, n), a * qpow(q, i + n), b * qpow(q, j + n),
-         _ratio(a * qpow(q, i - j + 2 - n), b)],
-        [q, a * qpow(q, i + 1), b * qpow(q, j + 2 * n - 1),
-         _ratio(a * qpow(q, i - j + 1), b)], p)
+    # the D factor at (a q^i, b q^j): [n] at (a q^i, b q^(j+n-2))
+    return bracket_z(ParameterSet(a, b, q, p), n, i, j + n - 2)
 
 
 def apply_D(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
@@ -238,7 +236,9 @@ def apply_D(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
             * theta(q^n, a q^n, b q^n, a q^(2-n)/b; p)
             / theta(q, a q, b q^(2n-1), a q/b; p) * x^(n-1),
 
-    with the n = 0 term annihilated."""
+    with the n = 0 term annihilated.  The factor is the elliptic number
+    [n] at (a, b q^(n-2)); at the point (a q^i, b q^j) it is [n] at
+    (a q^i, b q^(j+n-2)), one ``bracket_z`` call with those offsets."""
     return SkewPoly._of(
         {n - 1: _mul(_shift(c, -1, -2), (_D_factor, n, ps.q, ps.p))
          for n, c in p.coeffs.items() if n != 0},

@@ -125,14 +125,15 @@ def require_finite(z: complex, context: str = "result") -> complex:
 
 def qpow(q: complex, z) -> complex:
     """q**z.  Exact integer powers for integral z, principal branch otherwise.
-    A power beyond the double range is an EvaluationError."""
+    A power beyond the double range, or a negative power of 0, is an
+    EvaluationError."""
     try:
         if isinstance(z, int):
             return complex(q) ** z
         if isinstance(z, float) and z.is_integer():
             return complex(q) ** int(z)
         return cmath.exp(complex(z) * cmath.log(complex(q)))
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:
         raise EvaluationError(f"q^z out of range: q = {q!r}, z = {z!r}") from exc
 
 
@@ -342,7 +343,7 @@ class WeightFamily:
         result = self._one()
         for k in range(1, t + 1):
             result = result * self.small(s, k)
-        return result
+        return result if self.symbolic else require_finite(result, "big weight")
 
     def binom(self, n: int, k: int):
         """Triangle recursion; subclasses override with closed forms."""
@@ -483,11 +484,7 @@ class BQWeights(EllipticWeights):
     the theta weight at (a, b, q, p) = (0, b, q, 0)."""
 
     def __init__(self, b, q):
-        self.b = complex(b)
-        self.q = complex(q)
-        if self.q == 0:
-            raise DomainError("bq weights need q != 0")
-        super().__init__(ParameterSet(0.0, self.b, self.q, 0.0))
+        super().__init__(ParameterSet(0.0, b, q, 0.0))
 
 
 class AQWeights(WeightFamily):
@@ -528,10 +525,7 @@ class QWeights(EllipticWeights):
     theta weight at (a, b, q, p) = (0, 0, q, 0)."""
 
     def __init__(self, q):
-        self.q = complex(q)
-        if self.q == 0:
-            raise DomainError("q weights need q != 0")
-        super().__init__(ParameterSet(0.0, 0.0, self.q, 0.0))
+        super().__init__(ParameterSet(0.0, 0.0, q, 0.0))
 
 
 class TableWeights(WeightFamily):

@@ -349,6 +349,30 @@ def _full_binom_ref(a, b, q, n: int, k: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# comparison loops shared by checks of one shape
+
+def _binomial_theorem_pairs(fam, binom, degree: int) -> list:
+    # ([x^k y^(n-k)] (x + y)^n under fam, binom(n, k)) for k <= n <= degree
+    pairs = []
+    for n in range(degree + 1):
+        values = expand_power_sum(n, _HOM).evaluate(fam)
+        for k in range(n + 1):
+            pairs.append((values[(k, n - k)], binom(n, k)))
+    return pairs
+
+
+def _cauchy_pairs(fam, c, q, degree: int, raw) -> list:
+    # (exp_coeff_bq(c, q, k + m) [x^k y^m] (x + y)^(k+m) under fam, raw(k, m))
+    pairs = []
+    for total in range(degree + 1):
+        values = expand_power_sum(total, _HOM).evaluate(fam)
+        coeff = exp_coeff_bq(c, q, total)
+        for k in range(total + 1):
+            pairs.append((coeff * values[(k, total - k)], raw(k, total - k)))
+    return pairs
+
+
+# ---------------------------------------------------------------------------
 # registry
 
 _REGISTRY: dict = {}
@@ -567,12 +591,7 @@ def _run_wdep_binomial(ctx: CheckContext) -> None:
 def _draw_elliptic_binomial(ctx: CheckContext):
     ps = ctx.draw_ps()
     fam = EllipticWeights(ps)
-    pairs = []
-    for n in range(0, ctx.size("n") + 1):
-        values = expand_power_sum(n, _HOM).evaluate(fam)
-        for k in range(n + 1):
-            pairs.append((values[(k, n - k)], fam.binom(n, k)))
-    return (ps.a, ps.b, ps.q, ps.p), pairs
+    return (ps.a, ps.b, ps.q, ps.p), _binomial_theorem_pairs(fam, fam.binom, ctx.size("n"))
 
 
 @_check("prop-product-expansion",
@@ -618,13 +637,8 @@ def _draw_prop_product_expansion(ctx: CheckContext):
 def _draw_bq_binomial(ctx: CheckContext):
     b = ctx.draw_ab()
     q = ctx.draw_q()
-    fam = BQWeights(b, q)
-    pairs = []
-    for n in range(0, ctx.size("n") + 1):
-        values = expand_power_sum(n, _HOM).evaluate(fam)
-        for k in range(n + 1):
-            pairs.append((values[(k, n - k)], _full_binom_ref(0.0, b, q, n, k)))
-    return (b, q), pairs
+    return (b, q), _binomial_theorem_pairs(
+        BQWeights(b, q), lambda n, k: _full_binom_ref(0.0, b, q, n, k), ctx.size("n"))
 
 
 @_check("aq-binomial-thm",
@@ -636,13 +650,8 @@ def _draw_bq_binomial(ctx: CheckContext):
 def _draw_aq_binomial(ctx: CheckContext):
     a = ctx.draw_ab()
     q = ctx.draw_q()
-    fam = AQWeights(a, q)
-    pairs = []
-    for n in range(0, ctx.size("n") + 1):
-        values = expand_power_sum(n, _HOM).evaluate(fam)
-        for k in range(n + 1):
-            pairs.append((values[(k, n - k)], _aq_binom_ref(a, q, n, k)))
-    return (a, q), pairs
+    return (a, q), _binomial_theorem_pairs(
+        AQWeights(a, q), lambda n, k: _aq_binom_ref(a, q, n, k), ctx.size("n"))
 
 
 @_check("bq-reversal",
@@ -741,21 +750,12 @@ def _draw_bq_finite_product(ctx: CheckContext):
 def _draw_bq_cauchy(ctx: CheckContext):
     b = ctx.draw_ab()
     q = ctx.draw_q()
-    fam = BQWeights(b, q)
-    pairs = []
-    for total in range(0, ctx.size("degree") + 1):
-        values = expand_power_sum(total, _HOM).evaluate(fam)
-        coeff = exp_coeff_bq(b, q, total)
-        for k in range(total + 1):
-            m = total - k
-            lhs = coeff * values[(k, m)]
-            rhs = (1.0
-                   / (_qfac_ref_guarded(q, q, k)
-                      * _qfac_ref_guarded(b * q, q, k))
-                   / (_qfac_ref_guarded(q, q, m)
-                      * _qfac_ref_guarded(b * qpow(q, 2 * k) * q, q, m)))
-            pairs.append((lhs, rhs))
-    return (b, q), pairs
+
+    def raw(k, m):
+        return (1.0 / (_qfac_ref_guarded(q, q, k) * _qfac_ref_guarded(b * q, q, k))
+                / (_qfac_ref_guarded(q, q, m) * _qfac_ref_guarded(b * qpow(q, 2 * k) * q, q, m)))
+
+    return (b, q), _cauchy_pairs(BQWeights(b, q), b, q, ctx.size("degree"), raw)
 
 
 @_check("aq-cauchy",
@@ -767,26 +767,16 @@ def _draw_bq_cauchy(ctx: CheckContext):
 def _draw_aq_cauchy(ctx: CheckContext):
     a = ctx.draw_ab()
     q = ctx.draw_q()
-    fam = AQWeights(a, q)
-    pairs = []
-    for total in range(0, ctx.size("degree") + 1):
-        values = expand_power_sum(total, _HOM).evaluate(fam)
-        coeff = exp_coeff_bq(a, q, total)
-        for k in range(total + 1):
-            m = total - k
-            lhs = coeff * values[(k, m)]
-            # reversal scalar for y^m x^k -> x^k y^m, raw form
-            rev = (_qfac_ref(a * qpow(q, 1 + k), q, 2 * m)
-                   / _qfac_ref_guarded(a * q, q, 2 * m)
-                   * qpow(q, -k * m))
-            rhs = (1.0
-                   / (_qfac_ref_guarded(q, q, m)
-                      * _qfac_ref_guarded(a * q, q, m))
-                   / (_qfac_ref_guarded(q, q, k)
-                      * _qfac_ref_guarded(a * qpow(q, 2 * m) * q, q, k))
-                   * rev)
-            pairs.append((lhs, rhs))
-    return (a, q), pairs
+
+    def raw(k, m):
+        # reversal scalar for y^m x^k -> x^k y^m, raw form
+        rev = (_qfac_ref(a * qpow(q, 1 + k), q, 2 * m) / _qfac_ref_guarded(a * q, q, 2 * m)
+               * qpow(q, -k * m))
+        return (1.0 / (_qfac_ref_guarded(q, q, m) * _qfac_ref_guarded(a * q, q, m))
+                / (_qfac_ref_guarded(q, q, k) * _qfac_ref_guarded(a * qpow(q, 2 * m) * q, q, k))
+                * rev)
+
+    return (a, q), _cauchy_pairs(AQWeights(a, q), a, q, ctx.size("degree"), raw)
 
 
 @_check("qexp-cauchy",
@@ -796,18 +786,11 @@ def _draw_aq_cauchy(ctx: CheckContext):
         ["special_fn:exp_coeff_bq", "ncword:expand_power_sum"], "degree")
 def _draw_qexp_cauchy(ctx: CheckContext):
     q = ctx.draw_q()
-    fam = QWeights(q)
-    pairs = []
-    for total in range(0, ctx.size("degree") + 1):
-        values = expand_power_sum(total, _HOM).evaluate(fam)
-        coeff = exp_coeff_bq(0, q, total)
-        for k in range(total + 1):
-            m = total - k
-            lhs = 1.0 / (_qfac_ref_guarded(q, q, k)
-                         * _qfac_ref_guarded(q, q, m))
-            rhs = coeff * values[(k, m)]
-            pairs.append((lhs, rhs))
-    return (q,), pairs
+
+    def raw(k, m):
+        return 1.0 / (_qfac_ref_guarded(q, q, k) * _qfac_ref_guarded(q, q, m))
+
+    return (q,), _cauchy_pairs(QWeights(q), 0, q, ctx.size("degree"), raw)
 
 
 @_check("qexp-braiding",

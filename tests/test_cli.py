@@ -1,6 +1,7 @@
 """Command-line interface: contract outputs, exit codes, JSON round trips."""
 
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -8,7 +9,9 @@ import pytest
 import ellcomb.cli as cli
 from ellcomb.boards import FerrersBoard, file_poly, rook_poly
 from ellcomb.ncword import NormalForm, RelationSystem, normal_order, parse_word
-from ellcomb.special_fn import GenericWeights, ParameterSet, pair_to_complex, theta
+from ellcomb.special_fn import (
+    _FAMILY_TAGS, GenericWeights, ParameterSet, pair_to_complex, theta,
+)
 from ellcomb.verify import CheckReport, list_identities
 from ellcomb.weightpoly import WeightPolynomial
 
@@ -213,6 +216,28 @@ def test_fib_beyond_the_double_range_exit_2(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("fib", "--aq", "--n", "5", "--a", "0.3", "--q", "0"),
+    ("fib", "--aq", "--n", "40", "--a", "0.3", "--q", "1e-200"),
+    ("fib", "--elliptic", "--n", "5", "--a", "0.3", "--b", "0.2", "--q", "0", "--p", "0"),
+    ("normal-order", "--system", "comm", "--word", "yyxyxxx", "--family", "bq",
+     "--b", "0.999", "--q", "1e-200"),
+])
+def test_negative_powers_of_a_vanishing_q_exit_2(capsys, argv):
+    # q^-k for q = 0, or for a q whose power underflows, has no double
+    # value: exit 2 with a reason, not a ZeroDivisionError traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_big_weight_beyond_the_double_range_exit_2(capsys):
+    # the a;q column product of small weights near 1e200 overflows: exit
+    # 2 with a reason, never a printed Infinity or NaN
+    code, out, err = run_cli(capsys, "weight", "--family", "aq", "--a", "-1", "--q", "1e-200",
+                             "--s", "4", "--t", "3", "--big", "--json")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_board_sums_beyond_the_double_range_exit_2(capsys):
     # the weighted sums of the numeric board sweep overflow, and inf - inf
     # gives NaN: exit 2 with a reason, never a printed nan
@@ -366,3 +391,63 @@ def test_verify_stats_leave_the_json_bytes_alone(capsys, monkeypatch):
         for name in ellcomb._CACHES:
             assert f"; {name} hits +" in line, (name, line)
     assert "special_fn._theta_series hits +0 misses +0" not in lines[0]
+
+
+_SWEEP_VALUES = ("0", "1", "-1", "0.5,0.1", "1e200", "1e-200")
+_SWEEP_NOMES = ("0", "0.2", "0.99", "1e-200")
+
+
+def _sweep_argv(rng) -> list:
+    """One seeded command with degenerate parameters and small sizes:
+    n <= 20, boards within 4 x 4, words of at most 7 letters."""
+    command = rng.choice(("theta", "weight", "binom", "rook", "file", "normal-order", "fib"))
+    if command == "theta":
+        argv = [command, "--x", rng.choice(_SWEEP_VALUES), "--p", rng.choice(_SWEEP_NOMES)]
+    elif command == "fib":
+        mode = rng.choice(("--aq", "--elliptic"))
+        argv = [command, "--n", str(rng.randint(0, 20)), mode,
+                "--a", rng.choice(_SWEEP_VALUES), "--q", rng.choice(_SWEEP_VALUES)]
+        if mode == "--elliptic":
+            argv += ["--b", rng.choice(_SWEEP_VALUES), "--p", rng.choice(_SWEEP_NOMES)]
+        elif rng.random() < 0.5:
+            argv.append("--closed")
+    else:
+        family = rng.choice(_FAMILY_TAGS)
+        argv = [command, "--family", family]
+        for flag in ("--a", "--b", "--q"):
+            argv += [flag, rng.choice(_SWEEP_VALUES)]
+        argv += ["--p", rng.choice(_SWEEP_NOMES)]
+        # symbolic results grow fast with n: keep generic sizes smaller
+        cap = 6 if family == "generic" else 20
+        if command == "weight":
+            argv += ["--s", str(rng.randint(0, 4)), "--t", str(rng.randint(0, 4))]
+            if rng.random() < 0.5:
+                argv.append("--big")
+        elif command == "binom":
+            n = rng.randint(0, cap)
+            argv += ["--n", str(n), "--k", str(rng.randint(-1, n + 1))]
+        elif command in ("rook", "file"):
+            heights = sorted(rng.randint(0, 4) for _ in range(rng.randint(0, 4)))
+            argv += ["--board", ",".join(map(str, heights)), "--k", str(rng.randint(0, 4))]
+        else:
+            word = "".join(rng.choice("xy") for _ in range(rng.randint(1, 7)))
+            argv += ["--system", rng.choice([m.value for m in RelationSystem]),
+                     "--word", word]
+    if rng.random() < 0.5:
+        argv.append("--json")
+    return argv
+
+
+def test_degenerate_parameter_sweep_exits_0_or_2(capsys):
+    # zero, unit and extreme parameters across the evaluating commands:
+    # every command returns 0 or 2 and raises nothing, and a printed
+    # result is finite
+    rng = random.Random(20261019)
+    for _ in range(400):
+        argv = _sweep_argv(rng)
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2), argv
+        if code == 0:
+            assert "nan" not in out.lower() and "inf" not in out.lower(), argv
+        else:
+            assert out == "" and err.startswith("error:"), argv

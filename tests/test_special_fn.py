@@ -236,6 +236,16 @@ def test_q_brackets():
     assert abs(q_bracket(3, q) - (1 + q + q * q)) < 1e-15
 
 
+def test_qpow_out_of_range_is_an_evaluation_error():
+    # complex ** raises ZeroDivisionError for a negative power of 0, also
+    # when the power of q underflows first, and OverflowError past the
+    # double range: both are EvaluationError
+    for q, z in ((0, -1), (0.0, -3.0), (1e-200, -2), (1e-200j, -2), (1e200, 2), (1e200, 3.0)):
+        with pytest.raises(EvaluationError, match="out of range"):
+            qpow(q, z)
+    assert qpow(0, 0) == 1 and qpow(0, 2) == 0 and qpow(2, -1) == 0.5
+
+
 def test_theta_series_length_edges():
     # |p| / |x| overflows: the series is non-finite
     for x in (5e-324, 5e-324j, 1e-310):
