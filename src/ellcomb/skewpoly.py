@@ -20,6 +20,9 @@ the same argument.  The D factor is the elliptic number [n] at
 (a q^i, b q^(j+n-2)), so it is ``bracket_z`` with those offsets and
 writes no theta argument of its own.  A user callable (a, b) -> complex
 is a leaf that receives the shifted point (a q^i, b q^j).
+``evaluate_together`` evaluates a list of polynomials under one memo
+(``SkewPoly.evaluate`` is its one-polynomial case); the Pincherle check
+takes one memo per side per call, so its two sides never share a value.
 
 On top of the arithmetic sit the lowering operator D and the diagonal
 operator eta, their Pincherle-type commutation identity, the theta
@@ -44,7 +47,8 @@ from .special_fn import (
 
 __all__ = [
     "SkewPoly", "x_mul", "skew_mul", "apply_D", "apply_eta",
-    "pincherle_coeff", "pincherle_coeff_bracket", "pincherle_check",
+    "evaluate_together", "pincherle_coeff", "pincherle_coeff_bracket",
+    "pincherle_residuals", "pincherle_check",
     "fib_elliptic", "fib_aq", "fib_aq_closed", "genfun_expand",
     "product_expand", "f_relation_sides",
 ]
@@ -175,32 +179,39 @@ class SkewPoly:
 
     def evaluate(self, ps: ParameterSet) -> dict:
         """Coefficient values at the parameter point: map degree -> complex."""
-        a, b = ps.a, ps.b
-        memo: dict = {}
+        return evaluate_together([self], ps)[0]
 
-        def value(node, i: int, j: int) -> complex:
-            kind = type(node)
-            if kind is complex:
-                return node
-            if kind is _Shift:
-                return value(node.node, i + node.u, j + node.v)
-            key = (node, i, j)
-            hit = memo.get(key)
-            if hit is None:
-                if kind is tuple:
-                    hit = node[0](a, b, i, j, *node[1:])
-                elif kind is _Product:
-                    hit = value(node.left, i, j) * value(node.right, i, j)
-                else:
-                    terms = iter(node.terms)
-                    hit = value(next(terms), i, j)
-                    for term in terms:
-                        hit += value(term, i, j)
-                memo[key] = hit
-            return hit
 
-        return {k: require_finite(value(c, 0, 0), "skew coefficient")
-                for k, c in sorted(self.coeffs.items())}
+def evaluate_together(polys, ps: ParameterSet) -> list:
+    """Coefficient values of each polynomial at the parameter point, one
+    map degree -> complex per polynomial, under one memo: a node that
+    several of them share is computed once per offset."""
+    a, b = ps.a, ps.b
+    memo: dict = {}
+
+    def value(node, i: int, j: int) -> complex:
+        kind = type(node)
+        if kind is complex:
+            return node
+        if kind is _Shift:
+            return value(node.node, i + node.u, j + node.v)
+        key = (node, i, j)
+        hit = memo.get(key)
+        if hit is None:
+            if kind is tuple:
+                hit = node[0](a, b, i, j, *node[1:])
+            elif kind is _Product:
+                hit = value(node.left, i, j) * value(node.right, i, j)
+            else:
+                terms = iter(node.terms)
+                hit = value(next(terms), i, j)
+                for term in terms:
+                    hit += value(term, i, j)
+            memo[key] = hit
+        return hit
+
+    return [{k: require_finite(value(c, 0, 0), "skew coefficient")
+             for k, c in sorted(poly.coeffs.items())} for poly in polys]
 
 
 def x_mul(p: SkewPoly, power: int = 1) -> SkewPoly:
@@ -294,34 +305,55 @@ def pincherle_coeff_bracket(k: int, ps: ParameterSet) -> complex:
     return bracket_z(ps.swapped(), k, 2 - 2 * k, 1 - k)
 
 
+def pincherle_residuals(pairs, ps: ParameterSet) -> dict:
+    """Relative residuals of (D^k x - x D^k)(x^n) = C_k D^(k-1)(eta(x^n))
+    at ps, map (k, n) -> residual, both sides through independent
+    operator chains.  Each chain D^j(x^m) and D^j(eta(x^m)) is built once
+    by extending the one before, C_k is formed once per k, and all left
+    sides are evaluated under one memo and all right sides under another,
+    so the two sides share no value."""
+    pairs = list(pairs)
+    chains: dict = {}
+
+    def lowered(m: int, j: int, eta: bool = False) -> SkewPoly:
+        # D^j(x^m), or D^j(eta(x^m)), extending the chain kept for (m, eta);
+        # an eta chain starts from x^m, which the left sides built first
+        chain = chains.get((m, eta))
+        if chain is None:
+            start = chains[m, False][0] if eta else SkewPoly.x_power(m, ps.q)
+            chain = chains[m, eta] = [apply_eta(start, ps) if eta else start]
+        for _ in range(len(chain), j + 1):
+            chain.append(apply_D(chain[-1], ps))
+        return chain[j]
+
+    lefts = []
+    for k, n in pairs:
+        if k < 1 or n < 0:
+            raise DomainError("pincherle check needs k >= 1 and n >= 0")
+        lefts += (lowered(n + 1, k), x_mul(lowered(n, k)))
+    lefts = evaluate_together(lefts, ps)
+    coeffs = {k: pincherle_coeff(k, ps) for k in dict.fromkeys(k for k, _ in pairs)}
+    rights = evaluate_together([lowered(n, k - 1, True) for k, n in pairs], ps)
+
+    residuals = {}
+    for index, (k, n) in enumerate(pairs):
+        lhs = lefts[2 * index]
+        for deg, value in lefts[2 * index + 1].items():
+            lhs[deg] = lhs.get(deg, 0.0 + 0.0j) - value
+        rhs = {deg: coeffs[k] * value for deg, value in rights[index].items()}
+        residual = 0.0
+        for deg in set(lhs) | set(rhs):
+            l = lhs.get(deg, 0.0 + 0.0j)
+            r = rhs.get(deg, 0.0 + 0.0j)
+            residual = max(residual, abs(l - r) / max(abs(l), abs(r), 1e-30))
+        residuals[k, n] = residual
+    return residuals
+
+
 def pincherle_check(k: int, n: int, ps: ParameterSet) -> float:
-    """Relative residual of (D^k x - x D^k)(x^n) = C_k D^(k-1)(eta(x^n))
-    evaluated at ps, both sides through independent operator chains."""
-    if k < 1 or n < 0:
-        raise DomainError("pincherle check needs k >= 1 and n >= 0")
-    xn = SkewPoly.x_power(n, ps.q)
-    lhs_poly = x_mul(xn)
-    for _ in range(k):
-        lhs_poly = apply_D(lhs_poly, ps)
-    right_of_x = xn
-    for _ in range(k):
-        right_of_x = apply_D(right_of_x, ps)
-    lhs = lhs_poly.evaluate(ps)
-    for deg, value in x_mul(right_of_x).evaluate(ps).items():
-        lhs[deg] = lhs.get(deg, 0.0 + 0.0j) - value
-
-    rhs_poly = apply_eta(xn, ps)
-    for _ in range(k - 1):
-        rhs_poly = apply_D(rhs_poly, ps)
-    coeff = pincherle_coeff(k, ps)
-    rhs = {deg: coeff * value for deg, value in rhs_poly.evaluate(ps).items()}
-
-    residual = 0.0
-    for deg in set(lhs) | set(rhs):
-        l = lhs.get(deg, 0.0 + 0.0j)
-        r = rhs.get(deg, 0.0 + 0.0j)
-        residual = max(residual, abs(l - r) / max(abs(l), abs(r), 1e-30))
-    return residual
+    """Relative residual of one pair (k, n) of ``pincherle_residuals``:
+    one memo for the left side and one for the right per call."""
+    return pincherle_residuals([(k, n)], ps)[k, n]
 
 
 def fib_elliptic(n: int, ps: ParameterSet) -> complex:

@@ -125,13 +125,18 @@ def require_finite(z: complex, context: str = "result") -> complex:
 
 def qpow(q: complex, z) -> complex:
     """q**z.  Exact integer powers for integral z, principal branch otherwise.
-    A power beyond the double range, or a negative power of 0, is an
-    EvaluationError."""
+    A power beyond the double range, or a negative integer power of 0, is
+    an EvaluationError; 0^z for a non-integer z is 0 when Re z > 0 and a
+    DomainError otherwise."""
     try:
         if isinstance(z, int):
             return complex(q) ** z
         if isinstance(z, float) and z.is_integer():
             return complex(q) ** int(z)
+        if q == 0:
+            if complex(z).real > 0:
+                return 0.0 + 0.0j
+            raise DomainError(f"0^z needs Re z > 0: z = {z!r}")
         return cmath.exp(complex(z) * cmath.log(complex(q)))
     except (OverflowError, ZeroDivisionError) as exc:
         raise EvaluationError(f"q^z out of range: q = {q!r}, z = {z!r}") from exc

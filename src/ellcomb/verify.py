@@ -65,14 +65,15 @@ from .boards import (
 from .skewpoly import (
     SkewPoly,
     apply_eta,
+    evaluate_together,
     f_relation_sides,
     fib_aq,
     fib_aq_closed,
     fib_elliptic,
     genfun_expand,
-    pincherle_check,
     pincherle_coeff,
     pincherle_coeff_bracket,
+    pincherle_residuals,
     product_expand,
     x_mul,
 )
@@ -262,10 +263,12 @@ def _theta_ref(x, p) -> complex:
         return 1.0 - x
     value = 1.0 + 0.0j
     pj = 1.0 + 0.0j
+    u, v = pj * x, pj * p / x
     for _ in range(300):
-        value *= (1.0 - pj * x) * (1.0 - pj * p / x)
+        value *= (1.0 - u) * (1.0 - v)
         pj *= p
-        if abs(pj * x) < _REF_EPS and abs(pj * p / x) < _REF_EPS:
+        u, v = pj * x, pj * p / x
+        if abs(u) < _REF_EPS and abs(v) < _REF_EPS:
             break
     return value
 
@@ -856,15 +859,13 @@ def _draw_f_relations(ctx: CheckContext):
         ["skewpoly:apply_D", "skewpoly:x_mul"],
         ["skewpoly:apply_eta", "skewpoly:pincherle_coeff"], "n")
 def _draw_pincherle(ctx: CheckContext):
-    # pincherle_check already returns a relative residual, so each pair
-    # has no right side and records its left side as the residual
-    kmax = ctx.size("k")
-    nmax = ctx.size("n")
+    # pincherle_residuals already returns relative residuals, so each
+    # pair has no right side and records its left side as the residual
     ps = ctx.draw_ps()
-    pairs = [(pincherle_check(k, n, ps), None)
-             for k in range(1, kmax + 1)
-             for n in range(0, nmax + 1)]
-    return (ps.a, ps.b, ps.q, ps.p), pairs
+    residuals = pincherle_residuals(
+        [(k, n) for k in range(1, ctx.size("k") + 1)
+         for n in range(0, ctx.size("n") + 1)], ps)
+    return (ps.a, ps.b, ps.q, ps.p), [(r, None) for r in residuals.values()]
 
 
 @_check("pincherle-k",
@@ -918,10 +919,11 @@ def _draw_lemma_xeta_power(ctx: CheckContext):
     a = ctx.draw_ab()
     q = ctx.draw_q()
     psq = ParameterSet(a, 0.0, q, 0.0)
-    term = SkewPoly.x_power(1, q)
+    terms = [SkewPoly.x_power(1, q)]
+    for _ in range(ctx.size("n")):
+        terms.append(x_mul(terms[-1]) + x_mul(apply_eta(terms[-1], psq), 2))
     pairs = []
-    for n in range(0, ctx.size("n") + 1):
-        values = term.evaluate(psq)
+    for n, values in enumerate(evaluate_together(terms, psq)):
         for j in range(0, n + 1):
             num = ((1.0 - a * qpow(q, n + j + 2))
                    * (1.0 - a * qpow(q, n + j + 3))) ** j
@@ -931,7 +933,6 @@ def _draw_lemma_xeta_power(ctx: CheckContext):
                 den *= _guard_ref(1.0 - a * qpow(q, n + 3 + i))
             rhs = qpow(q, -n * j) * q_binomial(n, j, q) * num / den
             pairs.append((values.get(n + j + 1, 0.0 + 0.0j), rhs))
-        term = x_mul(term) + x_mul(apply_eta(term, psq), 2)
     return (a, q), pairs
 
 

@@ -11,6 +11,7 @@ from ellcomb.skewpoly import (
     SkewPoly,
     apply_D,
     apply_eta,
+    evaluate_together,
     f_relation_sides,
     fib_aq,
     fib_aq_closed,
@@ -19,6 +20,7 @@ from ellcomb.skewpoly import (
     pincherle_check,
     pincherle_coeff,
     pincherle_coeff_bracket,
+    pincherle_residuals,
     product_expand,
     skew_mul,
     x_mul,
@@ -35,6 +37,7 @@ from ellcomb.special_fn import (
     q_factorial,
     qpow,
 )
+from ellcomb.verify import run_check
 
 
 def draw_annulus(rng, lo, hi):
@@ -178,6 +181,60 @@ def test_pincherle_identity_residuals():
             for n in range(0, 6):
                 assert pincherle_check(k, n, ps) <= 1e-9
 
+
+
+def _bits(values: dict) -> dict:
+    return {k: (v.real.hex(), v.imag.hex()) for k, v in values.items()}
+
+
+def test_pincherle_check_is_one_pair_of_the_batch():
+    rng = random.Random(70)
+    pairs = [(k, n) for k in range(1, 6) for n in range(0, 9)]
+    for _ in range(4):
+        ps = draw_ps(rng)
+        residuals = pincherle_residuals(pairs, ps)
+        assert list(residuals) == pairs
+        for k, n in pairs:
+            assert pincherle_check(k, n, ps).hex() == residuals[k, n].hex()
+    # a q = 1 puts a D factor's denominator on a theta zero
+    q = 0.5 + 0.2j
+    ps = ParameterSet(1 / q, 0.7 + 0.1j, q, 0.2)
+    with pytest.raises(NearPoleError):
+        pincherle_check(3, 4, ps)
+    with pytest.raises(NearPoleError):
+        pincherle_residuals(pairs, ps)
+    with pytest.raises(DomainError):
+        pincherle_residuals([(1, 0), (0, 2)], ps)
+
+
+def test_pincherle_draw_reaches_each_D_factor_once_per_side(monkeypatch):
+    # the left sides share one memo and the right sides another, so a
+    # draw computes each D factor (n, i, j) at most twice
+    calls: dict = {}
+    original = skewpoly._D_factor
+
+    def counted(a, b, i, j, n, q, p):
+        key = (n, i, j, q, p)
+        calls[key] = calls.get(key, 0) + 1
+        return original(a, b, i, j, n, q, p)
+
+    monkeypatch.setattr(skewpoly, "_D_factor", counted)
+    report = run_check("pincherle", seed=0, sizes={"draws": 1})
+    assert report.trials == 45
+    assert calls and max(calls.values()) <= 2
+
+
+def test_evaluate_together_matches_each_evaluate():
+    # the genfun_expand powers of (x + x^2 eta) x share their nodes, so
+    # one memo over all of them must give each one's own values
+    ps = draw_ps(random.Random(71))
+    terms = [SkewPoly.x_power(1, ps.q)]
+    for _ in range(9):
+        terms.append(x_mul(terms[-1]) + x_mul(apply_eta(terms[-1], ps), 2))
+    together = evaluate_together(terms, ps)
+    assert len(together) == len(terms)
+    for term, values in zip(terms, together):
+        assert _bits(values) == _bits(term.evaluate(ps))
 
 def test_fib_elliptic_base_values():
     ps = ParameterSet(0.4, 0.3, 0.5 + 0.1j, 0.1)

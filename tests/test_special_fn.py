@@ -246,6 +246,17 @@ def test_qpow_out_of_range_is_an_evaluation_error():
     assert qpow(0, 0) == 1 and qpow(0, 2) == 0 and qpow(2, -1) == 0.5
 
 
+
+def test_qpow_of_zero_at_a_non_integer_power():
+    # 0^z is 0 for Re z > 0; otherwise it is undefined, a DomainError,
+    # not cmath.log's bare ValueError
+    assert qpow(0, 0.5) == 0 and qpow(0j, 2.5 + 1j) == 0
+    for z in (-0.5, 0j, 1j, -1.5 + 2j):
+        with pytest.raises(DomainError, match="Re z > 0"):
+            qpow(0, z)
+    with pytest.raises(DomainError):
+        bracket_z(ParameterSet(0, 0, 0, 0), 0.5)
+
 def test_theta_series_length_edges():
     # |p| / |x| overflows: the series is non-finite
     for x in (5e-324, 5e-324j, 1e-310):
