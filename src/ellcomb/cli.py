@@ -308,10 +308,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call to main and reused by later calls in the same
+# process; the handlers look up every name they use at call time, so a
+# parse carries no state into the next
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

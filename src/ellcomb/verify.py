@@ -52,7 +52,7 @@ from .special_fn import (
     reversal_coeff_bq,
     theta,
 )
-from .ncword import NormalForm, RelationSystem, expand_power_sum, normal_order
+from .ncword import NormalForm, RelationSystem, _prepend, expand_power_sum, normal_order
 from .boards import (
     FerrersBoard,
     all_boards_within,
@@ -953,13 +953,29 @@ def _expected_file_form(word: str) -> NormalForm:
 
 
 def _normalorder(ctx: CheckContext, rs: RelationSystem, expected) -> None:
-    for length in range(1, ctx.size("exhaustive") + 1):
-        for mask in range(1 << length):
-            word = "".join("x" if (mask >> i) & 1 else "y" for i in range(length))
-            ctx.record(normal_order(word, rs), expected(word))
+    """Every word up to length size("exhaustive"), then size("random")
+    words longer than that and at most size("max_len") long."""
+    exhaustive = ctx.size("exhaustive")
     max_len = ctx.size("max_len")
+    if exhaustive >= max_len:
+        raise VerifyError(
+            f"exhaustive length {exhaustive} (the order) must be below "
+            f"max_len {max_len}, the longest random word")
+
+    def walk(suffix: str, form: NormalForm) -> None:
+        # depth first by prepending letters: the form of letter + suffix
+        # is normal_order's own step applied to the form of the suffix,
+        # which was built and checked one level up
+        if len(suffix) < exhaustive:
+            for letter in "xy":
+                word = letter + suffix
+                word_form = _prepend(letter, form, rs)
+                ctx.record(word_form, expected(word))
+                walk(word, word_form)
+
+    walk("", NormalForm.unit())
     for _ in range(ctx.size("random")):
-        length = ctx.rng.randint(ctx.size("exhaustive") + 1, max_len)
+        length = ctx.rng.randint(exhaustive + 1, max_len)
         word = "".join(ctx.rng.choice("xy") for _ in range(length))
         ctx.record(normal_order(word, rs), expected(word))
 
@@ -969,7 +985,7 @@ def _normalorder(ctx: CheckContext, rs: RelationSystem, expected) -> None:
         "numbers of the word's board from the column sweep (rook_poly), "
         "symbolically exact",
         "exact-symbolic", {"exhaustive": 8, "random": 60, "max_len": 12}, 0.0,
-        ["ncword:normal_order"], ["boards:rook_poly"], "exhaustive")
+        ["ncword:normal_order", "ncword:_prepend"], ["boards:rook_poly"], "exhaustive")
 def _run_normalorder_rook(ctx: CheckContext) -> None:
     _normalorder(ctx, _WEYL, _expected_rook_form)
 
@@ -979,7 +995,7 @@ def _run_normalorder_rook(ctx: CheckContext) -> None:
         "numbers of the word's board from the column sweep (file_poly), "
         "symbolically exact",
         "exact-symbolic", {"exhaustive": 8, "random": 60, "max_len": 12}, 0.0,
-        ["ncword:normal_order"], ["boards:file_poly"], "exhaustive")
+        ["ncword:normal_order", "ncword:_prepend"], ["boards:file_poly"], "exhaustive")
 def _run_normalorder_file(ctx: CheckContext) -> None:
     _normalorder(ctx, _FILE, _expected_file_form)
 

@@ -12,7 +12,7 @@ from ellcomb.ncword import NormalForm, RelationSystem, normal_order, parse_word
 from ellcomb.special_fn import (
     _FAMILY_TAGS, GenericWeights, ParameterSet, pair_to_complex, theta,
 )
-from ellcomb.verify import CheckReport, list_identities
+from ellcomb.verify import CheckReport, VerifyError, list_identities
 from ellcomb.weightpoly import WeightPolynomial
 
 
@@ -451,3 +451,58 @@ def test_degenerate_parameter_sweep_exits_0_or_2(capsys):
             assert "nan" not in out.lower() and "inf" not in out.lower(), argv
         else:
             assert out == "" and err.startswith("error:"), argv
+
+
+@pytest.mark.parametrize("check_id", ["normalorder-rook", "normalorder-file"])
+def test_normalorder_order_at_max_len_exits_2_before_any_word(capsys, monkeypatch, check_id):
+    # an order at max_len leaves no length for the random words; it is
+    # refused before the exhaustive part builds a single form
+    import ellcomb.verify as verify
+    calls = []
+    for name in ("_prepend", "normal_order"):
+        def counted(*args, _fn=getattr(verify, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(verify, name, counted)
+    with pytest.raises(VerifyError, match="below max_len 3"):
+        verify.run_check(check_id, sizes={"exhaustive": 3, "max_len": 3})
+    code, out, err = run_cli(capsys, "verify", "--id", check_id, "--order", "12")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "below max_len 12" in err
+    assert calls == []
+    code, _, _ = run_cli(capsys, "verify", "--id", check_id, "--order", "1")
+    assert code == 0
+    assert calls.count("_prepend") == 2 and calls.count("normal_order") == 60
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    # main builds its parser once per process; every call in this
+    # sequence, errors and --help included, must print and return what
+    # the same call prints and returns on a parser built for it alone
+    import ellcomb.verify as verify
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    sequence = [
+        ["verify", "--id", "theta-inversion", "--seed", "3", "--json"],
+        ["theta", "--x", "0.5", "--p", "0.1", "--no-such-flag"],
+        ["--help"],
+        ["verify", "--id", "bogus"],
+        ["theta", "--x", "0.5,0.1", "--p", "0.2"],
+    ]
+
+    def call(argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(call(argv))
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    reused = [call(argv) for argv in sequence]
+    assert reused == fresh
+    assert len(builds) == 1
+    assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0]

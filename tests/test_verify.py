@@ -2,12 +2,15 @@
 
 import hashlib
 import importlib
+import itertools
+import json
 import random
 import sys
 
 import pytest
 
 import ellcomb
+from ellcomb.ncword import RelationSystem, normal_order
 from ellcomb.special_fn import EvaluationError, NearPoleError
 from ellcomb.verify import (
     CheckContext,
@@ -340,3 +343,44 @@ def test_bigweight_reference_is_the_column_product_carried_over_t():
             assert ref == verify._big_ref(ps, s, t), (seed, s, t)
             compared += 1
     assert compared >= 180
+
+
+# SHA-1 of each normal-ordering report, timing stripped, at seeds 0-3:
+# building the exhaustive forms by prepending to a checked suffix must
+# leave every report as it was
+NORMALORDER_REPORTS = {
+    ("normalorder-rook", 0): "691bb7a6bfe8f0a7f2b049598e849c45d0e3874f",
+    ("normalorder-rook", 1): "57e7472b61e384e46d746f622f725418e2ee996e",
+    ("normalorder-rook", 2): "654459ac7361a0451e5c0e9e842d5442beceee86",
+    ("normalorder-rook", 3): "98484d483a75437066e10066850739428f9624cb",
+    ("normalorder-file", 0): "7ac3312ab6d1a32cd25c3dc0009b1b796a05bafa",
+    ("normalorder-file", 1): "8e80b76638996c2b84678e2cc873d6a262463744",
+    ("normalorder-file", 2): "a1013a98c7e6c3d660ee2e620e156dac85d09a5f",
+    ("normalorder-file", 3): "d92a0a76f4de14c06c051233d6d5e40adc50070d",
+}
+
+
+@pytest.mark.parametrize("check_id, seed", sorted(NORMALORDER_REPORTS))
+def test_normalorder_reports_keep_their_bytes(check_id, seed):
+    doc = run_check(check_id, seed=seed).to_json()
+    doc.pop("elapsed_ms")
+    digest = hashlib.sha1(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == NORMALORDER_REPORTS[check_id, seed]
+
+
+@pytest.mark.parametrize("rs", [RelationSystem.ROOK_WEYL, RelationSystem.FILE])
+def test_exhaustive_walk_gives_the_forms_of_normal_order(rs):
+    # the right side is normal_order itself, so each comparison the walk
+    # records is its form against the public function's, with ==
+    verify = importlib.import_module("ellcomb.verify")
+    seen = []
+
+    def expected(word):
+        seen.append(word)
+        return normal_order(word, rs)
+
+    ctx = CheckContext(random.Random(0), {"exhaustive": 8, "random": 0, "max_len": 12}, 0.0)
+    verify._normalorder(ctx, rs, expected)
+    words = ["".join(w) for n in range(1, 9) for w in itertools.product("xy", repeat=n)]
+    assert sorted(seen) == sorted(words)
+    assert (ctx.trials, ctx.failures, ctx.max_rel_err) == (510, 0, 0.0)
