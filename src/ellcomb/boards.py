@@ -33,9 +33,12 @@ placements grows exponentially.  The final states hold any number of
 rooks from lo to hi, so one sweep gives every k in that range:
 ``rook_poly`` and ``file_poly`` sweep k..k, or 0..k with ``every``.
 The sweep's geometry (states, cell rows and moves) is cached per
-(heights, kind, lo, hi) in one bounded cache; only a plan with lo > 0
-(a single k) needs a backward pass, to drop the moves that cannot
-reach lo rooks.  A numeric move is one in-order product, ``math.prod``
+(heights, kind, lo, hi) in one bounded cache.  A plan with lo = 0 is
+the cached plan of the board without its last column plus that one
+column, so every column of a board, and of the boards sharing its
+prefix, is built once; a plan with lo > 0 (a single k) is the lo = 0
+plan with the same hi pruned by a backward pass, to drop the moves that
+cannot reach lo rooks.  A numeric move is one in-order product, ``math.prod``
 of its cells started at the source state's sum, the same
 multiplications as a loop over the cells.  ``placements`` enumerates
 placements directly and is the reference the sweep is tested against.
@@ -217,54 +220,67 @@ def _sweep_plan(heights: tuple, kind: str, lo: int, hi: int) -> tuple:
     free, bottom-up, each (col, j) carrying (s, t) = (col - nw, j) with
     nw counting the state's rows at or above j.  A rook on the i-th free
     row leaves the cells above it, so every move of a state weighs a
-    suffix of one shared cell row.  The forward pass adds no rook beyond
-    hi and, for lo > 0, no move that leaves too few columns to reach lo;
-    only then does a backward pass drop the moves that cannot end with
-    between lo and hi rooks and cut each row to the cells its kept moves
-    use.  At lo = 0 that pass would drop nothing: every state keeps its
-    move without a rook, which starts at the row's first cell.
+    suffix of one shared cell row.
+
+    A plan with lo = 0 is the plan of ``heights[:-1]`` with one more
+    column: the columns before the last see at most n - 1 rooks, so the
+    prefix is looked up with hi capped at n - 1, and boards that share a
+    prefix share its columns.  Its forward pass adds no rook beyond hi
+    and keeps every state's move without a rook.  A plan with lo > 0 is
+    the plan with lo = 0 and the same hi, pruned backward: the moves
+    that cannot end with between lo and hi rooks go, and each row is cut
+    to the cells its kept moves use.  Each call looks up one shorter
+    prefix, so a caller that builds a long board's prefixes in
+    ascending order (``_weighted_sums``) recurses one level at most.
 
     Returns the columns, each a tuple of (source, cells, moves) rows
     with moves a tuple of (target, start) weighted by cells[start:], and
     the distinct (s, t) over all rows; both depend only on the geometry.
     None when the board has no placement of lo..hi rooks.
     """
-    n = len(heights)
-    # open_after[i]: columns right of column i that can still take a rook
-    open_after = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        open_after[i] = open_after[i + 1] + (heights[i] > 0)
-    columns = []
-    states = [()]
-    for col, height in enumerate(heights, start=1):
-        rows = []
-        for state in states:
-            placed = len(state)
-            free = [j for j in range(1, height + 1) if kind == "file" or j not in state]
-            cells = tuple((col - placed + bisect_left(state, j), j) for j in free)
-            moves = []
-            if placed + open_after[col] >= lo:
-                moves.append((state, 0))
-            if placed < hi and placed + 1 + open_after[col] >= lo:
-                for start, row in enumerate(free, start=1):
-                    moves.append((tuple(sorted(state + (row,))), start))
-            rows.append((state, cells, tuple(moves)))
-        columns.append(tuple(rows))
-        states = sorted({target for _, _, moves in rows for target, _ in moves})
     if lo > 0:
-        alive = {state for state in states if lo <= len(state) <= hi}
-        for i in range(n - 1, -1, -1):
-            kept = []
-            for state, cells, moves in columns[i]:
-                moves = [move for move in moves if move[0] in alive]
-                if moves:
-                    first = min(start for _, start in moves)
-                    kept.append((state, cells[first:],
-                                 tuple((target, start - first) for target, start in moves)))
-            columns[i] = tuple(kept)
-            alive = {row[0] for row in kept}
-        if () not in alive:
-            return None
+        return _pruned(_sweep_plan(heights, kind, 0, hi), lo, hi)
+    n = len(heights)
+    if not n:
+        return (), ()
+    columns, cells = _sweep_plan(heights[:-1], kind, 0, min(hi, n - 1))
+    rows = []
+    for state in _final_states(columns):
+        placed = len(state)
+        free = [j for j in range(1, heights[-1] + 1) if kind == "file" or j not in state]
+        row_cells = tuple((n - placed + bisect_left(state, j), j) for j in free)
+        moves = [(state, 0)]
+        if placed < hi:
+            for start, row in enumerate(free, start=1):
+                moves.append((tuple(sorted(state + (row,))), start))
+        rows.append((state, row_cells, tuple(moves)))
+    cells = set(cells).union(cell for row in rows for cell in row[1])
+    return columns + (tuple(rows),), tuple(sorted(cells))
+
+
+def _final_states(columns: tuple) -> list:
+    # the sorted states a plan's columns end in
+    if not columns:
+        return [()]
+    return sorted({target for _, _, moves in columns[-1] for target, _ in moves})
+
+
+def _pruned(plan: tuple, lo: int, hi: int):
+    # the lo = 0 plan cut to the moves that end with lo..hi rooks
+    columns = list(plan[0])
+    alive = {state for state in _final_states(plan[0]) if lo <= len(state) <= hi}
+    for i in range(len(columns) - 1, -1, -1):
+        kept = []
+        for state, cells, moves in columns[i]:
+            moves = [move for move in moves if move[0] in alive]
+            if moves:
+                first = min(start for _, start in moves)
+                kept.append((state, cells[first:],
+                             tuple((target, start - first) for target, start in moves)))
+        columns[i] = tuple(kept)
+        alive = {row[0] for row in kept}
+    if () not in alive:
+        return None
     cells = sorted({cell for rows in columns for row in rows for cell in row[1]})
     return tuple(columns), tuple(cells)
 
@@ -276,7 +292,12 @@ def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> 
     if hi < 0:
         raise DomainError("placement count k must be nonnegative")
     symbolic = getattr(family, "symbolic", False)
-    plan = _sweep_plan(board.heights, kind, lo, hi)
+    heights = board.heights
+    for m in range(len(heights)):
+        # the prefixes in ascending order, each found or built from the
+        # one before it, so no plan build recurses deeper than one level
+        _sweep_plan(heights[:m], kind, 0, min(hi, m))
+    plan = _sweep_plan(heights, kind, lo, hi)
     if plan is None:
         return [WeightPolynomial.zero() if symbolic else 0.0 + 0.0j
                 for _ in range(lo, hi + 1)]

@@ -247,6 +247,10 @@ class CheckContext:
 
 # ---------------------------------------------------------------------------
 # reference implementations (second sides)
+#
+# No module cache sits in front of them: a draw that forms many reference
+# weights owns one memo dict of theta values and passes it down, so each
+# value is multiplied out once per draw and goes with the draw.
 
 _REF_EPS = 1e-17
 _REF_POLE = 1e-12
@@ -254,13 +258,13 @@ _REF_POLE = 1e-12
 
 def _theta_ref(x, p) -> complex:
     """Direct product evaluation of theta, independent of the library's
-    cached implementation."""
+    cached implementation.  At p = 0 it is 1 - x for every x, 0 too."""
     x = complex(x)
     p = complex(p)
-    if x == 0:
-        raise DomainError("theta reference needs x != 0")
     if p == 0:
         return 1.0 - x
+    if x == 0:
+        raise DomainError("theta reference needs x != 0")
     value = 1.0 + 0.0j
     pj = 1.0 + 0.0j
     u, v = pj * x, pj * p / x
@@ -279,21 +283,42 @@ def _guard_ref(value: complex) -> complex:
     return value
 
 
-def _small_ref(ps: ParameterSet, s: int, t: int) -> complex:
+def _theta_in(memo: dict, x, p) -> complex:
+    # _theta_ref(x, p), looked up in or added to memo: the reference is
+    # a function of (x, p) alone, so a repeated argument gives its bits
+    key = (x, p)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _theta_ref(x, p)
+    return value
+
+
+def _small_ref(ps: ParameterSet, s: int, t: int, memo: dict | None = None) -> complex:
+    """The small weight as a quotient of six direct theta products.  A
+    draw that forms many weights passes one memo dict it owns, so each
+    theta argument it meets is multiplied out once: in a column s the
+    numerator of w(s, t) shares one argument with the denominator of
+    w(s, t + 1) and two with that of w(s, t - 2)."""
+    if memo is None:
+        memo = {}
     a, b, q, p = ps.a, ps.b, ps.q, ps.p
-    num = (_theta_ref(a * qpow(q, s + 2 * t), p)
-           * _theta_ref(b * qpow(q, 2 * s + t - 2), p)
-           * _theta_ref(a * qpow(q, t - s - 1) / b, p))
-    den = (_guard_ref(_theta_ref(a * qpow(q, s + 2 * t - 2), p))
-           * _guard_ref(_theta_ref(b * qpow(q, 2 * s + t), p))
-           * _guard_ref(_theta_ref(a * qpow(q, t - s + 1) / b, p)))
+    num = (_theta_in(memo, a * qpow(q, s + 2 * t), p)
+           * _theta_in(memo, b * qpow(q, 2 * s + t - 2), p)
+           * _theta_in(memo, a * qpow(q, t - s - 1) / b, p))
+    den = (_guard_ref(_theta_in(memo, a * qpow(q, s + 2 * t - 2), p))
+           * _guard_ref(_theta_in(memo, b * qpow(q, 2 * s + t), p))
+           * _guard_ref(_theta_in(memo, a * qpow(q, t - s + 1) / b, p)))
     return num / den * q
 
 
-def _big_ref(ps: ParameterSet, s: int, t: int) -> complex:
+def _big_ref(ps: ParameterSet, s: int, t: int, memo: dict | None = None) -> complex:
+    """The column product w(s, 1) ... w(s, t) of ``_small_ref``, its
+    theta values shared through memo (a fresh dict when None)."""
+    if memo is None:
+        memo = {}
     value = 1.0 + 0.0j
     for j in range(1, t + 1):
-        value *= _small_ref(ps, s, j)
+        value *= _small_ref(ps, s, j, memo)
     return value
 
 
@@ -354,21 +379,28 @@ def _full_binom_ref(a, b, q, n: int, k: int) -> complex:
 # ---------------------------------------------------------------------------
 # comparison loops shared by checks of one shape
 
+def _power_sums(fam, degree: int) -> dict:
+    # the coefficients of (x + y)^0, ..., (x + y)^degree under fam, keyed
+    # (k, n - k): the key names its power n, so the powers never share a
+    # key, and one NormalForm evaluates them all under one weight cache
+    coeffs = {}
+    for n in range(degree + 1):
+        coeffs.update(expand_power_sum(n, _HOM).coeffs)
+    return NormalForm(coeffs).evaluate(fam)
+
+
 def _binomial_theorem_pairs(fam, binom, degree: int) -> list:
     # ([x^k y^(n-k)] (x + y)^n under fam, binom(n, k)) for k <= n <= degree
-    pairs = []
-    for n in range(degree + 1):
-        values = expand_power_sum(n, _HOM).evaluate(fam)
-        for k in range(n + 1):
-            pairs.append((values[(k, n - k)], binom(n, k)))
-    return pairs
+    values = _power_sums(fam, degree)
+    return [(values[(k, n - k)], binom(n, k))
+            for n in range(degree + 1) for k in range(n + 1)]
 
 
 def _cauchy_pairs(fam, c, q, degree: int, raw) -> list:
     # (exp_coeff_bq(c, q, k + m) [x^k y^m] (x + y)^(k+m) under fam, raw(k, m))
+    values = _power_sums(fam, degree)
     pairs = []
     for total in range(degree + 1):
-        values = expand_power_sum(total, _HOM).evaluate(fam)
         coeff = exp_coeff_bq(c, q, total)
         for k in range(total + 1):
             pairs.append((coeff * values[(k, total - k)], raw(k, total - k)))
@@ -456,11 +488,12 @@ def _draw_weight_shift(ctx: CheckContext):
     t = ctx.rng.randint(1, 3)
     fam = EllipticWeights(ps)
     shifted = ps.shift(2 * k, k)
+    memo: dict = {}  # this draw's reference theta values
     pairs = [
-        (fam.small(s, k + n), _small_ref(shifted, s, n)),
-        (fam.big(s, k + n), _big_ref(ps, s, k) * _big_ref(shifted, s, n)),
+        (fam.small(s, k + n), _small_ref(shifted, s, n, memo)),
+        (fam.big(s, k + n), _big_ref(ps, s, k, memo) * _big_ref(shifted, s, n, memo)),
         (fam.small(s, t),
-         _small_ref(ParameterSet(ps.p * ps.a, ps.p * ps.b, ps.q, ps.p), s, t)),
+         _small_ref(ParameterSet(ps.p * ps.a, ps.p * ps.b, ps.q, ps.p), s, t, memo)),
     ]
     return (ps.a, ps.b, ps.q, ps.p), pairs
 
@@ -474,6 +507,7 @@ def _draw_weight_shift(ctx: CheckContext):
 def _draw_bigweight_closed(ctx: CheckContext):
     ps = ctx.draw_ps()
     fam = EllipticWeights(ps)
+    memo: dict = {}  # this draw's reference theta values
     pairs = []
     for s in range(1, 4):
         # _big_ref(ps, s, t), carried from t - 1: the same products in
@@ -482,7 +516,7 @@ def _draw_bigweight_closed(ctx: CheckContext):
         for t in range(0, 6):
             closed = fam.big(s, t)
             if t:
-                ref *= _small_ref(ps, s, t)
+                ref *= _small_ref(ps, s, t, memo)
             pairs.append((closed, ref))
     return (ps.a, ps.b, ps.q, ps.p), pairs
 

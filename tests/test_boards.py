@@ -286,13 +286,91 @@ def test_every_k_sweep_matches_single_k_sweeps():
 
 
 def test_product_sides_build_one_plan():
-    # one sweep plan serves every rook or file number of the board
+    # one sweep serves every rook or file number of the board: a product
+    # side caches the plan of each prefix of the board, n + 1 plans, and
+    # the same side at another z and nome builds none
     board = FerrersBoard((1, 2, 3, 4, 5))
     ps = ParameterSet(0.3 + 0.1j, 0.4, 0.5 + 0.2j, 0.1)
+    other = ParameterSet(0.7, 0.2 - 0.3j, 0.6, 0.2 + 0.1j)
     for sides in (rook_product_sides, file_product_sides):
         boards_mod._sweep_plan.cache_clear()
         sides(board, 2, ps)
-        assert boards_mod._sweep_plan.cache_info().currsize == 1, sides
+        info = boards_mod._sweep_plan.cache_info()
+        assert info.currsize == board.n + 1, sides
+        sides(board, 4, other)
+        again = boards_mod._sweep_plan.cache_info()
+        assert (again.currsize, again.misses) == (info.currsize, info.misses), sides
+
+
+def _one_pass_plan(heights, kind, lo, hi):
+    # the sweep plan built in one forward pass over all columns, with a
+    # backward pass for lo > 0: the reference for the prefix plans and
+    # the pruned plans of _sweep_plan
+    n = len(heights)
+    open_after = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        open_after[i] = open_after[i + 1] + (heights[i] > 0)
+    columns = []
+    states = [()]
+    for col, height in enumerate(heights, start=1):
+        rows = []
+        for state in states:
+            placed = len(state)
+            free = [j for j in range(1, height + 1) if kind == "file" or j not in state]
+            cells = tuple((col - placed + sum(1 for r in state if r < j), j) for j in free)
+            moves = []
+            if placed + open_after[col] >= lo:
+                moves.append((state, 0))
+            if placed < hi and placed + 1 + open_after[col] >= lo:
+                for start, row in enumerate(free, start=1):
+                    moves.append((tuple(sorted(state + (row,))), start))
+            rows.append((state, cells, tuple(moves)))
+        columns.append(tuple(rows))
+        states = sorted({target for _, _, moves in rows for target, _ in moves})
+    if lo > 0:
+        alive = {state for state in states if lo <= len(state) <= hi}
+        for i in range(n - 1, -1, -1):
+            kept = []
+            for state, cells, moves in columns[i]:
+                moves = [move for move in moves if move[0] in alive]
+                if moves:
+                    first = min(start for _, start in moves)
+                    kept.append((state, cells[first:],
+                                 tuple((target, start - first) for target, start in moves)))
+            columns[i] = tuple(kept)
+            alive = {row[0] for row in kept}
+        if () not in alive:
+            return None
+    cells = sorted({cell for rows in columns for row in rows for cell in row[1]})
+    return tuple(columns), tuple(cells)
+
+
+def test_sweep_plans_match_the_one_pass_build():
+    # every plan of every board of at most 4 columns of height at most 5,
+    # each prefix and prune found in the cache as the boards go by
+    boards_mod._sweep_plan.cache_clear()
+    checked = 0
+    for n in range(5):
+        for board in all_boards_within(n, 5):
+            for kind in ("rook", "file"):
+                for hi in range(n + 2):
+                    for lo in range(hi + 1):
+                        want = _one_pass_plan(board.heights, kind, lo, hi)
+                        got = boards_mod._sweep_plan(board.heights, kind, lo, hi)
+                        assert got == want, (board.heights, kind, lo, hi)
+                        checked += 1
+    assert checked == 7470
+
+
+def test_long_board_sweeps_without_deep_recursion():
+    # 1,502 columns: each prefix plan is built from the one before it,
+    # in ascending order, never by recursing through all the prefixes
+    board = FerrersBoard((0,) * 1500 + (1, 2))
+    r0, r1, r2 = rook_poly(board, 2, GenericWeights(), every=True)
+    boards_mod._sweep_plan.cache_clear()
+    assert str(r0) == "w(1501,1)*w(1502,1)*w(1502,2)"
+    assert str(r1) == "w(1501,1) + w(1501,1)*w(1502,2) + w(1502,2)"
+    assert str(r2) == "1"
 
 
 def test_rook_product_carries_falling_brackets(monkeypatch):

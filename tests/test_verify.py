@@ -10,8 +10,8 @@ import sys
 import pytest
 
 import ellcomb
-from ellcomb.ncword import RelationSystem, normal_order
-from ellcomb.special_fn import EvaluationError, NearPoleError
+from ellcomb.ncword import RelationSystem, expand_power_sum, normal_order
+from ellcomb.special_fn import AQWeights, DomainError, EvaluationError, NearPoleError, theta
 from ellcomb.verify import (
     CheckContext,
     CheckReport,
@@ -345,6 +345,75 @@ def test_bigweight_reference_is_the_column_product_carried_over_t():
     assert compared >= 180
 
 
+def test_theta_reference_at_zero_nome_is_one_minus_x():
+    # theta(x; 0) = 1 - x for every x, x = 0 included
+    verify = importlib.import_module("ellcomb.verify")
+    assert verify._theta_ref(0, 0) == theta(0, 0) == 1
+    assert verify._theta_ref(0.5j, 0) == 1 - 0.5j
+    with pytest.raises(DomainError):
+        verify._theta_ref(0, 0.1)
+
+
+def test_reference_memo_keeps_every_value():
+    # a memo shared by many weights of one draw gives the bits of the
+    # weights formed alone, each with a fresh memo
+    verify = importlib.import_module("ellcomb.verify")
+    ps = verify.ParameterSet(0.7 + 0.4j, 1.3 - 0.2j, 0.6 + 0.3j, 0.2 - 0.1j)
+    memo = {}
+    for s in range(1, 4):
+        for t in range(0, 6):
+            assert verify._big_ref(ps, s, t, memo) == verify._big_ref(ps, s, t)
+            assert verify._small_ref(ps, s, t, memo) == verify._small_ref(ps, s, t)
+    assert memo
+
+
+def test_power_sums_evaluate_as_each_power_alone():
+    # (x + y)^0 ... (x + y)^8 under one weight cache give the bits of
+    # each power evaluated under its own
+    verify = importlib.import_module("ellcomb.verify")
+    fam = AQWeights(0.8 - 0.3j, 0.55 + 0.2j)
+    together = verify._power_sums(fam, 8)
+    alone = {}
+    for n in range(9):
+        alone.update(expand_power_sum(n).evaluate(fam))
+    assert together == alone
+    assert len(together) == 45
+
+
+# SHA-1 of each reference-weight and power-sum report, timing stripped,
+# at seeds 0-3: forming each reference theta value and cell weight once
+# per draw must leave every report as it was
+REFERENCE_REPORTS = {
+    ("bigweight-closed-vs-product", 0): "eb5d8b9a079d11844bb4fad72412ab3422840055",
+    ("bigweight-closed-vs-product", 1): "b4f2868fb725b1226b856e2f377fa582a36e9123",
+    ("bigweight-closed-vs-product", 2): "30bf0c072b1656f43cbc48c3542a344c11466368",
+    ("bigweight-closed-vs-product", 3): "b670c51146ac9521acf85e5e01af8b45dd66e45e",
+    ("weight-shift", 0): "5309659d4482f1f2471151e882fcc635eed1cd9e",
+    ("weight-shift", 1): "37bff78c25bece2497f278774e4f527c2395f922",
+    ("weight-shift", 2): "0018a708e6ecc439b7669f3143973ea0af015ca1",
+    ("weight-shift", 3): "4442aaae8dde2c1c62679599e6166acba1524b27",
+    ("aq-binomial-thm", 0): "c714ab2b1543d004aa6a442cb0f997cf3ddb1254",
+    ("aq-binomial-thm", 1): "a5afef655c16d6132b592135c4cdb8cc197d8014",
+    ("aq-binomial-thm", 2): "255a970b1dca80bb55c5271811469e30cd555660",
+    ("aq-binomial-thm", 3): "282c4aca167acf394a0b5f7c6102344991127dad",
+    ("aq-cauchy", 0): "509fc333072cf8a397304be715fb58039ad69a4c",
+    ("aq-cauchy", 1): "77452531f65251ca140d6c41d33e7b48c8eb3fbf",
+    ("aq-cauchy", 2): "8c570ee0b404517831fc88679ad4c7d5bd55b743",
+    ("aq-cauchy", 3): "a9bc9d324912b2637fd11b778e318fcbe6738259",
+}
+
+
+def _report_sha1(check_id, seed):
+    doc = run_check(check_id, seed=seed).to_json()
+    doc.pop("elapsed_ms")
+    return hashlib.sha1(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("check_id, seed", sorted(REFERENCE_REPORTS))
+def test_reference_reports_keep_their_bytes(check_id, seed):
+    assert _report_sha1(check_id, seed) == REFERENCE_REPORTS[check_id, seed]
+
+
 # SHA-1 of each normal-ordering report, timing stripped, at seeds 0-3:
 # building the exhaustive forms by prepending to a checked suffix must
 # leave every report as it was
@@ -362,10 +431,7 @@ NORMALORDER_REPORTS = {
 
 @pytest.mark.parametrize("check_id, seed", sorted(NORMALORDER_REPORTS))
 def test_normalorder_reports_keep_their_bytes(check_id, seed):
-    doc = run_check(check_id, seed=seed).to_json()
-    doc.pop("elapsed_ms")
-    digest = hashlib.sha1(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == NORMALORDER_REPORTS[check_id, seed]
+    assert _report_sha1(check_id, seed) == NORMALORDER_REPORTS[check_id, seed]
 
 
 @pytest.mark.parametrize("rs", [RelationSystem.ROOK_WEYL, RelationSystem.FILE])
