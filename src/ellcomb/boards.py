@@ -32,8 +32,12 @@ fixed k the cost is polynomial in the board size while the number of
 placements grows exponentially.  The final states hold any number of
 rooks from lo to hi, so one sweep gives every k in that range:
 ``rook_poly`` and ``file_poly`` sweep k..k, or 0..k with ``every``.
-The sweep's geometry (states, cell rows and moves) is cached per
-(heights, kind, lo, hi) in one bounded cache.  A plan with lo = 0 is
+The sweep's geometry is cached per (heights, kind, lo, hi) in one
+bounded cache.  A plan holds one row per state and column, (source,
+cells, targets, starts): move m goes to targets[m] and weighs
+cells[starts[m]:].  Within a column each target state and each cell
+(s, t) is made once and shared by every row that uses it, and the plan
+keeps its sorted final states.  A plan with lo = 0 is
 the cached plan of the board without its last column plus that one
 column, so every column of a board, and of the boards sharing its
 prefix, is built once; a plan with lo > 0 (a single k) is the lo = 0
@@ -60,6 +64,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import prod
 
 from .special_fn import (DomainError, EllipticWeights, WeightFamily, bracket_z,
@@ -191,20 +196,21 @@ def placements(board: FerrersBoard, k: int, kind: str):
     heights = board.heights
     n = len(heights)
     results = []
-
-    def descend(col: int, used_rows: frozenset, chosen: tuple):
+    # depth first, each node's children in the order (no rook in column
+    # col, then a rook at rows 1, 2, ...); the stack holds them reversed
+    stack = [(1, frozenset(), ())]
+    while stack:
+        col, used_rows, chosen = stack.pop()
         if len(chosen) == k:
             results.append(Placement(chosen, kind))
-            return
+            continue
         if col > n or n - col + 1 < k - len(chosen):
-            return
-        descend(col + 1, used_rows, chosen)
-        for row in range(1, heights[col - 1] + 1):
-            if kind == "rook" and row in used_rows:
-                continue
-            descend(col + 1, used_rows | {row}, chosen + ((col, row),))
-
-    descend(1, frozenset(), ())
+            continue
+        children = [(col + 1, used_rows, chosen)]
+        children += [(col + 1, used_rows | {row}, chosen + ((col, row),))
+                     for row in range(1, heights[col - 1] + 1)
+                     if kind == "file" or row not in used_rows]
+        stack += reversed(children)
     return results
 
 
@@ -233,56 +239,65 @@ def _sweep_plan(heights: tuple, kind: str, lo: int, hi: int) -> tuple:
     prefix, so a caller that builds a long board's prefixes in
     ascending order (``_weighted_sums``) recurses one level at most.
 
-    Returns the columns, each a tuple of (source, cells, moves) rows
-    with moves a tuple of (target, start) weighted by cells[start:], and
-    the distinct (s, t) over all rows; both depend only on the geometry.
-    None when the board has no placement of lo..hi rooks.
+    Returns (columns, cells, finals).  Each column is a tuple of rows
+    (source, cells, targets, starts): the row's moves go from the source
+    state to targets[m], weighted by cells[starts[m]:].  Within a column
+    each target state and each (s, t) is one shared object, however many
+    rows use it.  ``cells`` holds the distinct (s, t) over all rows, and
+    ``finals`` the sorted states the last column ends in; all three
+    depend only on the geometry.  None when the board has no placement
+    of lo..hi rooks.
     """
     if lo > 0:
         return _pruned(_sweep_plan(heights, kind, 0, hi), lo, hi)
     n = len(heights)
     if not n:
-        return (), ()
-    columns, cells = _sweep_plan(heights[:-1], kind, 0, min(hi, n - 1))
+        return (), (), ((),)
+    columns, cells, states = _sweep_plan(heights[:-1], kind, 0, min(hi, n - 1))
+    height = heights[-1]
+    # every state keeps its move without a rook, so the states are targets
+    targets_made = {state: state for state in states}
+    cells_made: dict = {}
+    spans = [tuple(range(m + 1)) for m in range(height + 1)]
     rows = []
-    for state in _final_states(columns):
+    for state in states:
         placed = len(state)
-        free = [j for j in range(1, heights[-1] + 1) if kind == "file" or j not in state]
-        row_cells = tuple((n - placed + bisect_left(state, j), j) for j in free)
-        moves = [(state, 0)]
+        free = [j for j in range(1, height + 1) if kind == "file" or j not in state]
+        row_cells = []
+        for j in free:
+            cell = (n - placed + bisect_left(state, j), j)
+            row_cells.append(cells_made.setdefault(cell, cell))
+        targets = [state]
         if placed < hi:
-            for start, row in enumerate(free, start=1):
-                moves.append((tuple(sorted(state + (row,))), start))
-        rows.append((state, row_cells, tuple(moves)))
-    cells = set(cells).union(cell for row in rows for cell in row[1])
-    return columns + (tuple(rows),), tuple(sorted(cells))
-
-
-def _final_states(columns: tuple) -> list:
-    # the sorted states a plan's columns end in
-    if not columns:
-        return [()]
-    return sorted({target for _, _, moves in columns[-1] for target, _ in moves})
+            for row in free:
+                target = tuple(sorted(state + (row,)))
+                targets.append(targets_made.setdefault(target, target))
+        rows.append((state, tuple(row_cells), tuple(targets), spans[len(targets) - 1]))
+    cells = tuple(sorted(set(cells).union(cells_made)))
+    return columns + (tuple(rows),), cells, tuple(sorted(targets_made.values()))
 
 
 def _pruned(plan: tuple, lo: int, hi: int):
-    # the lo = 0 plan cut to the moves that end with lo..hi rooks
-    columns = list(plan[0])
-    alive = {state for state in _final_states(plan[0]) if lo <= len(state) <= hi}
+    # the lo = 0 plan cut to the moves that end with lo..hi rooks; a row
+    # keeps the suffix of its cells from its first kept move's start
+    columns, _, finals = plan
+    columns = list(columns)
+    finals = tuple(state for state in finals if lo <= len(state) <= hi)
+    alive = set(finals)
     for i in range(len(columns) - 1, -1, -1):
         kept = []
-        for state, cells, moves in columns[i]:
-            moves = [move for move in moves if move[0] in alive]
-            if moves:
-                first = min(start for _, start in moves)
-                kept.append((state, cells[first:],
-                             tuple((target, start - first) for target, start in moves)))
+        for source, cells, targets, starts in columns[i]:
+            keep = [m for m, target in enumerate(targets) if target in alive]
+            if keep:
+                first = starts[keep[0]]
+                kept.append((source, cells[first:], tuple(targets[m] for m in keep),
+                             tuple(starts[m] - first for m in keep)))
         columns[i] = tuple(kept)
         alive = {row[0] for row in kept}
     if () not in alive:
         return None
     cells = sorted({cell for rows in columns for row in rows for cell in row[1]})
-    return tuple(columns), tuple(cells)
+    return tuple(columns), tuple(cells), finals
 
 
 def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> list:
@@ -301,7 +316,7 @@ def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> 
     if plan is None:
         return [WeightPolynomial.zero() if symbolic else 0.0 + 0.0j
                 for _ in range(lo, hi + 1)]
-    columns, cells = plan
+    columns, cells, _ = plan
     if symbolic:
         # a column adds each (s, t) at most once to a monomial, so no
         # exponent exceeds the number of columns; in one packed frame a
@@ -311,10 +326,10 @@ def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> 
         acc = {(): {0: 1}}
         for rows in columns:
             nxt: dict = {}
-            for source, row_cells, moves in rows:
+            for source, row_cells, targets, starts in rows:
                 tails = _suffix_monomials(basis, row_cells)
                 part = acc[source]
-                for target, start in moves:
+                for target, start in zip(targets, starts):
                     tail = tails[start]
                     out = nxt.setdefault(target, {})
                     for m, c in part.items():
@@ -331,10 +346,11 @@ def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> 
     acc = {(): 1.0 + 0.0j}
     for rows in columns:
         nxt = {}
-        for source, row_cells, moves in rows:
+        for source, row_cells, targets, starts in rows:
             factors = [weight[cell] for cell in row_cells]
-            for target, start in moves:
-                nxt[target] = nxt.get(target, 0.0) + prod(factors[start:], start=acc[source])
+            base = acc[source]
+            for target, start in zip(targets, starts):
+                nxt[target] = nxt.get(target, 0.0) + prod(factors[start:], start=base)
         acc = nxt
     sums = [0.0 + 0.0j] * (hi - lo + 1)
     for state, value in acc.items():
@@ -466,17 +482,12 @@ def file_product_sides(board: FerrersBoard, z: int, ps) -> tuple:
 
 def all_boards_within(n: int, max_height: int | None = None):
     """Every Ferrers board with n columns and heights at most max_height
-    (default n), including the empty-height board."""
+    (default n), including the empty-height board, in lexicographic
+    order of the heights."""
     if max_height is None:
         max_height = n
-    boards = []
-
-    def build(prefix, low):
-        if len(prefix) == n:
-            boards.append(FerrersBoard(tuple(prefix)))
-            return
-        for h in range(low, max_height + 1):
-            build(prefix + [h], h)
-
-    build([], 0)
-    return boards
+    if n < 0 or max_height < 0:
+        raise DomainError(
+            f"board size needs n >= 0 and max_height >= 0, got ({n}, {max_height})")
+    return [FerrersBoard(heights)
+            for heights in combinations_with_replacement(range(max_height + 1), n)]

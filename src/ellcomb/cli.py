@@ -10,6 +10,7 @@ the "RE,IM" format (a bare "RE" is accepted).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -175,19 +176,29 @@ def _cmd_fib(args) -> int:
     return 0
 
 
-def _cache_counts() -> dict:
-    return {name: cache.cache_info() for name, cache in _CACHES.items()}
+def _counters() -> tuple:
+    # the module-level caches' counts and the cyclic collector's, per
+    # generation
+    return {name: cache.cache_info() for name, cache in _CACHES.items()}, gc.get_stats()
 
 
-def _print_stats(check_id: str, seconds: float, before: dict) -> None:
-    # one stderr line per check: its time and, per module-level cache,
-    # the change in hits, misses and size while it ran
+def _print_stats(check_id: str, seconds: float, before: tuple) -> None:
+    # one stderr line per check: its time; per module-level cache, the
+    # change in hits, misses and size while it ran; and the collector's
+    # runs per generation and the objects it freed
+    caches, collector = _counters()
+    old_caches, old_collector = before
     parts = [f"stats {check_id} {seconds * 1000:.1f} ms"]
-    for name, info in _cache_counts().items():
-        old = before[name]
+    for name, info in caches.items():
+        old = old_caches[name]
         parts.append(f"{name} hits +{info.hits - old.hits} "
                      f"misses +{info.misses - old.misses} "
                      f"size {info.currsize - old.currsize:+d}")
+    runs = "/".join(f"+{new['collections'] - old['collections']}"
+                    for new, old in zip(collector, old_collector))
+    freed = sum(new["collected"] - old["collected"]
+                for new, old in zip(collector, old_collector))
+    parts.append(f"gc collections {runs} collected +{freed}")
     print("; ".join(parts), file=sys.stderr)
 
 
@@ -200,7 +211,7 @@ def _cmd_verify(args) -> int:
         raise _UsageError(f"unknown check id {args.id!r}; known ids: {', '.join(known)}")
     reports = []
     for check_id in known if args.id is None else [args.id]:
-        before = _cache_counts() if args.stats else None
+        before = _counters() if args.stats else None
         started = time.perf_counter()
         reports.append(run_check(check_id, seed=args.seed, sizes=sizes))
         if args.stats:
@@ -301,8 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--order", type=int, default=None)
     p_verify.add_argument("--json", action="store_true", dest="json")
     p_verify.add_argument("--stats", action="store_true",
-                          help="print each check's time and cache hits, misses "
-                               "and size changes to stderr")
+                          help="print each check's time, cache hits, misses "
+                               "and size changes, and garbage collector runs "
+                               "to stderr")
     p_verify.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -23,6 +23,10 @@ is a leaf that receives the shifted point (a q^i, b q^j).
 ``evaluate_together`` evaluates a list of polynomials under one memo
 (``SkewPoly.evaluate`` is its one-polynomial case); the Pincherle check
 takes one memo per side per call, so its two sides never share a value.
+A memo dies with its call: the recursion is a module-level function, not
+a closure that refers to itself, so the memo, the node trees and the
+leaf callables it keys form no reference cycle and are freed when the
+call returns.
 
 On top of the arithmetic sit the lowering operator D and the diagonal
 operator eta, their Pincherle-type commutation identity, the theta
@@ -185,33 +189,38 @@ class SkewPoly:
 def evaluate_together(polys, ps: ParameterSet) -> list:
     """Coefficient values of each polynomial at the parameter point, one
     map degree -> complex per polynomial, under one memo: a node that
-    several of them share is computed once per offset."""
+    several of them share is computed once per offset.  The memo lives
+    only as long as the call."""
     a, b = ps.a, ps.b
     memo: dict = {}
-
-    def value(node, i: int, j: int) -> complex:
-        kind = type(node)
-        if kind is complex:
-            return node
-        if kind is _Shift:
-            return value(node.node, i + node.u, j + node.v)
-        key = (node, i, j)
-        hit = memo.get(key)
-        if hit is None:
-            if kind is tuple:
-                hit = node[0](a, b, i, j, *node[1:])
-            elif kind is _Product:
-                hit = value(node.left, i, j) * value(node.right, i, j)
-            else:
-                terms = iter(node.terms)
-                hit = value(next(terms), i, j)
-                for term in terms:
-                    hit += value(term, i, j)
-            memo[key] = hit
-        return hit
-
-    return [{k: require_finite(value(c, 0, 0), "skew coefficient")
+    return [{k: require_finite(_value(c, 0, 0, memo, a, b), "skew coefficient")
              for k, c in sorted(poly.coeffs.items())} for poly in polys]
+
+
+def _value(node, i: int, j: int, memo: dict, a, b) -> complex:
+    # the node's value at (a q^i, b q^j), each (node, i, j) computed once
+    # per memo; a module-level function rather than a closure that calls
+    # itself, so the memo and the nodes it keys form no reference cycle
+    # and are freed when the evaluation returns
+    kind = type(node)
+    if kind is complex:
+        return node
+    if kind is _Shift:
+        return _value(node.node, i + node.u, j + node.v, memo, a, b)
+    key = (node, i, j)
+    hit = memo.get(key)
+    if hit is None:
+        if kind is tuple:
+            hit = node[0](a, b, i, j, *node[1:])
+        elif kind is _Product:
+            hit = _value(node.left, i, j, memo, a, b) * _value(node.right, i, j, memo, a, b)
+        else:
+            terms = iter(node.terms)
+            hit = _value(next(terms), i, j, memo, a, b)
+            for term in terms:
+                hit += _value(term, i, j, memo, a, b)
+        memo[key] = hit
+    return hit
 
 
 def x_mul(p: SkewPoly, power: int = 1) -> SkewPoly:

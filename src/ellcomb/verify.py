@@ -996,18 +996,20 @@ def _normalorder(ctx: CheckContext, rs: RelationSystem, expected) -> None:
             f"exhaustive length {exhaustive} (the order) must be below "
             f"max_len {max_len}, the longest random word")
 
-    def walk(suffix: str, form: NormalForm) -> None:
-        # depth first by prepending letters: the form of letter + suffix
-        # is normal_order's own step applied to the form of the suffix,
-        # which was built and checked one level up
-        if len(suffix) < exhaustive:
-            for letter in "xy":
-                word = letter + suffix
-                word_form = _prepend(letter, form, rs)
-                ctx.record(word_form, expected(word))
-                walk(word, word_form)
-
-    walk("", NormalForm.unit())
+    # depth first by prepending letters: the form of letter + suffix is
+    # normal_order's own step applied to the form of the suffix, which was
+    # built and checked one level up; the stack holds (letter, suffix,
+    # form of suffix) with x above y, so x + suffix and all its extensions
+    # come before y + suffix
+    unit = NormalForm.unit()
+    stack = [("y", "", unit), ("x", "", unit)] if exhaustive > 0 else []
+    while stack:
+        letter, suffix, form = stack.pop()
+        word = letter + suffix
+        word_form = _prepend(letter, form, rs)
+        ctx.record(word_form, expected(word))
+        if len(word) < exhaustive:
+            stack += (("y", word, word_form), ("x", word, word_form))
     for _ in range(ctx.size("random")):
         length = ctx.rng.randint(exhaustive + 1, max_len)
         word = "".join(ctx.rng.choice("xy") for _ in range(length))

@@ -304,8 +304,9 @@ def test_product_sides_build_one_plan():
 
 def _one_pass_plan(heights, kind, lo, hi):
     # the sweep plan built in one forward pass over all columns, with a
-    # backward pass for lo > 0: the reference for the prefix plans and
-    # the pruned plans of _sweep_plan
+    # backward pass for lo > 0, one row (source, cells, targets, starts)
+    # per state: the reference for the prefix plans and the pruned plans
+    # of _sweep_plan
     n = len(heights)
     open_after = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -324,25 +325,30 @@ def _one_pass_plan(heights, kind, lo, hi):
             if placed < hi and placed + 1 + open_after[col] >= lo:
                 for start, row in enumerate(free, start=1):
                     moves.append((tuple(sorted(state + (row,))), start))
-            rows.append((state, cells, tuple(moves)))
-        columns.append(tuple(rows))
+            rows.append([state, cells, moves])
+        columns.append(rows)
         states = sorted({target for _, _, moves in rows for target, _ in moves})
     if lo > 0:
-        alive = {state for state in states if lo <= len(state) <= hi}
+        states = [state for state in states if lo <= len(state) <= hi]
+        alive = set(states)
         for i in range(n - 1, -1, -1):
             kept = []
             for state, cells, moves in columns[i]:
                 moves = [move for move in moves if move[0] in alive]
                 if moves:
                     first = min(start for _, start in moves)
-                    kept.append((state, cells[first:],
-                                 tuple((target, start - first) for target, start in moves)))
-            columns[i] = tuple(kept)
+                    kept.append([state, cells[first:],
+                                 [(target, start - first) for target, start in moves]])
+            columns[i] = kept
             alive = {row[0] for row in kept}
         if () not in alive:
             return None
+    columns = tuple(
+        tuple((state, cells, tuple(target for target, _ in moves),
+               tuple(start for _, start in moves)) for state, cells, moves in rows)
+        for rows in columns)
     cells = sorted({cell for rows in columns for row in rows for cell in row[1]})
-    return tuple(columns), tuple(cells)
+    return columns, tuple(cells), tuple(states)
 
 
 def test_sweep_plans_match_the_one_pass_build():
@@ -359,6 +365,13 @@ def test_sweep_plans_match_the_one_pass_build():
                         got = boards_mod._sweep_plan(board.heights, kind, lo, hi)
                         assert got == want, (board.heights, kind, lo, hi)
                         checked += 1
+                if n:
+                    # a column makes each target state and each cell once
+                    columns, _, _ = boards_mod._sweep_plan(board.heights, kind, 0, n)
+                    for rows in columns:
+                        for part in (1, 2):
+                            made = [item for row in rows for item in row[part]]
+                            assert len({id(item) for item in made}) == len(set(made))
     assert checked == 7470
 
 
@@ -396,14 +409,14 @@ def _loop_weighted_sums(board, family, kind, lo, hi):
     plan = boards_mod._sweep_plan(board.heights, kind, lo, hi)
     if plan is None:
         return [0.0 + 0.0j for _ in range(lo, hi + 1)]
-    columns, cells = plan
+    columns, cells, _ = plan
     weight = {cell: family.small(*cell) for cell in cells}
     acc = {(): 1.0 + 0.0j}
     for rows in columns:
         nxt = {}
-        for source, row_cells, moves in rows:
+        for source, row_cells, targets, starts in rows:
             factors = [weight[cell] for cell in row_cells]
-            for target, start in moves:
+            for target, start in zip(targets, starts):
                 value = acc[source]
                 for factor in factors[start:]:
                     value *= factor
@@ -535,6 +548,30 @@ def test_all_boards_within_counts():
     assert len(all_boards_within(4)) == 70
     assert len(all_boards_within(3)) == 20
     assert len(all_boards_within(2, max_height=1)) == 3
+
+
+def _recursive_boards(n, max_height):
+    # the boards by appending each allowed height in ascending order: the
+    # reference for the order of all_boards_within, which rook-product,
+    # file-product and gr-q-degeneration sample from
+    if n == 0:
+        return [()]
+    return [heights + (h,) for heights in _recursive_boards(n - 1, max_height)
+            for h in range(heights[-1] if heights else 0, max_height + 1)]
+
+
+def test_all_boards_within_keeps_the_recursive_order():
+    for n in range(6):
+        for max_height in range(7):
+            boards = all_boards_within(n, max_height)
+            assert [b.heights for b in boards] == _recursive_boards(n, max_height), (n, max_height)
+        assert all_boards_within(n) == all_boards_within(n, n)
+
+
+def test_all_boards_within_refuses_negative_sizes():
+    for n, max_height in ((-1, None), (-2, 2), (-1, 0), (2, -1), (0, -1)):
+        with pytest.raises(DomainError):
+            all_boards_within(n, max_height)
 
 
 def test_rook_product_formula_samples():

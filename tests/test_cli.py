@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -390,6 +391,9 @@ def test_verify_stats_leave_the_json_bytes_alone(capsys, monkeypatch):
     for line in lines:
         for name in ellcomb._CACHES:
             assert f"; {name} hits +" in line, (name, line)
+        # the cyclic collector's runs in generations 0/1/2 and the
+        # objects it freed while the check ran
+        assert re.search(r"; gc collections \+\d+/\+\d+/\+\d+ collected \+\d+$", line), line
     assert "special_fn._theta_series hits +0 misses +0" not in lines[0]
 
 

@@ -1,5 +1,6 @@
 """Registry, determinism, and reporting of the verification harness."""
 
+import gc
 import hashlib
 import importlib
 import itertools
@@ -450,3 +451,38 @@ def test_exhaustive_walk_gives_the_forms_of_normal_order(rs):
     words = ["".join(w) for n in range(1, 9) for w in itertools.product("xy", repeat=n)]
     assert sorted(seen) == sorted(words)
     assert (ctx.trials, ctx.failures, ctx.max_rel_err) == (510, 0, 0.0)
+
+
+def test_library_calls_leave_no_cyclic_garbage():
+    # memos, node trees and recursive walks are freed by reference
+    # counting when a call returns, so with the cyclic collector off each
+    # call leaves nothing for it to find
+    from ellcomb.boards import FerrersBoard, all_boards_within, placements
+    from ellcomb.skewpoly import SkewPoly, genfun_expand, pincherle_residuals
+    from ellcomb.special_fn import ParameterSet
+    ps = ParameterSet(0.3 + 0.1j, 0.4, 0.5 + 0.2j, 0.1)
+    calls = [
+        lambda: pincherle_residuals([(1, 2), (2, 3)], ps),
+        lambda: genfun_expand(6, ps),
+        lambda: SkewPoly({0: 1.0, 2: lambda a, b: a + b}, ps.q).evaluate(ps),
+        lambda: placements(FerrersBoard((1, 2, 3)), 2, "rook"),
+        lambda: all_boards_within(3),
+        lambda: run_check("pincherle", 0, {"order": 1}),
+        lambda: run_check("lemma-xeta-power", 0, {"order": 1}),
+        lambda: run_check("prop-product-expansion", 0, {"order": 1}),
+        lambda: run_check("fib-genfun", 0, {"order": 1}),
+        lambda: run_check("rook-product", 0, {"order": 1}),
+        lambda: run_check("normalorder-rook", 0, {"exhaustive": 3, "random": 2}),
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        left = []
+        for call in calls:
+            call()
+            left.append(gc.collect())
+    finally:
+        if enabled:
+            gc.enable()
+    assert left == [0] * len(calls)
