@@ -73,7 +73,7 @@ from .weightpoly import WeightPolynomial, _cell_basis, _poly, _suffix_monomials
 
 __all__ = [
     "FerrersBoard", "Placement", "board_from_word", "word_from_board",
-    "placements", "rook_poly", "file_poly", "path_binom",
+    "placements", "rook_poly", "file_poly", "path_binom", "rook_product_lhs",
     "rook_product_sides", "file_product_sides", "SingleIndexCells",
     "all_boards_within",
 ]
@@ -425,21 +425,30 @@ class SingleIndexCells(WeightFamily):
         return self.theta.small(1, 1 - t if self.kind == "file" else s - t)
 
 
-def rook_product_sides(board: FerrersBoard, z: int, ps) -> tuple:
-    """Both sides of the rook product formula on B embedded in n x n.
-
-    lhs = prod_i [z + b_i - i + 1] at (a q^(2(i-1-b_i)), b q^(i-1-b_i));
-    rhs = sum_k r_{n-k}(B) [z][z-1]...[z-k+1] with the shifted brackets.
-    """
+def rook_product_lhs(board: FerrersBoard, z: int, ps) -> complex:
+    """The left side of the rook product formula on B embedded in n x n:
+    prod_i [z + b_i - i + 1] at (a q^(2(i-1-b_i)), b q^(i-1-b_i))."""
     n = board.n
     if board.heights and board.heights[-1] > n:
         raise DomainError(f"board must fit the {n} x {n} square")
-    family = SingleIndexCells(ps, "rook")
     lhs = 1.0 + 0.0j
     for i in range(1, n + 1):
         b_i = board.heights[i - 1]
         shift = i - 1 - b_i
         lhs *= bracket_z(ps, z + b_i - i + 1, 2 * shift, shift)
+    return lhs
+
+
+def rook_product_sides(board: FerrersBoard, z: int, ps) -> tuple:
+    """Both sides of the rook product formula on B embedded in n x n.
+
+    lhs = prod_i [z + b_i - i + 1] at (a q^(2(i-1-b_i)), b q^(i-1-b_i))
+    (``rook_product_lhs``);
+    rhs = sum_k r_{n-k}(B) [z][z-1]...[z-k+1] with the shifted brackets.
+    """
+    lhs = rook_product_lhs(board, z, ps)
+    n = board.n
+    family = SingleIndexCells(ps, "rook")
     rook = rook_poly(board, n, family, every=True)
     rhs = 0.0 + 0.0j
     # falling = [z][z-1]...[z-k+1], the j-th bracket taken with

@@ -60,6 +60,7 @@ from .boards import (
     file_poly,
     file_product_sides,
     rook_poly,
+    rook_product_lhs,
     rook_product_sides,
 )
 from .skewpoly import (
@@ -1040,7 +1041,7 @@ def _run_normalorder_file(ctx: CheckContext) -> None:
         "product of z-brackets over board columns equals the rook-number "
         "expansion in falling brackets; the left side is conjugation-invariant",
         "numeric-sampled", {"draws": 6, "boards": 8, "zmax": 4}, 1e-7,
-        ["boards:rook_product_sides:lhs"],
+        ["boards:rook_product_lhs"],
         ["boards:rook_poly", "boards:rook_product_sides:rhs"], "zmax")
 def _draw_rook_product(ctx: CheckContext):
     ps = ctx.draw_ps()
@@ -1049,8 +1050,7 @@ def _draw_rook_product(ctx: CheckContext):
         z = ctx.rng.randint(0, ctx.size("zmax"))
         lhs, rhs = rook_product_sides(board, z, ps)
         pairs.append((lhs, rhs))
-        conj_lhs, _ = rook_product_sides(board.conjugate(), z, ps)
-        pairs.append((lhs, conj_lhs))
+        pairs.append((lhs, rook_product_lhs(board.conjugate(), z, ps)))
     return (ps.a, ps.b, ps.q, ps.p), pairs
 
 

@@ -34,11 +34,15 @@ out in chunks, one term at a time (``text_chunks``, ``json_chunks``),
 so a large polynomial is written without being held whole.  ``evaluate``
 reads row by row, a row being the W fields of one s: each distinct row
 is read and multiplied out once per call.  Its first call keeps nothing
-per monomial; the second keeps each monomial as its row ids, which later
-calls reuse, so a polynomial evaluated under many parameter draws is
-read twice and one evaluated once holds no decoded form.  The exact
-largest exponent, and re-encoding into wider rows or fields, which packs
-each cell once, read through ``_reader`` too.
+per monomial; the second keeps a plan that later calls reuse, so a
+polynomial evaluated under many parameter draws is read twice and one
+evaluated once holds no decoded form.  The plan holds, per monomial, a
+reference to its coefficient as a complex, one object per distinct
+integer coefficient, and its row ids as one ``bytes`` (a tuple when the
+polynomial has more than 256 distinct rows): about 60-70 bytes per
+monomial on large normal forms, the distinct cells and rows included.
+The exact largest exponent, and re-encoding into wider rows or fields,
+which packs each cell once, read through ``_reader`` too.
 """
 
 from __future__ import annotations
@@ -272,7 +276,7 @@ class WeightPolynomial:
     """Integer-coefficient polynomial in the symbols w(s, t)."""
 
     # _plan is None before the first evaluate, () after it, and from the
-    # second on the kept (cells, rows, monomials) of ``evaluate``
+    # second on the kept (cells, rows, values, idss) of ``evaluate``
     __slots__ = ("terms", "_frame", "_tend", "_top", "_plan")
 
     def __init__(self, terms=None):
@@ -401,10 +405,15 @@ class WeightPolynomial:
         (row number, row) once and looks up every distinct weight once,
         in ``cache`` (keyed (s, t)) or the family.  The first call reads
         the monomials as it goes and keeps nothing per monomial; the
-        second also keeps the distinct rows and each monomial as its
-        coefficient and row ids, which later calls reuse.  All calls
-        multiply in one order, so they give identical bits.  A value
-        beyond the double range is an EvaluationError."""
+        second also keeps the plan (cells, rows, values, idss) that later
+        calls reuse: the distinct cells and rows, and per monomial its
+        coefficient in ``values``, equal coefficients sharing one complex,
+        and its row ids in ``idss``, one ``bytes`` each, or a tuple each
+        when there are more than 256 rows.  Per monomial that is two list
+        slots (16 bytes), a bytes of 33 bytes plus one byte per row, and a
+        share of one complex.  All calls multiply in one order, so they give
+        identical bits.  A value beyond the double range is an
+        EvaluationError."""
         if getattr(family, "symbolic", False):
             raise special_fn.DomainError("cannot evaluate symbols against a symbolic family")
         if cache is None:
@@ -425,10 +434,10 @@ class WeightPolynomial:
 
         total = 0.0 + 0.0j
         if self._plan:
-            cells, rows, monomials = self._plan
+            cells, rows, values, idss = self._plan
             weights = list(map(weigh, cells))
             products = list(map(multiply, rows))
-            for value, ids in monomials:
+            for value, ids in zip(values, idss):
                 for i in ids:
                     value *= products[i]
                 total += value
@@ -443,7 +452,9 @@ class WeightPolynomial:
         rows: list = []  # the distinct rows, each as the ids of its cells
         products: list = []  # the product of each row
         seen: dict = {}  # (row number, row) -> its index in rows
-        monomials: list = []
+        values: list = []  # per monomial its coefficient, one complex per integer
+        idss: list = []  # per monomial its row ids, as bytes while they fit
+        shared: dict = {}  # integer coefficient -> its complex in values
         for m, c in self.terms.items():
             value = complex(c)
             if keep:
@@ -469,8 +480,11 @@ class WeightPolynomial:
                     k += skip
             total += value
             if keep:
-                monomials.append((complex(c), tuple(ids)))
-        self._plan = (cells, rows, monomials) if keep else ()
+                values.append(shared.setdefault(c, complex(c)))
+                idss.append(bytes(ids) if len(rows) <= 256 else tuple(ids))
+        if keep and len(rows) > 256:
+            idss = list(map(tuple, idss))
+        self._plan = (cells, rows, values, idss) if keep else ()
         return special_fn.require_finite(total, "weight polynomial value")
 
     def _ordered(self, factor):

@@ -1,8 +1,12 @@
 """Command-line interface: contract outputs, exit codes, JSON round trips."""
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -395,6 +399,35 @@ def test_verify_stats_leave_the_json_bytes_alone(capsys, monkeypatch):
         # objects it freed while the check ran
         assert re.search(r"; gc collections \+\d+/\+\d+/\+\d+ collected \+\d+$", line), line
     assert "special_fn._theta_series hits +0 misses +0" not in lines[0]
+
+
+def test_verify_stats_charge_no_parser_cycles_to_the_first_check(capsys, monkeypatch):
+    # the command-line parser's reference cycles are freed before the
+    # first check's counters are taken: rook-product leaves no cyclic
+    # garbage, so its line reads collected +0, not the parser's objects,
+    # and stdout is the same without --stats
+    import ellcomb.verify as verify
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+    def run(*extra):
+        return subprocess.run([sys.executable, "-m", "ellcomb.cli", "verify",
+                               "--id", "rook-product", *extra],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    plain, stats = run(), run("--stats")
+    assert plain.returncode == stats.returncode == 0
+    assert plain.stdout == stats.stdout and plain.stderr == ""
+    assert stats.stderr.startswith("stats rook-product "), stats.stderr
+    assert stats.stderr.endswith(" collected +0\n"), stats.stderr
+    # the --json bytes, with the check clock stopped, are the same too
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    outputs = []
+    for extra in ((), ("--stats",)):
+        code = cli.main(["verify", "--id", "rook-product", "--json", *extra])
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out))
+    assert outputs[0] == outputs[1]
+    assert captured.err.endswith(" collected +0\n"), captured.err
 
 
 _SWEEP_VALUES = ("0", "1", "-1", "0.5,0.1", "1e200", "1e-200")

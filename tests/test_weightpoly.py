@@ -3,6 +3,7 @@
 import json
 import random
 import struct
+import sys
 
 import pytest
 
@@ -376,5 +377,59 @@ def test_a_polynomial_evaluated_once_keeps_no_plan():
     poly.evaluate(family)
     assert not poly._plan
     poly.evaluate(family)
-    _cells, _rows, monomials = poly._plan
-    assert len(monomials) == len(poly.terms)
+    _cells, _rows, values, idss = poly._plan
+    assert len(values) == len(idss) == len(poly.terms)
+
+
+def test_kept_plans_share_coefficients_and_pack_row_ids():
+    # equal coefficients share one complex; row ids are one bytes per
+    # monomial while the polynomial has at most 256 distinct rows
+    poly = _power(w(1, 1) + w(2, 1) + w(3, 2), 4)
+    family = _AnyCellWeights()
+    poly.evaluate(family)
+    poly.evaluate(family)
+    _cells, rows, values, idss = poly._plan
+    assert len(rows) <= 256 and all(type(ids) is bytes for ids in idss)
+    assert len({id(v) for v in values}) == len(set(poly.terms.values()))
+    assert values == [complex(c) for c in poly.terms.values()]
+
+
+def test_more_than_256_rows_keep_tuples_bit_for_bit():
+    ref = {}
+    for s in range(1, 301):
+        ref[(((s, 1), 1), ((s + 1, 2), 2))] = s % 7 - 3 or 5
+        ref[(((s, 3), 1),)] = 2
+    poly = WeightPolynomial(ref)
+    family = _AnyCellWeights(3)
+    expected = _bits(_oracle_evaluate(ref, family))
+    assert [_bits(poly.evaluate(family)) for _ in range(3)] == [expected] * 3
+    _cells, rows, _values, idss = poly._plan
+    assert len(rows) > 256 and all(type(ids) is tuple for ids in idss)
+    assert max(max(ids) for ids in idss) >= 256
+
+
+def _plan_bytes(obj, seen) -> int:
+    """sys.getsizeof of obj and of every tuple, list and item under it,
+    each object counted once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (tuple, list)):
+        size += sum(_plan_bytes(item, seen) for item in obj)
+    return size
+
+
+def test_kept_plans_cost_at_most_96_bytes_per_monomial():
+    # the Weyl form of y^6 x^6 and (x + y)^12 keep about 60 and 70 bytes
+    # per monomial; a (complex, tuple) pair per monomial keeps 180 and 191
+    from ellcomb import RelationSystem, expand_power_sum, normal_order
+    family = QWeights(0.7)
+    for nf in (normal_order("y" * 6 + "x" * 6, RelationSystem.from_tag("weyl")),
+               expand_power_sum(12, RelationSystem.from_tag("comm"))):
+        polys = list(nf.coeffs.values())
+        for _ in range(3):
+            nf.evaluate(family)
+        seen: set = set()
+        size = sum(_plan_bytes(poly._plan, seen) for poly in polys)
+        assert size <= 96 * sum(len(poly.terms) for poly in polys)
