@@ -82,17 +82,15 @@ from . import boards, ncword, special_fn
 __version__ = "0.1.0"
 
 
-# Every module-level memo table by its module-qualified name.  There are
-# seven, each a bounded ``functools.lru_cache``: theta series, elliptic
-# small and big weights, the normal forms of y x^i and of y^j x, powers
-# of x + y, and board sweep plans.  Each one's ``cache_info()`` counts
-# hits, misses and size; ``ellcomb verify --stats`` prints their deltas.
+# Every module-level memo table by its module-qualified name, each a
+# bounded ``functools.lru_cache`` whose module docstring says what it
+# serves across calls.  ``ellcomb verify --stats`` prints the deltas of
+# each one's ``cache_info()``.
 _CACHES = {
     "special_fn._theta_series": special_fn._theta_series,
     "special_fn._elliptic_small": special_fn._elliptic_small,
     "special_fn._elliptic_big": special_fn._elliptic_big,
     "ncword._y_x_power": ncword._y_x_power,
-    "ncword._y_power_x": ncword._y_power_x,
     "ncword._power_sum": ncword._power_sum,
     "boards._sweep_plan": boards._sweep_plan,
 }

@@ -42,7 +42,12 @@ the cached plan of the board without its last column plus that one
 column, so every column of a board, and of the boards sharing its
 prefix, is built once; a plan with lo > 0 (a single k) is the lo = 0
 plan with the same hi pruned by a backward pass, to drop the moves that
-cannot reach lo rooks.  A numeric move is one in-order product, ``math.prod``
+cannot reach lo rooks.  Across calls the cache serves boards met again,
+as the product-formula checks sample their boards from the 70 inside
+the 4 x 4 square at every draw, but that win is not shown: with plans
+kept for one call only, a ``registry`` and a ``numeric`` pass at seed 1
+took 1.5 % and 2.2 % longer, inside their spread over 5 alternating
+pairs, and peaked 5 % and 4 % lower in memory.  A numeric move is one in-order product, ``math.prod``
 of its cells started at the source state's sum, the same
 multiplications as a loop over the cells.  ``placements`` enumerates
 placements directly and is the reference the sweep is tested against.

@@ -29,9 +29,14 @@ read: right to left for rightmost-first rewriting, left to right for
 leftmost-first (see ``normal_order``).  The only rewriting left is in
 two small tables, the normal forms of y x^i and y^j x, built from the
 defining one-step rewrite; no board polynomial is used, so the
-placement theorems remain an independent check.  The tables and powers
-of x + y are cached in bounded LRUs; suffix and prefix normal forms
-live only for the call.
+placement theorems remain an independent check.  The y x^i table
+(``_y_x_power``) is kept across calls because every prepended y reads
+it: built per call up to i = 7 it would cost 0.067 ms under RookWeyl
+and 0.135 ms under File, against 0.318 ms and 0.433 ms for a whole
+warm 12-letter word.  Powers of x + y (``_power_sum``) are kept across
+calls because ``WeightPolynomial.evaluate`` keeps its plans on their
+coefficients: with no plans, each of the four binomial-theorem checks
+took 11-19 ms more, cold, at seed 1.
 
 A normal form prints as a sum of c x^i y^j (``sum_chunks``, shared with
 the command line's evaluated normal forms), and both its text and its
@@ -251,22 +256,6 @@ def _y_x_power(i: int, rs: RelationSystem) -> NormalForm:
     return NormalForm(total)
 
 
-@lru_cache(maxsize=4096)
-def _y_power_x(j: int, rs: RelationSystem) -> NormalForm:
-    """Normal form of y^j x.  Its only descent is the last yx, behind
-    y^(j-1), so rewriting it gives w(1,j) (y^(j-1) x) y plus the
-    inhomogeneous term y^(j-1) (RookWeyl) or y^j (File)."""
-    if j == 0:
-        return NormalForm.monomial(1, 0)
-    rest = _y_power_x(j - 1, rs)
-    total = {(a, b + 1): d.times_symbol(1, j) for (a, b), d in rest.coeffs.items()}
-    if rs is RelationSystem.ROOK_WEYL:
-        _accumulate(total, (0, j - 1), WeightPolynomial.one())
-    elif rs is RelationSystem.FILE:
-        _accumulate(total, (0, j), WeightPolynomial.one())
-    return NormalForm(total)
-
-
 def _prepend(letter: str, nf: NormalForm, rs: RelationSystem) -> NormalForm:
     """Normal form of letter * nf, where nf is the normal form of a suffix."""
     if letter == "x":
@@ -281,13 +270,25 @@ def _prepend(letter: str, nf: NormalForm, rs: RelationSystem) -> NormalForm:
 
 
 def _append(nf: NormalForm, letter: str, rs: RelationSystem) -> NormalForm:
-    """Normal form of nf * letter, where nf is the normal form of a prefix."""
+    """Normal form of nf * letter, where nf is the normal form of a prefix.
+
+    Appending x multiplies in the normal forms of y^j x, built for the
+    call up to the prefix's largest j.  The only descent of y^j x is the
+    last yx, behind y^(j-1), so rewriting it gives w(1,j) (y^(j-1) x) y
+    plus the inhomogeneous term y^(j-1) (RookWeyl) or y^j (File)."""
     if letter == "y":
         return NormalForm({(i, j + 1): c for (i, j), c in nf.coeffs.items()})
-    _walked(_y_power_x, max(j for _, j in nf.coeffs), rs)
-    total: dict = {}
+    table = [NormalForm.monomial(1, 0)]
+    for j in range(1, max(j for _, j in nf.coeffs) + 1):
+        total = {(a, b + 1): d.times_symbol(1, j) for (a, b), d in table[-1].coeffs.items()}
+        if rs is RelationSystem.ROOK_WEYL:
+            _accumulate(total, (0, j - 1), WeightPolynomial.one())
+        elif rs is RelationSystem.FILE:
+            _accumulate(total, (0, j), WeightPolynomial.one())
+        table.append(NormalForm(total))
+    total = {}
     for (i, j), c in nf.coeffs.items():
-        for (a, b), d in _y_power_x(j, rs).coeffs.items():
+        for (a, b), d in table[j].coeffs.items():
             _accumulate(total, (i + a, b), c * d.shift(i, 0))
     return NormalForm(total)
 

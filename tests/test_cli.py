@@ -543,3 +543,39 @@ def test_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch):
     assert reused == fresh
     assert len(builds) == 1
     assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0]
+
+
+def _readme_examples():
+    # the "$ ellcomb ..." examples of the README's "Command line"
+    # section, each with the lines it shows
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```\n")[1]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *shown = chunk.splitlines()
+        assert command.startswith("$ ellcomb "), command
+        examples.append(pytest.param(command[len("$ ellcomb "):].split(), shown,
+                                     id=command[len("$ ellcomb "):]))
+    return examples
+
+
+@pytest.mark.parametrize("argv, shown", _readme_examples())
+def test_readme_command_line_examples_print_what_they_show(capsys, argv, shown):
+    # a trailing "..." line shows only the first lines of the output; a
+    # document shown as {"key": value, ..., ...} shows its first keys,
+    # with "..." for a value left out
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    if shown[-1] == "...":
+        assert lines[:len(shown) - 1] == shown[:-1]
+    elif shown[0].startswith("{"):
+        document = json.loads(out)
+        pairs = re.findall(r'"(\w+)": ([^,}]+)', shown[0])
+        assert list(document)[:len(pairs)] == [key for key, _ in pairs]
+        for key, value in pairs:
+            if value != "...":
+                assert document[key] == json.loads(value), key
+    else:
+        assert lines == shown

@@ -316,3 +316,59 @@ def test_normal_form_json_bytes_are_pinned():
         for n in range(11):
             digest.update(json.dumps(expand_power_sum(n, rs).to_json(), sort_keys=True).encode())
     assert digest.hexdigest() == "1781464a47accd1b936fc9da8df30f0208ff1e0d"
+
+
+def _add(total, key, piece):
+    prior = total.get(key)
+    total[key] = piece if prior is None else prior + piece
+
+
+def _recursive_y_power_x(j, rs):
+    # the normal form of y^j x by the one-step recursion, kept here as
+    # the reference for the table that appending x builds per call
+    if j == 0:
+        return NormalForm.monomial(1, 0)
+    rest = _recursive_y_power_x(j - 1, rs)
+    total = {(a, b + 1): d.times_symbol(1, j) for (a, b), d in rest.coeffs.items()}
+    if rs is WEYL:
+        _add(total, (0, j - 1), WeightPolynomial.one())
+    elif rs is FILE:
+        _add(total, (0, j), WeightPolynomial.one())
+    return NormalForm(total)
+
+
+def _recursive_append(nf, letter, rs):
+    if letter == "y":
+        return NormalForm({(i, j + 1): c for (i, j), c in nf.coeffs.items()})
+    total = {}
+    for (i, j), c in nf.coeffs.items():
+        for (a, b), d in _recursive_y_power_x(j, rs).coeffs.items():
+            _add(total, (i + a, b), c * d.shift(i, 0))
+    return NormalForm(total)
+
+
+def _layout(nf):
+    # keys in order, and each coefficient's packed terms in order:
+    # evaluate sums a coefficient's monomials in this order
+    return [(key, c._frame, list(c.terms.items())) for key, c in nf.coeffs.items()]
+
+
+@pytest.mark.parametrize("rs", list(RelationSystem))
+def test_appending_x_keeps_the_recursive_table_order(rs):
+    # expand_power_sum and the leftmost strategy append x through the
+    # per-call y^j x table; each result equals the one built from the
+    # recursive table, in key order and in the order of every
+    # coefficient's terms
+    power = NormalForm.unit()
+    for n in range(11):
+        if n:
+            power = _recursive_append(power, "x", rs) + _recursive_append(power, "y", rs)
+        got = expand_power_sum(n, rs)
+        assert got == power and _layout(got) == _layout(power), n
+    for length in range(1, 9):
+        for word in all_words(length):
+            want = NormalForm.unit()
+            for letter in word:
+                want = _recursive_append(want, letter, rs)
+            got = normal_order(word, rs, "leftmost")
+            assert got == want and _layout(got) == _layout(want), word

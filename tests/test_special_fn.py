@@ -4,6 +4,7 @@ import ast
 import cmath
 import math
 import random
+import struct
 import sys
 from pathlib import Path
 
@@ -318,6 +319,32 @@ def test_theta_quotient_forms_each_factor_with_theta(monkeypatch):
         seen.clear()
         theta_quotient([0.5, 0.25, 2.0], [0.75], p)
         assert seen == [0.5, 0.75, 0.25, 2.0]
+
+
+def test_one_factor_theta_quotient_is_theta_bit_for_bit():
+    # theta_quotient([x], [], p) is theta(x, p) in every bit, zero signs
+    # included, however the quotient forms its factors: at p = 0, at
+    # x = 0 there, and at x = 1, where theta(1; p) = 0 exactly
+    def bits(z):
+        return struct.pack("<dd", z.real, z.imag)
+
+    xs = (0.0, -0.0, complex(-0.0, -0.0), 1.0, 1.0 + 0.0j, -1.0, 0.5,
+          -0.5 + 0.25j, 2.0 - 1.0j, 1e-3, 1e3, 1j)
+    for p in (0.0, 0j, 0.3, -0.2 + 0.3j, 0.9j, 1e-12):
+        for x in xs:
+            if x == 0 and p != 0:
+                continue
+            assert bits(theta_quotient([x], [], p)) == bits(theta(x, p)), (x, p)
+        assert theta_quotient([1.0], [], p) == 0
+    # a non-finite x raises the same EvaluationError from both
+    nan, inf = math.nan, math.inf
+    for p in (0.0, 0.3, 0.2 - 0.1j):
+        for bad in (nan, inf, -inf, complex(1.0, nan), complex(inf, 0.0)):
+            with pytest.raises(EvaluationError, match="^non-finite theta argument") as direct:
+                theta(bad, p)
+            with pytest.raises(EvaluationError) as quotient:
+                theta_quotient([bad], [], p)
+            assert str(quotient.value) == str(direct.value)
 
 
 def test_theta_quotient_pole_indices():

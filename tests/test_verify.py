@@ -301,12 +301,16 @@ COLD_CHECKS = ("binom-recursion-closed", "normalorder-rook", "pincherle")
 
 def test_clear_caches_empties_every_module_cache():
     # found by scanning the modules, so a cache added later without a
-    # line in clear_caches fails here
+    # line in _CACHES fails here, and so does a line left for a cache
+    # that is gone
     for check_id in COLD_CHECKS:
         run_check(check_id, seed=3)
     ellcomb.expand_power_sum(4, ellcomb.RelationSystem.ROOK_WEYL)
+    ellcomb.EllipticWeights(ellcomb.ParameterSet(1.1 + 0.2j, 0.4, 0.5 + 0.1j, 0.2)).small(1, 2)
     caches = _module_caches()
-    assert sum(c.cache_info().currsize > 0 for c in caches.values()) >= 7, sorted(caches)
+    assert caches == {f"ellcomb.{name}": c for name, c in ellcomb._CACHES.items()}
+    empty = sorted(name for name, c in caches.items() if not c.cache_info().currsize)
+    assert not empty, empty
     ellcomb.clear_caches()
     filled = {name: c.cache_info().currsize for name, c in caches.items()
               if c.cache_info().currsize}
