@@ -47,7 +47,15 @@ as the product-formula checks sample their boards from the 70 inside
 the 4 x 4 square at every draw, but that win is not shown: with plans
 kept for one call only, a ``registry`` and a ``numeric`` pass at seed 1
 took 1.5 % and 2.2 % longer, inside their spread over 5 alternating
-pairs, and peaked 5 % and 4 % lower in memory.  A numeric move is one in-order product, ``math.prod``
+pairs, and peaked 5 % and 4 % lower in memory.  Its bound of 4,096 is
+not sized to one draw, as the theta-family bounds are, because a plan
+depends on the board alone and its reuse crosses draws and words: a
+``registry`` pass at seed 1 builds 625 distinct plans and hits them
+6,614 times, the longest reuse distance (distinct plans asked for
+between two uses of one plan) is 564, and 96 hits would be lost by a
+256-entry cache; a ``numeric`` pass at seed 1 builds 302 plans with a
+longest distance of 257.  A draw-sized bound would lose hits, so
+whether plans should live for one call stays open.  A numeric move is one in-order product, ``math.prod``
 of its cells started at the source state's sum, the same
 multiplications as a loop over the cells.  ``placements`` enumerates
 placements directly and is the reference the sweep is tested against.

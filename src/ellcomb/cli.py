@@ -184,8 +184,8 @@ def _counters() -> tuple:
 
 def _print_stats(check_id: str, seconds: float, before: tuple) -> None:
     # one stderr line per check: its time; per module-level cache, the
-    # change in hits, misses and size while it ran; and the collector's
-    # runs per generation and the objects it freed
+    # change in hits, misses and size while it ran, and its bound; and
+    # the collector's runs per generation and the objects it freed
     caches, collector = _counters()
     old_caches, old_collector = before
     parts = [f"stats {check_id} {seconds * 1000:.1f} ms"]
@@ -193,7 +193,7 @@ def _print_stats(check_id: str, seconds: float, before: tuple) -> None:
         old = old_caches[name]
         parts.append(f"{name} hits +{info.hits - old.hits} "
                      f"misses +{info.misses - old.misses} "
-                     f"size {info.currsize - old.currsize:+d}")
+                     f"size {info.currsize - old.currsize:+d} of {info.maxsize}")
     runs = "/".join(f"+{new['collections'] - old['collections']}"
                     for new, old in zip(collector, old_collector))
     freed = sum(new["collected"] - old["collected"]

@@ -393,8 +393,11 @@ def test_verify_stats_leave_the_json_bytes_alone(capsys, monkeypatch):
     lines = captured.err.splitlines()
     assert [line.split()[1] for line in lines] == [c.id for c in list_identities()]
     for line in lines:
-        for name in ellcomb._CACHES:
+        for name, cache in ellcomb._CACHES.items():
             assert f"; {name} hits +" in line, (name, line)
+            # each cache's size change is printed next to its bound
+            part = next(p for p in line.split("; ") if p.startswith(f"{name} "))
+            assert re.search(rf" size [+-]\d+ of {cache.cache_info().maxsize}$", part), part
         # the cyclic collector's runs in generations 0/1/2 and the
         # objects it freed while the check ran
         assert re.search(r"; gc collections \+\d+/\+\d+/\+\d+ collected \+\d+$", line), line

@@ -2,6 +2,7 @@
 
 import ast
 import cmath
+import functools
 import math
 import random
 import struct
@@ -98,6 +99,107 @@ def test_theta_cache_is_bounded():
     # the first value was evicted and is computed again, bit for bit
     assert theta(0.5, 0.01) == first
     assert series.cache_info().misses == info.misses + 1
+
+
+THETA_FAMILY_CACHES = ("_theta_series", "_elliptic_small", "_elliptic_big")
+
+
+def _misses_per_step(steps) -> list:
+    # the misses of each theta-family cache after each step, the caches
+    # looked up by module name as ``theta`` and the elliptic weights do
+    caches = [getattr(special_fn, name) for name in THETA_FAMILY_CACHES]
+    for cache in caches:
+        cache.cache_clear()
+    out = []
+    for label, step in steps:
+        try:
+            step()
+        except (ArithmeticError, ValueError):
+            pass
+        out.append((label, [cache.cache_info().misses for cache in caches]))
+    return out
+
+
+def _lost_hits(steps, monkeypatch) -> tuple:
+    # (misses with the shipped bounds, misses with unbounded stand-ins,
+    # the stand-ins' final sizes)
+    shipped = _misses_per_step(steps)
+    with monkeypatch.context() as m:
+        for name in THETA_FAMILY_CACHES:
+            m.setattr(special_fn, name,
+                      functools.lru_cache(maxsize=None)(getattr(special_fn, name).__wrapped__))
+        unbounded = _misses_per_step(steps)
+        sizes = [getattr(special_fn, name).cache_info().currsize
+                 for name in THETA_FAMILY_CACHES]
+    return shipped, unbounded, sizes
+
+
+def test_theta_family_bounds_lose_no_hit_in_the_registry(monkeypatch):
+    # each bound holds one draw's working set: every numeric-sampled
+    # check at its default sizes, one after another as a registry pass
+    # runs them, misses no value an unbounded cache would have kept,
+    # although the theta series alone outgrows its bound many times over
+    from ellcomb.verify import list_identities, run_check
+    steps = [(check.id, lambda check_id=check.id: run_check(check_id, seed=1))
+             for check in list_identities() if check.kind == "numeric-sampled"]
+    shipped, unbounded, sizes = _lost_hits(steps, monkeypatch)
+    assert shipped == unbounded
+    assert sizes[0] > 4 * special_fn._theta_series.cache_info().maxsize
+
+
+def test_theta_family_bounds_lose_no_hit_on_one_draw(monkeypatch):
+    # one numeric benchmark draw written with library calls: big weights
+    # and the small weights of their columns, binomials and path sums, the
+    # Fibonacci expansion, Pincherle residuals and the product formulas
+    # on three boards; then y^6 x^6 (Weyl) and (x + y)^12 under one
+    # elliptic draw and under the constant weight 1
+    from ellcomb import (FerrersBoard, RelationSystem, expand_power_sum,
+                         fib_elliptic, file_product_sides, genfun_expand,
+                         normal_order, pincherle_check, rook_product_sides)
+    rng = random.Random(29)
+    ps = draw_ps(rng)
+    fam = EllipticWeights(ps)
+
+    def big_weights():
+        for s in range(1, 4):
+            for t in range(1, 6):
+                fam.small(s, t)
+                fam.big(s, t)
+
+    def binomials():
+        for n in range(9):
+            for k in range(n + 1):
+                fam.binom(n, k)
+                path_binom(n, k, fam)
+
+    def fibonacci():
+        genfun_expand(13, ps)
+        for m in range(1, 14):
+            fib_elliptic(m, ps)
+
+    def pincherle():
+        for k in range(1, 9):
+            for n in range(4):
+                pincherle_check(k, n, ps)
+
+    def products():
+        for heights, z in (((0, 1, 1, 2, 3), 1), ((1, 2, 2, 3, 4), 3), ((2, 3, 4, 5, 5), 2)):
+            rook_product_sides(FerrersBoard(heights), z, ps)
+            file_product_sides(FerrersBoard(heights), z, ps)
+
+    forms = [normal_order("y" * 6 + "x" * 6, RelationSystem.ROOK_WEYL),
+             expand_power_sum(12, RelationSystem.HOMOGENEOUS)]
+    words_ps = draw_ps(rng)
+    steps = [("big", big_weights), ("binom", binomials), ("fib", fibonacci),
+             ("pincherle", pincherle), ("products", products)]
+    for index, nf in enumerate(forms):
+        steps.append((f"elliptic {index}", lambda nf=nf: nf.evaluate(EllipticWeights(words_ps))))
+    for index, nf in enumerate(forms):
+        steps.append((f"weight 1 {index}", lambda nf=nf: nf.evaluate(QWeights(1))))
+    shipped, unbounded, _ = _lost_hits(steps, monkeypatch)
+    assert shipped == unbounded
+    # every cache was asked for values
+    assert all(shipped[-1][1]), shipped[-1]
 
 
 def _theta_product_loop(x, p):
