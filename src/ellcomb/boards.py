@@ -55,10 +55,11 @@ depends on the board alone and its reuse crosses draws and words: a
 between two uses of one plan) is 564, and 96 hits would be lost by a
 256-entry cache; a ``numeric`` pass at seed 1 builds 302 plans with a
 longest distance of 257.  A draw-sized bound would lose hits, so
-whether plans should live for one call stays open.  A numeric move is one in-order product, ``math.prod``
-of its cells started at the source state's sum, the same
-multiplications as a loop over the cells.  ``placements`` enumerates
-placements directly and is the reference the sweep is tested against.
+whether plans should live for one call stays open.  A numeric move is
+one in-order product, ``math.prod`` of its cells started at the source
+state's sum, the same multiplications as a loop over the cells.
+``placements`` enumerates placements directly and is the reference the
+sweep is tested against.
 
 Every family weighs a cell by its small weight w(s, t), so under the
 theta weight the polynomials are the normal-ordering coefficients.  The

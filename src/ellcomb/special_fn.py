@@ -83,16 +83,18 @@ not drawn, as at the constant weight 1 of the ``words`` check.  The
 smallest LRU cache that loses no hit is one entry longer than the
 longest reuse distance, the number of distinct keys asked for between
 two uses of one key (Mattson, Gecsei, Slutz and Traiger, Evaluation
-techniques for storage hierarchies, IBM Systems Journal, 1970).  Over ``registry``, ``words``
-and ``numeric`` passes at seeds 0-9 the longest distances are 105 for
-the theta series (``numeric``), 70 for small weights (the ``words``
-check at the constant weight 1) and 25 for big weights (``numeric``).
+techniques for storage hierarchies, IBM Systems Journal, 1970).  Over
+``registry``, ``words`` and ``numeric`` passes at seeds 0-9 the longest
+distances are 105 for the theta series (``numeric``), 70 for small
+weights (the ``words`` check at the constant weight 1) and 25 for big
+weights (``numeric``).
 Each bound is the smallest power of two at least 8 times its distance:
 1,024, 1,024 and 256.  With the earlier bounds of 65,536, 4,096 and
 4,096 a ``registry`` pass at seed 1 kept every value of every finished
-draw, 10,586 series entries of about 200 B each, and peaked at 28.2 MB;
-with these it peaks at 25.9 MB with the same misses, and a full theta
-series cache holds about 0.2 MB, not 13 MB.
+draw, 10,586 series entries of about 200 B each, and peaked at 26.2 MB;
+with these it peaks at 23.9 MB with the same misses (medians of 10
+benchmark runs at ``--seconds 20``), and a full theta series cache
+holds about 0.2 MB, not 13 MB.
 """
 
 from __future__ import annotations
