@@ -35,8 +35,10 @@ it: built per call up to i = 7 it would cost 0.067 ms under RookWeyl
 and 0.135 ms under File, against 0.318 ms and 0.433 ms for a whole
 warm 12-letter word.  Powers of x + y (``_power_sum``) are kept across
 calls because ``WeightPolynomial.evaluate`` keeps its plans on their
-coefficients: with no plans, each of the four binomial-theorem checks
-took 11-19 ms more, cold, at seed 1.
+coefficients: with no plans, every call a first call, the elliptic, b;q
+and a;q binomial-theorem checks took 10, 20 and 19 ms more, cold, at
+seed 1 (medians of 11 paired runs, slower in 10, 10 and 11 of them); the
+symbolic one evaluates nothing.
 
 A normal form prints as a sum of c x^i y^j (``sum_chunks``, shared with
 the command line's evaluated normal forms), and both its text and its

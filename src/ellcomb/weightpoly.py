@@ -33,10 +33,17 @@ at a time in sorted order and render each cell once; text and JSON come
 out in chunks, one term at a time (``text_chunks``, ``json_chunks``),
 so a large polynomial is written without being held whole.  ``evaluate``
 reads row by row, a row being the W fields of one s: each distinct row
-is read and multiplied out once per call.  Its first call keeps nothing
-per monomial; the second keeps a plan that later calls reuse, so a
-polynomial evaluated under many parameter draws is read twice and one
-evaluated once holds no decoded form.  The plan holds, per monomial, a
+is read and multiplied out once per call.  The first call splits each
+monomial at the middle row of its polynomial into a head, the
+coefficient and the rows below, and a tail, the rows from there up;
+monomials share most of their heads and tails, so each distinct head's
+partial product and each distinct tail's row products are formed once,
+and a monomial is its head's value times its tail's products, the
+multiplications of the row-by-row order in that order.  The first call
+keeps nothing per monomial; the second reads each monomial whole and
+keeps a plan that later calls reuse, so a polynomial evaluated under
+many parameter draws is read twice and one evaluated once holds no
+decoded form.  The plan holds, per monomial, a
 reference to its coefficient as a complex, one object per distinct
 integer coefficient, and its row ids as one ``bytes`` (a tuple when the
 polynomial has more than 256 distinct rows): about 60-70 bytes per
@@ -403,10 +410,18 @@ class WeightPolynomial:
         order of ``terms``.  Rows are fixed by s, so the value does not
         depend on the packing.  Each call multiplies out every distinct
         (row number, row) once and looks up every distinct weight once,
-        in ``cache`` (keyed (s, t)) or the family.  The first call reads
-        the monomials as it goes and keeps nothing per monomial; the
-        second also keeps the plan (cells, rows, values, idss) that later
-        calls reuse: the distinct cells and rows, and per monomial its
+        in ``cache`` (keyed (s, t)) or the family.  The first call splits
+        each monomial at the middle of its polynomial's rows, rows =
+        ceil(bit length of the largest monomial / row bits) split at
+        rows // 2: each distinct head (coefficient, rows below the split)
+        is multiplied out once, c P_0 ... P_(split-1), and each distinct
+        tail (rows from the split up) is read once into its row products,
+        so a monomial is its head's value times its tail's products in
+        ascending rows, the same multiplications in the same order as one
+        row at a time.  Heads and tails live for the call, and it keeps
+        nothing per monomial.  The second call reads each monomial whole
+        and keeps the plan (cells, rows, values, idss) that later calls
+        reuse: the distinct cells and rows, and per monomial its
         coefficient in ``values``, equal coefficients sharing one complex,
         and its row ids in ``idss``, one ``bytes`` each, or a tuple each
         when there are more than 256 rows.  Per monomial that is two list
@@ -452,14 +467,11 @@ class WeightPolynomial:
         rows: list = []  # the distinct rows, each as the ids of its cells
         products: list = []  # the product of each row
         seen: dict = {}  # (row number, row) -> its index in rows
-        values: list = []  # per monomial its coefficient, one complex per integer
-        idss: list = []  # per monomial its row ids, as bytes while they fit
-        shared: dict = {}  # integer coefficient -> its complex in values
-        for m, c in self.terms.items():
-            value = complex(c)
-            if keep:
-                ids = []
-            k = 0
+
+        def walk(m, k):
+            """The row ids of m read as rows k, k + 1, ..., in ascending
+            order; each distinct row is read and multiplied out once."""
+            ids = []
             while m:
                 row = m & mask
                 if row:
@@ -467,24 +479,59 @@ class WeightPolynomial:
                     if i is None:
                         i = seen[(k, row)] = len(rows)
                         rows.append(read(row, k * chunks))
-                        weights += map(weigh, cells[len(weights):])
+                        weights.extend(map(weigh, cells[len(weights):]))
                         products.append(multiply(rows[i]))
-                    value *= products[i]
-                    if keep:
-                        ids.append(i)
+                    ids.append(i)
                     m >>= bits
                     k += 1
                 else:
                     skip = ((m & -m).bit_length() - 1) // bits
                     m >>= skip * bits
                     k += skip
-            total += value
-            if keep:
+            return tuple(ids)
+
+        if keep:
+            # the plan reads each monomial whole: head and tail memos
+            # freed among the plan's objects left a words bench pass up
+            # to 1 MB larger at its peak
+            values: list = []  # per monomial its coefficient, one complex per integer
+            idss: list = []  # per monomial its row ids, as bytes while they fit
+            shared: dict = {}  # integer coefficient -> its complex in values
+            for m, c in self.terms.items():
+                ids = walk(m, 0)
+                value = complex(c)
+                for i in ids:
+                    value *= products[i]
+                total += value
                 values.append(shared.setdefault(c, complex(c)))
-                idss.append(bytes(ids) if len(rows) <= 256 else tuple(ids))
-        if keep and len(rows) > 256:
-            idss = list(map(tuple, idss))
-        self._plan = (cells, rows, values, idss) if keep else ()
+                idss.append(bytes(ids) if len(rows) <= 256 else ids)
+            if len(rows) > 256:
+                idss = list(map(tuple, idss))
+            self._plan = (cells, rows, values, idss)
+            return special_fn.require_finite(total, "weight polynomial value")
+        # a monomial is its head (coefficient, rows below split) and its
+        # tail (rows from split up); each distinct head and tail is
+        # walked once per call
+        split = -(-max(self.terms, default=0).bit_length() // bits) // 2
+        cut = split * bits
+        low = (1 << cut) - 1
+        heads: dict = {}  # (c, head) -> c P_0 ... P_(split-1)
+        tails: dict = {}  # tail -> its row products
+        for m, c in self.terms.items():
+            key = (c, m & low)
+            value = heads.get(key)
+            if value is None:
+                value = complex(c)
+                for i in walk(key[1], 0):
+                    value *= products[i]
+                heads[key] = value
+            tail = tails.get(m >> cut)
+            if tail is None:
+                tail = tails[m >> cut] = [products[i] for i in walk(m >> cut, split)]
+            for product in tail:
+                value *= product
+            total += value
+        self._plan = ()
         return special_fn.require_finite(total, "weight polynomial value")
 
     def _ordered(self, factor):

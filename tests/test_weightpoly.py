@@ -1,14 +1,17 @@
 """Exact polynomial ring in the weight symbols w(s, t)."""
 
+import gc
 import json
 import random
 import struct
 import sys
+import tracemalloc
 
 import pytest
 
-from ellcomb.special_fn import (DomainError, EvaluationError, GenericWeights, QWeights,
-                                TableWeights)
+from ellcomb import special_fn
+from ellcomb.special_fn import (DomainError, EllipticWeights, EvaluationError,
+                                GenericWeights, ParameterSet, QWeights, TableWeights)
 from ellcomb.weightpoly import WeightPolynomial
 
 
@@ -406,6 +409,102 @@ def test_more_than_256_rows_keep_tuples_bit_for_bit():
     _cells, rows, _values, idss = poly._plan
     assert len(rows) > 256 and all(type(ids) is tuple for ids in idss)
     assert max(max(ids) for ids in idss) >= 256
+
+
+def _streamed_value(poly, family):
+    """The value in the order of every call: per monomial of ``terms``,
+    in its order, the coefficient times each nonzero row's product in
+    ascending row, a row product being its weights (qpow for a power)
+    in ascending field; read here from the packed fields directly."""
+    s0, t0, width, nb = poly._frame or (0, 0, 8, 1)
+    total = 0.0 + 0.0j
+    for m, c in poly.terms.items():
+        fields = m.to_bytes(-(-m.bit_length() // (8 * nb)) * nb, "little")
+        exponents = [int.from_bytes(fields[i:i + nb], "little")
+                     for i in range(0, len(fields), nb)]
+        value = complex(c)
+        for r in range(0, len(exponents), width):
+            product = None
+            for dt, e in enumerate(exponents[r:r + width]):
+                if e:
+                    weight = complex(family.small(s0 + r // width, t0 + dt))
+                    weight = weight if e == 1 else special_fn.qpow(weight, e)
+                    product = weight if product is None else product * weight
+            if product is not None:
+                value *= product
+        total += value
+    return total
+
+
+def _elliptic_draw():
+    return EllipticWeights(ParameterSet(complex(1.1, 0.2), 0.4, complex(0.5, 0.1), 0.2))
+
+
+def test_first_call_keeps_the_bits_of_the_row_by_row_order():
+    # the first call forms each distinct head (coefficient and lower
+    # rows) and tail (upper rows) once; the value must not move a bit
+    from ellcomb import RelationSystem, expand_power_sum, normal_order
+    powers = [w(1, 1)]
+    for _ in range(8):
+        powers.append(powers[-1] * powers[-1])
+    p300 = powers[8] * powers[5] * powers[3] * powers[2]
+    wide = {}
+    for s in range(1, 301):
+        wide[(((s, 1), 1), ((s + 1, 2), 2))] = s % 7 - 3 or 5
+        wide[(((s, 3), 1),)] = 2
+    cases = [
+        ("constant", WeightPolynomial.from_int(7)),
+        ("constant monomial", 3 + w(1, 1) * w(2, 2) - 2 * w(3, 1)),
+        # two rows, split at row 1: w(1,2) has no tail, w(2,3) no head
+        ("empty head or tail", w(1, 1) * w(2, 1) + w(1, 2) - 4 * w(2, 3)),
+        ("one row", w(1, 1) + 2 * w(1, 2) * w(1, 2) * w(1, 2) + w(1, 1) * w(1, 5)),
+        ("three rows", _power(w(1, 1) + w(2, 2) - w(3, 1) + 2 * w(3, 3), 5)),
+        ("four rows", _power(w(1, 1) + w(2, 2) - w(4, 1) + w(3, 3) * w(1, 2), 5)),
+        ("two-byte fields", (p300 + w(2, 1)) * (w(1, 1) + w(3, 2) - w(2, 2))),
+        ("over 256 rows", WeightPolynomial(wide)),
+    ]
+    assert cases[1][1]._frame and 0 in cases[1][1].terms
+    assert cases[6][1]._frame[3] == 2 and len(cases[7][1].terms) == 600
+
+    def rows(poly):
+        _, _, width, nb = poly._frame
+        return -(-max(poly.terms).bit_length() // (8 * nb * width))
+
+    assert [rows(poly) for _, poly in cases[2:6]] == [2, 1, 3, 4]
+    # the normal forms under one elliptic draw (theta leaves the double
+    # range on the far cells of the cases above)
+    weyl = normal_order("y" * 6 + "x" * 6, RelationSystem.from_tag("weyl"))
+    binomial = expand_power_sum(12, RelationSystem.from_tag("comm"))
+    forms = [(f"{name} {key}", c) for name, nf in (("y^6x^6", weyl), ("(x+y)^12", binomial))
+             for key, c in nf.coeffs.items()]
+    for family, polys in ((_AnyCellWeights(3), cases + forms), (_elliptic_draw(), forms)):
+        for name, poly in polys:
+            fresh = poly + 0
+            expected = _bits(_streamed_value(fresh, family))
+            assert _bits(fresh.evaluate(family)) == expected, name
+            assert not fresh._plan, name
+            assert _bits(fresh.evaluate(family)) == expected, name
+            assert _bits(fresh.evaluate(family)) == expected, name
+
+
+def test_first_call_keeps_nothing_beyond_the_call():
+    # the heads, tails and rows of one call go when it returns: the
+    # 130,922 monomials of y^7 x^7 would keep several MB
+    from ellcomb import RelationSystem, normal_order
+    nf = normal_order("y" * 7 + "x" * 7, RelationSystem.from_tag("weyl"))
+    family = _elliptic_draw()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        values = nf.evaluate(family)
+        assert len(values) == 8
+        del values
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(not poly._plan for poly in nf.coeffs.values())
+    assert retained < 1 << 20, retained
 
 
 def _plan_bytes(obj, seen) -> int:
