@@ -488,8 +488,8 @@ def test_first_call_keeps_the_bits_of_the_row_by_row_order():
 
 
 def test_first_call_keeps_nothing_beyond_the_call():
-    # the heads, tails and rows of one call go when it returns: the
-    # 130,922 monomials of y^7 x^7 would keep several MB
+    # the heads, tails and rows of one call go when it returns; kept,
+    # those of the 130,922 monomials of y^7 x^7 would pass the bound
     from ellcomb import RelationSystem, normal_order
     nf = normal_order("y" * 7 + "x" * 7, RelationSystem.from_tag("weyl"))
     family = _elliptic_draw()
