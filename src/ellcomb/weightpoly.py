@@ -37,8 +37,8 @@ is read and multiplied out once per call.  The first call splits each
 monomial at the middle row of its polynomial into a head, the
 coefficient and the rows below, and a tail, the rows from there up;
 monomials share most of their heads and tails, so each distinct head's
-partial product and each distinct tail's row products are formed once,
-and a monomial is its head's value times its tail's products, the
+partial product is formed once and each distinct tail read once, and a
+monomial is its head's value times its tail's row products, the
 multiplications of the row-by-row order in that order.  The first call
 keeps nothing per monomial; the second reads each monomial whole and
 keeps a plan that later calls reuse, so a polynomial evaluated under
@@ -415,8 +415,8 @@ class WeightPolynomial:
         ceil(bit length of the largest monomial / row bits) split at
         rows // 2: each distinct head (coefficient, rows below the split)
         is multiplied out once, c P_0 ... P_(split-1), and each distinct
-        tail (rows from the split up) is read once into its row products,
-        so a monomial is its head's value times its tail's products in
+        tail (rows from the split up) is read once into its row ids, so
+        a monomial is its head's value times its tail's row products in
         ascending rows, the same multiplications in the same order as one
         row at a time.  Heads and tails live for the call, and it keeps
         nothing per monomial.  The second call reads each monomial whole
@@ -466,7 +466,8 @@ class WeightPolynomial:
         weights: list = []
         rows: list = []  # the distinct rows, each as the ids of its cells
         products: list = []  # the product of each row
-        seen: dict = {}  # (row number, row) -> its index in rows
+        nrows = -(-max(self.terms, default=0).bit_length() // bits)
+        seen: list = [{} for _ in range(nrows)]  # per row number, row -> its index in rows
 
         def walk(m, k):
             """The row ids of m read as rows k, k + 1, ..., in ascending
@@ -475,9 +476,9 @@ class WeightPolynomial:
             while m:
                 row = m & mask
                 if row:
-                    i = seen.get((k, row))
+                    i = seen[k].get(row)
                     if i is None:
-                        i = seen[(k, row)] = len(rows)
+                        i = seen[k][row] = len(rows)
                         rows.append(read(row, k * chunks))
                         weights.extend(map(weigh, cells[len(weights):]))
                         products.append(multiply(rows[i]))
@@ -488,7 +489,7 @@ class WeightPolynomial:
                     skip = ((m & -m).bit_length() - 1) // bits
                     m >>= skip * bits
                     k += skip
-            return tuple(ids)
+            return ids
 
         if keep:
             # the plan reads each monomial whole: head and tail memos
@@ -504,7 +505,7 @@ class WeightPolynomial:
                     value *= products[i]
                 total += value
                 values.append(shared.setdefault(c, complex(c)))
-                idss.append(bytes(ids) if len(rows) <= 256 else ids)
+                idss.append(bytes(ids) if len(rows) <= 256 else tuple(ids))
             if len(rows) > 256:
                 idss = list(map(tuple, idss))
             self._plan = (cells, rows, values, idss)
@@ -512,11 +513,11 @@ class WeightPolynomial:
         # a monomial is its head (coefficient, rows below split) and its
         # tail (rows from split up); each distinct head and tail is
         # walked once per call
-        split = -(-max(self.terms, default=0).bit_length() // bits) // 2
+        split = nrows // 2
         cut = split * bits
         low = (1 << cut) - 1
         heads: dict = {}  # (c, head) -> c P_0 ... P_(split-1)
-        tails: dict = {}  # tail -> its row products
+        tails: dict = {}  # tail -> its row ids
         for m, c in self.terms.items():
             key = (c, m & low)
             value = heads.get(key)
@@ -527,9 +528,9 @@ class WeightPolynomial:
                 heads[key] = value
             tail = tails.get(m >> cut)
             if tail is None:
-                tail = tails[m >> cut] = [products[i] for i in walk(m >> cut, split)]
-            for product in tail:
-                value *= product
+                tail = tails[m >> cut] = walk(m >> cut, split)
+            for i in tail:
+                value *= products[i]
             total += value
         self._plan = ()
         return special_fn.require_finite(total, "weight polynomial value")
