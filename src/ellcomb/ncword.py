@@ -36,8 +36,8 @@ and 0.135 ms under File, against 0.318 ms and 0.433 ms for a whole
 warm 12-letter word.  Powers of x + y (``_power_sum``) are kept across
 calls because ``WeightPolynomial.evaluate`` keeps its plans on their
 coefficients: with no plans, every call a first call, the elliptic, b;q
-and a;q binomial-theorem checks took 10, 20 and 19 ms more, cold, at
-seed 1 (medians of 11 paired runs, slower in 10, 10 and 11 of them); the
+and a;q binomial-theorem checks took 15, 29 and 18 ms more, cold, at
+seed 1 (medians of 11 paired runs, slower in 11, 10 and 11 of them); the
 symbolic one evaluates nothing.
 
 A normal form prints as a sum of c x^i y^j (``sum_chunks``, shared with
