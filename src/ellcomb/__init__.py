@@ -91,7 +91,6 @@ _CACHES = {
     "special_fn._elliptic_small": special_fn._elliptic_small,
     "special_fn._elliptic_big": special_fn._elliptic_big,
     "ncword._y_x_power": ncword._y_x_power,
-    "ncword._power_sum": ncword._power_sum,
     "boards._sweep_plan": boards._sweep_plan,
 }
 

@@ -33,12 +33,12 @@ placement theorems remain an independent check.  The y x^i table
 (``_y_x_power``) is kept across calls because every prepended y reads
 it: built per call up to i = 7 it would cost 0.067 ms under RookWeyl
 and 0.135 ms under File, against 0.318 ms and 0.433 ms for a whole
-warm 12-letter word.  Powers of x + y (``_power_sum``) are kept across
-calls because ``WeightPolynomial.evaluate`` keeps its plans on their
-coefficients: with no plans, every call a first call, the elliptic, b;q
-and a;q binomial-theorem checks took 15, 29 and 18 ms more, cold, at
-seed 1 (medians of 11 paired runs, slower in 11, 10 and 11 of them); the
-symbolic one evaluates nothing.
+warm 12-letter word.  The y^j x table (``_y_power_x_table``) and the
+powers of x + y are built per call.  ``power_sum_values`` runs the
+append sweep of (x + y)^n with complex coefficients, evaluating each
+shifted y^j x entry under a numeric family, so the numeric
+binomial-theorem checks still read the one-step rewrite but build no
+symbolic power.
 
 A normal form prints as a sum of c x^i y^j (``sum_chunks``, shared with
 the command line's evaluated normal forms), and both its text and its
@@ -61,7 +61,7 @@ from .weightpoly import WeightPolynomial
 __all__ = [
     "Word", "WordParseError", "RelationSystem", "NormalForm",
     "parse_word", "dual_word", "normal_order", "multiply",
-    "expand_power_sum", "sum_chunks", "WeightPolynomial",
+    "expand_power_sum", "power_sum_values", "sum_chunks", "WeightPolynomial",
 ]
 
 Word = str
@@ -232,14 +232,6 @@ def _accumulate(total: dict, key, piece: WeightPolynomial) -> None:
     total[key] = piece if prior is None else prior + piece
 
 
-def _walked(table, n: int, rs: RelationSystem) -> NormalForm:
-    """``table(n, rs)`` after filling ``table(0..n-1, rs)`` in order, so
-    the one-step recursion inside ``table`` always hits the cache."""
-    for m in range(n):
-        table(m, rs)
-    return table(n, rs)
-
-
 @lru_cache(maxsize=4096)
 def _y_x_power(i: int, rs: RelationSystem) -> NormalForm:
     """Normal form of y x^i.  Its only descent is the first yx, so
@@ -262,7 +254,9 @@ def _prepend(letter: str, nf: NormalForm, rs: RelationSystem) -> NormalForm:
     """Normal form of letter * nf, where nf is the normal form of a suffix."""
     if letter == "x":
         return NormalForm({(i + 1, j): c.shift(1, 0) for (i, j), c in nf.coeffs.items()})
-    _walked(_y_x_power, max(i for i, _ in nf.coeffs), rs)
+    # fill the cache in order, so the one-step recursion always hits it
+    for i in range(max(i for i, _ in nf.coeffs)):
+        _y_x_power(i, rs)
     total: dict = {}
     for (i, j), c in nf.coeffs.items():
         c = c.shift(0, 1)
@@ -271,23 +265,30 @@ def _prepend(letter: str, nf: NormalForm, rs: RelationSystem) -> NormalForm:
     return NormalForm(total)
 
 
-def _append(nf: NormalForm, letter: str, rs: RelationSystem) -> NormalForm:
-    """Normal form of nf * letter, where nf is the normal form of a prefix.
-
-    Appending x multiplies in the normal forms of y^j x, built for the
-    call up to the prefix's largest j.  The only descent of y^j x is the
-    last yx, behind y^(j-1), so rewriting it gives w(1,j) (y^(j-1) x) y
-    plus the inhomogeneous term y^(j-1) (RookWeyl) or y^j (File)."""
-    if letter == "y":
-        return NormalForm({(i, j + 1): c for (i, j), c in nf.coeffs.items()})
+def _y_power_x_table(top: int, rs: RelationSystem) -> list:
+    """The normal forms of y^j x for j = 0, ..., top, built afresh per
+    call.  The only descent of y^j x is the last yx, behind y^(j-1), so
+    rewriting it gives w(1,j) (y^(j-1) x) y plus the inhomogeneous term
+    y^(j-1) (RookWeyl) or y^j (File)."""
     table = [NormalForm.monomial(1, 0)]
-    for j in range(1, max(j for _, j in nf.coeffs) + 1):
+    for j in range(1, top + 1):
         total = {(a, b + 1): d.times_symbol(1, j) for (a, b), d in table[-1].coeffs.items()}
         if rs is RelationSystem.ROOK_WEYL:
             _accumulate(total, (0, j - 1), WeightPolynomial.one())
         elif rs is RelationSystem.FILE:
             _accumulate(total, (0, j), WeightPolynomial.one())
         table.append(NormalForm(total))
+    return table
+
+
+def _append(nf: NormalForm, letter: str, rs: RelationSystem) -> NormalForm:
+    """Normal form of nf * letter, where nf is the normal form of a prefix.
+
+    Appending x multiplies in the normal forms of y^j x, built for the
+    call up to the prefix's largest j (``_y_power_x_table``)."""
+    if letter == "y":
+        return NormalForm({(i, j + 1): c for (i, j), c in nf.coeffs.items()})
+    table = _y_power_x_table(max(j for _, j in nf.coeffs), rs)
     total = {}
     for (i, j), c in nf.coeffs.items():
         for (a, b), d in table[j].coeffs.items():
@@ -343,16 +344,40 @@ def expand_power_sum(n: int, rs: RelationSystem = RelationSystem.HOMOGENEOUS) ->
 
     Each word x^i y^j x met on the way has a single descent at every
     rewriting step, so appending x by the tabulated y^j x is exact in all
-    three systems.  Results are cached in a bounded LRU.
+    three systems.
     """
     if n < 0:
         raise DomainError("expand_power_sum needs n >= 0")
-    return _walked(_power_sum, n, rs)
+    nf = NormalForm.unit()
+    for _ in range(n):
+        nf = _append(nf, "x", rs) + _append(nf, "y", rs)
+    return nf
 
 
-@lru_cache(maxsize=4096)
-def _power_sum(n: int, rs: RelationSystem) -> NormalForm:
-    if n == 0:
-        return NormalForm.unit()
-    previous = _power_sum(n - 1, rs)
-    return _append(previous, "x", rs) + _append(previous, "y", rs)
+def power_sum_values(degree: int, family) -> list:
+    """The coefficients of (x + y)^0, ..., (x + y)^degree in the
+    homogeneous system under a numeric weight family, as a list of dicts
+    {(i, j): complex}, one per power.
+
+    The sweep of ``expand_power_sum`` with complex coefficients: appending
+    y moves keys, and appending x multiplies the coefficient at (i, j) by
+    each entry of the y^j x normal form, its symbols shifted by (i, 0)
+    and evaluated under family.  Letters appended later do not shift the
+    symbols to their left, so each coefficient is final once formed.
+    Every evaluation shares one weight cache.
+    """
+    if degree < 0:
+        raise DomainError("power_sum_values needs degree >= 0")
+    table = _y_power_x_table(max(degree - 1, 0), RelationSystem.HOMOGENEOUS)
+    cache: dict = {}
+    powers = [{(0, 0): 1.0 + 0.0j}]
+    for _ in range(degree):
+        total: dict = {}
+        for (i, j), c in powers[-1].items():
+            for (a, b), d in table[j].coeffs.items():
+                key = (i + a, b)
+                total[key] = total.get(key, 0.0) + c * d.shift(i, 0).evaluate(family, cache)
+        for (i, j), c in powers[-1].items():
+            total[(i, j + 1)] = total.get((i, j + 1), 0.0) + c
+        powers.append(total)
+    return powers

@@ -52,7 +52,8 @@ from .special_fn import (
     reversal_coeff_bq,
     theta,
 )
-from .ncword import NormalForm, RelationSystem, _prepend, expand_power_sum, normal_order
+from .ncword import (NormalForm, RelationSystem, _prepend, expand_power_sum, normal_order,
+                     power_sum_values)
 from .boards import (
     FerrersBoard,
     all_boards_within,
@@ -380,31 +381,21 @@ def _full_binom_ref(a, b, q, n: int, k: int) -> complex:
 # ---------------------------------------------------------------------------
 # comparison loops shared by checks of one shape
 
-def _power_sums(fam, degree: int) -> dict:
-    # the coefficients of (x + y)^0, ..., (x + y)^degree under fam, keyed
-    # (k, n - k): the key names its power n, so the powers never share a
-    # key, and one NormalForm evaluates them all under one weight cache
-    coeffs = {}
-    for n in range(degree + 1):
-        coeffs.update(expand_power_sum(n, _HOM).coeffs)
-    return NormalForm(coeffs).evaluate(fam)
-
-
 def _binomial_theorem_pairs(fam, binom, degree: int) -> list:
     # ([x^k y^(n-k)] (x + y)^n under fam, binom(n, k)) for k <= n <= degree
-    values = _power_sums(fam, degree)
-    return [(values[(k, n - k)], binom(n, k))
+    powers = power_sum_values(degree, fam)
+    return [(powers[n][(k, n - k)], binom(n, k))
             for n in range(degree + 1) for k in range(n + 1)]
 
 
 def _cauchy_pairs(fam, c, q, degree: int, raw) -> list:
     # (exp_coeff_bq(c, q, k + m) [x^k y^m] (x + y)^(k+m) under fam, raw(k, m))
-    values = _power_sums(fam, degree)
+    powers = power_sum_values(degree, fam)
     pairs = []
     for total in range(degree + 1):
         coeff = exp_coeff_bq(c, q, total)
         for k in range(total + 1):
-            pairs.append((coeff * values[(k, total - k)], raw(k, total - k)))
+            pairs.append((coeff * powers[total][(k, total - k)], raw(k, total - k)))
     return pairs
 
 
@@ -624,7 +615,7 @@ def _run_wdep_binomial(ctx: CheckContext) -> None:
         "theta-weighted binomial theorem: rewriting coefficients of "
         "(x + y)^n match the closed theta-factorial binomials",
         "numeric-sampled", {"draws": 10, "n": 8}, 1e-7,
-        ["ncword:expand_power_sum", "special_fn:EllipticWeights.small"],
+        ["ncword:power_sum_values", "special_fn:EllipticWeights.small"],
         ["special_fn:EllipticWeights.binom"], "n")
 def _draw_elliptic_binomial(ctx: CheckContext):
     ps = ctx.draw_ps()
@@ -670,7 +661,7 @@ def _draw_prop_product_expansion(ctx: CheckContext):
         "b-weighted binomial theorem via rewriting versus raw factorial "
         "quotients",
         "numeric-sampled", {"draws": 20, "n": 8}, 1e-8,
-        ["ncword:expand_power_sum", "special_fn:BQWeights.small"],
+        ["ncword:power_sum_values", "special_fn:BQWeights.small"],
         ["verify:_full_binom_ref"], "n")
 def _draw_bq_binomial(ctx: CheckContext):
     b = ctx.draw_ab()
@@ -683,7 +674,7 @@ def _draw_bq_binomial(ctx: CheckContext):
         "a-weighted binomial theorem via rewriting versus raw factorial "
         "quotients",
         "numeric-sampled", {"draws": 15, "n": 8}, 1e-8,
-        ["ncword:expand_power_sum", "special_fn:AQWeights.small"],
+        ["ncword:power_sum_values", "special_fn:AQWeights.small"],
         ["verify:_aq_binom_ref"], "n")
 def _draw_aq_binomial(ctx: CheckContext):
     a = ctx.draw_ab()
@@ -783,7 +774,7 @@ def _draw_bq_finite_product(ctx: CheckContext):
         "b-weighted exponential of x + y factors as the ordered product of "
         "exponentials in x and y",
         "numeric-sampled", {"draws": 10, "degree": 8}, 1e-9,
-        ["special_fn:exp_coeff_bq", "ncword:expand_power_sum"],
+        ["special_fn:exp_coeff_bq", "ncword:power_sum_values"],
         ["verify:_qfac_ref"], "degree")
 def _draw_bq_cauchy(ctx: CheckContext):
     b = ctx.draw_ab()
@@ -800,7 +791,7 @@ def _draw_bq_cauchy(ctx: CheckContext):
         "a-weighted exponential of x + y factors as the reversed product of "
         "exponentials in y and x",
         "numeric-sampled", {"draws": 10, "degree": 8}, 1e-9,
-        ["special_fn:exp_coeff_bq", "ncword:expand_power_sum"],
+        ["special_fn:exp_coeff_bq", "ncword:power_sum_values"],
         ["verify:_qfac_ref"], "degree")
 def _draw_aq_cauchy(ctx: CheckContext):
     a = ctx.draw_ab()
@@ -821,7 +812,7 @@ def _draw_aq_cauchy(ctx: CheckContext):
         "q-exponential addition rule on the q-commuting plane",
         "numeric-sampled", {"draws": 15, "degree": 8}, 1e-9,
         ["verify:_qfac_ref"],
-        ["special_fn:exp_coeff_bq", "ncword:expand_power_sum"], "degree")
+        ["special_fn:exp_coeff_bq", "ncword:power_sum_values"], "degree")
 def _draw_qexp_cauchy(ctx: CheckContext):
     q = ctx.draw_q()
 

@@ -33,23 +33,16 @@ at a time in sorted order and render each cell once; text and JSON come
 out in chunks, one term at a time (``text_chunks``, ``json_chunks``),
 so a large polynomial is written without being held whole.  ``evaluate``
 reads row by row, a row being the W fields of one s: each distinct row
-is read and multiplied out once per call.  The first call splits each
+is read and multiplied out once per call.  Each call splits each
 monomial at the middle row of its polynomial into a head, the
 coefficient and the rows below, and a tail, the rows from there up;
 monomials share most of their heads and tails, so each distinct head's
 partial product is formed once and each distinct tail read once, and a
 monomial is its head's value times its tail's row products, the
-multiplications of the row-by-row order in that order.  The first call
-keeps nothing per monomial; the second reads each monomial whole and
-keeps a plan that later calls reuse, so a polynomial evaluated under
-many parameter draws is read twice and one evaluated once holds no
-decoded form.  The plan holds, per monomial, a
-reference to its coefficient as a complex, one object per distinct
-integer coefficient, and its row ids as one ``bytes`` (a tuple when the
-polynomial has more than 256 distinct rows): about 60-70 bytes per
-monomial on large normal forms, the distinct cells and rows included.
-The exact largest exponent, and re-encoding into wider rows or fields,
-which packs each cell once, read through ``_reader`` too.
+multiplications of the row-by-row order in that order.  A polynomial
+keeps nothing from an evaluation: every call reads the packed form
+afresh.  The exact largest exponent, and re-encoding into wider rows or
+fields, which packs each cell once, read through ``_reader`` too.
 """
 
 from __future__ import annotations
@@ -219,7 +212,6 @@ def _poly(terms: dict, frame, tend, top: int) -> "WeightPolynomial":
     poly._frame = frame
     poly._tend = tend
     poly._top = top
-    poly._plan = None
     return poly
 
 
@@ -282,14 +274,11 @@ def _suffix_monomials(basis: tuple, cells) -> list:
 class WeightPolynomial:
     """Integer-coefficient polynomial in the symbols w(s, t)."""
 
-    # _plan is None before the first evaluate, () after it, and from the
-    # second on the kept (cells, rows, values, idss) of ``evaluate``
-    __slots__ = ("terms", "_frame", "_tend", "_top", "_plan")
+    __slots__ = ("terms", "_frame", "_tend", "_top")
 
     def __init__(self, terms=None):
         self.terms, self._frame, self._tend, self._top = _encode(
             terms.items() if terms else ())
-        self._plan = None
 
     @classmethod
     def zero(cls) -> "WeightPolynomial":
@@ -410,25 +399,17 @@ class WeightPolynomial:
         order of ``terms``.  Rows are fixed by s, so the value does not
         depend on the packing.  Each call multiplies out every distinct
         (row number, row) once and looks up every distinct weight once,
-        in ``cache`` (keyed (s, t)) or the family.  The first call splits
-        each monomial at the middle of its polynomial's rows, rows =
+        in ``cache`` (keyed (s, t)) or the family.  It splits each
+        monomial at the middle of its polynomial's rows, rows =
         ceil(bit length of the largest monomial / row bits) split at
         rows // 2: each distinct head (coefficient, rows below the split)
         is multiplied out once, c P_0 ... P_(split-1), and each distinct
         tail (rows from the split up) is read once into its row ids, so
         a monomial is its head's value times its tail's row products in
         ascending rows, the same multiplications in the same order as one
-        row at a time.  Heads and tails live for the call, and it keeps
-        nothing per monomial.  The second call reads each monomial whole
-        and keeps the plan (cells, rows, values, idss) that later calls
-        reuse: the distinct cells and rows, and per monomial its
-        coefficient in ``values``, equal coefficients sharing one complex,
-        and its row ids in ``idss``, one ``bytes`` each, or a tuple each
-        when there are more than 256 rows.  Per monomial that is two list
-        slots (16 bytes), a bytes of 33 bytes plus one byte per row, and a
-        share of one complex.  All calls multiply in one order, so they give
-        identical bits.  A value beyond the double range is an
-        EvaluationError."""
+        row at a time.  Heads, tails and rows live for the call, and the
+        polynomial keeps nothing, so every call gives identical bits.  A
+        value beyond the double range is an EvaluationError."""
         if getattr(family, "symbolic", False):
             raise special_fn.DomainError("cannot evaluate symbols against a symbolic family")
         if cache is None:
@@ -448,16 +429,6 @@ class WeightPolynomial:
             return product
 
         total = 0.0 + 0.0j
-        if self._plan:
-            cells, rows, values, idss = self._plan
-            weights = list(map(weigh, cells))
-            products = list(map(multiply, rows))
-            for value, ids in zip(values, idss):
-                for i in ids:
-                    value *= products[i]
-                total += value
-            return special_fn.require_finite(total, "weight polynomial value")
-        keep = self._plan is not None
         w, nb = self._frame[2:] if self._frame else (_CHUNK_FIELDS, 1)
         bits = 8 * nb * w
         mask = (1 << bits) - 1
@@ -491,25 +462,6 @@ class WeightPolynomial:
                     k += skip
             return ids
 
-        if keep:
-            # the plan reads each monomial whole: head and tail memos
-            # freed among the plan's objects left a words bench pass up
-            # to 1 MB larger at its peak
-            values: list = []  # per monomial its coefficient, one complex per integer
-            idss: list = []  # per monomial its row ids, as bytes while they fit
-            shared: dict = {}  # integer coefficient -> its complex in values
-            for m, c in self.terms.items():
-                ids = walk(m, 0)
-                value = complex(c)
-                for i in ids:
-                    value *= products[i]
-                total += value
-                values.append(shared.setdefault(c, complex(c)))
-                idss.append(bytes(ids) if len(rows) <= 256 else tuple(ids))
-            if len(rows) > 256:
-                idss = list(map(tuple, idss))
-            self._plan = (cells, rows, values, idss)
-            return special_fn.require_finite(total, "weight polynomial value")
         # a monomial is its head (coefficient, rows below split) and its
         # tail (rows from split up); each distinct head and tail is
         # walked once per call
@@ -532,7 +484,6 @@ class WeightPolynomial:
             for i in tail:
                 value *= products[i]
             total += value
-        self._plan = ()
         return special_fn.require_finite(total, "weight polynomial value")
 
     def _ordered(self, factor):

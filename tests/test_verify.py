@@ -1,18 +1,21 @@
 """Registry, determinism, and reporting of the verification harness."""
 
+import functools
 import gc
 import hashlib
 import importlib
 import itertools
 import json
+import pkgutil
 import random
 import sys
 
 import pytest
 
 import ellcomb
-from ellcomb.ncword import RelationSystem, expand_power_sum, normal_order
-from ellcomb.special_fn import AQWeights, DomainError, EvaluationError, NearPoleError, theta
+from ellcomb.ncword import RelationSystem, expand_power_sum, normal_order, power_sum_values
+from ellcomb.special_fn import (AQWeights, BQWeights, DomainError, EllipticWeights,
+                                EvaluationError, NearPoleError, theta)
 from ellcomb.verify import (
     CheckContext,
     CheckReport,
@@ -305,7 +308,6 @@ def test_clear_caches_empties_every_module_cache():
     # that is gone
     for check_id in COLD_CHECKS:
         run_check(check_id, seed=3)
-    ellcomb.expand_power_sum(4, ellcomb.RelationSystem.ROOK_WEYL)
     ellcomb.EllipticWeights(ellcomb.ParameterSet(1.1 + 0.2j, 0.4, 0.5 + 0.1j, 0.2)).small(1, 2)
     caches = _module_caches()
     assert caches == {f"ellcomb.{name}": c for name, c in ellcomb._CACHES.items()}
@@ -315,6 +317,21 @@ def test_clear_caches_empties_every_module_cache():
     filled = {name: c.cache_info().currsize for name, c in caches.items()
               if c.cache_info().currsize}
     assert not filled, filled
+
+
+def test_every_lru_cache_is_registered():
+    # a module-level lru_cache missing from _CACHES would hide from
+    # clear_caches() and verify --stats; every module of the package is
+    # imported first, so one that nothing has loaded yet is scanned too
+    found = {}
+    for info in pkgutil.iter_modules(ellcomb.__path__):
+        if info.name.startswith("__"):
+            continue
+        module = importlib.import_module(f"ellcomb.{info.name}")
+        for attr, value in vars(module).items():
+            if isinstance(value, functools._lru_cache_wrapper):
+                found[f"{info.name}.{attr}"] = value
+    assert found == ellcomb._CACHES
 
 
 @pytest.mark.parametrize("check_id", COLD_CHECKS)
@@ -372,17 +389,57 @@ def test_reference_memo_keeps_every_value():
     assert memo
 
 
-def test_power_sums_evaluate_as_each_power_alone():
-    # (x + y)^0 ... (x + y)^8 under one weight cache give the bits of
-    # each power evaluated under its own
-    verify = importlib.import_module("ellcomb.verify")
-    fam = AQWeights(0.8 - 0.3j, 0.55 + 0.2j)
-    together = verify._power_sums(fam, 8)
-    alone = {}
-    for n in range(9):
-        alone.update(expand_power_sum(n).evaluate(fam))
-    assert together == alone
-    assert len(together) == 45
+class _AbsWeights:
+    """A numeric family whose weights are the absolute values of another's."""
+
+    def __init__(self, family):
+        self.family = family
+
+    def small(self, s, t):
+        return abs(complex(self.family.small(s, t)))
+
+
+# |sweep - symbolic evaluate| <= C eps M for every coefficient of
+# (x + y)^n, n <= 8, M the coefficient under |w|.  Both sides sum the
+# same lattice-path products, with positive integer multiplicities, so
+# each computed side is within (m mu + a u) M of the exact value, m the
+# complex products and a the additions a path's term passes through,
+# u = eps / 2 and mu = sqrt(2) eps the bound of one complex product
+# (Higham, Lemma 3.5).  The sweep: m <= k (n - k) <= 16 weight products,
+# a <= n <= 8 additions, 16 sqrt(2) + 8 / 2 = 26.7.  The symbolic
+# evaluate: m <= 16 + 1 (the integer coefficient), a <= C(8, 4) - 1 =
+# 69 additions over the monomials, 17 sqrt(2) + 69 / 2 = 58.5.  The sum,
+# 85.2, rounded up:
+POWER_SUM_C = 86
+
+
+def test_power_sum_sweep_matches_the_symbolic_powers():
+    # the numeric append sweep against each symbolic power evaluated
+    # alone, under elliptic, b;q and a;q draws as the registry makes them
+    eps = sys.float_info.epsilon
+    compared = 0
+    for seed in range(20):
+        ctx = CheckContext(random.Random(seed), {}, 0.0)
+        ps, b, a, q = ctx.draw_ps(), ctx.draw_ab(), ctx.draw_ab(), ctx.draw_q()
+        for fam in (EllipticWeights(ps), BQWeights(b, q), AQWeights(a, q)):
+            try:
+                swept = power_sum_values(8, fam)
+            except (NearPoleError, EvaluationError):
+                continue
+            assert len(swept) == 9
+            for n, values in enumerate(swept):
+                power = expand_power_sum(n)
+                symbolic = power.evaluate(fam)
+                mass = power.evaluate(_AbsWeights(fam))
+                assert values.keys() == symbolic.keys(), (seed, fam, n)
+                for key, value in values.items():
+                    bound = POWER_SUM_C * eps * mass[key].real
+                    assert abs(value - symbolic[key]) <= bound, (seed, fam, key)
+                    compared += 1
+            assert power_sum_values(0, fam) == [{(0, 0): 1}]
+    assert compared >= 45 * 50
+    with pytest.raises(DomainError):
+        power_sum_values(-1, AQWeights(0.8, 0.5))
 
 
 # SHA-1 of each reference-weight and power-sum report, timing stripped,
@@ -397,14 +454,14 @@ REFERENCE_REPORTS = {
     ("weight-shift", 1): "37bff78c25bece2497f278774e4f527c2395f922",
     ("weight-shift", 2): "0018a708e6ecc439b7669f3143973ea0af015ca1",
     ("weight-shift", 3): "4442aaae8dde2c1c62679599e6166acba1524b27",
-    ("aq-binomial-thm", 0): "c714ab2b1543d004aa6a442cb0f997cf3ddb1254",
-    ("aq-binomial-thm", 1): "a5afef655c16d6132b592135c4cdb8cc197d8014",
-    ("aq-binomial-thm", 2): "255a970b1dca80bb55c5271811469e30cd555660",
-    ("aq-binomial-thm", 3): "282c4aca167acf394a0b5f7c6102344991127dad",
-    ("aq-cauchy", 0): "509fc333072cf8a397304be715fb58039ad69a4c",
-    ("aq-cauchy", 1): "77452531f65251ca140d6c41d33e7b48c8eb3fbf",
-    ("aq-cauchy", 2): "8c570ee0b404517831fc88679ad4c7d5bd55b743",
-    ("aq-cauchy", 3): "a9bc9d324912b2637fd11b778e318fcbe6738259",
+    ("aq-binomial-thm", 0): "a2e1ce0417fe7debb528bde500f931cae8ad5bd0",
+    ("aq-binomial-thm", 1): "4eac789fd618329f18fc5d618392883b6cc49c5f",
+    ("aq-binomial-thm", 2): "11389a40e2ae0d0bbc9fdbc62f47223782b61aed",
+    ("aq-binomial-thm", 3): "4e32225cc5f67cc16093c4195acb989555861f1c",
+    ("aq-cauchy", 0): "b159841cd1992af8ae4bc05d6a2a8102fc42496a",
+    ("aq-cauchy", 1): "f631357ca7b87d6e00e19484796336ebfa189b99",
+    ("aq-cauchy", 2): "7f8c788abab4056be686600e8442e86322e96e0c",
+    ("aq-cauchy", 3): "e01d32a54ffcf8747621bc0a0f4915822d9cd7a2",
 }
 
 

@@ -4,7 +4,6 @@ import gc
 import json
 import random
 import struct
-import sys
 import tracemalloc
 
 import pytest
@@ -87,8 +86,7 @@ def test_evaluate_rejects_symbolic_family():
 
 def test_evaluate_beyond_the_double_range_is_an_evaluation_error():
     # a product of weights that overflows, and inf - inf, are errors on
-    # the first (streaming) call and on later calls that reuse the plan;
-    # so is a power of one weight that overflows
+    # every call; so is a power of one weight that overflows
     table = TableWeights({(1, 1): 1e200, (1, 2): 1e200, (2, 2): 1e200})
     for poly in (w(1, 1) * w(2, 2), w(1, 1) * w(2, 2) - w(1, 1) * w(1, 2),
                  w(1, 1) * w(1, 1)):
@@ -286,7 +284,7 @@ def _assert_matches(poly, ref):
     assert str(poly) == _oracle_str(ref)
     assert json.dumps(poly.to_json()) == json.dumps(_oracle_json(ref))
     assert list(poly.terms.values()) == list(ref.values())
-    # the first call streams, the second keeps a plan that the third reuses
+    # three calls under three families
     for family in (_AnyCellWeights(), _AnyCellWeights(7), _AnyCellWeights(-3)):
         assert poly.evaluate(family) == _oracle_evaluate(ref, family)
     assert poly == WeightPolynomial(ref)
@@ -346,8 +344,7 @@ def _power(poly, n):
 
 
 def test_first_and_later_evaluations_agree_bit_for_bit():
-    # the first call streams the monomials, the second builds the kept
-    # plan and the third reads it: one order of multiplication throughout
+    # every call multiplies in one order, so repeated calls give one value
     rng = random.Random(34)
     polys = [_random_pair(rng)[0] for _ in range(30)]
     polys.append(_power(w(1, 1) + 2 * w(1, 3) + w(2, 1) * w(2, 2) - w(4, 9), 6))
@@ -372,43 +369,6 @@ def test_value_does_not_depend_on_the_frame():
         for _ in range(3):
             assert _bits(wide.evaluate(family)) == expected
             assert _bits(poly.evaluate(family)) == expected
-
-
-def test_a_polynomial_evaluated_once_keeps_no_plan():
-    poly = _power(w(1, 1) + w(1, 2) + w(2, 1) + w(3, 3), 5)
-    family = _AnyCellWeights()
-    poly.evaluate(family)
-    assert not poly._plan
-    poly.evaluate(family)
-    _cells, _rows, values, idss = poly._plan
-    assert len(values) == len(idss) == len(poly.terms)
-
-
-def test_kept_plans_share_coefficients_and_pack_row_ids():
-    # equal coefficients share one complex; row ids are one bytes per
-    # monomial while the polynomial has at most 256 distinct rows
-    poly = _power(w(1, 1) + w(2, 1) + w(3, 2), 4)
-    family = _AnyCellWeights()
-    poly.evaluate(family)
-    poly.evaluate(family)
-    _cells, rows, values, idss = poly._plan
-    assert len(rows) <= 256 and all(type(ids) is bytes for ids in idss)
-    assert len({id(v) for v in values}) == len(set(poly.terms.values()))
-    assert values == [complex(c) for c in poly.terms.values()]
-
-
-def test_more_than_256_rows_keep_tuples_bit_for_bit():
-    ref = {}
-    for s in range(1, 301):
-        ref[(((s, 1), 1), ((s + 1, 2), 2))] = s % 7 - 3 or 5
-        ref[(((s, 3), 1),)] = 2
-    poly = WeightPolynomial(ref)
-    family = _AnyCellWeights(3)
-    expected = _bits(_oracle_evaluate(ref, family))
-    assert [_bits(poly.evaluate(family)) for _ in range(3)] == [expected] * 3
-    _cells, rows, _values, idss = poly._plan
-    assert len(rows) > 256 and all(type(ids) is tuple for ids in idss)
-    assert max(max(ids) for ids in idss) >= 256
 
 
 def _streamed_value(poly, family):
@@ -482,7 +442,6 @@ def test_first_call_keeps_the_bits_of_the_row_by_row_order():
             fresh = poly + 0
             expected = _bits(_streamed_value(fresh, family))
             assert _bits(fresh.evaluate(family)) == expected, name
-            assert not fresh._plan, name
             assert _bits(fresh.evaluate(family)) == expected, name
             assert _bits(fresh.evaluate(family)) == expected, name
 
@@ -503,32 +462,4 @@ def test_first_call_keeps_nothing_beyond_the_call():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert all(not poly._plan for poly in nf.coeffs.values())
     assert retained < 1 << 20, retained
-
-
-def _plan_bytes(obj, seen) -> int:
-    """sys.getsizeof of obj and of every tuple, list and item under it,
-    each object counted once."""
-    if id(obj) in seen:
-        return 0
-    seen.add(id(obj))
-    size = sys.getsizeof(obj)
-    if isinstance(obj, (tuple, list)):
-        size += sum(_plan_bytes(item, seen) for item in obj)
-    return size
-
-
-def test_kept_plans_cost_at_most_96_bytes_per_monomial():
-    # the Weyl form of y^6 x^6 and (x + y)^12 keep about 60 and 70 bytes
-    # per monomial; a (complex, tuple) pair per monomial keeps 180 and 191
-    from ellcomb import RelationSystem, expand_power_sum, normal_order
-    family = QWeights(0.7)
-    for nf in (normal_order("y" * 6 + "x" * 6, RelationSystem.from_tag("weyl")),
-               expand_power_sum(12, RelationSystem.from_tag("comm"))):
-        polys = list(nf.coeffs.values())
-        for _ in range(3):
-            nf.evaluate(family)
-        seen: set = set()
-        size = sum(_plan_bytes(poly._plan, seen) for poly in polys)
-        assert size <= 96 * sum(len(poly.terms) for poly in polys)
