@@ -77,7 +77,7 @@ from .verify import (
     run_all,
     run_check,
 )
-from . import boards, ncword, special_fn
+from . import ncword, special_fn
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,6 @@ _CACHES = {
     "special_fn._elliptic_small": special_fn._elliptic_small,
     "special_fn._elliptic_big": special_fn._elliptic_big,
     "ncword._y_x_power": ncword._y_x_power,
-    "boards._sweep_plan": boards._sweep_plan,
 }
 
 

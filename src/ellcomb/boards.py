@@ -32,34 +32,15 @@ fixed k the cost is polynomial in the board size while the number of
 placements grows exponentially.  The final states hold any number of
 rooks from lo to hi, so one sweep gives every k in that range:
 ``rook_poly`` and ``file_poly`` sweep k..k, or 0..k with ``every``.
-The sweep's geometry is cached per (heights, kind, lo, hi) in one
-bounded cache.  A plan holds one row per state and column, (source,
-cells, targets, starts): move m goes to targets[m] and weighs
-cells[starts[m]:].  Within a column each target state and each cell
-(s, t) is made once and shared by every row that uses it, and the plan
-keeps its sorted final states.  A plan with lo = 0 is
-the cached plan of the board without its last column plus that one
-column, so every column of a board, and of the boards sharing its
-prefix, is built once; a plan with lo > 0 (a single k) is the lo = 0
-plan with the same hi pruned by a backward pass, to drop the moves that
-cannot reach lo rooks.  Across calls the cache serves boards met again,
-as the product-formula checks sample their boards from the 70 inside
-the 4 x 4 square at every draw, but that win is not shown: with plans
-kept for one call only, a ``registry`` and a ``numeric`` pass at seed 1
-took 1.5 % and 2.2 % longer, inside their spread over 5 alternating
-pairs, and peaked 5 % and 4 % lower in memory.  Its bound of 4,096 is
-not sized to one draw, as the theta-family bounds are, because a plan
-depends on the board alone and its reuse crosses draws and words: a
-``registry`` pass at seed 1 builds 625 distinct plans and hits them
-6,614 times, the longest reuse distance (distinct plans asked for
-between two uses of one plan) is 564, and 96 hits would be lost by a
-256-entry cache; a ``numeric`` pass at seed 1 builds 302 plans with a
-longest distance of 257.  A draw-sized bound would lose hits, so
-whether plans should live for one call stays open.  A numeric move is
-one in-order product, ``math.prod`` of its cells started at the source
-state's sum, the same multiplications as a loop over the cells.
-``placements`` enumerates placements directly and is the reference the
-sweep is tested against.
+Each call sweeps the board once, forward, and keeps nothing: it takes
+each column's states in sorted order and each state's moves in order,
+no rook first, then a rook on each free row from the bottom up.  With
+lo > 0 a move is dropped when the nonempty columns left cannot bring
+its target state to lo rooks, and only the final states with lo..hi
+rooks are summed.  A numeric move is one in-order product, ``math.prod`` of its
+cells started at the source state's sum, the same multiplications as a
+loop over the cells.  ``placements`` enumerates placements directly
+and is the reference the sweep is tested against.
 
 Every family weighs a cell by its small weight w(s, t), so under the
 theta weight the polynomials are the normal-ordering coefficients.  The
@@ -77,7 +58,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import prod
 
@@ -228,146 +208,85 @@ def placements(board: FerrersBoard, k: int, kind: str):
     return results
 
 
-@lru_cache(maxsize=4096)
-def _sweep_plan(heights: tuple, kind: str, lo: int, hi: int) -> tuple:
-    """The column-by-column transfer for placements of lo..hi rooks.
+def _moves(state: tuple, col: int, height: int, kind: str, hi: int) -> tuple:
+    """(cells, targets): the moves of a sweep state in column ``col``.
 
     A sweep state is the sorted tuple of rows holding the rooks placed
-    in the columns already swept.  Column ``col`` takes each state either
+    in the columns already swept.  The column takes the state either
     without a rook, or with a rook at a row r (in rook mode not a row
-    the state uses) that cancels the cells below it.  The uncancelled
-    cells of the column depend only on the state: the rows it leaves
-    free, bottom-up, each (col, j) carrying (s, t) = (col - nw, j) with
-    nw counting the state's rows at or above j.  A rook on the i-th free
-    row leaves the cells above it, so every move of a state weighs a
-    suffix of one shared cell row.
-
-    A plan with lo = 0 is the plan of ``heights[:-1]`` with one more
-    column: the columns before the last see at most n - 1 rooks, so the
-    prefix is looked up with hi capped at n - 1, and boards that share a
-    prefix share its columns.  Its forward pass adds no rook beyond hi
-    and keeps every state's move without a rook.  A plan with lo > 0 is
-    the plan with lo = 0 and the same hi, pruned backward: the moves
-    that cannot end with between lo and hi rooks go, and each row is cut
-    to the cells its kept moves use.  Each call looks up one shorter
-    prefix, so a caller that builds a long board's prefixes in
-    ascending order (``_weighted_sums``) recurses one level at most.
-
-    Returns (columns, cells, finals).  Each column is a tuple of rows
-    (source, cells, targets, starts): the row's moves go from the source
-    state to targets[m], weighted by cells[starts[m]:].  Within a column
-    each target state and each (s, t) is one shared object, however many
-    rows use it.  ``cells`` holds the distinct (s, t) over all rows, and
-    ``finals`` the sorted states the last column ends in; all three
-    depend only on the geometry.  None when the board has no placement
-    of lo..hi rooks.
+    the state uses) that cancels the cells below it; no rook goes beyond
+    hi.  The uncancelled cells of the column depend only on the state:
+    the rows it leaves free, bottom-up, each (col, j) carrying (s, t) =
+    (col - nw, j) with nw counting the state's rows at or above j.  A
+    rook on the i-th free row leaves the cells above it, so move m goes
+    to targets[m] and weighs the suffix cells[m:]: move 0 places no
+    rook, and move i a rook on the i-th free row.
     """
-    if lo > 0:
-        return _pruned(_sweep_plan(heights, kind, 0, hi), lo, hi)
-    n = len(heights)
-    if not n:
-        return (), (), ((),)
-    columns, cells, states = _sweep_plan(heights[:-1], kind, 0, min(hi, n - 1))
-    height = heights[-1]
-    # every state keeps its move without a rook, so the states are targets
-    targets_made = {state: state for state in states}
-    cells_made: dict = {}
-    spans = [tuple(range(m + 1)) for m in range(height + 1)]
-    rows = []
-    for state in states:
-        placed = len(state)
-        free = [j for j in range(1, height + 1) if kind == "file" or j not in state]
-        row_cells = []
-        for j in free:
-            cell = (n - placed + bisect_left(state, j), j)
-            row_cells.append(cells_made.setdefault(cell, cell))
-        targets = [state]
-        if placed < hi:
-            for row in free:
-                target = tuple(sorted(state + (row,)))
-                targets.append(targets_made.setdefault(target, target))
-        rows.append((state, tuple(row_cells), tuple(targets), spans[len(targets) - 1]))
-    cells = tuple(sorted(set(cells).union(cells_made)))
-    return columns + (tuple(rows),), cells, tuple(sorted(targets_made.values()))
-
-
-def _pruned(plan: tuple, lo: int, hi: int):
-    # the lo = 0 plan cut to the moves that end with lo..hi rooks; a row
-    # keeps the suffix of its cells from its first kept move's start
-    columns, _, finals = plan
-    columns = list(columns)
-    finals = tuple(state for state in finals if lo <= len(state) <= hi)
-    alive = set(finals)
-    for i in range(len(columns) - 1, -1, -1):
-        kept = []
-        for source, cells, targets, starts in columns[i]:
-            keep = [m for m, target in enumerate(targets) if target in alive]
-            if keep:
-                first = starts[keep[0]]
-                kept.append((source, cells[first:], tuple(targets[m] for m in keep),
-                             tuple(starts[m] - first for m in keep)))
-        columns[i] = tuple(kept)
-        alive = {row[0] for row in kept}
-    if () not in alive:
-        return None
-    cells = sorted({cell for rows in columns for row in rows for cell in row[1]})
-    return tuple(columns), tuple(cells), finals
+    placed = len(state)
+    free = [j for j in range(1, height + 1) if kind == "file" or j not in state]
+    cells = [(col - placed + bisect_left(state, j), j) for j in free]
+    targets = [state]
+    if placed < hi:
+        targets += [tuple(sorted(state + (row,))) for row in free]
+    return cells, targets
 
 
 def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> list:
     """[p_lo, ..., p_hi], the weighted sums over placements of each size,
-    from one sweep.  A numeric sum beyond the double range is an
+    from one forward sweep.  A numeric sum beyond the double range is an
     EvaluationError."""
     if hi < 0:
         raise DomainError("placement count k must be nonnegative")
     symbolic = getattr(family, "symbolic", False)
     heights = board.heights
-    for m in range(len(heights)):
-        # the prefixes in ascending order, each found or built from the
-        # one before it, so no plan build recurses deeper than one level
-        _sweep_plan(heights[:m], kind, 0, min(hi, m))
-    plan = _sweep_plan(heights, kind, lo, hi)
-    if plan is None:
-        return [WeightPolynomial.zero() if symbolic else 0.0 + 0.0j
-                for _ in range(lo, hi + 1)]
-    columns, cells, _ = plan
+    n = len(heights)
+    # the zero-height columns come first, so the columns after col hold
+    # n - max(col, zeros) nonempty columns, each room for one rook
+    zeros = heights.count(0)
     if symbolic:
-        # a column adds each (s, t) at most once to a monomial, so no
-        # exponent exceeds the number of columns; in one packed frame a
-        # move's product is the sum of the packed monomials, and every
-        # coefficient is a positive count
-        basis = _cell_basis(cells, len(columns))
+        # every cell has 1 <= s <= n and 1 <= t <= the last height, and a
+        # column adds each (s, t) at most once to a monomial, so no
+        # exponent exceeds n; in one packed frame a move's product is
+        # the sum of the packed monomials, and every coefficient is a
+        # positive count
+        basis = _cell_basis([(1, 1), (n, heights[-1])] if n and heights[-1] else [], n)
         acc = {(): {0: 1}}
-        for rows in columns:
-            nxt: dict = {}
-            for source, row_cells, targets, starts in rows:
-                tails = _suffix_monomials(basis, row_cells)
-                part = acc[source]
-                for target, start in zip(targets, starts):
-                    tail = tails[start]
-                    out = nxt.setdefault(target, {})
-                    for m, c in part.items():
-                        m += tail
-                        out[m] = out.get(m, 0) + c
-            acc = nxt
+    else:
+        weight: dict = {}
+        acc = {(): 1.0 + 0.0j}
+    for col, height in enumerate(heights, start=1):
+        # a target with fewer rooks than this cannot reach lo
+        need = lo - (n - max(col, zeros))
+        nxt: dict = {}
+        for state in sorted(acc):
+            cells, targets = _moves(state, col, height, kind, hi)
+            part = acc[state]
+            if symbolic:
+                for target, tail in zip(targets, _suffix_monomials(basis, cells)):
+                    if len(target) >= need:
+                        out = nxt.setdefault(target, {})
+                        for m, c in part.items():
+                            m += tail
+                            out[m] = out.get(m, 0) + c
+                continue
+            for cell in cells:
+                if cell not in weight:
+                    weight[cell] = family.small(*cell)
+            factors = [weight[cell] for cell in cells]
+            for start, target in enumerate(targets):
+                if len(target) >= need:
+                    nxt[target] = nxt.get(target, 0.0) + prod(factors[start:], start=part)
+        acc = nxt
+    finals = [(state, part) for state, part in acc.items() if len(state) >= lo]
+    if symbolic:
         sums = [{} for _ in range(lo, hi + 1)]
-        for state, part in acc.items():
+        for state, part in finals:
             terms = sums[len(state) - lo]
             for m, c in part.items():
                 terms[m] = terms.get(m, 0) + c
         return [_poly(terms, *basis) for terms in sums]
-    weight = {cell: family.small(*cell) for cell in cells}
-    acc = {(): 1.0 + 0.0j}
-    for rows in columns:
-        nxt = {}
-        for source, row_cells, targets, starts in rows:
-            factors = [weight[cell] for cell in row_cells]
-            base = acc[source]
-            for target, start in zip(targets, starts):
-                nxt[target] = nxt.get(target, 0.0) + prod(factors[start:], start=base)
-        acc = nxt
     sums = [0.0 + 0.0j] * (hi - lo + 1)
-    for state, value in acc.items():
+    for state, value in finals:
         sums[len(state) - lo] += value
     return [require_finite(value, "weighted board sum") for value in sums]
 
@@ -432,6 +351,8 @@ class SingleIndexCells(WeightFamily):
     w(1, 1 - t)."""
 
     def __init__(self, ps, kind: str):
+        if kind not in ("rook", "file"):
+            raise DomainError(f"cell kind must be rook or file: {kind!r}")
         self.theta = EllipticWeights(ps)
         self.kind = kind
 

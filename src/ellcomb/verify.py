@@ -52,7 +52,7 @@ from .special_fn import (
     reversal_coeff_bq,
     theta,
 )
-from .ncword import (NormalForm, RelationSystem, _prepend, expand_power_sum, normal_order,
+from .ncword import (NormalForm, RelationSystem, _append, _prepend, normal_order,
                      power_sum_values)
 from .boards import (
     FerrersBoard,
@@ -603,10 +603,14 @@ def _draw_aq_recurrences(ctx: CheckContext):
         "symbolic binomial theorem: normal ordering (x + y)^n equals the "
         "triangle-recursion binomials times x^k y^(n-k), exactly",
         "exact-symbolic", {"n": 8}, 0.0,
-        ["ncword:expand_power_sum"], ["special_fn:WeightFamily.binom"], "n")
+        ["ncword:_append"], ["special_fn:WeightFamily.binom"], "n")
 def _run_wdep_binomial(ctx: CheckContext) -> None:
+    # (x + y)^n from (x + y)^(n-1) by appending x + y, the step of
+    # expand_power_sum, so each power is built once
+    lhs = NormalForm.unit()
     for n in range(0, ctx.size("n") + 1):
-        lhs = expand_power_sum(n, _HOM)
+        if n:
+            lhs = _append(lhs, "x", _HOM) + _append(lhs, "y", _HOM)
         rhs = NormalForm({(k, n - k): _GENERIC.binom(n, k) for k in range(n + 1)})
         ctx.record(lhs, rhs)
 

@@ -1,9 +1,11 @@
 """Ferrers boards, placements, and the weighted polynomials on them."""
 
 import cmath
+import gc
 import hashlib
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -11,6 +13,7 @@ import ellcomb.boards as boards_mod
 import ellcomb.cli as cli
 from ellcomb.boards import (
     FerrersBoard,
+    Placement,
     SingleIndexCells,
     all_boards_within,
     board_from_word,
@@ -64,6 +67,21 @@ def test_board_validation():
         FerrersBoard((2, 1))
     with pytest.raises(DomainError):
         FerrersBoard((-1, 0))
+
+
+def test_placement_kinds_are_rook_or_file():
+    # every entry point that takes a kind refuses any other, so a typo
+    # never weighs the cells of the other kind
+    ps = ParameterSet(0.3 + 0.1j, 0.4, 0.5 + 0.2j, 0.1)
+    for kind in ("File", "rooks", "", None):
+        with pytest.raises(DomainError):
+            SingleIndexCells(ps, kind)
+        with pytest.raises(DomainError):
+            Placement(((1, 1),), kind)
+        with pytest.raises(DomainError):
+            placements(FerrersBoard((1, 2)), 1, kind)
+    assert SingleIndexCells(ps, "file").small(2, 1) == EllipticWeights(ps).small(1, 0)
+    assert SingleIndexCells(ps, "rook").small(2, 1) == EllipticWeights(ps).small(1, 1)
 
 
 def test_board_text_round_trip():
@@ -285,102 +303,10 @@ def test_every_k_sweep_matches_single_k_sweeps():
             poly(FerrersBoard((1,)), -1, gen, every=True)
 
 
-def test_product_sides_build_one_plan():
-    # one sweep serves every rook or file number of the board: a product
-    # side caches the plan of each prefix of the board, n + 1 plans, and
-    # the same side at another z and nome builds none
-    board = FerrersBoard((1, 2, 3, 4, 5))
-    ps = ParameterSet(0.3 + 0.1j, 0.4, 0.5 + 0.2j, 0.1)
-    other = ParameterSet(0.7, 0.2 - 0.3j, 0.6, 0.2 + 0.1j)
-    for sides in (rook_product_sides, file_product_sides):
-        boards_mod._sweep_plan.cache_clear()
-        sides(board, 2, ps)
-        info = boards_mod._sweep_plan.cache_info()
-        assert info.currsize == board.n + 1, sides
-        sides(board, 4, other)
-        again = boards_mod._sweep_plan.cache_info()
-        assert (again.currsize, again.misses) == (info.currsize, info.misses), sides
-
-
-def _one_pass_plan(heights, kind, lo, hi):
-    # the sweep plan built in one forward pass over all columns, with a
-    # backward pass for lo > 0, one row (source, cells, targets, starts)
-    # per state: the reference for the prefix plans and the pruned plans
-    # of _sweep_plan
-    n = len(heights)
-    open_after = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        open_after[i] = open_after[i + 1] + (heights[i] > 0)
-    columns = []
-    states = [()]
-    for col, height in enumerate(heights, start=1):
-        rows = []
-        for state in states:
-            placed = len(state)
-            free = [j for j in range(1, height + 1) if kind == "file" or j not in state]
-            cells = tuple((col - placed + sum(1 for r in state if r < j), j) for j in free)
-            moves = []
-            if placed + open_after[col] >= lo:
-                moves.append((state, 0))
-            if placed < hi and placed + 1 + open_after[col] >= lo:
-                for start, row in enumerate(free, start=1):
-                    moves.append((tuple(sorted(state + (row,))), start))
-            rows.append([state, cells, moves])
-        columns.append(rows)
-        states = sorted({target for _, _, moves in rows for target, _ in moves})
-    if lo > 0:
-        states = [state for state in states if lo <= len(state) <= hi]
-        alive = set(states)
-        for i in range(n - 1, -1, -1):
-            kept = []
-            for state, cells, moves in columns[i]:
-                moves = [move for move in moves if move[0] in alive]
-                if moves:
-                    first = min(start for _, start in moves)
-                    kept.append([state, cells[first:],
-                                 [(target, start - first) for target, start in moves]])
-            columns[i] = kept
-            alive = {row[0] for row in kept}
-        if () not in alive:
-            return None
-    columns = tuple(
-        tuple((state, cells, tuple(target for target, _ in moves),
-               tuple(start for _, start in moves)) for state, cells, moves in rows)
-        for rows in columns)
-    cells = sorted({cell for rows in columns for row in rows for cell in row[1]})
-    return columns, tuple(cells), tuple(states)
-
-
-def test_sweep_plans_match_the_one_pass_build():
-    # every plan of every board of at most 4 columns of height at most 5,
-    # each prefix and prune found in the cache as the boards go by
-    boards_mod._sweep_plan.cache_clear()
-    checked = 0
-    for n in range(5):
-        for board in all_boards_within(n, 5):
-            for kind in ("rook", "file"):
-                for hi in range(n + 2):
-                    for lo in range(hi + 1):
-                        want = _one_pass_plan(board.heights, kind, lo, hi)
-                        got = boards_mod._sweep_plan(board.heights, kind, lo, hi)
-                        assert got == want, (board.heights, kind, lo, hi)
-                        checked += 1
-                if n:
-                    # a column makes each target state and each cell once
-                    columns, _, _ = boards_mod._sweep_plan(board.heights, kind, 0, n)
-                    for rows in columns:
-                        for part in (1, 2):
-                            made = [item for row in rows for item in row[part]]
-                            assert len({id(item) for item in made}) == len(set(made))
-    assert checked == 7470
-
-
 def test_long_board_sweeps_without_deep_recursion():
-    # 1,502 columns: each prefix plan is built from the one before it,
-    # in ascending order, never by recursing through all the prefixes
+    # 1,502 columns, swept by one loop over the columns
     board = FerrersBoard((0,) * 1500 + (1, 2))
     r0, r1, r2 = rook_poly(board, 2, GenericWeights(), every=True)
-    boards_mod._sweep_plan.cache_clear()
     assert str(r0) == "w(1501,1)*w(1502,1)*w(1502,2)"
     assert str(r1) == "w(1501,1) + w(1501,1)*w(1502,2) + w(1502,2)"
     assert str(r2) == "1"
@@ -403,47 +329,55 @@ def test_rook_product_carries_falling_brackets(monkeypatch):
         assert len(calls) == 2 * board.n, board
 
 
-def _loop_weighted_sums(board, family, kind, lo, hi):
-    # the numeric sweep with one Python multiplication per cell of a
-    # move, left to right: the reference for its math.prod
-    plan = boards_mod._sweep_plan(board.heights, kind, lo, hi)
-    if plan is None:
-        return [0.0 + 0.0j for _ in range(lo, hi + 1)]
-    columns, cells, _ = plan
-    weight = {cell: family.small(*cell) for cell in cells}
-    acc = {(): 1.0 + 0.0j}
-    for rows in columns:
-        nxt = {}
-        for source, row_cells, targets, starts in rows:
-            factors = [weight[cell] for cell in row_cells]
-            for target, start in zip(targets, starts):
-                value = acc[source]
-                for factor in factors[start:]:
-                    value *= factor
-                nxt[target] = nxt.get(target, 0.0) + value
-        acc = nxt
-    sums = [0.0 + 0.0j] * (hi - lo + 1)
-    for state, value in acc.items():
-        sums[len(state) - lo] += value
-    return sums
-
-
-def test_numeric_sweep_is_the_per_move_loop():
+def test_numeric_sweep_is_the_per_move_loop(monkeypatch):
     # math.prod with the source sum as its start does the same
-    # multiplications in the same order as the loop, so every sum is
-    # bit for bit the loop's; each cell weighs an independent draw, so a
-    # reordered product would show
+    # multiplications in the same order as a loop over the cells of the
+    # move, bottom-up, so every sum is bit for bit the loop's (repr
+    # tells every bit of a finite double); each cell weighs an
+    # independent draw, so a reordered product would show
     rng = random.Random(62)
-    table = TableWeights({(s, t): draw_annulus(rng, 0.5, 2.0)
-                          for s in range(-6, 7) for t in range(7)})
+    weights = {(s, t): draw_annulus(rng, 0.5, 2.0) for s in range(-6, 7) for t in range(7)}
+    table = TableWeights(weights)
+    row_of = {value: t for (_, t), value in weights.items()}
+
+    def loop_prod(factors, *, start):
+        rows = [row_of[factor] for factor in factors]
+        assert rows == sorted(rows)
+        value = start
+        for factor in factors:
+            value *= factor
+        return value
+
     for board in boards_within(5):
         n = board.n
         for kind in ("rook", "file"):
-            want = _loop_weighted_sums(board, table, kind, 0, n)
-            assert boards_mod._weighted_sums(board, table, kind, 0, n) == want, (board, kind)
-            for k in range(n + 2):
-                want = _loop_weighted_sums(board, table, kind, k, k)
-                assert boards_mod._weighted_sums(board, table, kind, k, k) == want, (board, kind, k)
+            for lo, hi in [(0, n)] + [(k, k) for k in range(n + 2)]:
+                got = boards_mod._weighted_sums(board, table, kind, lo, hi)
+                with monkeypatch.context() as patch:
+                    patch.setattr(boards_mod, "prod", loop_prod)
+                    want = boards_mod._weighted_sums(board, table, kind, lo, hi)
+                assert list(map(repr, got)) == list(map(repr, want)), (board, kind, lo)
+
+
+def test_board_polys_keep_nothing_beyond_the_call():
+    # a sweep's states, cells and weights live for one call, so once a
+    # rook or file number is returned and dropped no memory stays held
+    rng = random.Random(64)
+    table = TableWeights({(s, t): draw_annulus(rng, 0.5, 2.0)
+                          for s in range(1, 9) for t in range(1, 8)})
+    board = FerrersBoard((1, 2, 2, 4, 5, 6, 7, 7))
+    tracemalloc.start()
+    try:
+        for poly in (rook_poly, file_poly):
+            for family in (table, GenericWeights()):
+                before = tracemalloc.get_traced_memory()[0]
+                value = poly(board, 4, family)
+                del value
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0] - before
+                assert retained < 1 << 13, (poly.__name__, family, retained)
+    finally:
+        tracemalloc.stop()
 
 
 def _old_bracket_z(ps, z):
