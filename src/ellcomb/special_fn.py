@@ -57,14 +57,15 @@ The raw references in ``verify`` and the right sides of
 ``skewpoly.f_relation_sides`` keep theirs: they are the independent
 sides of their checks.  ``theta_quotient`` checks the nome once per
 call and forms each factor with ``theta``, the one per-factor rule:
-1 - x at p = 0, otherwise the cached series, which checks p and x on a
-cache miss only.
+1 - x at p = 0, otherwise one lookup in the series cache, keyed on x and
+p as given; p and x are converted and checked on a cache miss only.
 
 Three values outlive a call, each in a bounded module-level
 ``functools.lru_cache``; a call that raises is not cached, so it raises
-again.  The theta series for p != 0 (``_theta_series``, keyed on (x, p))
-serves every weight, bracket and skew factor that meets the same
-argument: a ``numeric`` pass at seed 1 makes 68,660 theta calls for
+again.  The theta series for p != 0 (``_theta_series``, keyed on (x, p)
+as ``theta`` receives them, so a hit costs one lookup) serves every
+weight, bracket and skew factor that meets the same argument: a
+``numeric`` pass at seed 1 makes 68,660 theta calls for
 1,822 series misses, and without the cache it took 5.1 times as long
 and a ``registry`` pass 88 % longer.  The elliptic small weight
 (``_elliptic_small``, keyed on (ps, s, t)) serves the product sides,
@@ -227,12 +228,16 @@ class ParameterSet:
 def theta(x, p) -> complex:
     """theta(x; p) for |p| < 1: 1 - x when p = 0, else for x != 0 only.
 
-    The one per-factor rule: ``theta_quotient`` calls it for each factor."""
-    x = complex(x)
+    The one per-factor rule: ``theta_quotient`` calls it for each factor.
+    For p != 0 it is the series cache itself, keyed on x and p as given;
+    they are converted and checked on a cache miss only."""
     # first: every factor of a q-shifted factorial takes this branch
     if p == 0:
-        return 1.0 - require_finite(x, "theta argument")
-    return _theta_series(x, complex(p))
+        x = complex(x)
+        if cmath.isfinite(x):
+            return 1.0 - x
+        require_finite(x, "theta argument")
+    return _theta_series(x, p)
 
 
 def _nome(p) -> complex:
@@ -243,12 +248,14 @@ def _nome(p) -> complex:
 
 
 @lru_cache(maxsize=1024)
-def _theta_series(x: complex, p: complex) -> complex:
-    # p and x are checked here, on a cache miss only: a call that raises
-    # is not cached, so a bad nome, a non-finite x or x = 0 raises on
-    # every call.
-    _nome(p)
-    require_finite(x, "theta argument")
+def _theta_series(x, p) -> complex:
+    # keyed on the arguments as given: spellings that compare equal, such
+    # as 1, 1.0, 1+0j and complex(1, -0.0), share one entry, as their
+    # complex forms would.  p and x are converted and checked here, on a
+    # cache miss only: a call that raises is not cached, so a bad nome, a
+    # non-finite x or x = 0 raises on every call.
+    p = _nome(p)
+    x = require_finite(complex(x), "theta argument")
     if x == 0:
         raise DomainError("theta(x; p) is undefined at x = 0 for p != 0")
     result = 1.0 + 0.0j

@@ -33,6 +33,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .special_fn import (
     AQWeights,
@@ -966,19 +967,28 @@ def _draw_lemma_xeta_power(ctx: CheckContext):
     return (a, q), pairs
 
 
-def _expected_rook_form(word: str) -> NormalForm:
+def _board_numbers(sweeps: dict, poly, word: str) -> tuple:
+    """(m, n, [p_0, ..., p_m]) for the board of a word with m x's and n
+    y's, from ``poly`` at the generic weights.  ``sweeps`` is one run's
+    dict keyed by the board's heights: words that differ only in trailing
+    y's outline one board (the 510 exhaustive words of length at most 8
+    have 256 boards), so each board is swept once per run."""
     board = board_from_word(word)
-    m = word.count("x")
-    n = word.count("y")
-    rook = rook_poly(board, min(m, n), _GENERIC, every=True)
-    return NormalForm({(m - k, n - k): r for k, r in enumerate(rook)})
+    numbers = sweeps.get(board.heights)
+    if numbers is None:
+        numbers = sweeps[board.heights] = poly(board, len(board.heights), _GENERIC,
+                                               every=True)
+    return word.count("x"), word.count("y"), numbers
 
 
-def _expected_file_form(word: str) -> NormalForm:
-    board = board_from_word(word)
-    m = word.count("x")
-    n = word.count("y")
-    files = file_poly(board, m, _GENERIC, every=True)
+def _expected_rook_form(sweeps: dict, word: str) -> NormalForm:
+    # no placement has more than min(m, n) rooks; the rest are zeros
+    m, n, rook = _board_numbers(sweeps, rook_poly, word)
+    return NormalForm({(m - k, n - k): rook[k] for k in range(min(m, n) + 1)})
+
+
+def _expected_file_form(sweeps: dict, word: str) -> NormalForm:
+    m, n, files = _board_numbers(sweeps, file_poly, word)
     return NormalForm({(m - k, n): f for k, f in enumerate(files)})
 
 
@@ -1019,7 +1029,7 @@ def _normalorder(ctx: CheckContext, rs: RelationSystem, expected) -> None:
         "exact-symbolic", {"exhaustive": 8, "random": 60, "max_len": 12}, 0.0,
         ["ncword:normal_order", "ncword:_prepend"], ["boards:rook_poly"], "exhaustive")
 def _run_normalorder_rook(ctx: CheckContext) -> None:
-    _normalorder(ctx, _WEYL, _expected_rook_form)
+    _normalorder(ctx, _WEYL, partial(_expected_rook_form, {}))
 
 
 @_check("normalorder-file",
@@ -1029,7 +1039,7 @@ def _run_normalorder_rook(ctx: CheckContext) -> None:
         "exact-symbolic", {"exhaustive": 8, "random": 60, "max_len": 12}, 0.0,
         ["ncword:normal_order", "ncword:_prepend"], ["boards:file_poly"], "exhaustive")
 def _run_normalorder_file(ctx: CheckContext) -> None:
-    _normalorder(ctx, _FILE, _expected_file_form)
+    _normalorder(ctx, _FILE, partial(_expected_file_form, {}))
 
 
 @_check("rook-product",

@@ -101,6 +101,42 @@ def test_theta_cache_is_bounded():
     assert series.cache_info().misses == info.misses + 1
 
 
+def test_theta_series_cache_is_keyed_on_the_arguments_as_given():
+    # theta passes x and p to the series cache unconverted; spellings
+    # that compare equal share one entry, as their complex forms did, so
+    # each gets the bits of the one miss, zero signs included
+    def bits(z):
+        return struct.pack("<dd", z.real, z.imag)
+
+    series = special_fn._theta_series
+    for xs in ((1, 1.0, 1 + 0j, complex(1, -0.0)), (0.5, 0.5 + 0j, complex(0.5, -0.0))):
+        series.cache_clear()
+        want = bits(theta(complex(xs[0]), 0.3))
+        for x in xs:
+            for p in (0.3, 0.3 + 0j):
+                assert bits(theta(x, p)) == want, (x, p)
+        assert (series.cache_info().misses, series.cache_info().currsize) == (1, 1)
+        # p = 0 never reaches the cache
+        for x in xs:
+            for p in (0, 0.0, 0j):
+                assert bits(theta(x, p)) == bits(1.0 - complex(x)), (x, p)
+        assert (series.cache_info().misses, series.cache_info().currsize) == (1, 1)
+    # a bad x raises on every call and leaves no entry
+    series.cache_clear()
+    nan, inf = math.nan, math.inf
+    for bad in (nan, inf, -inf, complex(1.0, nan), complex(inf, 0.0), 0, 0.0, 0j):
+        error = DomainError if bad == 0 else EvaluationError
+        for p in (0.3, 0.3 + 0j):
+            for _ in range(2):
+                with pytest.raises(error):
+                    theta(bad, p)
+        if bad != 0:
+            for _ in range(2):
+                with pytest.raises(EvaluationError, match="non-finite theta argument"):
+                    theta(bad, 0)
+    assert series.cache_info().currsize == 0
+
+
 THETA_FAMILY_CACHES = ("_theta_series", "_elliptic_small", "_elliptic_big")
 
 

@@ -496,6 +496,25 @@ def test_normalorder_reports_keep_their_bytes(check_id, seed):
     assert _report_sha1(check_id, seed) == NORMALORDER_REPORTS[check_id, seed]
 
 
+@pytest.mark.parametrize("check_id, poly", [("normalorder-rook", "rook_poly"),
+                                            ("normalorder-file", "file_poly")])
+def test_normalorder_sweeps_each_board_once_per_run(monkeypatch, check_id, poly):
+    # the 510 exhaustive words outline 256 boards, as trailing y's add no
+    # column; each board's numbers are swept once and read for every word
+    verify = importlib.import_module("ellcomb.verify")
+    plain = getattr(verify, poly)
+    boards = []
+
+    def counted(board, *args, **kwargs):
+        boards.append(board.heights)
+        return plain(board, *args, **kwargs)
+
+    monkeypatch.setattr(verify, poly, counted)
+    report = run_check(check_id, sizes={"random": 0})
+    assert (report.passed, report.trials) == (True, 510)
+    assert len(boards) == len(set(boards)) == 256
+
+
 @pytest.mark.parametrize("rs", [RelationSystem.ROOK_WEYL, RelationSystem.FILE])
 def test_exhaustive_walk_gives_the_forms_of_normal_order(rs):
     # the right side is normal_order itself, so each comparison the walk
