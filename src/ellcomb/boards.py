@@ -57,9 +57,10 @@ the cell weights' theta values.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations_with_replacement
 from math import prod
+from operator import index
 
 from .special_fn import (DomainError, EllipticWeights, WeightFamily, bracket_z,
                          require_finite)
@@ -73,20 +74,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FerrersBoard:
+class FerrersBoard(namedtuple("FerrersBoard", "heights")):
     """Nondecreasing column heights; zero-height columns are meaningful
     (they embed the board in an n x n square for the product formulas)."""
 
-    heights: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        hs = tuple(int(h) for h in self.heights)
+    def __new__(cls, heights):
+        try:
+            hs = tuple(map(index, heights))
+        except TypeError:
+            raise DomainError(f"column heights must be integers: {heights!r}") from None
         if any(h < 0 for h in hs):
             raise DomainError(f"column heights must be nonnegative: {hs}")
         if any(hs[i] > hs[i + 1] for i in range(len(hs) - 1)):
             raise DomainError(f"column heights must be nondecreasing: {hs}")
-        object.__setattr__(self, "heights", hs)
+        return tuple.__new__(cls, (hs,))
 
     @property
     def n(self) -> int:
@@ -129,25 +132,26 @@ class FerrersBoard:
         return ",".join(str(h) for h in self.heights)
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(namedtuple("Placement", "rooks kind")):
     """A set of rook positions (column, row) with its placement kind."""
 
-    rooks: tuple
-    kind: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("rook", "file"):
-            raise DomainError(f"placement kind must be rook or file: {self.kind!r}")
-        rooks = tuple(sorted((int(c), int(r)) for c, r in self.rooks))
+    def __new__(cls, rooks, kind):
+        if kind not in ("rook", "file"):
+            raise DomainError(f"placement kind must be rook or file: {kind!r}")
+        try:
+            rooks = tuple(sorted((index(c), index(r)) for c, r in rooks))
+        except TypeError:
+            raise DomainError(f"rook positions must be integers: {rooks!r}") from None
         cols = [c for c, _ in rooks]
         if len(set(cols)) != len(cols):
             raise DomainError("placement has two rooks in one column")
-        if self.kind == "rook":
+        if kind == "rook":
             rows = [r for _, r in rooks]
             if len(set(rows)) != len(rows):
                 raise DomainError("rook placement has two rooks in one row")
-        object.__setattr__(self, "rooks", rooks)
+        return tuple.__new__(cls, (rooks, kind))
 
 
 def board_from_word(word: str) -> FerrersBoard:

@@ -101,7 +101,7 @@ holds about 0.2 MB, not 13 MB.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import zip_longest
 
@@ -179,28 +179,23 @@ def pair_to_complex(pair) -> complex:
     return complex(float(re), float(im))
 
 
-@dataclass(frozen=True)
-class ParameterSet:
+class ParameterSet(namedtuple("ParameterSet", "a b q p")):
     """The parameter quadruple (a, b, q, p) with nome restriction |p| < 1.
 
     Zero entries are permitted here so that degenerate limits stay
     expressible (for example a = b = 0, p = 0 reduces brackets to their
     plain q-analogues).  Weight-family constructors impose their own
-    nonzero requirements on top.
+    nonzero requirements on top.  Each entry is stored as a complex.
     """
 
-    a: complex
-    b: complex
-    q: complex
-    p: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "q", "p"):
-            v = complex(getattr(self, name))
-            require_finite(v, name)
-            object.__setattr__(self, name, v)
-        if abs(self.p) >= 1:
-            raise DomainError(f"nome must satisfy |p| < 1, got |p| = {abs(self.p)}")
+    def __new__(cls, a, b, q, p):
+        a, b, q, p = (require_finite(complex(v), name)
+                      for name, v in zip(cls._fields, (a, b, q, p)))
+        if abs(p) >= 1:
+            raise DomainError(f"nome must satisfy |p| < 1, got |p| = {abs(p)}")
+        return tuple.__new__(cls, (a, b, q, p))
 
     def shift(self, a_pow: int = 0, b_pow: int = 0) -> "ParameterSet":
         """Replace (a, b) by (a q^a_pow, b q^b_pow)."""

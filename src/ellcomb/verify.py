@@ -28,11 +28,10 @@ route both sides through the same library function.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
 
 from .special_fn import (
@@ -98,29 +97,13 @@ class VerifyError(RuntimeError):
     few admissible samples, or no comparison recorded)."""
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    id: str
-    description: str
-    kind: str
-    default_sizes: dict
-    tolerance: float
-    lhs_path: tuple
-    rhs_path: tuple
-    order_key: str
-    runner: "callable" = field(repr=False, compare=False)
+IdentityCheck = namedtuple("IdentityCheck", "id description kind default_sizes "
+                           "tolerance lhs_path rhs_path order_key runner")
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    id: str
-    trials: int
-    failures: int
-    max_rel_err: float
-    seed: int
-    elapsed_ms: int
-    passed: bool
-    samples: tuple
+class CheckReport(namedtuple("CheckReport", "id trials failures max_rel_err seed "
+                              "elapsed_ms passed samples")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -145,6 +128,7 @@ class CheckReport:
 
 
 def _digest(values) -> str:
+    import hashlib  # here, so that ``import ellcomb`` does not load it
     parts = []
     for z in values:
         z = complex(z)

@@ -47,8 +47,6 @@ fields, which packs each cell once, read through ``_reader`` too.
 
 from __future__ import annotations
 
-import json
-
 # special_fn imports this module first, so its names are read at call time
 from . import special_fn
 
@@ -533,6 +531,7 @@ class WeightPolynomial:
     def json_chunks(self):
         """The text of ``json.dumps(self.to_json(), sort_keys=True)``,
         one entry at a time, so a large document is never held whole."""
+        import json  # here, so that ``import ellcomb`` does not load it
         encode = json.JSONEncoder(sort_keys=True).encode
         yield "["
         for index, entry in enumerate(self.json_entries()):

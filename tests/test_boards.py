@@ -67,6 +67,13 @@ def test_board_validation():
         FerrersBoard((2, 1))
     with pytest.raises(DomainError):
         FerrersBoard((-1, 0))
+    # a non-integer entry is refused, not truncated, and text is not
+    # split into digits (FerrersBoard.from_text("12") is one column)
+    for heights in ((1.7, 2.9), "12"):
+        with pytest.raises(DomainError, match="must be integers"):
+            FerrersBoard(heights)
+    with pytest.raises(DomainError, match="must be integers"):
+        Placement([(1.9, 2.2)], "rook")
 
 
 def test_placement_kinds_are_rook_or_file():

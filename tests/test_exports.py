@@ -1,6 +1,11 @@
-"""Every name a module lists in ``__all__`` exists in that module."""
+"""Every name a module lists in ``__all__`` exists in that module, and
+importing the package loads only the standard library it needs."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +18,26 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, missing
+
+
+def _modules_added(code):
+    # a fresh interpreter, so modules an earlier test imported do not count
+    script = ("import sys\nbefore = set(sys.modules)\n" + code
+              + "\nprint(' '.join(sorted(set(sys.modules) - before)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.split())
+
+
+def test_import_loads_no_record_or_digest_machinery():
+    # dataclasses brings inspect, ast, dis and tokenize with it; hashlib
+    # and json are loaded by the one function that uses each
+    added = _modules_added("import ellcomb")
+    assert "ellcomb.verify" in added
+    assert not added & {"dataclasses", "inspect", "hashlib", "json"}
+    added = _modules_added("from ellcomb import cli")
+    assert "ellcomb.cli" in added
+    assert not added & {"dataclasses", "inspect", "hashlib"}
