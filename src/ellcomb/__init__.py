@@ -5,7 +5,15 @@ ordering in three variable-weight rewriting systems, weighted rook and
 file polynomials on Ferrers boards, skew polynomial operators with the
 associated Fibonacci numbers, and a seeded verification harness that
 checks the identities tying all of these together.
+
+Importing the package loads ``special_fn``, ``weightpoly`` and
+``ncword``, the modules that hold every module-level cache.  The names
+of ``boards``, ``skewpoly`` and ``verify`` (the 32-check registry) load
+their module on first access (PEP 562), so a command that only
+evaluates weights or normal-orders a word never compiles them.
 """
+
+import importlib
 
 from .special_fn import (
     AQWeights,
@@ -19,6 +27,7 @@ from .special_fn import (
     PoleError,
     QWeights,
     TableWeights,
+    VerifyError,
     WeightFamily,
     bracket_z,
     complex_to_pair,
@@ -41,42 +50,6 @@ from .ncword import (
     normal_order,
     parse_word,
 )
-from .boards import (
-    FerrersBoard,
-    Placement,
-    all_boards_within,
-    board_from_word,
-    file_poly,
-    file_product_sides,
-    path_binom,
-    placements,
-    rook_poly,
-    rook_product_sides,
-    word_from_board,
-)
-from .skewpoly import (
-    SkewPoly,
-    apply_D,
-    apply_eta,
-    f_relation_sides,
-    fib_aq,
-    fib_aq_closed,
-    fib_elliptic,
-    genfun_expand,
-    pincherle_check,
-    pincherle_coeff,
-    product_expand,
-    skew_mul,
-    x_mul,
-)
-from .verify import (
-    CheckReport,
-    IdentityCheck,
-    VerifyError,
-    list_identities,
-    run_all,
-    run_check,
-)
 from . import ncword, special_fn
 
 __version__ = "0.1.0"
@@ -98,6 +71,35 @@ def clear_caches() -> None:
     """Empty every module-level memo table, so the next call runs cold."""
     for cache in _CACHES.values():
         cache.cache_clear()
+
+
+# every name of a module that loads on first access, by its module
+_DEFERRED = {
+    **dict.fromkeys((
+        "FerrersBoard", "Placement", "all_boards_within", "board_from_word",
+        "file_poly", "file_product_sides", "path_binom", "placements",
+        "rook_poly", "rook_product_sides", "word_from_board"), "boards"),
+    **dict.fromkeys((
+        "SkewPoly", "apply_D", "apply_eta", "f_relation_sides", "fib_aq",
+        "fib_aq_closed", "fib_elliptic", "genfun_expand", "pincherle_check",
+        "pincherle_coeff", "product_expand", "skew_mul", "x_mul"), "skewpoly"),
+    **dict.fromkeys((
+        "CheckReport", "IdentityCheck", "list_identities", "run_all",
+        "run_check"), "verify"),
+}
+
+
+def __getattr__(name):
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
 
 
 __all__ = [

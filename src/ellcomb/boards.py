@@ -144,6 +144,8 @@ class Placement(namedtuple("Placement", "rooks kind")):
             rooks = tuple(sorted((index(c), index(r)) for c, r in rooks))
         except TypeError:
             raise DomainError(f"rook positions must be integers: {rooks!r}") from None
+        except ValueError:
+            raise DomainError(f"rook positions must be (column, row) pairs: {rooks!r}") from None
         cols = [c for c, _ in rooks]
         if len(set(cols)) != len(cols):
             raise DomainError("placement has two rooks in one column")

@@ -4,7 +4,9 @@ Commands mirror the modules: theta evaluation, weight families,
 weighted binomials, normal ordering, rook and file polynomials, the
 Fibonacci recursions, and the verification harness.  Complex flags use
 the "RE,IM" format (a bare "RE" is accepted).  Exit codes: 0 success,
-1 verification failure, 2 usage or domain error.
+1 verification failure, 2 usage or domain error.  The handlers import
+``boards``, ``skewpoly`` and ``verify`` themselves, so a command loads
+only the modules it runs.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .special_fn import (
     EvaluationError,
     NearPoleError,
     ParameterSet,
+    VerifyError,
     _FAMILY_TAGS,
     complex_to_pair,
     family_from_spec,
@@ -29,9 +32,6 @@ from .weightpoly import WeightPolynomial
 from .ncword import (
     NormalForm, RelationSystem, WordParseError, normal_order, parse_word, sum_chunks,
 )
-from .boards import FerrersBoard, file_poly, rook_poly
-from .skewpoly import fib_aq, fib_aq_closed, fib_elliptic
-from .verify import VerifyError, list_identities, run_check
 from . import _CACHES
 
 __all__ = ["main"]
@@ -142,20 +142,24 @@ def _cmd_normal_order(args) -> int:
     return 0
 
 
-def _parse_board(text: str) -> FerrersBoard:
+def _parse_board(text: str):
+    from .boards import FerrersBoard
     board = FerrersBoard.from_text(text)
     if board.n > _BOARD_CAP or (board.heights and max(board.heights) > _BOARD_CAP):
         raise _UsageError(f"board exceeds the {_BOARD_CAP}x{_BOARD_CAP} command-line cap")
     return board
 
 
-def _cmd_board_poly(args, poly) -> int:
+def _cmd_board_poly(args, kind: str) -> int:
+    from . import boards
     board = _parse_board(args.board)
+    poly = boards.rook_poly if kind == "rook" else boards.file_poly
     _emit(args, poly(board, args.k, _family_from_args(args)))
     return 0
 
 
 def _cmd_fib(args) -> int:
+    from .skewpoly import fib_aq, fib_aq_closed, fib_elliptic
     if args.elliptic:
         if args.closed:
             raise _UsageError("--closed applies only to --aq")
@@ -202,11 +206,29 @@ def _print_stats(check_id: str, seconds: float, before: tuple) -> None:
     print("; ".join(parts), file=sys.stderr)
 
 
+def _verify_name(name: str):
+    # list_identities and run_check are module attributes, bound from
+    # verify on first use unless already set and read at call time, so
+    # that a caller can replace either one
+    value = globals().get(name)
+    if value is None:
+        from . import verify
+        value = globals()[name] = getattr(verify, name)
+    return value
+
+
+def __getattr__(name):
+    if name in ("list_identities", "run_check"):
+        return _verify_name(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _cmd_verify(args) -> int:
     if args.order is not None and args.order < 1:
         raise _UsageError(f"--order must be at least 1, got {args.order}")
     sizes = {"order": args.order} if args.order is not None else None
-    known = [c.id for c in list_identities()]
+    run_check = _verify_name("run_check")
+    known = [c.id for c in _verify_name("list_identities")()]
     if args.id is not None and args.id not in known:
         raise _UsageError(f"unknown check id {args.id!r}; known ids: {', '.join(known)}")
     if args.stats:
@@ -286,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rook.add_argument("--k", type=int, required=True)
     _add_family_flags(p_rook, default="generic")
     _add_json(p_rook)
-    p_rook.set_defaults(handler=lambda a: _cmd_board_poly(a, rook_poly))
+    p_rook.set_defaults(handler=lambda a: _cmd_board_poly(a, "rook"))
 
     p_file = sub.add_parser(
         "file", help="weighted file polynomial of a board",
@@ -295,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_file.add_argument("--k", type=int, required=True)
     _add_family_flags(p_file, default="generic")
     _add_json(p_file)
-    p_file.set_defaults(handler=lambda a: _cmd_board_poly(a, file_poly))
+    p_file.set_defaults(handler=lambda a: _cmd_board_poly(a, "file"))
 
     p_fib = sub.add_parser("fib", help="theta or one-parameter Fibonacci numbers")
     p_fib.add_argument("--n", type=int, required=True)

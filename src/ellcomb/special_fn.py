@@ -145,6 +145,13 @@ class EvaluationError(ArithmeticError):
     consistency check."""
 
 
+class VerifyError(RuntimeError):
+    """A check could not produce a report (resample cap exceeded, too
+    few admissible samples, or no comparison recorded).  Defined here,
+    beside the other error types, so that catching it does not load the
+    registry; ``verify`` re-exports it."""
+
+
 def require_finite(z: complex, context: str = "result") -> complex:
     if not cmath.isfinite(z):
         raise EvaluationError(f"non-finite {context}: {z!r}")

@@ -44,6 +44,7 @@ from .special_fn import (
     NearPoleError,
     ParameterSet,
     QWeights,
+    VerifyError,
     bracket_z,
     exp_coeff_bq,
     q_binomial,
@@ -90,11 +91,6 @@ _WEYL = RelationSystem.ROOK_WEYL
 _FILE = RelationSystem.FILE
 
 _GENERIC = GenericWeights()
-
-
-class VerifyError(RuntimeError):
-    """A check could not produce a report (resample cap exceeded, too
-    few admissible samples, or no comparison recorded)."""
 
 
 IdentityCheck = namedtuple("IdentityCheck", "id description kind default_sizes "
@@ -480,7 +476,7 @@ def _draw_weight_shift(ctx: CheckContext):
         "small weights",
         "numeric-sampled", {"draws": 40}, 1e-7,
         ["special_fn:EllipticWeights.big"],
-        ["verify:_big_ref", "verify:_theta_ref"], "draws")
+        ["verify:_small_ref", "verify:_theta_ref"], "draws")
 def _draw_bigweight_closed(ctx: CheckContext):
     ps = ctx.draw_ps()
     fam = EllipticWeights(ps)
@@ -764,7 +760,7 @@ def _draw_bq_finite_product(ctx: CheckContext):
         "exponentials in x and y",
         "numeric-sampled", {"draws": 10, "degree": 8}, 1e-9,
         ["special_fn:exp_coeff_bq", "ncword:power_sum_values"],
-        ["verify:_qfac_ref"], "degree")
+        ["verify:_qfac_ref_guarded"], "degree")
 def _draw_bq_cauchy(ctx: CheckContext):
     b = ctx.draw_ab()
     q = ctx.draw_q()
@@ -800,7 +796,7 @@ def _draw_aq_cauchy(ctx: CheckContext):
 @_check("qexp-cauchy",
         "q-exponential addition rule on the q-commuting plane",
         "numeric-sampled", {"draws": 15, "degree": 8}, 1e-9,
-        ["verify:_qfac_ref"],
+        ["verify:_qfac_ref_guarded"],
         ["special_fn:exp_coeff_bq", "ncword:power_sum_values"], "degree")
 def _draw_qexp_cauchy(ctx: CheckContext):
     q = ctx.draw_q()
@@ -814,7 +810,7 @@ def _draw_qexp_cauchy(ctx: CheckContext):
 @_check("qexp-braiding",
         "reversing two q-exponentials inserts the exponential of -xy",
         "numeric-sampled", {"draws": 10, "degree": 8}, 1e-9,
-        ["verify:_qfac_ref"],
+        ["verify:_qfac_ref_guarded"],
         ["special_fn:exp_coeff_bq", "ncword:normal_order"], "degree")
 def _draw_qexp_braiding(ctx: CheckContext):
     degree = ctx.size("degree")

@@ -74,6 +74,10 @@ def test_board_validation():
             FerrersBoard(heights)
     with pytest.raises(DomainError, match="must be integers"):
         Placement([(1.9, 2.2)], "rook")
+    # a position that is not a (column, row) pair is refused the same way
+    for rooks in ([(1, 2, 3)], [(1,)]):
+        with pytest.raises(DomainError, match="pairs"):
+            Placement(rooks, "rook")
 
 
 def test_placement_kinds_are_rook_or_file():

@@ -1,5 +1,6 @@
 """Every name a module lists in ``__all__`` exists in that module, and
-importing the package loads only the standard library it needs."""
+importing the package loads only the standard library and the modules
+it needs."""
 
 import importlib
 import os
@@ -36,8 +37,46 @@ def test_import_loads_no_record_or_digest_machinery():
     # dataclasses brings inspect, ast, dis and tokenize with it; hashlib
     # and json are loaded by the one function that uses each
     added = _modules_added("import ellcomb")
-    assert "ellcomb.verify" in added
+    assert "ellcomb.verify" not in added
     assert not added & {"dataclasses", "inspect", "hashlib", "json"}
     added = _modules_added("from ellcomb import cli")
     assert "ellcomb.cli" in added
     assert not added & {"dataclasses", "inspect", "hashlib"}
+
+
+DEFERRED = {"ellcomb.boards", "ellcomb.skewpoly", "ellcomb.verify"}
+
+
+def test_deferred_modules_load_on_first_use():
+    # boards, skewpoly and verify load when one of their names is first
+    # read from the package, and a command-line import loads none of them
+    added = _modules_added("import ellcomb")
+    assert {"ellcomb.special_fn", "ellcomb.weightpoly", "ellcomb.ncword"} <= added
+    assert not added & DEFERRED
+    added = _modules_added("import ellcomb\nellcomb.rook_poly")
+    assert "ellcomb.boards" in added and "ellcomb.verify" not in added
+    added = _modules_added("import ellcomb\nellcomb.list_identities()")
+    assert "ellcomb.verify" in added
+    added = _modules_added("from ellcomb import cli")
+    assert not added & DEFERRED
+
+
+def test_star_import_and_dir_cover_all():
+    out = _modules_added(
+        "import ellcomb\n"
+        "names = {}\n"
+        "exec('from ellcomb import *', names)\n"
+        "assert set(ellcomb.__all__) <= set(names), set(ellcomb.__all__) - set(names)\n"
+        "assert set(ellcomb.__all__) <= set(dir(ellcomb))")
+    assert DEFERRED <= out
+
+
+def test_clear_caches_runs_before_any_deferred_module_loads():
+    added = _modules_added("import ellcomb\nellcomb.clear_caches()")
+    assert not added & DEFERRED
+
+
+def test_verify_error_is_one_class():
+    from ellcomb import special_fn, verify
+    import ellcomb
+    assert special_fn.VerifyError is verify.VerifyError is ellcomb.VerifyError

@@ -92,6 +92,46 @@ def test_path_labels_name_real_code():
     assert unresolved == INLINE_PATH_LABELS
 
 
+def _label_code(label):
+    # the code object a module:name label names, through any wrapper
+    module, _, name = label.removesuffix(":lhs").removesuffix(":rhs").partition(":")
+    target = importlib.import_module(f"ellcomb.{module}")
+    for part in name.split("."):
+        target = getattr(target, part)
+    while hasattr(target, "__wrapped__"):
+        target = target.__wrapped__
+    return target.__code__
+
+
+def _codes_run(fn):
+    # every code object that starts running while fn does
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_every_path_label_names_code_its_check_runs():
+    # a label that names a function its check never calls makes the
+    # disjointness test compare a side that is not computed; each check
+    # runs once at one or two draws, under a profile hook
+    never_run = []
+    for check in list_identities():
+        ran = _codes_run(lambda: run_check(check.id, seed=0, sizes={"order": 2}))
+        for label in check.lhs_path + check.rhs_path:
+            if label not in INLINE_PATH_LABELS and _label_code(label) not in ran:
+                never_run.append((check.id, label))
+    assert never_run == []
+
+
 def test_run_check_is_deterministic():
     for check_id in ("theta-inversion", "pincherle", "normalorder-rook"):
         first = run_check(check_id, seed=7)
@@ -350,7 +390,7 @@ def test_bigweight_reference_is_the_column_product_carried_over_t():
     # each value equals the column product formed afresh by _big_ref
     verify = importlib.import_module("ellcomb.verify")
     check = next(c for c in list_identities() if c.id == "bigweight-closed-vs-product")
-    assert check.rhs_path == ("verify:_big_ref", "verify:_theta_ref")
+    assert check.rhs_path == ("verify:_small_ref", "verify:_theta_ref")
     compared = 0
     for seed in range(12):
         ctx = CheckContext(random.Random(seed), {"draws": 1}, 1e-7)
