@@ -150,11 +150,10 @@ def _parse_board(text: str):
     return board
 
 
-def _cmd_board_poly(args, kind: str) -> int:
+def _cmd_board_poly(args, poly: str) -> int:
     from . import boards
     board = _parse_board(args.board)
-    poly = boards.rook_poly if kind == "rook" else boards.file_poly
-    _emit(args, poly(board, args.k, _family_from_args(args)))
+    _emit(args, getattr(boards, poly)(board, args.k, _family_from_args(args)))
     return 0
 
 
@@ -308,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rook.add_argument("--k", type=int, required=True)
     _add_family_flags(p_rook, default="generic")
     _add_json(p_rook)
-    p_rook.set_defaults(handler=lambda a: _cmd_board_poly(a, "rook"))
+    p_rook.set_defaults(handler=lambda a: _cmd_board_poly(a, "rook_poly"))
 
     p_file = sub.add_parser(
         "file", help="weighted file polynomial of a board",
@@ -317,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_file.add_argument("--k", type=int, required=True)
     _add_family_flags(p_file, default="generic")
     _add_json(p_file)
-    p_file.set_defaults(handler=lambda a: _cmd_board_poly(a, "file"))
+    p_file.set_defaults(handler=lambda a: _cmd_board_poly(a, "file_poly"))
 
     p_fib = sub.add_parser("fib", help="theta or one-parameter Fibonacci numbers")
     p_fib.add_argument("--n", type=int, required=True)
