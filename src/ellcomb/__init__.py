@@ -8,9 +8,11 @@ checks the identities tying all of these together.
 
 Importing the package loads ``special_fn``, ``weightpoly`` and
 ``ncword``, the modules that hold every module-level cache.  The names
-of ``boards``, ``skewpoly`` and ``verify`` (the 32-check registry) load
-their module on first access (PEP 562), so a command that only
-evaluates weights or normal-orders a word never compiles them.
+of ``boards``, ``skewpoly`` and ``verify`` (the 32-check registry) are
+listed once, in ``_DEFERRED``, and the module ``__getattr__`` (PEP 562)
+loads their module on first access, so a command that only evaluates
+weights or normal-orders a word never compiles them.  The command-line
+handlers defer the same three modules with a plain ``from . import``.
 """
 
 import importlib
@@ -73,7 +75,8 @@ def clear_caches() -> None:
         cache.cache_clear()
 
 
-# every name of a module that loads on first access, by its module
+# every name of a module that loads on first access, by its module;
+# ``__all__`` is the eagerly imported names followed by these
 _DEFERRED = {
     **dict.fromkeys((
         "FerrersBoard", "Placement", "all_boards_within", "board_from_word",
@@ -103,20 +106,13 @@ def __dir__():
 
 
 __all__ = [
-    "AQWeights", "BQWeights", "CheckReport", "DomainError",
-    "EllipticWeights", "EvaluationError", "FerrersBoard",
-    "GenericWeights", "IdentityCheck", "NearPoleError", "NormalForm",
-    "ParameterSet", "Placement", "PoleError", "QWeights",
-    "RelationSystem", "SkewPoly", "TableWeights", "VerifyError",
-    "WeightFamily", "WeightPolynomial", "WordParseError",
-    "all_boards_within", "apply_D", "apply_eta", "board_from_word",
-    "bracket_z", "clear_caches", "complex_to_pair", "dual_word",
-    "expand_power_sum", "f_relation_sides", "family_from_spec", "fib_aq",
-    "fib_aq_closed", "fib_elliptic", "file_poly", "file_product_sides",
-    "genfun_expand", "list_identities", "multiply", "normal_order",
-    "pair_to_complex", "parse_word", "path_binom", "pincherle_check",
-    "pincherle_coeff", "placements", "product_expand", "q_binomial",
-    "q_bracket", "q_factorial", "qp_factorial", "rook_poly",
-    "rook_product_sides", "run_all", "run_check", "skew_mul", "theta",
-    "word_from_board", "x_mul",
+    "AQWeights", "BQWeights", "DomainError", "EllipticWeights",
+    "EvaluationError", "GenericWeights", "NearPoleError", "NormalForm",
+    "ParameterSet", "PoleError", "QWeights", "RelationSystem",
+    "TableWeights", "VerifyError", "WeightFamily", "WeightPolynomial",
+    "WordParseError", "bracket_z", "clear_caches", "complex_to_pair",
+    "dual_word", "expand_power_sum", "family_from_spec", "multiply",
+    "normal_order", "pair_to_complex", "parse_word", "q_binomial",
+    "q_bracket", "q_factorial", "qp_factorial", "theta",
+    *_DEFERRED,
 ]

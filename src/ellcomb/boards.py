@@ -65,6 +65,7 @@ from operator import index
 from .special_fn import (DomainError, EllipticWeights, WeightFamily, bracket_z,
                          require_finite)
 from .weightpoly import WeightPolynomial, _cell_basis, _poly, _suffix_monomials
+from .ncword import parse_word
 
 __all__ = [
     "FerrersBoard", "Placement", "board_from_word", "word_from_board",
@@ -159,7 +160,6 @@ class Placement(namedtuple("Placement", "rooks kind")):
 def board_from_word(word: str) -> FerrersBoard:
     """Board outlined by a word: the i-th x gives a column of height
     equal to the number of y's before it.  Zero heights are kept."""
-    from .ncword import parse_word
     word = parse_word(word)
     heights = []
     ys = 0

@@ -4,9 +4,11 @@ Commands mirror the modules: theta evaluation, weight families,
 weighted binomials, normal ordering, rook and file polynomials, the
 Fibonacci recursions, and the verification harness.  Complex flags use
 the "RE,IM" format (a bare "RE" is accepted).  Exit codes: 0 success,
-1 verification failure, 2 usage or domain error.  The handlers import
-``boards``, ``skewpoly`` and ``verify`` themselves, so a command loads
-only the modules it runs.
+1 verification failure, 2 usage or domain error.  A handler that needs
+``boards``, ``skewpoly`` or ``verify`` imports it with ``from . import``
+when it runs and reads its names from the module at call time, so a
+command loads only the modules it runs and a test replaces a name by
+patching that module.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def _parse_complex(text: str) -> complex:
 
 def _fmt_number(value) -> str:
     z = complex(value)
-    if abs(z.imag) <= 1e-12 * max(1.0, abs(z.real)):
+    if abs(z.imag) <= 1e-12 * abs(z.real):
         real = z.real
         if real == int(real) and abs(real) < 1e15:
             return str(int(real))
@@ -142,23 +144,17 @@ def _cmd_normal_order(args) -> int:
     return 0
 
 
-def _parse_board(text: str):
-    from .boards import FerrersBoard
-    board = FerrersBoard.from_text(text)
+def _cmd_board_poly(args) -> int:
+    from . import boards
+    board = boards.FerrersBoard.from_text(args.board)
     if board.n > _BOARD_CAP or (board.heights and max(board.heights) > _BOARD_CAP):
         raise _UsageError(f"board exceeds the {_BOARD_CAP}x{_BOARD_CAP} command-line cap")
-    return board
-
-
-def _cmd_board_poly(args, poly: str) -> int:
-    from . import boards
-    board = _parse_board(args.board)
-    _emit(args, getattr(boards, poly)(board, args.k, _family_from_args(args)))
+    _emit(args, getattr(boards, args.poly)(board, args.k, _family_from_args(args)))
     return 0
 
 
 def _cmd_fib(args) -> int:
-    from .skewpoly import fib_aq, fib_aq_closed, fib_elliptic
+    from . import skewpoly
     if args.elliptic:
         if args.closed:
             raise _UsageError("--closed applies only to --aq")
@@ -167,14 +163,14 @@ def _cmd_fib(args) -> int:
         if missing:
             raise _UsageError("--elliptic needs --a --b --q --p")
         ps = ParameterSet(args.a, args.b, args.q, args.p)
-        value = fib_elliptic(args.n, ps)
+        value = skewpoly.fib_elliptic(args.n, ps)
     else:
         if args.a is None or args.q is None:
             raise _UsageError("--aq needs --a --q")
         if args.closed:
-            value = fib_aq_closed(args.n, args.a, args.q)
+            value = skewpoly.fib_aq_closed(args.n, args.a, args.q)
         else:
-            value = fib_aq(args.n, args.a, args.q)
+            value = skewpoly.fib_aq(args.n, args.a, args.q)
     _emit(args, value)
     return 0
 
@@ -205,29 +201,12 @@ def _print_stats(check_id: str, seconds: float, before: tuple) -> None:
     print("; ".join(parts), file=sys.stderr)
 
 
-def _verify_name(name: str):
-    # list_identities and run_check are module attributes, bound from
-    # verify on first use unless already set and read at call time, so
-    # that a caller can replace either one
-    value = globals().get(name)
-    if value is None:
-        from . import verify
-        value = globals()[name] = getattr(verify, name)
-    return value
-
-
-def __getattr__(name):
-    if name in ("list_identities", "run_check"):
-        return _verify_name(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _cmd_verify(args) -> int:
+    from . import verify
     if args.order is not None and args.order < 1:
         raise _UsageError(f"--order must be at least 1, got {args.order}")
     sizes = {"order": args.order} if args.order is not None else None
-    run_check = _verify_name("run_check")
-    known = [c.id for c in _verify_name("list_identities")()]
+    known = [c.id for c in verify.list_identities()]
     if args.id is not None and args.id not in known:
         raise _UsageError(f"unknown check id {args.id!r}; known ids: {', '.join(known)}")
     if args.stats:
@@ -238,7 +217,7 @@ def _cmd_verify(args) -> int:
     for check_id in known if args.id is None else [args.id]:
         before = _counters() if args.stats else None
         started = time.perf_counter()
-        reports.append(run_check(check_id, seed=args.seed, sizes=sizes))
+        reports.append(verify.run_check(check_id, seed=args.seed, sizes=sizes))
         if args.stats:
             _print_stats(check_id, time.perf_counter() - started, before)
     if args.json:
@@ -254,12 +233,14 @@ def _cmd_verify(args) -> int:
     return 0 if all(rep.passed for rep in reports) else 1
 
 
+def _add_parameter_flags(parser) -> None:
+    for flag in ("--a", "--b", "--q", "--p"):
+        parser.add_argument(flag, type=_parse_complex, default=None)
+
+
 def _add_family_flags(parser, default=None) -> None:
     parser.add_argument("--family", choices=_FAMILY_TAGS, default=default)
-    parser.add_argument("--a", type=_parse_complex, default=None)
-    parser.add_argument("--b", type=_parse_complex, default=None)
-    parser.add_argument("--q", type=_parse_complex, default=None)
-    parser.add_argument("--p", type=_parse_complex, default=None)
+    _add_parameter_flags(parser)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -300,33 +281,22 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_json(p_no)
     p_no.set_defaults(handler=_cmd_normal_order)
 
-    p_rook = sub.add_parser(
-        "rook", help="weighted rook polynomial of a board",
-        description="Weighted k-rook polynomial of a Ferrers board.")
-    p_rook.add_argument("--board", required=True)
-    p_rook.add_argument("--k", type=int, required=True)
-    _add_family_flags(p_rook, default="generic")
-    _add_json(p_rook)
-    p_rook.set_defaults(handler=lambda a: _cmd_board_poly(a, "rook_poly"))
-
-    p_file = sub.add_parser(
-        "file", help="weighted file polynomial of a board",
-        description="Weighted k-file polynomial of a Ferrers board.")
-    p_file.add_argument("--board", required=True)
-    p_file.add_argument("--k", type=int, required=True)
-    _add_family_flags(p_file, default="generic")
-    _add_json(p_file)
-    p_file.set_defaults(handler=lambda a: _cmd_board_poly(a, "file_poly"))
+    for kind in ("rook", "file"):
+        p_board = sub.add_parser(
+            kind, help=f"weighted {kind} polynomial of a board",
+            description=f"Weighted k-{kind} polynomial of a Ferrers board.")
+        p_board.add_argument("--board", required=True)
+        p_board.add_argument("--k", type=int, required=True)
+        _add_family_flags(p_board, default="generic")
+        _add_json(p_board)
+        p_board.set_defaults(handler=_cmd_board_poly, poly=f"{kind}_poly")
 
     p_fib = sub.add_parser("fib", help="theta or one-parameter Fibonacci numbers")
     p_fib.add_argument("--n", type=int, required=True)
     mode = p_fib.add_mutually_exclusive_group(required=True)
     mode.add_argument("--elliptic", action="store_true")
     mode.add_argument("--aq", action="store_true")
-    p_fib.add_argument("--a", type=_parse_complex, default=None)
-    p_fib.add_argument("--b", type=_parse_complex, default=None)
-    p_fib.add_argument("--q", type=_parse_complex, default=None)
-    p_fib.add_argument("--p", type=_parse_complex, default=None)
+    _add_parameter_flags(p_fib)
     p_fib.add_argument("--closed", action="store_true")
     _add_json(p_fib)
     p_fib.set_defaults(handler=_cmd_fib)

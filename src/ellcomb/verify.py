@@ -61,6 +61,7 @@ from .boards import (
     board_from_word,
     file_poly,
     file_product_sides,
+    path_binom,
     rook_poly,
     rook_product_lhs,
     rook_product_sides,
@@ -319,23 +320,6 @@ def _qfac_ref_guarded(x, q, n: int) -> complex:
     return value
 
 
-def _binom_triangle(big, n: int) -> dict:
-    """Row n of the weighted Pascal triangle built from a big-weight
-    callable: entries satisfy T(m+1, k) = T(m, k) + T(m, k-1) W(k, m+1-k)."""
-    row = {0: 1.0 + 0.0j}
-    for m in range(n):
-        nxt = {}
-        for k in range(m + 2):
-            val = row.get(k, 0.0 + 0.0j)
-            prev = row.get(k - 1)
-            if prev is not None:
-                val = val + prev * big(k, m + 1 - k)
-            if val != 0:
-                nxt[k] = val
-        row = nxt
-    return row
-
-
 def _aq_binom_ref(a, q, n: int, k: int) -> complex:
     if k < 0 or k > n:
         return 0.0 + 0.0j
@@ -499,14 +483,12 @@ def _draw_bigweight_closed(ctx: CheckContext):
         "Pascal-type triangle recursion",
         "numeric-sampled", {"draws": 15, "n": 8}, 1e-7,
         ["special_fn:EllipticWeights.binom"],
-        ["verify:_binom_triangle", "special_fn:EllipticWeights.big"], "n")
+        ["boards:path_binom", "special_fn:EllipticWeights.big"], "n")
 def _draw_binom_recursion_closed(ctx: CheckContext):
     n = ctx.size("n")
     ps = ctx.draw_ps()
     fam = EllipticWeights(ps)
-    row = _binom_triangle(fam.big, n)
-    pairs = [(fam.binom(n, k), row.get(k, 0.0 + 0.0j))
-             for k in range(n + 1)]
+    pairs = [(fam.binom(n, k), path_binom(n, k, fam)) for k in range(n + 1)]
     return (ps.a, ps.b, ps.q, ps.p), pairs
 
 

@@ -57,6 +57,19 @@ def test_theta_at_zero_nome_accepts_zero_argument(capsys):
     assert code == 0 and out == "1"
 
 
+def test_text_keeps_an_imaginary_part_beside_a_zero_real_part(capsys):
+    # the imaginary part is hidden only when it is below 1e-12 of the
+    # real part, so a purely imaginary value never prints as 0
+    code, out, _ = run_cli(capsys, "theta", "--x", "1,1e-13", "--p", "0")
+    assert code == 0 and out == "0.0-1e-13j"
+    code, out, _ = run_cli(capsys, "weight", "--family", "q", "--q", "0,1e-13",
+                           "--s", "1", "--t", "1")
+    assert code == 0 and out == "0.0+1e-13j"
+    code, out, _ = run_cli(capsys, "weight", "--family", "q", "--q", "0,1e-13",
+                           "--s", "1", "--t", "1", "--json")
+    assert code == 0 and json.loads(out)["value"] == [0.0, 1e-13]
+
+
 def test_complex_flag_accepts_bare_real(capsys):
     code_bare, out_bare, _ = run_cli(capsys, "theta", "--x", "0.4", "--p", "0.2")
     code_pair, out_pair, _ = run_cli(capsys, "theta", "--x", "0.4,0", "--p", "0.2,0")
@@ -342,10 +355,11 @@ def test_verify_order_one_runs_every_check(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
+    import ellcomb.verify as verify
     failing = CheckReport(
         id="theta-inversion", trials=10, failures=3, max_rel_err=0.5,
         seed=0, elapsed_ms=1, passed=False, samples=("deadbeef",))
-    monkeypatch.setattr(cli, "run_check", lambda *a, **k: failing)
+    monkeypatch.setattr(verify, "run_check", lambda *a, **k: failing)
     code, out, _ = run_cli(capsys, "verify", "--id", "theta-inversion")
     assert code == 1
     assert out.startswith("FAIL theta-inversion")
@@ -355,7 +369,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 def test_verify_all_emits_one_json_document(capsys, monkeypatch):
-    import ellcomb.verify as verify_mod
+    import ellcomb.verify as verify
     reports = [run_one for run_one in [
         CheckReport(id="a-check", trials=1, failures=0, max_rel_err=0.0,
                     seed=0, elapsed_ms=1, passed=True, samples=()),
@@ -363,8 +377,8 @@ def test_verify_all_emits_one_json_document(capsys, monkeypatch):
                     seed=0, elapsed_ms=1, passed=True, samples=()),
     ]]
     by_id = {r.id: r for r in reports}
-    monkeypatch.setattr(cli, "list_identities", lambda: reports)
-    monkeypatch.setattr(cli, "run_check", lambda check_id, seed, sizes: by_id[check_id])
+    monkeypatch.setattr(verify, "list_identities", lambda: reports)
+    monkeypatch.setattr(verify, "run_check", lambda check_id, seed, sizes: by_id[check_id])
     code, out, _ = run_cli(capsys, "verify", "--json")
     assert code == 0
     docs = json.loads(out)

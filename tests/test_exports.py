@@ -61,6 +61,30 @@ def test_deferred_modules_load_on_first_use():
     assert not added & DEFERRED
 
 
+def test_each_command_loads_only_the_modules_it_runs():
+    # each command through cli.main in a fresh interpreter, its output
+    # kept off the module list that _modules_added reads from stdout
+    commands = [
+        (["theta", "--x", "0.5,0.1", "--p", "0.2"], set()),
+        (["weight", "--family", "q", "--q", "0.5", "--s", "1", "--t", "2"], set()),
+        (["binom", "--family", "q", "--q", "0.5,0.1", "--n", "6", "--k", "3"], set()),
+        (["normal-order", "--system", "weyl", "--word", "yxyx"], set()),
+        (["rook", "--board", "2,3,3", "--k", "2"], {"ellcomb.boards"}),
+        (["file", "--board", "2,3,3", "--k", "2"], {"ellcomb.boards"}),
+        (["fib", "--aq", "--n", "6", "--a", "0.3", "--q", "0.5"], {"ellcomb.skewpoly"}),
+        (["verify", "--id", "chebyshev-weight"], DEFERRED),
+    ]
+    wrong = {}
+    for argv, loaded in commands:
+        added = _modules_added(
+            "import contextlib, io\nfrom ellcomb import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0")
+        if added & DEFERRED != loaded:
+            wrong[argv[0]] = sorted(added & DEFERRED)
+    assert wrong == {}
+
+
 def test_star_import_and_dir_cover_all():
     out = _modules_added(
         "import ellcomb\n"
