@@ -65,6 +65,7 @@ _CACHES = {
     "special_fn._theta_series": special_fn._theta_series,
     "special_fn._elliptic_small": special_fn._elliptic_small,
     "special_fn._elliptic_big": special_fn._elliptic_big,
+    "special_fn._power_tables": special_fn._power_tables,
     "ncword._y_x_power": ncword._y_x_power,
 }
 

@@ -14,12 +14,13 @@ many coefficients cost nothing extra; equality of coefficients is
 always decided numerically at sampled parameters.  Every leaf is called
 with the unshifted (a, b) and the exact offsets (i, j).  An operator
 factor forms each theta argument from its whole exponent, a q^(i+k) as
-``a * qpow(q, i + k)`` (the argument rule of ``special_fn``), so it
-finds the theta values that ``fib_elliptic`` and the weights cache for
-the same argument.  The D factor is the elliptic number [n] at
-(a q^i, b q^(j+n-2)), so it is ``bracket_z`` with those offsets and
-writes no theta argument of its own.  A user callable (a, b) -> complex
-is a leaf that receives the shifted point (a q^i, b q^j).
+``a * pw[i + k]`` with ``pw = _q_powers(q)``, the power table of q (the
+argument rule of ``special_fn``), so it finds the theta values that
+``fib_elliptic`` and the weights cache for the same argument.  The D
+factor is the elliptic number [n] at (a q^i, b q^(j+n-2)), so it is
+``bracket_z`` with those offsets and writes no theta argument of its
+own.  A user callable (a, b) -> complex is a leaf that receives the
+shifted point (a q^i, b q^j).
 ``evaluate_together`` evaluates a list of polynomials under one memo
 (``SkewPoly.evaluate`` is its one-polynomial case); the Pincherle check
 takes one memo per side per call, so its two sides never share a value.
@@ -39,6 +40,7 @@ from __future__ import annotations
 from .special_fn import (
     DomainError,
     ParameterSet,
+    _q_powers,
     _ratio,
     bracket_z,
     exp_coeff_bq,
@@ -115,7 +117,10 @@ def _sum(terms: list):
 
 def _at_shifted_point(a, b, i: int, j: int, fn, q) -> complex:
     # a user callable at (a q^i, b q^j)
-    return complex(fn(a * qpow(q, i) if i else a, b * qpow(q, j) if j else b))
+    if i or j:
+        pw = _q_powers(q)
+        a, b = (a * pw[i] if i else a), (b * pw[j] if j else b)
+    return complex(fn(a, b))
 
 
 def _node(c, q):
@@ -267,12 +272,13 @@ def apply_D(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
 
 def _eta_factor(a, b, i: int, j: int, n: int, q, p) -> complex:
     # the eta factor at (a q^i, b q^j)
+    pw = _q_powers(q)
     return theta_quotient(
-        [a * qpow(q, i + 1 + n), a * qpow(q, i + 2 + n), b * qpow(q, j + 1),
-         _ratio(b * qpow(q, j - i + n - 1), a), _ratio(b * qpow(q, j - i + n), a)],
-        [a * qpow(q, i + 1), a * qpow(q, i + 2), b * qpow(q, j + 1 + 2 * n),
-         _ratio(b * qpow(q, j - i - 1), a), _ratio(b * qpow(q, j - i), a)],
-        p) * qpow(q, -n)
+        [a * pw[i + 1 + n], a * pw[i + 2 + n], b * pw[j + 1],
+         _ratio(b * pw[j - i + n - 1], a), _ratio(b * pw[j - i + n], a)],
+        [a * pw[i + 1], a * pw[i + 2], b * pw[j + 1 + 2 * n],
+         _ratio(b * pw[j - i - 1], a), _ratio(b * pw[j - i], a)],
+        p) * pw[-n]
 
 
 def apply_eta(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
@@ -301,9 +307,10 @@ def pincherle_coeff(k: int, ps: ParameterSet) -> complex:
     if k < 1:
         raise DomainError("pincherle coefficient needs k >= 1")
     a, b, q = ps.a, ps.b, ps.q
+    pw = _q_powers(q)
     return theta_quotient(
-        [qpow(q, k), a * qpow(q, 3 - k), b * qpow(q, 2 - k), _ratio(a * qpow(q, k - 1), b)],
-        [q, a * qpow(q, 2), b * qpow(q, 3 - 2 * k), _ratio(a, b)], ps.p) * qpow(q, 1 - k)
+        [pw[k], a * pw[3 - k], b * pw[2 - k], _ratio(a * pw[k - 1], b)],
+        [q, a * pw[2], b * pw[3 - 2 * k], _ratio(a, b)], ps.p) * pw[1 - k]
 
 
 def pincherle_coeff_bracket(k: int, ps: ParameterSet) -> complex:
@@ -380,22 +387,23 @@ def fib_elliptic(n: int, ps: ParameterSet) -> complex:
 
     A loop over i from n - 2 down to 0 carries S_(n-i-1) and S_(n-i-2)
     at (a q^i, b q^(2i)); each theta argument there is formed from its
-    whole exponent, a q^(i+1+m) as ``a * qpow(q, i + 1 + m)``.
+    whole exponent, a q^(i+1+m) as ``a * pw[i + 1 + m]`` from the power
+    table ``pw = _q_powers(q)``.
     """
     if n < 0:
         raise DomainError("fib_elliptic needs n >= 0")
     if n == 0:
         return 0.0 + 0.0j
-    a, b, q, p = ps.a, ps.b, ps.q, ps.p
+    a, b, p, pw = ps.a, ps.b, ps.p, _q_powers(ps.q)
     s1, s2 = 1.0 + 0.0j, 0.0 + 0.0j
     for i in range(n - 2, -1, -1):
         m = n - i
         factor = theta_quotient(
-            [a * qpow(q, i + 1 + m), a * qpow(q, i + 2 + m), b * qpow(q, 2 * i + 5),
-             _ratio(b * qpow(q, i + m - 1), a), _ratio(b * qpow(q, i + m), a)],
-            [a * qpow(q, i + 3), a * qpow(q, i + 4), b * qpow(q, 2 * i + 1 + 2 * m),
-             _ratio(b * qpow(q, i + 1), a), _ratio(b * qpow(q, i + 2), a)],
-            p) * qpow(q, 2 - m)
+            [a * pw[i + 1 + m], a * pw[i + 2 + m], b * pw[2 * i + 5],
+             _ratio(b * pw[i + m - 1], a), _ratio(b * pw[i + m], a)],
+            [a * pw[i + 3], a * pw[i + 4], b * pw[2 * i + 1 + 2 * m],
+             _ratio(b * pw[i + 1], a), _ratio(b * pw[i + 2], a)],
+            p) * pw[2 - m]
         s1, s2 = s1 + factor * s2, s1
     return require_finite(s1, "Fibonacci number")
 
@@ -409,6 +417,8 @@ def fib_aq(n: int, a, q) -> complex:
 
     the theta Fibonacci numbers at b = 0, p = 0.
     """
+    if n < 0:
+        raise DomainError("fib_aq needs n >= 0")
     return fib_elliptic(n, ParameterSet(a, 0, q, 0))
 
 
@@ -428,13 +438,14 @@ def fib_aq_closed(n: int, a, q) -> complex:
         return 0.0 + 0.0j
     a = complex(a)
     q = complex(q)
+    pw = _q_powers(q)
     total = 0.0 + 0.0j
-    top = theta_quotient([a * qpow(q, n + 1), a * qpow(q, n + 2)], (), 0.0)
+    top = theta_quotient([a * pw[n + 1], a * pw[n + 2]], (), 0.0)
     for j in range(0, (n - 1) // 2 + 1):
         binomial = q_binomial(n - j - 1, j, q)
         inv_den = theta_quotient(
-            (), [a * qpow(q, e + i) for i in range(j) for e in (3, n - j + 2)], 0.0)
-        total += qpow(q, -(n - j - 1) * j) * binomial * top ** j * inv_den
+            (), [a * pw[e + i] for i in range(j) for e in (3, n - j + 2)], 0.0)
+        total += pw[-(n - j - 1) * j] * binomial * top ** j * inv_den
     return require_finite(total, "Fibonacci closed form")
 
 
@@ -486,8 +497,9 @@ def f_relation_sides(b, q, n: int) -> dict:
         combined: F_n(b) (1 - q^n)   = (1 - b q^(n+1)) F_(n-1)(b q^2)
                                         / ((1 - b q)(1 - b q^2))
 
-    Left sides go through the exponential-coefficient helper; right
-    sides multiply out their factorials in a loop of their own.
+    Left sides go through the exponential-coefficient helper and the
+    power table; right sides multiply out their factorials in a loop of
+    their own, with powers from ``qpow``.
     """
     if n < 1:
         raise DomainError("f_relation_sides needs n >= 1")
@@ -501,19 +513,20 @@ def f_relation_sides(b, q, n: int) -> dict:
         return 1.0 / guarded(den, 0, "series denominator")
 
     lhs_base = exp_coeff_bq(b, q, n)
+    qn = _q_powers(q)[n]
     sides = {}
     sides["shift"] = (
-        lhs_base * (1.0 - qpow(q, n)),
+        lhs_base * (1.0 - qn),
         series_coeff(b * q, n - 1) / guarded(1.0 - b * q, 0, "relation denominator"),
     )
     sides["scale"] = (
-        lhs_base * (1.0 - b * qpow(q, n)),
+        lhs_base * (1.0 - b * qn),
         (1.0 - b) * series_coeff(b / q, n),
     )
     den = guarded(1.0 - b * q, 0, "relation denominator")
     den *= guarded(1.0 - b * q * q, 1, "relation denominator")
     sides["combined"] = (
-        lhs_base * (1.0 - qpow(q, n)),
+        lhs_base * (1.0 - qn),
         (1.0 - b * qpow(q, n + 1)) * series_coeff(b * q * q, n - 1) / den,
     )
     return sides

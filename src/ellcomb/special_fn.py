@@ -35,18 +35,22 @@ its closed binomial is written out.
 
 Every theta argument is a monomial c q^k with c in {1, a, b}, or a
 ratio of two (Gasper-Rahman, section 11.2), and it is formed by one
-rule: ``c * qpow(q, k)`` from its exact integer exponent k, and a ratio
-as ``_ratio(c * qpow(q, k), d)``.  A value already shifted by a power
-of q is never multiplied by a further power; the caller adds the
-exponents instead.  A power rounded once is more accurate than a
-product of two rounded powers (Higham, Accuracy and Stability of
-Numerical Algorithms, chapter 3), and the same argument then has the
-same bits wherever it is formed, so it finds its ``_theta_series``
-entry: the small and big weights, ``EllipticWeights.binom``,
-``bracket_z``, ``skewpoly.fib_elliptic`` and the skew operator factors
-all follow it.  A caller that needs a bracket at shifted parameters
-(a q^u, b q^v) passes the offsets, ``bracket_z(ps, z, u, v)``, rather
-than a ``ParameterSet.shift`` copy, for the same reason.
+rule: ``c * _q_powers(q)[k]`` from its exact integer exponent k, and a
+ratio as ``_ratio(c * _q_powers(q)[k], d)``.  The power table of q forms
+each q^k once, as ``qpow(q, k)`` does, so a power is still one rounding
+from its exact exponent.  A value already shifted by a power of q is
+never multiplied by a further power; the caller adds the exponents
+instead.  A power rounded once is more accurate than a product of two
+rounded powers (Higham, Accuracy and Stability of Numerical Algorithms,
+chapter 3), and the same argument then has the same bits wherever it is
+formed, so it finds its ``_theta_series`` entry: the small and big
+weights, ``EllipticWeights.binom``, ``bracket_z``, the q-factorials,
+``skewpoly.fib_elliptic`` and the skew operator factors all follow it.
+A caller that needs a bracket at shifted parameters (a q^u, b q^v)
+passes the offsets, ``bracket_z(ps, z, u, v)``, rather than a
+``ParameterSet.shift`` copy, for the same reason.  A power off the
+integers (``bracket_z`` or ``q_bracket`` at a non-integer z) takes
+``qpow``'s principal branch.
 
 Every theta ratio and every q- or theta-shifted factorial quotient is
 one ``theta_quotient`` call: since theta(x; 0) = 1 - x, the q-shifted
@@ -54,13 +58,14 @@ factorial (x; q)_n is (x; q, 0)_n (Gasper-Rahman, section 11.2), so
 ``qp_factorial``, ``q_binomial``, ``q_bracket``, ``AQWeights.binom``,
 ``exp_coeff_bq`` and ``reversal_coeff_bq`` have no loop of their own.
 The raw references in ``verify`` and the right sides of
-``skewpoly.f_relation_sides`` keep theirs: they are the independent
-sides of their checks.  ``theta_quotient`` checks the nome once per
+``skewpoly.f_relation_sides`` keep theirs, and form their powers with
+``qpow``, not the table: they are the independent sides of their
+checks.  ``theta_quotient`` checks the nome once per
 call and forms each factor with ``theta``, the one per-factor rule:
 1 - x at p = 0, otherwise one lookup in the series cache, keyed on x and
 p as given; p and x are converted and checked on a cache miss only.
 
-Three values outlive a call, each in a bounded module-level
+Four values outlive a call, each in a bounded module-level
 ``functools.lru_cache``; a call that raises is not cached, so it raises
 again.  The theta series for p != 0 (``_theta_series``, keyed on (x, p)
 as ``theta`` receives them, so a hit costs one lookup) serves every
@@ -75,6 +80,15 @@ weight for t >= 1 (``_elliptic_big``, keyed on (ps, s, t)) serves the
 column products that binomial triangles and path sums ask for again:
 without it a ``numeric`` pass took 19 % longer; only ``numeric``'s
 path sums hit it, and a ``registry`` or ``words`` pass gets no hit.
+The power table of a nome's q (``_power_tables``, reached through
+``_q_powers``) is a dict that forms q^k with ``qpow`` on its first read
+of k and stores nothing for a k that raises; it replaces a ``qpow``
+call per power with a dict read.  A cold ``numeric`` pass at seed 1
+reads 61,213 powers of 18 values of q and forms 619 of them; a
+``registry`` pass reads 131,087 and forms 7,888, leaving 84,720
+``qpow`` calls to the reference sides.  A table holds one entry per
+exponent its q was asked for, so its size follows the longest factor
+list, as the list itself does.
 Nothing else is memoised across calls; ``WeightFamily.binom`` builds
 its triangle afresh each time.
 
@@ -87,10 +101,11 @@ two uses of one key (Mattson, Gecsei, Slutz and Traiger, Evaluation
 techniques for storage hierarchies, IBM Systems Journal, 1970).  Over
 ``registry``, ``words`` and ``numeric`` passes at seeds 0-9 the longest
 distances are 105 for the theta series (``numeric``), 70 for small
-weights (the ``words`` check at the constant weight 1) and 25 for big
-weights (``numeric``).
+weights (the ``words`` check at the constant weight 1), 25 for big
+weights (``numeric``) and 1 for the power tables (``registry``, where
+``prop-product-expansion`` alternates q and 1/q).
 Each bound is the smallest power of two at least 8 times its distance:
-1,024, 1,024 and 256.  With the earlier bounds of 65,536, 4,096 and
+1,024, 1,024, 256 and 8.  With the earlier bounds of 65,536, 4,096 and
 4,096 a ``registry`` pass at seed 1 kept every value of every finished
 draw, 10,586 series entries of about 200 B each, and peaked at 26.2 MB;
 with these it peaks at 23.9 MB with the same misses (medians of 10
@@ -102,8 +117,9 @@ from __future__ import annotations
 
 import cmath
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import zip_longest
+from math import copysign
 
 from .weightpoly import WeightPolynomial
 
@@ -175,6 +191,37 @@ def qpow(q: complex, z) -> complex:
         return cmath.exp(complex(z) * cmath.log(complex(q)))
     except (OverflowError, ZeroDivisionError) as exc:
         raise EvaluationError(f"q^z out of range: q = {q!r}, z = {z!r}") from exc
+
+
+class _Powers(dict):
+    # q^k by integer k, each formed once by ``qpow`` on a miss; a miss
+    # that raises stores nothing, so it raises again
+    __slots__ = ("q",)
+
+    def __init__(self, q):
+        self.q = q
+
+    def __missing__(self, k):
+        value = self[k] = qpow(self.q, k)
+        return value
+
+
+@lru_cache(maxsize=8)
+def _power_tables(key) -> _Powers:
+    return _Powers(key if type(key) is complex else key[0])
+
+
+def _q_powers(q) -> _Powers:
+    """The power table of q: ``_q_powers(q)[k]`` has the bits of
+    ``qpow(q, k)`` for every integer k.
+
+    A complex q with both parts nonzero is its own key, as equal values
+    of it have equal bits.  Any other q is keyed with its type and the
+    signs of its parts: complex(-0.0, 0.5) and complex(0.0, 0.5) compare
+    equal, but their powers differ in the sign of a zero."""
+    if type(q) is complex and q.real and q.imag:
+        return _power_tables(q)
+    return _power_tables((q, type(q), copysign(1.0, q.real), copysign(1.0, q.imag)))
 
 
 def complex_to_pair(z: complex) -> list:
@@ -311,7 +358,8 @@ def _shifted(bases, q, start: int, stop: int) -> list:
     # x q^j for j in range(start, stop) and x in bases, j-major: a base
     # list of length L gives entry L (j - start) + i = bases[i] q^j.  A
     # base 1 gives the exact powers q^j, the arguments of (q; q)_n.
-    powers = [qpow(q, j) for j in range(start, stop)]
+    pw = _q_powers(q)
+    powers = [pw[j] for j in range(start, stop)]
     return [x * qj for qj in powers for x in bases]
 
 
@@ -349,14 +397,15 @@ def q_binomial(n: int, k: int, q) -> complex:
     if k < 0 or k > n:
         return 0.0 + 0.0j
     q = complex(q)
-    return theta_quotient(_shifted((qpow(q, 1 + k),), q, 0, n - k),
+    return theta_quotient(_shifted((_q_powers(q)[1 + k],), q, 0, n - k),
                           _shifted((1,), q, 1, n - k + 1), 0.0)
 
 
 def q_bracket(z, q) -> complex:
-    """The q-number [z]_q = (1 - q^z) / (1 - q)."""
+    """The q-number [z]_q = (1 - q^z) / (1 - q): an integer z reads q^z
+    from the power table, any other z takes the principal branch."""
     q = complex(q)
-    return theta_quotient([qpow(q, z)], [q], 0.0)
+    return theta_quotient([_q_powers(q)[z] if isinstance(z, int) else qpow(q, z)], [q], 0.0)
 
 
 def _ratio(x: complex, d: complex) -> complex:
@@ -443,11 +492,9 @@ class GenericWeights(WeightFamily):
 
 def _small_thetas(ps: ParameterSet, s: int, t: int) -> tuple:
     # theta arguments (numerators, denominators) of w(s, t) / q
-    a, b, q = ps.a, ps.b, ps.q
-    return ([a * qpow(q, s + 2 * t), b * qpow(q, 2 * s + t - 2),
-             _ratio(a * qpow(q, t - s - 1), b)],
-            [a * qpow(q, s + 2 * t - 2), b * qpow(q, 2 * s + t),
-             _ratio(a * qpow(q, t - s + 1), b)])
+    a, b, pw = ps.a, ps.b, _q_powers(ps.q)
+    return ([a * pw[s + 2 * t], b * pw[2 * s + t - 2], _ratio(a * pw[t - s - 1], b)],
+            [a * pw[s + 2 * t - 2], b * pw[2 * s + t], _ratio(a * pw[t - s + 1], b)])
 
 
 @lru_cache(maxsize=1024)
@@ -459,13 +506,13 @@ def _elliptic_small(ps: ParameterSet, s: int, t: int) -> complex:
 @lru_cache(maxsize=256)
 def _elliptic_big(ps: ParameterSet, s: int, t: int) -> complex:
     # closed theta form of prod_{k=1}^{t} w(s, k) for t >= 1
-    a, b, q = ps.a, ps.b, ps.q
+    a, b, pw = ps.a, ps.b, _q_powers(ps.q)
     return theta_quotient(
-        [a * qpow(q, s + 2 * t), b * qpow(q, 2 * s), b * qpow(q, 2 * s - 1),
-         _ratio(a * qpow(q, 1 - s), b), _ratio(a * qpow(q, -s), b)],
-        [a * qpow(q, s), b * qpow(q, 2 * s + t), b * qpow(q, 2 * s + t - 1),
-         _ratio(a * qpow(q, t - s + 1), b), _ratio(a * qpow(q, t - s), b)],
-        ps.p) * qpow(q, t)
+        [a * pw[s + 2 * t], b * pw[2 * s], b * pw[2 * s - 1],
+         _ratio(a * pw[1 - s], b), _ratio(a * pw[-s], b)],
+        [a * pw[s], b * pw[2 * s + t], b * pw[2 * s + t - 1],
+         _ratio(a * pw[t - s + 1], b), _ratio(a * pw[t - s], b)],
+        ps.p) * pw[t]
 
 
 class EllipticWeights(WeightFamily):
@@ -500,15 +547,15 @@ class EllipticWeights(WeightFamily):
             raise DomainError("binom needs n >= 0")
         if k < 0 or k > n:
             return 0.0 + 0.0j
-        a, b, q = self.ps.a, self.ps.b, self.ps.q
+        a, b, pw = self.ps.a, self.ps.b, _q_powers(self.ps.q)
         # 4 (n - k) factor pairs, j-major: pair 4j + i is factor j of the
         # i-th theta factorial, (q^(1+k), a q^(1+k), b q^(1+k), a q^(1-k)/b)
         # over (q, a q, b q^(1+2k), a q/b), each shifted by q^j
         nums, dens = [], []
         for j in range(n - k):
-            top, low = qpow(q, 1 + k + j), qpow(q, 1 + j)
-            nums += (top, a * top, b * top, _ratio(a * qpow(q, 1 - k + j), b))
-            dens += (low, a * low, b * qpow(q, 1 + 2 * k + j), _ratio(a * low, b))
+            top, low = pw[1 + k + j], pw[1 + j]
+            nums += (top, a * top, b * top, _ratio(a * pw[1 - k + j], b))
+            dens += (low, a * low, b * pw[1 + 2 * k + j], _ratio(a * low, b))
         return theta_quotient(nums, dens, self.ps.p)
 
     def dual(self) -> WeightFamily:
@@ -542,7 +589,7 @@ class AQWeights(WeightFamily):
 
     def small(self, s: int, t: int) -> complex:
         nums, dens = _small_thetas(self._dual_ps, t, s)
-        return theta_quotient(dens, nums, 0.0) * qpow(self.q, -1)
+        return theta_quotient(dens, nums, 0.0) * _q_powers(self.q)[-1]
 
     def binom(self, n: int, k: int) -> complex:
         if n < 0:
@@ -550,12 +597,13 @@ class AQWeights(WeightFamily):
         if k < 0 or k > n:
             return 0.0 + 0.0j
         a, q = self.a, self.q
+        pw = _q_powers(q)
         # 2 (n - k) factor pairs, j-major: pair 2j + i is factor j of the
         # i-th factorial, (q^(1+k); q) over (q; q), then (a q^(1+k); q)
         # over (a q; q)
         return theta_quotient(
-            _shifted((qpow(q, 1 + k), a * qpow(q, 1 + k)), q, 0, n - k),
-            _shifted((1, a), q, 1, n - k + 1), 0.0) * qpow(q, k * (k - n))
+            _shifted((pw[1 + k], a * pw[1 + k]), q, 0, n - k),
+            _shifted((1, a), q, 1, n - k + 1), 0.0) * pw[k * (k - n)]
 
     def dual(self) -> BQWeights:
         return BQWeights(self.a, self.q)
@@ -591,15 +639,16 @@ def bracket_z(ps: ParameterSet, z, u: int = 0, v: int = 0) -> complex:
     each argument formed from its whole exponent (a q^(u+z), not
     (a q^u) q^z), so the offsets (u, v) follow the argument rule and
     ``bracket_z(ps, z, u, v)`` is ``bracket_z(ps.shift(u, v), z)``
-    rounded once.  Integer z uses exact powers of q; otherwise the
-    principal branch.  At p = 0 this is the same formula with
+    rounded once.  Integer z reads each power from the table of q;
+    otherwise every power takes ``qpow``'s principal branch.  At p = 0 this is the same formula with
     theta(x; 0) = 1 - x, and zero parameters are allowed, so [z]
     degenerates through (a, b) -> 0 to (1 - q^z)/(1 - q).
     """
     a, b, q = ps.a, ps.b, ps.q
+    power = _q_powers(q).__getitem__ if isinstance(z, int) else partial(qpow, q)
     return theta_quotient(
-        [qpow(q, z), a * qpow(q, u + z), b * qpow(q, v + 2), _ratio(a * qpow(q, u - v), b)],
-        [q, a * qpow(q, u + 1), b * qpow(q, v + z + 1), _ratio(a * qpow(q, u - v + z - 1), b)],
+        [power(z), a * power(u + z), b * power(v + 2), _ratio(a * power(u - v), b)],
+        [q, a * power(u + 1), b * power(v + z + 1), _ratio(a * power(u - v + z - 1), b)],
         ps.p)
 
 
@@ -618,9 +667,9 @@ def reversal_coeff_bq(b, q, l: int, k: int) -> complex:
 
         c = (b q^(1+k); q)_(2l) / (b q; q)_(2l) * q^(-k l).
     """
-    b = complex(b)
-    return theta_quotient(_shifted((b * qpow(q, 1 + k),), q, 0, 2 * l),
-                          _shifted((b,), q, 1, 2 * l + 1), 0.0) * qpow(q, -k * l)
+    b, pw = complex(b), _q_powers(q)
+    return theta_quotient(_shifted((b * pw[1 + k],), q, 0, 2 * l),
+                          _shifted((b,), q, 1, 2 * l + 1), 0.0) * pw[-k * l]
 
 
 _FAMILY_TAGS = ("generic", "elliptic", "bq", "aq", "q")

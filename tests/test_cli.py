@@ -297,6 +297,17 @@ def test_fib_flag_validation(capsys):
     assert code == 2 and "--aq" in err
 
 
+def test_fib_negative_n_names_the_function_of_its_mode(capsys):
+    # each mode's message names the function that mode calls
+    for mode, name in (((), "fib_aq"), (("--closed",), "fib_aq_closed")):
+        code, out, err = run_cli(capsys, "fib", "--aq", "--n", "-1", "--a", "0.3",
+                                 "--q", "0.5", *mode)
+        assert (code, out, err) == (2, "", f"error: {name} needs n >= 0")
+    code, out, err = run_cli(capsys, "fib", "--elliptic", "--n", "-1", "--a", "1.1,0.2",
+                             "--b", "0.4", "--q", "0.5,0.1", "--p", "0.2")
+    assert (code, out, err) == (2, "", "error: fib_elliptic needs n >= 0")
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, _ = run_cli(capsys, "theta", "--x", "abc", "--p", "0.1")
     assert code == 2

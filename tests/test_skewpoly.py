@@ -491,6 +491,16 @@ def test_fib_elliptic_at_b_zero_is_fib_aq():
             assert got == _loop_fib_aq(n, complex(a), q) == fib_aq(n, a, q)
 
 
+def test_fib_aq_checks_its_own_n():
+    # fib_aq delegates to fib_elliptic, but a negative n is refused in
+    # fib_aq's own name, before any parameter is checked
+    for fn in (fib_aq, fib_aq_closed):
+        with pytest.raises(DomainError, match=f"^{fn.__name__} needs n >= 0$"):
+            fn(-1, 0.3, 0.5)
+    with pytest.raises(DomainError, match="^fib_aq needs n >= 0$"):
+        fib_aq(-2, complex("nan"), 0.5)
+
+
 def test_fib_elliptic_b_zero_needs_p_zero():
     # theta(0; p) is undefined for p != 0
     with pytest.raises(DomainError):

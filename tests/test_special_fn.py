@@ -137,7 +137,8 @@ def test_theta_series_cache_is_keyed_on_the_arguments_as_given():
     assert series.cache_info().currsize == 0
 
 
-THETA_FAMILY_CACHES = ("_theta_series", "_elliptic_small", "_elliptic_big")
+THETA_FAMILY_CACHES = ("_theta_series", "_elliptic_small", "_elliptic_big",
+                       "_power_tables")
 
 
 def _misses_per_step(steps) -> list:
@@ -395,6 +396,110 @@ def test_qpow_of_zero_at_a_non_integer_power():
             qpow(0, z)
     with pytest.raises(DomainError):
         bracket_z(ParameterSet(0, 0, 0, 0), 0.5)
+
+def _bits(z) -> bytes:
+    z = complex(z)
+    return struct.pack("<dd", z.real, z.imag)
+
+
+# spellings of q, among them pairs that compare equal but differ in the
+# sign of a zero part; CPython forms z ** k by repeated squaring for
+# |k| < 100 and by exp and log beyond, so k runs past both edges
+POWER_TABLE_SPELLINGS = (
+    0.5, 0.5 + 0j, complex(0.5, -0.0), complex(-0.0, 0.5), complex(0.0, 0.5),
+    complex(-0.5, -0.0), 2, 0.5 + 0.1j, -1.5 - 0.2j)
+
+
+def test_power_table_keeps_the_bits_of_qpow():
+    tables = special_fn._power_tables
+    tables.cache_clear()
+    for q in POWER_TABLE_SPELLINGS:
+        table = special_fn._q_powers(q)
+        for k in range(-300, 301):
+            assert _bits(table[k]) == _bits(qpow(q, k)), (q, k)
+        # a second read is the stored value
+        assert all(_bits(table[k]) == _bits(qpow(q, k)) for k in (-300, -1, 0, 1, 99, 100, 300))
+    # the two spellings of i/2 compare and hash equal, but their first
+    # powers differ in the sign of the real zero, so each has its table
+    minus, plus = complex(-0.0, 0.5), complex(0.0, 0.5)
+    assert minus == plus and hash(minus) == hash(plus)
+    assert special_fn._q_powers(minus) is not special_fn._q_powers(plus)
+    assert math.copysign(1.0, special_fn._q_powers(minus)[1].real) == -1.0
+    assert math.copysign(1.0, special_fn._q_powers(plus)[1].real) == 1.0
+    assert special_fn._q_powers(0.5) is not special_fn._q_powers(complex(0.5, -0.0))
+    # a complex q with both parts nonzero is found again by value
+    assert special_fn._q_powers(0.5 + 0.1j) is special_fn._q_powers(complex(0.5, 0.1))
+
+
+def test_power_table_raises_what_qpow_raises_and_stores_nothing():
+    for q, k in ((10.0 + 1j, 400), (10.0, 400), (1e200, 2), (0, -1), (0j, -3), (1e-200j, -2)):
+        with pytest.raises(EvaluationError) as want:
+            qpow(q, k)
+        table = special_fn._q_powers(q)
+        size = len(table)
+        for _ in range(2):
+            with pytest.raises(EvaluationError, match="^q\\^z out of range") as got:
+                table[k]
+            assert str(got.value) == str(want.value)
+        assert k not in table and len(table) == size
+
+
+def test_clear_caches_empties_the_power_table():
+    import ellcomb
+    special_fn._q_powers(0.5 + 0.1j)[3]
+    assert special_fn._power_tables.cache_info().currsize
+    ellcomb.clear_caches()
+    assert special_fn._power_tables.cache_info().currsize == 0
+
+
+# every use of qpow left in the library modules, by module and enclosing
+# function, with the reason it forms its power without the table
+QPOW_USES = {
+    "special_fn:_Powers.__missing__": "the table's miss path",
+    "special_fn:ParameterSet.shift": "reference side: the shifted parameters of weight-shift",
+    "special_fn:q_bracket": "non-integer exponent: q^z off the integers",
+    "special_fn:bracket_z": "non-integer exponent: q^z off the integers",
+    "skewpoly:f_relation_sides": "reference side: the right sides of f-relations",
+    "skewpoly:f_relation_sides.series_coeff": "reference side: the right sides of f-relations",
+}
+
+
+def _qpow_uses(path) -> set:
+    # enclosing class and function names of every name qpow read in path
+    uses = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if ((isinstance(child, ast.Name) and child.id == "qpow")
+                    or (isinstance(child, ast.Attribute) and child.attr == "qpow")):
+                uses.add(f"{path.stem}:{'.'.join(scope)}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return uses
+
+
+def test_no_library_site_bypasses_the_power_table():
+    # a new theta argument or prefactor formed with qpow in place of the
+    # table fails here until it is listed with one of the three reasons
+    package = Path(special_fn.__file__).parent
+    uses = set()
+    for name in ("special_fn", "skewpoly", "boards"):
+        uses |= _qpow_uses(package / f"{name}.py")
+    assert uses == set(QPOW_USES)
+    reasons = ("the table's miss path", "non-integer exponent:", "reference side:")
+    assert all(reason.startswith(reasons) for reason in QPOW_USES.values())
+    # the references in verify form every power of their own
+    source = (package / "verify.py").read_text()
+    assert "_q_powers" not in source and "_power_tables" not in source
+    assert _qpow_uses(package / "verify.py") >= {
+        f"verify:{name}" for name in ("_small_ref", "_qfac_ref", "_qfac_ref_guarded",
+                                      "_full_binom_ref", "_aq_binom_ref",
+                                      "_choice_coeff_ref")}
+
 
 def test_theta_series_length_edges():
     # |p| / |x| overflows: the series is non-finite
