@@ -397,6 +397,7 @@ def test_qpow_of_zero_at_a_non_integer_power():
     with pytest.raises(DomainError):
         bracket_z(ParameterSet(0, 0, 0, 0), 0.5)
 
+
 def _bits(z) -> bytes:
     z = complex(z)
     return struct.pack("<dd", z.real, z.imag)
@@ -404,7 +405,7 @@ def _bits(z) -> bytes:
 
 # spellings of q, among them pairs that compare equal but differ in the
 # sign of a zero part; CPython forms z ** k by repeated squaring for
-# |k| < 100 and by exp and log beyond, so k runs past both edges
+# |k| <= 100 and by exp and log beyond, so k runs past both edges
 POWER_TABLE_SPELLINGS = (
     0.5, 0.5 + 0j, complex(0.5, -0.0), complex(-0.0, 0.5), complex(0.0, 0.5),
     complex(-0.5, -0.0), 2, 0.5 + 0.1j, -1.5 - 0.2j)
@@ -418,7 +419,7 @@ def test_power_table_keeps_the_bits_of_qpow():
         for k in range(-300, 301):
             assert _bits(table[k]) == _bits(qpow(q, k)), (q, k)
         # a second read is the stored value
-        assert all(_bits(table[k]) == _bits(qpow(q, k)) for k in (-300, -1, 0, 1, 99, 100, 300))
+        assert all(_bits(table[k]) == _bits(qpow(q, k)) for k in (-300, -101, -1, 0, 1, 100, 101, 300))
     # the two spellings of i/2 compare and hash equal, but their first
     # powers differ in the sign of the real zero, so each has its table
     minus, plus = complex(-0.0, 0.5), complex(0.0, 0.5)
