@@ -49,8 +49,8 @@ weights, ``EllipticWeights.binom``, ``bracket_z``, the q-factorials,
 A caller that needs a bracket at shifted parameters (a q^u, b q^v)
 passes the offsets, ``bracket_z(ps, z, u, v)``, rather than a
 ``ParameterSet.shift`` copy, for the same reason.  A power off the
-integers (``bracket_z`` or ``q_bracket`` at a non-integer z) takes
-``qpow``'s principal branch.
+integers (``bracket_z`` at a non-integer z) takes ``qpow``'s principal
+branch.
 
 Every theta ratio and every q- or theta-shifted factorial quotient is
 one ``theta_quotient`` call: since theta(x; 0) = 1 - x, the q-shifted
@@ -86,9 +86,9 @@ of k and stores nothing for a k that raises; it replaces a ``qpow``
 call per power with a dict read.  A cold ``numeric`` pass at seed 1
 reads 61,213 powers of 18 values of q and forms 619 of them; a
 ``registry`` pass reads 131,087 and forms 7,888, leaving 84,720
-``qpow`` calls to the reference sides.  A table holds one entry per
-exponent its q was asked for, so its size follows the longest factor
-list, as the list itself does.
+``qpow`` calls to the reference sides.  A table keeps the first
+``_POWERS_PER_TABLE`` exponents its q is asked for over the table's
+lifetime, and forms any later one afresh on every read.
 Nothing else is memoised across calls; ``WeightFamily.binom`` builds
 its triangle afresh each time.
 
@@ -105,8 +105,11 @@ weights (the ``words`` check at the constant weight 1), 25 for big
 weights (``numeric``) and 1 for the power tables (``registry``, where
 ``prop-product-expansion`` alternates q and 1/q).
 Each bound is the smallest power of two at least 8 times its distance:
-1,024, 1,024, 256 and 8.  With the earlier bounds of 65,536, 4,096 and
-4,096 a ``registry`` pass at seed 1 kept every value of every finished
+1,024, 1,024, 256 and 8.  A table that stores its first powers and no
+more loses no hit if it holds all the exponents one table is asked
+for, at most 59 over the same passes (``registry``; 38 on ``numeric``),
+so by the same rule a table keeps 512.  With the earlier bounds of
+65,536, 4,096 and 4,096 a ``registry`` pass at seed 1 kept every value of every finished
 draw, 10,586 series entries of about 200 B each, and peaked at 26.2 MB;
 with these it peaks at 23.9 MB with the same misses (medians of 10
 benchmark runs at ``--seconds 20``), and a full theta series cache
@@ -193,34 +196,38 @@ def qpow(q: complex, z) -> complex:
         raise EvaluationError(f"q^z out of range: q = {q!r}, z = {z!r}") from exc
 
 
+# The most powers one table keeps; a power asked for once the table is
+# full is formed afresh each time and not stored.
+_POWERS_PER_TABLE = 512
+
+
 class _Powers(dict):
-    # q^k by integer k, each formed once by ``qpow`` on a miss; a miss
-    # that raises stores nothing, so it raises again
+    # q^k by integer k, each formed once by ``qpow`` on a miss while the
+    # table has room; a miss that raises stores nothing, so it raises again
     __slots__ = ("q",)
 
     def __init__(self, q):
         self.q = q
 
     def __missing__(self, k):
-        value = self[k] = qpow(self.q, k)
+        value = qpow(self.q, k)
+        if len(self) < _POWERS_PER_TABLE:
+            self[k] = value
         return value
 
 
 @lru_cache(maxsize=8)
 def _power_tables(key) -> _Powers:
-    return _Powers(key if type(key) is complex else key[0])
+    return _Powers(key[0])
 
 
 def _q_powers(q) -> _Powers:
     """The power table of q: ``_q_powers(q)[k]`` has the bits of
     ``qpow(q, k)`` for every integer k.
 
-    A complex q with both parts nonzero is its own key, as equal values
-    of it have equal bits.  Any other q is keyed with its type and the
-    signs of its parts: complex(-0.0, 0.5) and complex(0.0, 0.5) compare
-    equal, but their powers differ in the sign of a zero."""
-    if type(q) is complex and q.real and q.imag:
-        return _power_tables(q)
+    q is keyed with its type and the signs of its parts: complex(-0.0, 0.5)
+    and complex(0.0, 0.5) compare equal, but their powers differ in the
+    sign of a zero."""
     return _power_tables((q, type(q), copysign(1.0, q.real), copysign(1.0, q.imag)))
 
 
@@ -402,10 +409,9 @@ def q_binomial(n: int, k: int, q) -> complex:
 
 
 def q_bracket(z, q) -> complex:
-    """The q-number [z]_q = (1 - q^z) / (1 - q): an integer z reads q^z
-    from the power table, any other z takes the principal branch."""
+    """The q-number [z]_q = (1 - q^z) / (1 - q)."""
     q = complex(q)
-    return theta_quotient([_q_powers(q)[z] if isinstance(z, int) else qpow(q, z)], [q], 0.0)
+    return theta_quotient([qpow(q, z)], [q], 0.0)
 
 
 def _ratio(x: complex, d: complex) -> complex:

@@ -141,31 +141,42 @@ THETA_FAMILY_CACHES = ("_theta_series", "_elliptic_small", "_elliptic_big",
                        "_power_tables")
 
 
-def _misses_per_step(steps) -> list:
+def _misses_per_step(steps, monkeypatch) -> list:
     # the misses of each theta-family cache after each step, the caches
-    # looked up by module name as ``theta`` and the elliptic weights do
+    # looked up by module name as ``theta`` and the elliptic weights do,
+    # and last the powers the power tables formed
     caches = [getattr(special_fn, name) for name in THETA_FAMILY_CACHES]
     for cache in caches:
         cache.cache_clear()
+    forms = [0]
+    missing = special_fn._Powers.__missing__
+
+    def counted(table, k):
+        forms[0] += 1
+        return missing(table, k)
+
     out = []
-    for label, step in steps:
-        try:
-            step()
-        except (ArithmeticError, ValueError):
-            pass
-        out.append((label, [cache.cache_info().misses for cache in caches]))
+    with monkeypatch.context() as m:
+        m.setattr(special_fn._Powers, "__missing__", counted)
+        for label, step in steps:
+            try:
+                step()
+            except (ArithmeticError, ValueError):
+                pass
+            out.append((label, [cache.cache_info().misses for cache in caches] + forms))
     return out
 
 
 def _lost_hits(steps, monkeypatch) -> tuple:
-    # (misses with the shipped bounds, misses with unbounded stand-ins,
-    # the stand-ins' final sizes)
-    shipped = _misses_per_step(steps)
+    # (misses with the shipped bounds, misses with unbounded stand-ins
+    # and power tables, the stand-ins' final sizes)
+    shipped = _misses_per_step(steps, monkeypatch)
     with monkeypatch.context() as m:
         for name in THETA_FAMILY_CACHES:
             m.setattr(special_fn, name,
                       functools.lru_cache(maxsize=None)(getattr(special_fn, name).__wrapped__))
-        unbounded = _misses_per_step(steps)
+        m.setattr(special_fn, "_POWERS_PER_TABLE", math.inf)
+        unbounded = _misses_per_step(steps, monkeypatch)
         sizes = [getattr(special_fn, name).cache_info().currsize
                  for name in THETA_FAMILY_CACHES]
     return shipped, unbounded, sizes
@@ -418,7 +429,9 @@ def test_power_table_keeps_the_bits_of_qpow():
         table = special_fn._q_powers(q)
         for k in range(-300, 301):
             assert _bits(table[k]) == _bits(qpow(q, k)), (q, k)
-        # a second read is the stored value
+        # the table stores its first powers only, and a second read,
+        # stored or formed afresh, has the same bits
+        assert len(table) == special_fn._POWERS_PER_TABLE
         assert all(_bits(table[k]) == _bits(qpow(q, k)) for k in (-300, -101, -1, 0, 1, 100, 101, 300))
     # the two spellings of i/2 compare and hash equal, but their first
     # powers differ in the sign of the real zero, so each has its table
@@ -458,7 +471,7 @@ def test_clear_caches_empties_the_power_table():
 QPOW_USES = {
     "special_fn:_Powers.__missing__": "the table's miss path",
     "special_fn:ParameterSet.shift": "reference side: the shifted parameters of weight-shift",
-    "special_fn:q_bracket": "non-integer exponent: q^z off the integers",
+    "special_fn:q_bracket": "non-integer exponent: q^z at any z; one power per call, from tests only",
     "special_fn:bracket_z": "non-integer exponent: q^z off the integers",
     "skewpoly:f_relation_sides": "reference side: the right sides of f-relations",
     "skewpoly:f_relation_sides.series_coeff": "reference side: the right sides of f-relations",
