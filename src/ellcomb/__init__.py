@@ -35,6 +35,7 @@ from .special_fn import (
     complex_to_pair,
     family_from_spec,
     pair_to_complex,
+    path_binom,
     q_binomial,
     q_bracket,
     q_factorial,
@@ -81,7 +82,7 @@ def clear_caches() -> None:
 _DEFERRED = {
     **dict.fromkeys((
         "FerrersBoard", "Placement", "all_boards_within", "board_from_word",
-        "file_poly", "file_product_sides", "path_binom", "placements",
+        "file_poly", "file_product_sides", "placements",
         "rook_poly", "rook_product_sides", "word_from_board"), "boards"),
     **dict.fromkeys((
         "SkewPoly", "apply_D", "apply_eta", "f_relation_sides", "fib_aq",
@@ -113,7 +114,7 @@ __all__ = [
     "TableWeights", "VerifyError", "WeightFamily", "WeightPolynomial",
     "WordParseError", "bracket_z", "clear_caches", "complex_to_pair",
     "dual_word", "expand_power_sum", "family_from_spec", "multiply",
-    "normal_order", "pair_to_complex", "parse_word", "q_binomial",
-    "q_bracket", "q_factorial", "qp_factorial", "theta",
+    "normal_order", "pair_to_complex", "parse_word", "path_binom",
+    "q_binomial", "q_bracket", "q_factorial", "qp_factorial", "theta",
     *_DEFERRED,
 ]

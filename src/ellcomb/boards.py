@@ -64,12 +64,12 @@ from operator import index
 
 from .special_fn import (DomainError, EllipticWeights, WeightFamily, bracket_z,
                          require_finite)
-from .weightpoly import WeightPolynomial, _cell_basis, _poly, _suffix_monomials
+from .weightpoly import _cell_basis, _poly, _suffix_monomials
 from .ncword import parse_word
 
 __all__ = [
     "FerrersBoard", "Placement", "board_from_word", "word_from_board",
-    "placements", "rook_poly", "file_poly", "path_binom", "rook_product_lhs",
+    "placements", "rook_poly", "file_poly", "rook_product_lhs",
     "rook_product_sides", "file_product_sides", "SingleIndexCells",
     "all_boards_within",
 ]
@@ -325,30 +325,6 @@ def file_poly(board: FerrersBoard, k: int, family, *, every: bool = False):
     """
     sums = _weighted_sums(board, family, "file", 0 if every else k, k)
     return sums if every else sums[0]
-
-
-def path_binom(n: int, k: int, family):
-    """Lattice-path form of the weight-dependent binomial coefficient.
-
-    Sums over monotone paths (0,0) -> (k, n-k), weighting the east step
-    (s-1, t) -> (s, t) by the big weight W(s, t) and north steps by 1.
-    Must agree with ``family.binom(n, k)``.
-    """
-    if k < 0 or n < 0 or k > n:
-        raise DomainError(f"path_binom needs 0 <= k <= n, got ({n}, {k})")
-    symbolic = getattr(family, "symbolic", False)
-    one = WeightPolynomial.one() if symbolic else 1.0 + 0.0j
-    rows = n - k
-    prev = [one] * (rows + 1)
-    for s in range(1, k + 1):
-        current = [None] * (rows + 1)
-        for t in range(rows + 1):
-            value = prev[t] * family.big(s, t)
-            if t > 0:
-                value = value + current[t - 1]
-            current[t] = value
-        prev = current
-    return prev[rows]
 
 
 class SingleIndexCells(WeightFamily):

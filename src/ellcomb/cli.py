@@ -18,6 +18,7 @@ import gc
 import json
 import sys
 import time
+from contextlib import suppress
 
 from .special_fn import (
     DomainError,
@@ -39,6 +40,8 @@ from . import _CACHES
 __all__ = ["main"]
 
 _BOARD_CAP = 8
+# every flag whose value is read by _parse_complex
+_COMPLEX_FLAGS = ("--x", "--a", "--b", "--q", "--p")
 # characters per write of streamed output: each write to a pipe costs a
 # call into the text layer and, past its buffer, a system call
 _BLOCK = 1 << 16
@@ -58,6 +61,20 @@ def _parse_complex(text: str) -> complex:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+
+
+def _join_complex_values(argv) -> list:
+    # argparse takes "-0.5,0.1" for an option, so a value _parse_complex
+    # accepts is joined to the complex flag before it, as FLAG=VALUE
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _COMPLEX_FLAGS:
+            with suppress(argparse.ArgumentTypeError):
+                _parse_complex(token)
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    return joined
 
 
 def _fmt_number(value) -> str:
@@ -326,7 +343,7 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = _build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parser.parse_args(_join_complex_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -14,7 +14,8 @@ Small weights w(s, t) determine big weights by the column product
 
     W(s, t) = prod_{k=1}^{t} w(s, k),       W(s, 0) = 1,
 
-and the weight-dependent binomial coefficients by the triangle
+and the weight-dependent binomial coefficients by the triangle, which
+``path_binom`` sums over lattice paths, one column of W at a time,
 
     [0, 0] = 1,   [n, k] = 0 outside 0 <= k <= n,
     [n+1, k] = [n, k] + [n, k-1] W(k, n+1-k).
@@ -44,13 +45,15 @@ instead.  A power rounded once is more accurate than a product of two
 rounded powers (Higham, Accuracy and Stability of Numerical Algorithms,
 chapter 3), and the same argument then has the same bits wherever it is
 formed, so it finds its ``_theta_series`` entry: the small and big
-weights, ``EllipticWeights.binom``, ``bracket_z``, the q-factorials,
-``skewpoly.fib_elliptic`` and the skew operator factors all follow it.
-A caller that needs a bracket at shifted parameters (a q^u, b q^v)
-passes the offsets, ``bracket_z(ps, z, u, v)``, rather than a
-``ParameterSet.shift`` copy, for the same reason.  A power off the
-integers (``bracket_z`` at a non-integer z) takes ``qpow``'s principal
-branch.
+weights, ``EllipticWeights.binom``, ``bracket_z``, ``qp_factorial``,
+``exp_coeff_bq``, ``skewpoly.fib_elliptic`` and the skew operator
+factors all follow it; ``q_binomial``, ``AQWeights.binom`` and
+``reversal_coeff_bq`` do not: they multiply q^(1+k), a q^(1+k) and
+b q^(1+k) by q^j.  A caller that needs a bracket at shifted parameters
+(a q^u, b q^v) passes the offsets, ``bracket_z(ps, z, u, v)``, rather
+than a ``ParameterSet.shift`` copy, for the same reason.  A power off
+the integers (``bracket_z`` at a non-integer z) takes ``qpow``'s
+principal branch.
 
 Every theta ratio and every q- or theta-shifted factorial quotient is
 one ``theta_quotient`` call: since theta(x; 0) = 1 - x, the q-shifted
@@ -77,7 +80,7 @@ and a ``registry`` pass 88 % longer.  The elliptic small weight
 which look up 161 distinct weights 1,352 times in a ``numeric`` pass:
 without it the pass took 9 % to 12 % longer.  The closed elliptic big
 weight for t >= 1 (``_elliptic_big``, keyed on (ps, s, t)) serves the
-column products that binomial triangles and path sums ask for again:
+column products that path sums ask for again:
 without it a ``numeric`` pass took 19 % longer; only ``numeric``'s
 path sums hit it, and a ``registry`` or ``words`` pass gets no hit.
 The power table of a nome's q (``_power_tables``, reached through
@@ -89,8 +92,8 @@ reads 61,213 powers of 18 values of q and forms 619 of them; a
 ``qpow`` calls to the reference sides.  A table keeps the first
 ``_POWERS_PER_TABLE`` exponents its q is asked for over the table's
 lifetime, and forms any later one afresh on every read.
-Nothing else is memoised across calls; ``WeightFamily.binom`` builds
-its triangle afresh each time.
+Nothing else is memoised across calls; ``path_binom`` builds its
+columns afresh each time.
 
 Each bound holds one draw's working set.  Every key carries the draw's
 parameters, so draws share values only where the parameters are fixed,
@@ -436,47 +439,44 @@ class WeightFamily:
     def big(self, s: int, t: int):
         if t < 0:
             raise DomainError("big weight needs t >= 0")
-        result = self._one()
-        for k in range(1, t + 1):
-            result = result * self.small(s, k)
-        return result if self.symbolic else require_finite(result, "big weight")
+        return self._column(s, t)[t]
+
+    def _column(self, s: int, top: int) -> list:
+        # [W(s, 0), ..., W(s, top)], each entry the one before times w(s, t)
+        column = [self._one()]
+        for t in range(1, top + 1):
+            weight = column[-1] * self.small(s, t)
+            column.append(weight if self.symbolic else require_finite(weight, "big weight"))
+        return column
 
     def binom(self, n: int, k: int):
-        """Triangle recursion; subclasses override with closed forms."""
+        """``path_binom``; subclasses override with closed forms."""
         if n < 0:
             raise DomainError("binom needs n >= 0")
         if k < 0 or k > n:
             return self._zero()
-        zero = self._zero()
-        # Row m keeps only the columns [m, j] that [n, k] depends on,
-        # k - (n - m) <= j <= k, so no weight outside them is read.  The
-        # big weight W(j, t) of a column is carried from the row before
-        # as W(j, t - 1) w(j, t); ``big`` is called only where a column
-        # has no carried weight, so each cell weight is read once.
-        row = {0: self._one()}
-        carried = {}
-        for m in range(1, n + 1):
-            prev, row = row, {}
-            for j in range(max(0, k - n + m), min(m, k) + 1):
-                value = prev.get(j, zero)
-                lower = prev.get(j - 1, zero)
-                if lower != 0:
-                    t = m - j
-                    last = carried.get(j)
-                    if last is not None and last[0] == t - 1:
-                        weight = last[1] * self.small(j, t)
-                    else:
-                        weight = self.big(j, t)
-                    carried[j] = (t, weight)
-                    value = value + lower * weight
-                row[j] = value
-        return row[k]
+        return path_binom(n, k, self)
 
     def _zero(self):
         return 0.0 + 0.0j
 
     def _one(self):
         return 1.0 + 0.0j
+
+
+def path_binom(n: int, k: int, family: WeightFamily):
+    """Lattice-path form of the weight-dependent binomial coefficient:
+    the sum over monotone paths (0,0) -> (k, n-k) whose east step
+    (s-1, t) -> (s, t) weighs W(s, t), one ``_column`` at a time."""
+    if k < 0 or n < 0 or k > n:
+        raise DomainError(f"path_binom needs 0 <= k <= n, got ({n}, {k})")
+    # row[t] = [s + t, s], updated in place from column s - 1 to column s
+    row = [family._one()] * (n - k + 1)
+    for s in range(1, k + 1):
+        column = family._column(s, n - k)
+        for t in range(1, n - k + 1):
+            row[t] = row[t] * column[t] + row[t - 1]
+    return row[-1]
 
 
 class GenericWeights(WeightFamily):
@@ -547,6 +547,9 @@ class EllipticWeights(WeightFamily):
         if t == 0:
             return 1.0 + 0.0j
         return _elliptic_big(self.ps, s, t)
+
+    def _column(self, s: int, top: int) -> list:
+        return [self.big(s, t) for t in range(top + 1)]
 
     def binom(self, n: int, k: int) -> complex:
         if n < 0:

@@ -47,6 +47,7 @@ from .special_fn import (
     VerifyError,
     bracket_z,
     exp_coeff_bq,
+    path_binom,
     q_binomial,
     qp_factorial,
     qpow,
@@ -61,7 +62,6 @@ from .boards import (
     board_from_word,
     file_poly,
     file_product_sides,
-    path_binom,
     rook_poly,
     rook_product_lhs,
     rook_product_sides,
@@ -483,7 +483,7 @@ def _draw_bigweight_closed(ctx: CheckContext):
         "Pascal-type triangle recursion",
         "numeric-sampled", {"draws": 15, "n": 8}, 1e-7,
         ["special_fn:EllipticWeights.binom"],
-        ["boards:path_binom", "special_fn:EllipticWeights.big"], "n")
+        ["special_fn:path_binom", "special_fn:EllipticWeights.big"], "n")
 def _draw_binom_recursion_closed(ctx: CheckContext):
     n = ctx.size("n")
     ps = ctx.draw_ps()

@@ -19,7 +19,6 @@ from ellcomb.boards import (
     board_from_word,
     file_poly,
     file_product_sides,
-    path_binom,
     placements,
     rook_poly,
     rook_product_sides,
@@ -36,6 +35,7 @@ from ellcomb.special_fn import (
     WeightFamily,
     _ratio,
     bracket_z,
+    path_binom,
     q_bracket,
     qpow,
     theta_quotient,

@@ -77,6 +77,35 @@ def test_complex_flag_accepts_bare_real(capsys):
     assert out_bare == out_pair
 
 
+@pytest.mark.parametrize("argv", [
+    ("theta", "--x", "{}", "--p", "0.1"),
+    ("theta", "--x", "0.3", "--p", "{}"),
+    ("binom", "--family", "elliptic", "--a", "{}", "--b", "0.4", "--q", "0.5,0.1",
+     "--p", "0.2", "--n", "4", "--k", "2"),
+    ("binom", "--family", "bq", "--b", "{}", "--q", "0.5,0.1", "--n", "4", "--k", "2"),
+    ("binom", "--family", "q", "--q", "{}", "--n", "4", "--k", "2"),
+])
+def test_complex_flag_reads_a_negative_value_after_a_space(capsys, argv):
+    # argparse reads "-0.05,0.1" as an option unless it is joined to its
+    # flag; after a space it must read as it does after "="
+    value = "-0.05,0.1"
+    spaced = [value if arg == "{}" else arg for arg in argv]
+    flag = argv.index("{}") - 1
+    joined = argv[:flag] + (f"{argv[flag]}={value}",) + argv[flag + 2:]
+    code, out, err = run_cli(capsys, *spaced)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, *joined)
+
+
+def test_complex_flag_refuses_what_it_refused_after_a_space(capsys):
+    # a value _parse_complex refuses is not joined: argparse still reads
+    # it as an option and names the flag short of its argument
+    for value in ("-0.5,abc", "--p"):
+        code, out, err = run_cli(capsys, "theta", "--x", value, "--p", "0.1")
+        assert code == 2 and out == ""
+        assert err.endswith("error: argument --x: expected one argument"), err
+
+
 def test_weight_symbolic_and_numeric(capsys):
     code, out, _ = run_cli(capsys, "weight", "--s", "1", "--t", "1")
     assert code == 0 and out == "w(1,1)"

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from ellcomb import special_fn
-from ellcomb.boards import SingleIndexCells, path_binom
+from ellcomb.boards import SingleIndexCells
 from ellcomb.special_fn import (
     AQWeights,
     BQWeights,
@@ -31,6 +31,7 @@ from ellcomb.special_fn import (
     family_from_spec,
     guarded,
     pair_to_complex,
+    path_binom,
     q_binomial,
     q_bracket,
     q_factorial,
@@ -992,7 +993,7 @@ def test_binom_boundary_values():
 def test_binom_small_q_does_not_overflow():
     # here the 32-factor theta products of binom(8, 0) overflow on their
     # own; built factor by factor the quotient is exactly 1
-    from ellcomb.boards import path_binom
+    from ellcomb.special_fn import path_binom
     ps = ParameterSet(0.0565 - 0.2162j, 1.083 - 0.9042j, -0.0274 - 0.3288j, 0.0963 + 0.4707j)
     fam = EllipticWeights(ps)
     assert fam.binom(8, 0) == 1.0
@@ -1130,6 +1131,19 @@ def test_triangle_binom_carries_column_weights():
         fam = _CountingTable(table)
         assert fam.binom(200, k) == row[k]
         assert fam.calls <= cap, (k, fam.calls)
+
+
+def test_path_binom_reads_each_cell_weight_once():
+    # path_binom builds each column's big weights as one running product,
+    # so under a family without a closed big weight [200, 100] reads the
+    # 100 x 100 small weights once each, not t of them per cell
+    rng = random.Random(39)
+    table = {(s, t): complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+             for s in range(1, 101) for t in range(1, 101)}
+    fam = _CountingTable(table)
+    got = path_binom(200, 100, fam)
+    assert fam.calls <= 20_000, fam.calls
+    assert got == TableWeights(table).binom(200, 100)
 
 
 def test_bracket_z_frozen():
