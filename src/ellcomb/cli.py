@@ -40,7 +40,6 @@ from . import _CACHES
 __all__ = ["main"]
 
 _BOARD_CAP = 8
-# every flag whose value is read by _parse_complex
 _COMPLEX_FLAGS = ("--x", "--a", "--b", "--q", "--p")
 # characters per write of streamed output: each write to a pipe costs a
 # call into the text layer and, past its buffer, a system call

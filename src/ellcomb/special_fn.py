@@ -92,8 +92,7 @@ reads 61,213 powers of 18 values of q and forms 619 of them; a
 ``qpow`` calls to the reference sides.  A table keeps the first
 ``_POWERS_PER_TABLE`` exponents its q is asked for over the table's
 lifetime, and forms any later one afresh on every read.
-Nothing else is memoised across calls; ``path_binom`` builds its
-columns afresh each time.
+Nothing else is memoised across calls, a path sum's columns included.
 
 Each bound holds one draw's working set.  Every key carries the draw's
 parameters, so draws share values only where the parameters are fixed,
@@ -549,7 +548,11 @@ class EllipticWeights(WeightFamily):
         return _elliptic_big(self.ps, s, t)
 
     def _column(self, s: int, top: int) -> list:
-        return [self.big(s, t) for t in range(top + 1)]
+        # the closed forms of ``big``, read without a Python call per entry
+        column = [1.0 + 0.0j]
+        for t in range(1, top + 1):
+            column.append(_elliptic_big(self.ps, s, t))
+        return column
 
     def binom(self, n: int, k: int) -> complex:
         if n < 0:

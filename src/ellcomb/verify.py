@@ -483,7 +483,7 @@ def _draw_bigweight_closed(ctx: CheckContext):
         "Pascal-type triangle recursion",
         "numeric-sampled", {"draws": 15, "n": 8}, 1e-7,
         ["special_fn:EllipticWeights.binom"],
-        ["special_fn:path_binom", "special_fn:EllipticWeights.big"], "n")
+        ["special_fn:path_binom", "special_fn:EllipticWeights._column"], "n")
 def _draw_binom_recursion_closed(ctx: CheckContext):
     n = ctx.size("n")
     ps = ctx.draw_ps()
