@@ -34,7 +34,12 @@ rooks from lo to hi, so one sweep gives every k in that range:
 ``rook_poly`` and ``file_poly`` sweep k..k, or 0..k with ``every``.
 Each call sweeps the board once, forward, and keeps nothing: it takes
 each column's states in sorted order and each state's moves in order,
-no rook first, then a rook on each free row from the bottom up.  With
+no rook first, then a rook on each free row from the bottom up.  One
+walk up the column forms a state's cells, their factors and its move
+targets, counting the state's rows below each row: the count gives the
+cell's s and the new row's place in the target.  A table per call keyed
+by (s, t) holds each cell's factor, its packed symbol (a symbolic move
+adds them) or its small weight, so each cell is weighed once.  With
 lo > 0 a move is dropped when the nonempty columns left cannot bring
 its target state to lo rooks, and only the final states with lo..hi
 rooks are summed.  A numeric move is one in-order product, ``math.prod`` of its
@@ -56,7 +61,6 @@ the cell weights' theta values.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from itertools import combinations_with_replacement
 from math import prod
@@ -64,7 +68,7 @@ from operator import index
 
 from .special_fn import (DomainError, EllipticWeights, WeightFamily, bracket_z,
                          require_finite)
-from .weightpoly import _cell_basis, _poly, _suffix_monomials
+from .weightpoly import _cell_basis, _pack, _poly
 from .ncword import parse_word
 
 __all__ = [
@@ -183,14 +187,24 @@ def word_from_board(board: FerrersBoard) -> str:
     return "".join(parts)
 
 
+def _placement_count(k) -> int:
+    """k as an int; a DomainError unless it is a nonnegative integer."""
+    try:
+        k = index(k)
+    except TypeError:
+        raise DomainError(f"placement count k must be an integer: {k!r}") from None
+    if k < 0:
+        raise DomainError("placement count k must be nonnegative")
+    return k
+
+
 def placements(board: FerrersBoard, k: int, kind: str):
     """All k-placements of the given kind, as Placement values.
 
     Plain enumeration, exponential in the board size; the board
     polynomials do not use it, and it serves as their reference.
     """
-    if k < 0:
-        raise DomainError("placement count k must be nonnegative")
+    k = _placement_count(k)
     if kind not in ("rook", "file"):
         raise DomainError(f"placement kind must be rook or file: {kind!r}")
     heights = board.heights
@@ -214,41 +228,18 @@ def placements(board: FerrersBoard, k: int, kind: str):
     return results
 
 
-def _moves(state: tuple, col: int, height: int, kind: str, hi: int) -> tuple:
-    """(cells, targets): the moves of a sweep state in column ``col``.
-
-    A sweep state is the sorted tuple of rows holding the rooks placed
-    in the columns already swept.  The column takes the state either
-    without a rook, or with a rook at a row r (in rook mode not a row
-    the state uses) that cancels the cells below it; no rook goes beyond
-    hi.  The uncancelled cells of the column depend only on the state:
-    the rows it leaves free, bottom-up, each (col, j) carrying (s, t) =
-    (col - nw, j) with nw counting the state's rows at or above j.  A
-    rook on the i-th free row leaves the cells above it, so move m goes
-    to targets[m] and weighs the suffix cells[m:]: move 0 places no
-    rook, and move i a rook on the i-th free row.
-    """
-    placed = len(state)
-    free = [j for j in range(1, height + 1) if kind == "file" or j not in state]
-    cells = [(col - placed + bisect_left(state, j), j) for j in free]
-    targets = [state]
-    if placed < hi:
-        targets += [tuple(sorted(state + (row,))) for row in free]
-    return cells, targets
-
-
 def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> list:
     """[p_lo, ..., p_hi], the weighted sums over placements of each size,
     from one forward sweep.  A numeric sum beyond the double range is an
     EvaluationError."""
-    if hi < 0:
-        raise DomainError("placement count k must be nonnegative")
     symbolic = getattr(family, "symbolic", False)
+    rook = kind == "rook"
     heights = board.heights
     n = len(heights)
     # the zero-height columns come first, so the columns after col hold
     # n - max(col, zeros) nonempty columns, each room for one rook
     zeros = heights.count(0)
+    factor: dict = {}  # (s, t) -> packed symbol or small weight
     if symbolic:
         # every cell has 1 <= s <= n and 1 <= t <= the last height, and a
         # column adds each (s, t) at most once to a monomial, so no
@@ -258,27 +249,44 @@ def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> 
         basis = _cell_basis([(1, 1), (n, heights[-1])] if n and heights[-1] else [], n)
         acc = {(): {0: 1}}
     else:
-        weight: dict = {}
         acc = {(): 1.0 + 0.0j}
     for col, height in enumerate(heights, start=1):
         # a target with fewer rooks than this cannot reach lo
         need = lo - (n - max(col, zeros))
         nxt: dict = {}
         for state in sorted(acc):
-            cells, targets = _moves(state, col, height, kind, hi)
+            # below counts the state's rows under row j; a rook at the
+            # i-th free row leaves the cells above it, so move i goes to
+            # targets[i] and weighs factors[i:], move 0 placing no rook
+            placed = len(state)
+            room = placed < hi
+            factors = []
+            targets = [state]
+            below = 0
+            for j in range(1, height + 1):
+                at = below
+                while at < placed and state[at] == j:
+                    at += 1
+                if at == below or not rook:
+                    cell = (col - placed + below, j)
+                    value = factor.get(cell)
+                    if value is None:
+                        value = factor[cell] = (_pack(basis[0], ((cell, 1),)) if symbolic
+                                                else family.small(*cell))
+                    factors.append(value)
+                    if room:
+                        targets.append(state[:below] + (j,) + state[below:])
+                below = at
             part = acc[state]
             if symbolic:
-                for target, tail in zip(targets, _suffix_monomials(basis, cells)):
+                for start, target in enumerate(targets):
                     if len(target) >= need:
+                        tail = sum(factors[start:])
                         out = nxt.setdefault(target, {})
                         for m, c in part.items():
                             m += tail
                             out[m] = out.get(m, 0) + c
                 continue
-            for cell in cells:
-                if cell not in weight:
-                    weight[cell] = family.small(*cell)
-            factors = [weight[cell] for cell in cells]
             for start, target in enumerate(targets):
                 if len(target) >= need:
                     nxt[target] = nxt.get(target, 0.0) + prod(factors[start:], start=part)
@@ -309,6 +317,7 @@ def rook_poly(board: FerrersBoard, k: int, family, *, every: bool = False):
     placements.  The product formula and the normal-ordering
     coefficients need every r_j, hence ``every``.
     """
+    k = _placement_count(k)
     sums = _weighted_sums(board, family, "rook", 0 if every else k, k)
     return sums if every else sums[0]
 
@@ -323,6 +332,7 @@ def file_poly(board: FerrersBoard, k: int, family, *, every: bool = False):
     the board size for fixed k (times the number of output monomials
     when symbolic), not proportional to the number of placements.
     """
+    k = _placement_count(k)
     sums = _weighted_sums(board, family, "file", 0 if every else k, k)
     return sums if every else sums[0]
 

@@ -62,14 +62,24 @@ def _parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
 
 
-def _join_complex_values(argv) -> list:
-    # argparse takes "-0.5,0.1" for an option, so a value _parse_complex
-    # accepts is joined to the complex flag before it, as FLAG=VALUE
+def _parse_heights(text: str) -> list:
+    return [int(part) for part in text.split(",")]
+
+
+# the check of each flag whose value may begin with "-"
+_VALUE_CHECKS = dict.fromkeys(_COMPLEX_FLAGS, _parse_complex) | {"--board": _parse_heights}
+
+
+def _join_flag_values(argv) -> list:
+    # argparse takes "-0.5,0.1" or "-1,2" for an option, so a value that
+    # passes its flag's check (RE,IM after a complex flag, comma-separated
+    # integers after --board) is joined to the flag, as FLAG=VALUE
     joined = []
     for token in argv:
-        if joined and joined[-1] in _COMPLEX_FLAGS:
-            with suppress(argparse.ArgumentTypeError):
-                _parse_complex(token)
+        parse = _VALUE_CHECKS.get(joined[-1]) if joined else None
+        if parse:
+            with suppress(argparse.ArgumentTypeError, ValueError):
+                parse(token)
                 joined[-1] += "=" + token
                 continue
         joined.append(token)
@@ -342,7 +352,7 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = _build_parser()
     try:
-        args = _parser.parse_args(_join_complex_values(sys.argv[1:] if argv is None else argv))
+        args = _parser.parse_args(_join_flag_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

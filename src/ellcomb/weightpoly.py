@@ -258,17 +258,6 @@ def _cell_basis(cells, top: int) -> tuple:
     return (s0, t0, _width(tend - t0), _bytes_for(top)), tend, top
 
 
-def _suffix_monomials(basis: tuple, cells) -> list:
-    """[m_0, ..., m_n]: m_i is the product of the symbols cells[i:], each
-    to the first power, packed in the basis frame."""
-    frame = basis[0]
-    out = [0]
-    for cell in reversed(cells):
-        out.append(out[-1] + _pack(frame, ((cell, 1),)))
-    out.reverse()
-    return out
-
-
 class WeightPolynomial:
     """Integer-coefficient polynomial in the symbols w(s, t)."""
 

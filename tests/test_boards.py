@@ -95,6 +95,28 @@ def test_placement_kinds_are_rook_or_file():
     assert SingleIndexCells(ps, "rook").small(2, 1) == EllipticWeights(ps).small(1, 1)
 
 
+def test_placement_count_must_be_an_integer():
+    # k is read with operator.index, as the heights are: a float or a
+    # string is refused, never truncated or compared, and an int-like
+    # value counts as its int
+    board = FerrersBoard((1, 2, 2))
+
+    class Two:
+        def __index__(self):
+            return 2
+
+    for k in (1.0, "1", None, 2.5):
+        for count in (lambda k: rook_poly(board, k, GenericWeights()),
+                      lambda k: file_poly(board, k, GenericWeights(), every=True),
+                      lambda k: placements(board, k, "rook")):
+            with pytest.raises(DomainError, match="must be an integer"):
+                count(k)
+    assert rook_poly(board, Two(), GenericWeights()) == rook_poly(board, 2, GenericWeights())
+    assert placements(board, Two(), "file") == placements(board, 2, "file")
+    with pytest.raises(DomainError, match="nonnegative"):
+        file_poly(board, -1, GenericWeights())
+
+
 def test_board_text_round_trip():
     board = FerrersBoard((1, 2, 2, 3))
     assert FerrersBoard.from_text(board.to_text()) == board
@@ -368,6 +390,25 @@ def test_numeric_sweep_is_the_per_move_loop(monkeypatch):
                     patch.setattr(boards_mod, "prod", loop_prod)
                     want = boards_mod._weighted_sums(board, table, kind, lo, hi)
                 assert list(map(repr, got)) == list(map(repr, want)), (board, kind, lo)
+
+
+def test_each_cell_is_weighed_once_per_call():
+    # a sweep keeps one factor per (s, t) for the call, so small is asked
+    # for each distinct cell at most once, however many states meet it
+    rng = random.Random(65)
+    weights = {(s, t): draw_annulus(rng, 0.5, 2.0) for s in range(-6, 7) for t in range(7)}
+
+    class Counting(TableWeights):
+        def small(self, s, t):
+            asked.append((s, t))
+            return super().small(s, t)
+
+    table = Counting(weights)
+    for board in boards_within(5):
+        for poly in (rook_poly, file_poly):
+            asked = []
+            poly(board, board.n, table, every=True)
+            assert len(asked) == len(set(asked)), (board, poly.__name__)
 
 
 def test_board_polys_keep_nothing_beyond_the_call():

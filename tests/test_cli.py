@@ -106,6 +106,21 @@ def test_complex_flag_refuses_what_it_refused_after_a_space(capsys):
         assert err.endswith("error: argument --x: expected one argument"), err
 
 
+@pytest.mark.parametrize("command", ["rook", "file"])
+def test_board_flag_reads_a_negative_height_after_a_space(capsys, command):
+    # "-1,2" after --board reaches the board's own check, as "--board=-1,2"
+    # does, instead of argparse reading it as an option
+    spaced = run_cli(capsys, command, "--board", "-1,2", "--k", "1")
+    assert spaced == run_cli(capsys, command, "--board=-1,2", "--k", "1")
+    code, out, err = spaced
+    assert (code, out) == (2, "")
+    assert err == "error: column heights must be nonnegative: (-1, 2)"
+    # a value that is not a list of integers is left to argparse
+    code, out, err = run_cli(capsys, command, "--board", "-1,x", "--k", "1")
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument --board: expected one argument"), err
+
+
 def test_weight_symbolic_and_numeric(capsys):
     code, out, _ = run_cli(capsys, "weight", "--s", "1", "--t", "1")
     assert code == 0 and out == "w(1,1)"
