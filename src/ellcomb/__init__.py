@@ -28,17 +28,13 @@ from .special_fn import (
     ParameterSet,
     PoleError,
     QWeights,
-    TableWeights,
     VerifyError,
     WeightFamily,
     bracket_z,
     complex_to_pair,
     family_from_spec,
-    pair_to_complex,
     path_binom,
     q_binomial,
-    q_bracket,
-    q_factorial,
     qp_factorial,
     theta,
 )
@@ -47,9 +43,7 @@ from .ncword import (
     NormalForm,
     RelationSystem,
     WordParseError,
-    dual_word,
     expand_power_sum,
-    multiply,
     normal_order,
     parse_word,
 )
@@ -81,9 +75,8 @@ def clear_caches() -> None:
 # ``__all__`` is the eagerly imported names followed by these
 _DEFERRED = {
     **dict.fromkeys((
-        "FerrersBoard", "Placement", "all_boards_within", "board_from_word",
-        "file_poly", "file_product_sides", "placements",
-        "rook_poly", "rook_product_sides", "word_from_board"), "boards"),
+        "FerrersBoard", "all_boards_within", "board_from_word", "file_poly",
+        "file_product_sides", "rook_poly", "rook_product_sides"), "boards"),
     **dict.fromkeys((
         "SkewPoly", "apply_D", "apply_eta", "f_relation_sides", "fib_aq",
         "fib_aq_closed", "fib_elliptic", "genfun_expand", "pincherle_check",
@@ -111,10 +104,9 @@ __all__ = [
     "AQWeights", "BQWeights", "DomainError", "EllipticWeights",
     "EvaluationError", "GenericWeights", "NearPoleError", "NormalForm",
     "ParameterSet", "PoleError", "QWeights", "RelationSystem",
-    "TableWeights", "VerifyError", "WeightFamily", "WeightPolynomial",
-    "WordParseError", "bracket_z", "clear_caches", "complex_to_pair",
-    "dual_word", "expand_power_sum", "family_from_spec", "multiply",
-    "normal_order", "pair_to_complex", "parse_word", "path_binom",
-    "q_binomial", "q_bracket", "q_factorial", "qp_factorial", "theta",
+    "VerifyError", "WeightFamily", "WeightPolynomial", "WordParseError",
+    "bracket_z", "clear_caches", "complex_to_pair", "expand_power_sum",
+    "family_from_spec", "normal_order", "parse_word", "path_binom",
+    "q_binomial", "qp_factorial", "theta",
     *_DEFERRED,
 ]

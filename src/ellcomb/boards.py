@@ -44,8 +44,8 @@ lo > 0 a move is dropped when the nonempty columns left cannot bring
 its target state to lo rooks, and only the final states with lo..hi
 rooks are summed.  A numeric move is one in-order product, ``math.prod`` of its
 cells started at the source state's sum, the same multiplications as a
-loop over the cells.  ``placements`` enumerates placements directly
-and is the reference the sweep is tested against.
+loop over the cells.  The tests hold a direct enumeration of the
+placements, the reference the sweep is checked against.
 
 Every family weighs a cell by its small weight w(s, t), so under the
 theta weight the polynomials are the normal-ordering coefficients.  The
@@ -72,10 +72,9 @@ from .weightpoly import _cell_basis, _pack, _poly
 from .ncword import parse_word
 
 __all__ = [
-    "FerrersBoard", "Placement", "board_from_word", "word_from_board",
-    "placements", "rook_poly", "file_poly", "rook_product_lhs",
-    "rook_product_sides", "file_product_sides", "SingleIndexCells",
-    "all_boards_within",
+    "FerrersBoard", "board_from_word", "rook_poly", "file_poly",
+    "rook_product_lhs", "rook_product_sides", "file_product_sides",
+    "SingleIndexCells", "all_boards_within",
 ]
 
 
@@ -99,14 +98,6 @@ class FerrersBoard(namedtuple("FerrersBoard", "heights")):
     @property
     def n(self) -> int:
         return len(self.heights)
-
-    def cells(self):
-        """All cells (column, row), column-major, rows from the bottom."""
-        return [(i, j) for i in range(1, self.n + 1)
-                for j in range(1, self.heights[i - 1] + 1)]
-
-    def cell_count(self) -> int:
-        return sum(self.heights)
 
     def conjugate(self) -> "FerrersBoard":
         """Reflection along the anti-diagonal of the n x n square.
@@ -133,33 +124,6 @@ class FerrersBoard(namedtuple("FerrersBoard", "heights")):
             raise DomainError(f"board text must be comma-separated integers: {text!r}") from None
         return cls(heights)
 
-    def to_text(self) -> str:
-        return ",".join(str(h) for h in self.heights)
-
-
-class Placement(namedtuple("Placement", "rooks kind")):
-    """A set of rook positions (column, row) with its placement kind."""
-
-    __slots__ = ()
-
-    def __new__(cls, rooks, kind):
-        if kind not in ("rook", "file"):
-            raise DomainError(f"placement kind must be rook or file: {kind!r}")
-        try:
-            rooks = tuple(sorted((index(c), index(r)) for c, r in rooks))
-        except TypeError:
-            raise DomainError(f"rook positions must be integers: {rooks!r}") from None
-        except ValueError:
-            raise DomainError(f"rook positions must be (column, row) pairs: {rooks!r}") from None
-        cols = [c for c, _ in rooks]
-        if len(set(cols)) != len(cols):
-            raise DomainError("placement has two rooks in one column")
-        if kind == "rook":
-            rows = [r for _, r in rooks]
-            if len(set(rows)) != len(rows):
-                raise DomainError("rook placement has two rooks in one row")
-        return tuple.__new__(cls, (rooks, kind))
-
 
 def board_from_word(word: str) -> FerrersBoard:
     """Board outlined by a word: the i-th x gives a column of height
@@ -175,18 +139,6 @@ def board_from_word(word: str) -> FerrersBoard:
     return FerrersBoard(tuple(heights))
 
 
-def word_from_board(board: FerrersBoard) -> str:
-    """Canonical outlining word (no trailing y's); a left inverse of
-    ``board_from_word``."""
-    parts = []
-    prev = 0
-    for h in board.heights:
-        parts.append("y" * (h - prev))
-        parts.append("x")
-        prev = h
-    return "".join(parts)
-
-
 def _placement_count(k) -> int:
     """k as an int; a DomainError unless it is a nonnegative integer."""
     try:
@@ -196,36 +148,6 @@ def _placement_count(k) -> int:
     if k < 0:
         raise DomainError("placement count k must be nonnegative")
     return k
-
-
-def placements(board: FerrersBoard, k: int, kind: str):
-    """All k-placements of the given kind, as Placement values.
-
-    Plain enumeration, exponential in the board size; the board
-    polynomials do not use it, and it serves as their reference.
-    """
-    k = _placement_count(k)
-    if kind not in ("rook", "file"):
-        raise DomainError(f"placement kind must be rook or file: {kind!r}")
-    heights = board.heights
-    n = len(heights)
-    results = []
-    # depth first, each node's children in the order (no rook in column
-    # col, then a rook at rows 1, 2, ...); the stack holds them reversed
-    stack = [(1, frozenset(), ())]
-    while stack:
-        col, used_rows, chosen = stack.pop()
-        if len(chosen) == k:
-            results.append(Placement(chosen, kind))
-            continue
-        if col > n or n - col + 1 < k - len(chosen):
-            continue
-        children = [(col + 1, used_rows, chosen)]
-        children += [(col + 1, used_rows | {row}, chosen + ((col, row),))
-                     for row in range(1, heights[col - 1] + 1)
-                     if kind == "file" or row not in used_rows]
-        stack += reversed(children)
-    return results
 
 
 def _weighted_sums(board: FerrersBoard, family, kind: str, lo: int, hi: int) -> list:
@@ -419,9 +341,14 @@ def file_product_sides(board: FerrersBoard, z: int, ps) -> tuple:
 def all_boards_within(n: int, max_height: int | None = None):
     """Every Ferrers board with n columns and heights at most max_height
     (default n), including the empty-height board, in lexicographic
-    order of the heights."""
-    if max_height is None:
-        max_height = n
+    order of the heights.  n and max_height are read with operator.index,
+    as the heights are, so a float or a string is a DomainError."""
+    try:
+        n = index(n)
+        max_height = n if max_height is None else index(max_height)
+    except TypeError:
+        raise DomainError(
+            f"board size needs integers n and max_height, got ({n!r}, {max_height!r})") from None
     if n < 0 or max_height < 0:
         raise DomainError(
             f"board size needs n >= 0 and max_height >= 0, got ({n}, {max_height})")

@@ -59,9 +59,9 @@ from .special_fn import DomainError
 from .weightpoly import WeightPolynomial
 
 __all__ = [
-    "Word", "WordParseError", "RelationSystem", "NormalForm",
-    "parse_word", "dual_word", "normal_order", "multiply",
-    "expand_power_sum", "power_sum_values", "sum_chunks", "WeightPolynomial",
+    "Word", "WordParseError", "RelationSystem", "NormalForm", "parse_word",
+    "normal_order", "expand_power_sum", "power_sum_values", "sum_chunks",
+    "WeightPolynomial",
 ]
 
 Word = str
@@ -89,16 +89,6 @@ def parse_word(text: str) -> Word:
                 f"invalid character {ch!r} at index {index}; expected x or y", index)
         out.append(low)
     return "".join(out)
-
-
-def dual_word(word: Word) -> Word:
-    """Reverse the word and exchange x with y.
-
-    Together with swapping the parameters a and b at evaluation time this
-    realizes the symmetry that maps each identity to its mirror.
-    """
-    swap = {"x": "y", "y": "x"}
-    return "".join(swap[ch] for ch in reversed(parse_word(word)))
 
 
 class RelationSystem(enum.Enum):
@@ -218,14 +208,6 @@ class NormalForm:
             yield f', "i": {i}, "j": {j}}}'
         yield "]}"
 
-    @classmethod
-    def from_json(cls, data) -> "NormalForm":
-        coeffs = {}
-        for term in data["terms"]:
-            coeffs[(int(term["i"]), int(term["j"]))] = \
-                WeightPolynomial.from_json(term["coeff"])
-        return cls(coeffs)
-
 
 def _accumulate(total: dict, key, piece: WeightPolynomial) -> None:
     prior = total.get(key)
@@ -321,22 +303,6 @@ def normal_order(word: Word, rs: RelationSystem,
     else:
         raise DomainError(f"unknown strategy {strategy!r}; expected rightmost or leftmost")
     return result
-
-
-def multiply(a: NormalForm, b: NormalForm, rs: RelationSystem) -> NormalForm:
-    """Product of two normal forms, re-normally-ordered.
-
-    Coefficients of the right factor travel left past the left factor's
-    monomial, picking up the index shift (i, j) for x^i y^j crossed.
-    """
-    total: dict = {}
-    for (i1, j1), c1 in a.coeffs.items():
-        for (i2, j2), c2 in b.coeffs.items():
-            scalar = c1 * c2.shift(i1, j1)
-            cross = normal_order("x" * i1 + "y" * j1 + "x" * i2 + "y" * j2, rs)
-            for key, c in cross.coeffs.items():
-                _accumulate(total, key, c * scalar)
-    return NormalForm(total)
 
 
 def expand_power_sum(n: int, rs: RelationSystem = RelationSystem.HOMOGENEOUS) -> NormalForm:

@@ -58,8 +58,8 @@ principal branch.
 Every theta ratio and every q- or theta-shifted factorial quotient is
 one ``theta_quotient`` call: since theta(x; 0) = 1 - x, the q-shifted
 factorial (x; q)_n is (x; q, 0)_n (Gasper-Rahman, section 11.2), so
-``qp_factorial``, ``q_binomial``, ``q_bracket``, ``AQWeights.binom``,
-``exp_coeff_bq`` and ``reversal_coeff_bq`` have no loop of their own.
+``qp_factorial``, ``q_binomial``, ``AQWeights.binom``, ``exp_coeff_bq``
+and ``reversal_coeff_bq`` have no loop of their own.
 The raw references in ``verify`` and the right sides of
 ``skewpoly.f_relation_sides`` keep theirs, and form their powers with
 ``qpow``, not the table: they are the independent sides of their
@@ -237,11 +237,6 @@ def complex_to_pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def pair_to_complex(pair) -> complex:
-    re, im = pair
-    return complex(float(re), float(im))
-
-
 class ParameterSet(namedtuple("ParameterSet", "a b q p")):
     """The parameter quadruple (a, b, q, p) with nome restriction |p| < 1.
 
@@ -268,19 +263,6 @@ class ParameterSet(namedtuple("ParameterSet", "a b q p")):
     def swapped(self) -> "ParameterSet":
         """Exchange the roles of a and b."""
         return ParameterSet(self.b, self.a, self.q, self.p)
-
-    def to_json(self) -> dict:
-        return {
-            "a": complex_to_pair(self.a),
-            "b": complex_to_pair(self.b),
-            "q": complex_to_pair(self.q),
-            "p": complex_to_pair(self.p),
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "ParameterSet":
-        return cls(pair_to_complex(data["a"]), pair_to_complex(data["b"]),
-                   pair_to_complex(data["q"]), pair_to_complex(data["p"]))
 
 
 def theta(x, p) -> complex:
@@ -381,11 +363,6 @@ def guarded(value: complex, index: int = 0, what: str = "denominator factor") ->
     return value
 
 
-def q_factorial(a, q, n: int) -> complex:
-    """q-shifted factorial (a; q)_n for any integer n: (a; q, 0)_n."""
-    return qp_factorial(a, q, 0, n)
-
-
 def qp_factorial(a, q, p, n: int) -> complex:
     """Theta shifted factorial (a; q, p)_n for any integer n: the product
     of theta(a q^j; p) over 0 <= j < n, or the reciprocal of the product
@@ -408,12 +385,6 @@ def q_binomial(n: int, k: int, q) -> complex:
     q = complex(q)
     return theta_quotient(_shifted((_q_powers(q)[1 + k],), q, 0, n - k),
                           _shifted((1,), q, 1, n - k + 1), 0.0)
-
-
-def q_bracket(z, q) -> complex:
-    """The q-number [z]_q = (1 - q^z) / (1 - q)."""
-    q = complex(q)
-    return theta_quotient([qpow(q, z)], [q], 0.0)
 
 
 def _ratio(x: complex, d: complex) -> complex:
@@ -570,14 +541,6 @@ class EllipticWeights(WeightFamily):
             dens += (low, a * low, b * pw[1 + 2 * k + j], _ratio(a * low, b))
         return theta_quotient(nums, dens, self.ps.p)
 
-    def dual(self) -> WeightFamily:
-        """w*(s, t) = 1 / w(t, s): the theta weight with a and b exchanged.
-        At a = 0 (so p = 0) this weight is the b;q one, whose dual is the
-        a;q weight at a = b; at b = 0 that is the constant weight 1/q."""
-        if self.ps.a == 0:
-            return AQWeights(self.ps.b, self.ps.q)
-        return EllipticWeights(self.ps.swapped())
-
 
 class BQWeights(EllipticWeights):
     """One-parameter family w(s, t) = (1 - b q^(2s+t-2)) / (1 - b q^(2s+t)) q:
@@ -617,29 +580,12 @@ class AQWeights(WeightFamily):
             _shifted((pw[1 + k], a * pw[1 + k]), q, 0, n - k),
             _shifted((1, a), q, 1, n - k + 1), 0.0) * pw[k * (k - n)]
 
-    def dual(self) -> BQWeights:
-        return BQWeights(self.a, self.q)
-
-
 class QWeights(EllipticWeights):
     """Constant family w(s, t) = q, the classical q-specialisation: the
     theta weight at (a, b, q, p) = (0, 0, q, 0)."""
 
     def __init__(self, q):
         super().__init__(ParameterSet(0.0, 0.0, q, 0.0))
-
-
-class TableWeights(WeightFamily):
-    """Weights read from an explicit finite table {(s, t): value}."""
-
-    def __init__(self, table: dict):
-        self.table = {(int(s), int(t)): complex(v) for (s, t), v in table.items()}
-
-    def small(self, s: int, t: int) -> complex:
-        try:
-            return self.table[(s, t)]
-        except KeyError:
-            raise DomainError(f"no table entry for cell ({s}, {t})") from None
 
 
 def bracket_z(ps: ParameterSet, z, u: int = 0, v: int = 0) -> complex:

@@ -114,15 +114,6 @@ class CheckReport(namedtuple("CheckReport", "id trials failures max_rel_err seed
             "samples": list(self.samples),
         }
 
-    @classmethod
-    def from_json(cls, data) -> "CheckReport":
-        return cls(
-            id=data["id"], trials=int(data["trials"]),
-            failures=int(data["failures"]),
-            max_rel_err=float(data["max_rel_err"]), seed=int(data["seed"]),
-            elapsed_ms=int(data["elapsed_ms"]), passed=bool(data["pass"]),
-            samples=tuple(data["samples"]))
-
 
 def _digest(values) -> str:
     import hashlib  # here, so that ``import ellcomb`` does not load it

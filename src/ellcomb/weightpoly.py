@@ -16,7 +16,7 @@ frame, a product of monomials is an integer sum, and a uniform shift
 of every symbol moves only the origin.  Field order is the order of
 (s, t), which keeps the output order of the tuple form: a decoded
 monomial is the sorted tuple of ((s, t), e) pairs with e >= 1, and the
-constructor and ``from_json`` take that form.
+constructor takes that form.
 
 Besides its frame a polynomial keeps two bounds: every symbol has
 s >= s0 and t0 <= t < tend <= t0 + W, and every exponent is at most
@@ -529,17 +529,3 @@ class WeightPolynomial:
 
     def to_json(self) -> list:
         return list(self.json_entries())
-
-    @classmethod
-    def from_json(cls, data) -> "WeightPolynomial":
-        """The polynomial of ``to_json`` entries.  Repeated symbols add
-        their exponents and repeated monomials their coefficients; an
-        exponent below 1 is a ValueError."""
-        entries = []
-        for entry in data:
-            pairs = []
-            for key, e in entry["monomial"]:
-                s_txt, t_txt = key.split(",")
-                pairs.append(((int(s_txt), int(t_txt)), e))
-            entries.append((pairs, int(entry["c"])))
-        return _poly(*_encode(entries))

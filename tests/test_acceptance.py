@@ -32,10 +32,10 @@ from ellcomb.special_fn import (
     QWeights,
     bracket_z,
     q_binomial,
-    q_bracket,
     theta,
 )
 from ellcomb.verify import list_identities, run_all, run_check
+from oracles import q_bracket
 
 GENERIC = GenericWeights()
 

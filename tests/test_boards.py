@@ -13,16 +13,13 @@ import ellcomb.boards as boards_mod
 import ellcomb.cli as cli
 from ellcomb.boards import (
     FerrersBoard,
-    Placement,
     SingleIndexCells,
     all_boards_within,
     board_from_word,
     file_poly,
     file_product_sides,
-    placements,
     rook_poly,
     rook_product_sides,
-    word_from_board,
 )
 from ellcomb.special_fn import (
     DomainError,
@@ -31,17 +28,16 @@ from ellcomb.special_fn import (
     NearPoleError,
     ParameterSet,
     QWeights,
-    TableWeights,
     WeightFamily,
     _ratio,
     bracket_z,
     path_binom,
-    q_bracket,
     qpow,
     theta_quotient,
 )
 from ellcomb.ncword import RelationSystem, normal_order
 from ellcomb.weightpoly import WeightPolynomial
+from oracles import TableWeights, placements, q_bracket, word_from_board
 
 
 def w(s, t):
@@ -72,12 +68,6 @@ def test_board_validation():
     for heights in ((1.7, 2.9), "12"):
         with pytest.raises(DomainError, match="must be integers"):
             FerrersBoard(heights)
-    with pytest.raises(DomainError, match="must be integers"):
-        Placement([(1.9, 2.2)], "rook")
-    # a position that is not a (column, row) pair is refused the same way
-    for rooks in ([(1, 2, 3)], [(1,)]):
-        with pytest.raises(DomainError, match="pairs"):
-            Placement(rooks, "rook")
 
 
 def test_placement_kinds_are_rook_or_file():
@@ -87,10 +77,6 @@ def test_placement_kinds_are_rook_or_file():
     for kind in ("File", "rooks", "", None):
         with pytest.raises(DomainError):
             SingleIndexCells(ps, kind)
-        with pytest.raises(DomainError):
-            Placement(((1, 1),), kind)
-        with pytest.raises(DomainError):
-            placements(FerrersBoard((1, 2)), 1, kind)
     assert SingleIndexCells(ps, "file").small(2, 1) == EllipticWeights(ps).small(1, 0)
     assert SingleIndexCells(ps, "rook").small(2, 1) == EllipticWeights(ps).small(1, 1)
 
@@ -107,19 +93,18 @@ def test_placement_count_must_be_an_integer():
 
     for k in (1.0, "1", None, 2.5):
         for count in (lambda k: rook_poly(board, k, GenericWeights()),
-                      lambda k: file_poly(board, k, GenericWeights(), every=True),
-                      lambda k: placements(board, k, "rook")):
+                      lambda k: file_poly(board, k, GenericWeights(), every=True)):
             with pytest.raises(DomainError, match="must be an integer"):
                 count(k)
     assert rook_poly(board, Two(), GenericWeights()) == rook_poly(board, 2, GenericWeights())
-    assert placements(board, Two(), "file") == placements(board, 2, "file")
     with pytest.raises(DomainError, match="nonnegative"):
         file_poly(board, -1, GenericWeights())
 
 
 def test_board_text_round_trip():
     board = FerrersBoard((1, 2, 2, 3))
-    assert FerrersBoard.from_text(board.to_text()) == board
+    assert FerrersBoard.from_text(",".join(map(str, board.heights))) == board
+    assert FerrersBoard.from_text(" 1, 2,2 ,3 ") == board
     assert FerrersBoard.from_text("") == FerrersBoard(())
     with pytest.raises(DomainError):
         FerrersBoard.from_text("1,two")
@@ -129,7 +114,7 @@ def test_conjugate_frozen_and_involutive():
     assert FerrersBoard((1, 2, 2, 3)).conjugate() == FerrersBoard((0, 1, 3, 4))
     for board in all_boards_within(4):
         assert board.conjugate().conjugate() == board
-        assert board.conjugate().cell_count() == board.cell_count()
+        assert sum(board.conjugate().heights) == sum(board.heights)
 
 
 def test_board_from_word_frozen():
@@ -167,8 +152,6 @@ def test_placement_sets_match_polynomials():
         for k in range(4):
             assert abs(rook_poly(board, k, ones) - len(placements(board, k, "rook"))) < 1e-12
             assert abs(file_poly(board, k, ones) - len(placements(board, k, "file"))) < 1e-12
-    with pytest.raises(DomainError):
-        placements(FerrersBoard((1,)), 1, "queen")
 
 
 def test_rook_poly_symbolic_frozen():
@@ -199,18 +182,18 @@ def test_rook_file_polys_on_zero_height_columns():
     assert rook_poly(board, 2, gen) == WeightPolynomial.zero()
 
 
-def oracle_cells(board, placement):
+def oracle_cells(board, rooks, kind):
     """(s, t) of every uncancelled cell of one placement, by brute force:
     cancel below each rook (and right of it in rook mode), then count
     the rooks strictly west and weakly north of each remaining cell."""
-    rooks = placement.rooks
     cancelled = set(rooks)
     for c, r in rooks:
         cancelled.update((c, r2) for r2 in range(1, r))
-        if placement.kind == "rook":
+        if kind == "rook":
             cancelled.update((c2, r) for c2 in range(c + 1, board.n + 1))
     return [(i - sum(1 for c, r in rooks if c < i and r >= j), j)
-            for i, j in board.cells() if (i, j) not in cancelled]
+            for i, h in enumerate(board.heights, start=1) for j in range(1, h + 1)
+            if (i, j) not in cancelled]
 
 
 def boards_within(size):
@@ -226,7 +209,7 @@ def test_sweep_matches_placement_oracle_symbolic():
                 want = WeightPolynomial.zero()
                 for placement in placements(board, k, kind):
                     term = WeightPolynomial.one()
-                    for s, t in oracle_cells(board, placement):
+                    for s, t in oracle_cells(board, placement, kind):
                         term = term.times_symbol(s, t)
                     want = want + term
                 assert poly(board, k, gen) == want, (board, kind, k)
@@ -253,7 +236,7 @@ def test_sweep_matches_placement_oracle_elliptic():
                 mass = 0.0
                 for placement in placements(board, k, kind):
                     term = 1.0 + 0.0j
-                    for s, t in oracle_cells(board, placement):
+                    for s, t in oracle_cells(board, placement, kind):
                         term *= weight[s - t if kind == "rook" else 1 - t]
                     want += term
                     mass += abs(term)
@@ -558,6 +541,20 @@ def test_all_boards_within_refuses_negative_sizes():
     for n, max_height in ((-1, None), (-2, 2), (-1, 0), (2, -1), (0, -1)):
         with pytest.raises(DomainError):
             all_boards_within(n, max_height)
+
+
+def test_all_boards_within_reads_sizes_as_integers():
+    # n and max_height are read with operator.index, as the heights and
+    # k are: a float or a string is a DomainError, never a TypeError
+    for n, max_height in ((2.0, None), (2, 1.0), ("2", None), (2, "1")):
+        with pytest.raises(DomainError, match="integers"):
+            all_boards_within(n, max_height)
+
+    class Two:
+        def __index__(self):
+            return 2
+
+    assert all_boards_within(Two(), Two()) == all_boards_within(2)
 
 
 def test_rook_product_formula_samples():

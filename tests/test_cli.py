@@ -1,4 +1,4 @@
-"""Command-line interface: contract outputs, exit codes, JSON round trips."""
+"""Command-line interface: contract outputs, exit codes, JSON documents."""
 
 import json
 import os
@@ -15,9 +15,9 @@ import ellcomb.cli as cli
 from ellcomb.boards import FerrersBoard, file_poly, rook_poly
 from ellcomb.ncword import NormalForm, RelationSystem, normal_order, parse_word
 from ellcomb.special_fn import (
-    _FAMILY_TAGS, GenericWeights, ParameterSet, pair_to_complex, theta,
+    _FAMILY_TAGS, GenericWeights, ParameterSet, theta,
 )
-from ellcomb.verify import CheckReport, VerifyError, list_identities
+from ellcomb.verify import CheckReport, VerifyError, list_identities, run_check
 from ellcomb.weightpoly import WeightPolynomial
 
 
@@ -49,7 +49,7 @@ def test_theta_value_and_json(capsys):
     assert code == 0
     doc = json.loads(out)
     want = theta(0.5 + 0.25j, 0.1)
-    assert abs(pair_to_complex(doc["value"]) - want) < 1e-15
+    assert abs(complex(*doc["value"]) - want) < 1e-15
 
 
 def test_theta_at_zero_nome_accepts_zero_argument(capsys):
@@ -126,8 +126,7 @@ def test_weight_symbolic_and_numeric(capsys):
     assert code == 0 and out == "w(1,1)"
     code, out, _ = run_cli(capsys, "weight", "--s", "2", "--t", "2", "--json")
     assert code == 0
-    poly = WeightPolynomial.from_json(json.loads(out))
-    assert poly == WeightPolynomial.symbol(2, 2)
+    assert json.loads(out) == WeightPolynomial.symbol(2, 2).to_json()
     code, out, _ = run_cli(
         capsys, "weight", "--family", "q", "--q", "0.5", "--s", "1", "--t", "3", "--big")
     assert code == 0 and out == "0.125"
@@ -137,8 +136,7 @@ def test_normal_order_symbolic_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "normal-order", "--system", "comm",
                            "--word", "yx", "--json")
     assert code == 0
-    nf = NormalForm.from_json(json.loads(out))
-    assert nf == NormalForm({(1, 1): WeightPolynomial.symbol(1, 1)})
+    assert json.loads(out) == NormalForm({(1, 1): WeightPolynomial.symbol(1, 1)}).to_json()
 
 
 def test_normal_order_rejects_bad_word(capsys):
@@ -159,9 +157,8 @@ def test_rook_file_commands(capsys):
     assert code == 0 and out == "2"
     code, out, _ = run_cli(capsys, "rook", "--board", "1,2", "--k", "1", "--json")
     assert code == 0
-    poly = WeightPolynomial.from_json(json.loads(out))
     w = WeightPolynomial.symbol
-    assert poly == w(1, 1) + w(1, 1) * w(2, 2) + w(2, 2)
+    assert json.loads(out) == (w(1, 1) + w(1, 1) * w(2, 2) + w(2, 2)).to_json()
     # the one-parameter families weigh board cells by their small weights
     expected = [("rook", ("--family", "bq", "--b", "0.4", "--q", "0.5"), 0.6982547849961425),
                 ("file", ("--family", "bq", "--b", "0.4", "--q", "0.5"), 0.3470433299582545),
@@ -370,8 +367,10 @@ def test_verify_single_check_json(capsys):
     doc = json.loads(out)
     assert doc["id"] == "theta-addition"
     assert doc["pass"] is True
-    report = CheckReport.from_json(doc)
-    assert report.passed and report.seed == 1
+    want = run_check("theta-addition", seed=1).to_json()
+    doc.pop("elapsed_ms")
+    want.pop("elapsed_ms")
+    assert doc == want and doc["seed"] == 1
 
 
 def test_verify_text_line_format(capsys):

@@ -4,11 +4,14 @@ it needs."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("module", [
@@ -104,3 +107,17 @@ def test_verify_error_is_one_class():
     from ellcomb import special_fn, verify
     import ellcomb
     assert special_fn.VerifyError is verify.VerifyError is ellcomb.VerifyError
+
+
+def test_readme_library_use_runs():
+    # the python blocks of README's "Library use", in order and in one
+    # namespace, so a name the README shows cannot leave the package
+    # unnoticed
+    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2, blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    report = namespace["report"]
+    assert (report.passed, report.trials) == (True, 96)

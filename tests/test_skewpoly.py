@@ -34,7 +34,7 @@ from ellcomb.special_fn import (
     exp_coeff_bq,
     guarded,
     q_binomial,
-    q_factorial,
+    qp_factorial,
     qpow,
 )
 from ellcomb.verify import run_check
@@ -474,7 +474,7 @@ def test_f_relation_commuting_reading_is_false():
     # F_n(b)(1 - q^n) = F_(n-1)(b/q) / (1 - b q); that variant fails.
     b, q, n = 0.3, 0.5, 2
     lhs = exp_coeff_bq(b, q, n) * (1.0 - qpow(q, n))
-    wrong = 1.0 / (q_factorial(q, q, n - 1) * q_factorial(b, q, n - 1)) / (1.0 - b * q)
+    wrong = 1.0 / (qp_factorial(q, q, 0, n - 1) * qp_factorial(b, q, 0, n - 1)) / (1.0 - b * q)
     assert abs(lhs - wrong) > 1e-2
     right = f_relation_sides(b, q, n)["shift"][1]
     assert abs(lhs - right) < 1e-12
