@@ -61,6 +61,7 @@ _CACHES = {
     "special_fn._elliptic_small": special_fn._elliptic_small,
     "special_fn._elliptic_big": special_fn._elliptic_big,
     "special_fn._power_tables": special_fn._power_tables,
+    "special_fn._pincherle_states": special_fn._pincherle_states,
     "ncword._y_x_power": ncword._y_x_power,
 }
 

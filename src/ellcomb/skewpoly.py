@@ -22,12 +22,15 @@ factor is the elliptic number [n] at (a q^i, b q^(j+n-2)), so it is
 own.  A user callable (a, b) -> complex is a leaf that receives the
 shifted point (a q^i, b q^j).
 ``evaluate_together`` evaluates a list of polynomials under one memo
-(``SkewPoly.evaluate`` is its one-polynomial case); the Pincherle check
-takes one memo per side per call, so its two sides never share a value.
-A memo dies with its call: the recursion is a module-level function, not
-a closure that refers to itself, so the memo, the node trees and the
-leaf callables it keys form no reference cycle and are freed when the
-call returns.
+(``SkewPoly.evaluate`` is its one-polynomial case), and its memo dies
+with its call: the recursion is a module-level function, not a closure
+that refers to itself, so the memo, the node trees and the leaf
+callables it keys form no reference cycle and are freed when the call
+returns.  The Pincherle residuals keep their operator chains, C_k and
+one memo per side in a state per parameter point that outlives the call
+(``special_fn._pincherle_states``, a bounded cache of plain dicts), so
+the calls for many pairs at one point share that work, and the two
+sides still never share a value.
 
 On top of the arithmetic sit the lowering operator D and the diagonal
 operator eta, their Pincherle-type commutation identity, the theta
@@ -37,6 +40,9 @@ finite skew products used by the product-expansion identities.
 
 from __future__ import annotations
 
+import operator
+
+from . import special_fn
 from .special_fn import (
     DomainError,
     ParameterSet,
@@ -195,9 +201,16 @@ def evaluate_together(polys, ps: ParameterSet) -> list:
     """Coefficient values of each polynomial at the parameter point, one
     map degree -> complex per polynomial, under one memo: a node that
     several of them share is computed once per offset.  The memo lives
-    only as long as the call."""
+    only as long as the call; the Pincherle residuals pass the memos of
+    their state instead, which outlive it."""
+    return _evaluate(polys, ps, {})
+
+
+def _evaluate(polys, ps: ParameterSet, memo: dict) -> list:
+    # ``evaluate_together`` under the given memo, which may outlive the
+    # call: a value depends only on its node and offset, never on what
+    # the memo already holds, so a warm memo gives a cold one's bits
     a, b = ps.a, ps.b
-    memo: dict = {}
     return [{k: require_finite(_value(c, 0, 0, memo, a, b), "skew coefficient")
              for k, c in sorted(poly.coeffs.items())} for poly in polys]
 
@@ -297,6 +310,15 @@ def apply_eta(p: SkewPoly, ps: ParameterSet) -> SkewPoly:
         p.q)
 
 
+def _whole(value, what: str) -> int:
+    # value as an int, read with operator.index: a float or a string is a
+    # DomainError, never truncated
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer: {value!r}") from None
+
+
 def pincherle_coeff(k: int, ps: ParameterSet) -> complex:
     """Scalar in the commutation identity D^k x - x D^k = C_k D^(k-1) eta,
     from its explicit theta form
@@ -304,6 +326,7 @@ def pincherle_coeff(k: int, ps: ParameterSet) -> complex:
         C_k = theta(q^k, a q^(3-k), b q^(2-k), a q^(k-1)/b; p)
             / theta(q, a q^2, b q^(3-2k), a/b; p) * q^(1-k).
     """
+    k = _whole(k, "pincherle coefficient index k")
     if k < 1:
         raise DomainError("pincherle coefficient needs k >= 1")
     a, b, q = ps.a, ps.b, ps.q
@@ -316,43 +339,67 @@ def pincherle_coeff(k: int, ps: ParameterSet) -> complex:
 def pincherle_coeff_bracket(k: int, ps: ParameterSet) -> complex:
     """The same scalar written as the z-bracket [k] taken at the swapped
     and shifted parameters (b q^(2-2k), a q^(1-k))."""
+    k = _whole(k, "pincherle coefficient index k")
     if k < 1:
         raise DomainError("pincherle coefficient needs k >= 1")
     return bracket_z(ps.swapped(), k, 2 - 2 * k, 1 - k)
 
 
+def _pincherle_state(ps: ParameterSet) -> dict:
+    # the state special_fn keeps for ps, filled on first use: the chains
+    # by (m, eta), the left and the right memo, and C_k by k
+    state = special_fn._pincherle_states(ps)
+    if not state:
+        state.update(chains={}, left={}, right={}, coeffs={})
+    return state
+
+
+def _lowered(chains: dict, ps: ParameterSet, m: int, j: int, eta: bool = False) -> SkewPoly:
+    # D^j(x^m), or D^j(eta(x^m)), extending the chain kept for (m, eta)
+    # one apply_D at a time; an eta chain starts from x^m
+    chain = chains.get((m, eta))
+    if chain is None:
+        start = _lowered(chains, ps, m, 0) if eta else SkewPoly.x_power(m, ps.q)
+        chain = chains[m, eta] = [apply_eta(start, ps) if eta else start]
+    for _ in range(len(chain), j + 1):
+        chain.append(apply_D(chain[-1], ps))
+    return chain[j]
+
+
 def pincherle_residuals(pairs, ps: ParameterSet) -> dict:
     """Relative residuals of (D^k x - x D^k)(x^n) = C_k D^(k-1)(eta(x^n))
     at ps, map (k, n) -> residual, both sides through independent
-    operator chains.  Each chain D^j(x^m) and D^j(eta(x^m)) is built once
-    by extending the one before, C_k is formed once per k, and all left
-    sides are evaluated under one memo and all right sides under another,
-    so the two sides share no value."""
-    pairs = list(pairs)
-    chains: dict = {}
+    operator chains.  k and n are read with operator.index, so a float
+    or a string is a DomainError.
 
-    def lowered(m: int, j: int, eta: bool = False) -> SkewPoly:
-        # D^j(x^m), or D^j(eta(x^m)), extending the chain kept for (m, eta);
-        # an eta chain starts from x^m, which the left sides built first
-        chain = chains.get((m, eta))
-        if chain is None:
-            start = chains[m, False][0] if eta else SkewPoly.x_power(m, ps.q)
-            chain = chains[m, eta] = [apply_eta(start, ps) if eta else start]
-        for _ in range(len(chain), j + 1):
-            chain.append(apply_D(chain[-1], ps))
-        return chain[j]
-
-    lefts = []
+    The work is kept in one state per parameter point, which outlives
+    the call (``special_fn._pincherle_states``): each chain D^j(x^m) and
+    D^j(eta(x^m)) is built once by extending the one before, C_k is
+    formed once per k, and all left sides are evaluated under one memo
+    and all right sides under another, so the two sides share no value.
+    A node or a C_k that raises is not kept, so it raises again."""
+    checked = []
     for k, n in pairs:
+        k = _whole(k, "pincherle check index k")
+        n = _whole(n, "pincherle check index n")
         if k < 1 or n < 0:
             raise DomainError("pincherle check needs k >= 1 and n >= 0")
-        lefts += (lowered(n + 1, k), x_mul(lowered(n, k)))
-    lefts = evaluate_together(lefts, ps)
-    coeffs = {k: pincherle_coeff(k, ps) for k in dict.fromkeys(k for k, _ in pairs)}
-    rights = evaluate_together([lowered(n, k - 1, True) for k, n in pairs], ps)
+        checked.append((k, n))
+    state = _pincherle_state(ps)
+    chains, coeffs = state["chains"], state["coeffs"]
+
+    lefts = []
+    for k, n in checked:
+        lefts += (_lowered(chains, ps, n + 1, k), x_mul(_lowered(chains, ps, n, k)))
+    lefts = _evaluate(lefts, ps, state["left"])
+    for k in dict.fromkeys(k for k, _ in checked):
+        if k not in coeffs:
+            coeffs[k] = pincherle_coeff(k, ps)
+    rights = _evaluate([_lowered(chains, ps, n, k - 1, True) for k, n in checked],
+                       ps, state["right"])
 
     residuals = {}
-    for index, (k, n) in enumerate(pairs):
+    for index, (k, n) in enumerate(checked):
         lhs = lefts[2 * index]
         for deg, value in lefts[2 * index + 1].items():
             lhs[deg] = lhs.get(deg, 0.0 + 0.0j) - value
@@ -367,8 +414,10 @@ def pincherle_residuals(pairs, ps: ParameterSet) -> dict:
 
 
 def pincherle_check(k: int, n: int, ps: ParameterSet) -> float:
-    """Relative residual of one pair (k, n) of ``pincherle_residuals``:
-    one memo for the left side and one for the right per call."""
+    """Relative residual of one pair (k, n) of ``pincherle_residuals``,
+    read from and added to the state of ps, so the calls for many pairs
+    at one point build each chain once, evaluate each node once per
+    side, and give the bits of one batched call."""
     return pincherle_residuals([(k, n)], ps)[k, n]
 
 

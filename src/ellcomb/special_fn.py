@@ -68,7 +68,7 @@ call and forms each factor with ``theta``, the one per-factor rule:
 1 - x at p = 0, otherwise one lookup in the series cache, keyed on x and
 p as given; p and x are converted and checked on a cache miss only.
 
-Four values outlive a call, each in a bounded module-level
+Five values outlive a call, each in a bounded module-level
 ``functools.lru_cache``; a call that raises is not cached, so it raises
 again.  The theta series for p != 0 (``_theta_series``, keyed on (x, p)
 as ``theta`` receives them, so a hit costs one lookup) serves every
@@ -92,6 +92,17 @@ reads 61,213 powers of 18 values of q and forms 619 of them; a
 ``qpow`` calls to the reference sides.  A table keeps the first
 ``_POWERS_PER_TABLE`` exponents its q is asked for over the table's
 lifetime, and forms any later one afresh on every read.
+The Pincherle state of a parameter point (``_pincherle_states``, keyed
+on ps) is a plain dict that ``skewpoly.pincherle_residuals`` fills: the
+operator chains D^j(x^m) and D^j(eta(x^m)), extended one ``apply_D`` at
+a time, a memo for the left sides and one for the right, and C_k by k;
+a node or a C_k that raises is not kept.  It lives here, not in
+``skewpoly``, so that ``import ellcomb`` loads no skew module.  A
+``numeric`` draw checks 28-36 pairs one call at a time at one point:
+with the state a pass at seed 1 makes 1,188 ``apply_D`` calls, not
+6,868, and 5,780 ``theta_quotient`` calls, not 6,506, with the same
+bits, and took about 10 % less time.  One state for k <= 9, n <= 3
+holds about 25 KB.
 Nothing else is memoised across calls, a path sum's columns included.
 
 Each bound holds one draw's working set.  Every key carries the draw's
@@ -104,10 +115,12 @@ techniques for storage hierarchies, IBM Systems Journal, 1970).  Over
 ``registry``, ``words`` and ``numeric`` passes at seeds 0-9 the longest
 distances are 105 for the theta series (``numeric``), 70 for small
 weights (the ``words`` check at the constant weight 1), 25 for big
-weights (``numeric``) and 1 for the power tables (``registry``, where
-``prop-product-expansion`` alternates q and 1/q).
+weights (``numeric``), 1 for the power tables (``registry``, where
+``prop-product-expansion`` alternates q and 1/q) and 0 for the
+Pincherle states (``numeric`` makes a draw's calls one after another,
+the ``registry`` check makes one call per draw and ``words`` none).
 Each bound is the smallest power of two at least 8 times its distance:
-1,024, 1,024, 256 and 8.  A table that stores its first powers and no
+1,024, 1,024, 256, 8 and 1.  A table that stores its first powers and no
 more loses no hit if it holds all the exponents one table is asked
 for, at most 59 over the same passes (``registry``; 38 on ``numeric``),
 so by the same rule a table keeps 512.  With the earlier bounds of
@@ -477,6 +490,13 @@ def _small_thetas(ps: ParameterSet, s: int, t: int) -> tuple:
 def _elliptic_small(ps: ParameterSet, s: int, t: int) -> complex:
     nums, dens = _small_thetas(ps, s, t)
     return theta_quotient(nums, dens, ps.p) * ps.q
+
+
+@lru_cache(maxsize=1)
+def _pincherle_states(ps: ParameterSet) -> dict:
+    # the Pincherle state of ps, a plain dict that ``skewpoly`` fills, so
+    # that this module, which holds every cache, needs no skew types
+    return {}
 
 
 @lru_cache(maxsize=256)

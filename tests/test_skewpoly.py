@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import struct
 
 import pytest
 
@@ -205,6 +206,66 @@ def test_pincherle_check_is_one_pair_of_the_batch():
         pincherle_residuals(pairs, ps)
     with pytest.raises(DomainError):
         pincherle_residuals([(1, 0), (0, 2)], ps)
+
+
+def test_pincherle_indices_must_be_integers():
+    # k and n are read with operator.index before the state of ps is
+    # touched: a float is never truncated to a neighbouring pair, and a
+    # bad pair leaves no state, let alone chains under a float key
+    from ellcomb import clear_caches
+    ps = draw_ps(random.Random(72))
+    clear_caches()
+    for pairs in ([(2, 1.5)], [(1.0, 0)], [(2, "1")], [(1, 0), (None, 2)]):
+        with pytest.raises(DomainError, match="must be an integer"):
+            pincherle_residuals(pairs, ps)
+    for k, n in ((2, 1.5), (1.0, 0), (2.5, 1)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            pincherle_check(k, n, ps)
+    assert special_fn._pincherle_states.cache_info().currsize == 0
+    for coeff in (pincherle_coeff, pincherle_coeff_bracket):
+        for k in (2.5, 2.0, "2", None):
+            with pytest.raises(DomainError, match="must be an integer"):
+                coeff(k, ps)
+    # q's power table holds integer exponents only
+    assert all(type(e) is int for e in special_fn._q_powers(ps.q))
+
+
+def test_pincherle_state_does_the_work_once_and_keeps_every_bit(monkeypatch):
+    # the 36 one-pair calls at one point extend one state: they make as
+    # many apply_D calls as one batched call over the same pairs, and
+    # each residual has the bits of a cold state's
+    from ellcomb import clear_caches
+
+    def bits(x):
+        return struct.pack("<d", x)
+
+    calls = [0]
+    original = skewpoly.apply_D
+
+    def counted(p, ps):
+        calls[0] += 1
+        return original(p, ps)
+
+    monkeypatch.setattr(skewpoly, "apply_D", counted)
+    pairs = [(k, n) for k in range(1, 10) for n in range(4)]
+    ps = draw_ps(random.Random(74))
+    clear_caches()
+    warm = {(k, n): pincherle_check(k, n, ps) for k, n in pairs}
+    one_by_one, calls[0] = calls[0], 0
+    clear_caches()
+    batched = pincherle_residuals(pairs, ps)
+    assert one_by_one == calls[0] > 0
+    for pair in pairs:
+        clear_caches()
+        cold = pincherle_check(*pair, ps)
+        assert bits(warm[pair]) == bits(cold) == bits(batched[pair]), pair
+    # at a = b the denominator theta(a/b; p) of C_k vanishes; C_k is not
+    # kept, so every call raises, warm or cold
+    ps = ParameterSet(1.1 + 0.2j, 1.1 + 0.2j, 0.5 + 0.1j, 0.2 + 0.05j)
+    clear_caches()
+    for k, n in ((2, 1), (2, 1), (3, 0), (2, 1)):
+        with pytest.raises(PoleError, match="denominator theta factor 3 vanished"):
+            pincherle_check(k, n, ps)
 
 
 def test_pincherle_draw_reaches_each_D_factor_once_per_side(monkeypatch):

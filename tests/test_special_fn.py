@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import ellcomb
 from ellcomb import special_fn
 from ellcomb.boards import SingleIndexCells
 from ellcomb.special_fn import (
@@ -135,17 +136,19 @@ def test_theta_series_cache_is_keyed_on_the_arguments_as_given():
     assert series.cache_info().currsize == 0
 
 
-THETA_FAMILY_CACHES = ("_theta_series", "_elliptic_small", "_elliptic_big",
-                       "_power_tables")
+# the caches bounded by one draw's working set: the theta family, the
+# power tables and the Pincherle states
+DRAW_CACHES = ("_theta_series", "_elliptic_small", "_elliptic_big",
+               "_power_tables", "_pincherle_states")
 
 
 def _misses_per_step(steps, monkeypatch) -> list:
-    # the misses of each theta-family cache after each step, the caches
-    # looked up by module name as ``theta`` and the elliptic weights do,
-    # and last the powers the power tables formed
-    caches = [getattr(special_fn, name) for name in THETA_FAMILY_CACHES]
-    for cache in caches:
-        cache.cache_clear()
+    # the misses of each draw cache after each step, the caches looked up
+    # by module name as ``theta``, the elliptic weights and the Pincherle
+    # residuals do, and last the powers the power tables formed; every
+    # cache of the package starts empty, so no run inherits a value
+    ellcomb.clear_caches()
+    caches = [getattr(special_fn, name) for name in DRAW_CACHES]
     forms = [0]
     missing = special_fn._Powers.__missing__
 
@@ -170,13 +173,13 @@ def _lost_hits(steps, monkeypatch) -> tuple:
     # and power tables, the stand-ins' final sizes)
     shipped = _misses_per_step(steps, monkeypatch)
     with monkeypatch.context() as m:
-        for name in THETA_FAMILY_CACHES:
+        for name in DRAW_CACHES:
             m.setattr(special_fn, name,
                       functools.lru_cache(maxsize=None)(getattr(special_fn, name).__wrapped__))
         m.setattr(special_fn, "_POWERS_PER_TABLE", math.inf)
         unbounded = _misses_per_step(steps, monkeypatch)
         sizes = [getattr(special_fn, name).cache_info().currsize
-                 for name in THETA_FAMILY_CACHES]
+                 for name in DRAW_CACHES]
     return shipped, unbounded, sizes
 
 
