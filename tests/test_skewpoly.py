@@ -270,7 +270,9 @@ def test_pincherle_state_does_the_work_once_and_keeps_every_bit(monkeypatch):
 
 def test_pincherle_draw_reaches_each_D_factor_once_per_side(monkeypatch):
     # the left sides share one memo and the right sides another, so a
-    # draw computes each D factor (n, i, j) at most twice
+    # draw computes each D factor (n, i, j) at most twice; the draw starts
+    # from no Pincherle state, and leaves none holding the counting leaf
+    from ellcomb import clear_caches
     calls: dict = {}
     original = skewpoly._D_factor
 
@@ -280,7 +282,11 @@ def test_pincherle_draw_reaches_each_D_factor_once_per_side(monkeypatch):
         return original(a, b, i, j, n, q, p)
 
     monkeypatch.setattr(skewpoly, "_D_factor", counted)
-    report = run_check("pincherle", seed=0, sizes={"draws": 1})
+    clear_caches()
+    try:
+        report = run_check("pincherle", seed=0, sizes={"draws": 1})
+    finally:
+        clear_caches()
     assert report.trials == 45
     assert calls and max(calls.values()) <= 2
 
