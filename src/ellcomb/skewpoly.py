@@ -148,7 +148,7 @@ class SkewPoly:
         self.q = complex(q)
         cleaned = {}
         for k, c in coeffs.items():
-            k = int(k)
+            k = _whole(k, "skew polynomial degree")
             if k < 0:
                 raise DomainError("skew polynomial degrees must be nonnegative")
             c = _node(c, self.q)
@@ -243,6 +243,7 @@ def _value(node, i: int, j: int, memo: dict, a, b) -> complex:
 
 def x_mul(p: SkewPoly, power: int = 1) -> SkewPoly:
     """Left multiplication by x^power: coefficients shift, degrees rise."""
+    power = _whole(power, "x_mul power")
     if power < 0:
         raise DomainError("x_mul power must be nonnegative")
     if power == 0:

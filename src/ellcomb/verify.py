@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 import time
 from collections import namedtuple
@@ -149,7 +150,7 @@ class CheckContext:
         self.rejected = 0
 
     def size(self, key: str) -> int:
-        return int(self.sizes[key])
+        return self.sizes[key]
 
     def annulus(self, lo: float, hi: float) -> complex:
         r = self.rng.uniform(lo, hi)
@@ -1096,22 +1097,26 @@ def run_check(check_id: str, seed: int = 0, sizes: dict | None = None,
 
     The override key "order" retargets the check's primary size knob;
     any other key must be one of the check's ``default_sizes``.  Raises
-    KeyError for unknown ids, and VerifyError for an undeclared size key,
-    when sampling cannot produce enough admissible draws, or when the run
-    records no comparison.
+    KeyError for unknown ids, and VerifyError for an undeclared size key
+    or a size that is not an integer, when sampling cannot produce enough
+    admissible draws, or when the run records no comparison.
     """
     check = _REGISTRY[check_id]
     effective = dict(check.default_sizes)
     if sizes:
         for key, value in sizes.items():
-            if key == "order":
-                effective[check.order_key] = value
-            elif key in check.default_sizes:
-                effective[key] = value
-            else:
+            if key != "order" and key not in check.default_sizes:
                 raise VerifyError(
                     f"{check_id} has no size {key!r}; its sizes are "
                     f"{sorted(check.default_sizes)} and 'order'")
+            # a float or a string is refused, never truncated to a
+            # neighbouring size
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise VerifyError(f"{check_id} size {key!r} must be an integer, "
+                                  f"got {value!r}") from None
+            effective[check.order_key if key == "order" else key] = value
     tol = check.tolerance if tolerance is None else float(tolerance)
     ctx = CheckContext(random.Random(f"{seed}:{check_id}"), effective, tol)
     started = time.perf_counter()

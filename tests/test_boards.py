@@ -2,7 +2,6 @@
 
 import cmath
 import gc
-import hashlib
 import random
 import time
 import tracemalloc
@@ -641,21 +640,17 @@ _ELLIPTIC = ["--family", "elliptic", "--a", "1.1,0.2", "--b", "0.4",
 # the largest symbolic board the command line admits: about 5 s and
 # 140 MB on a 2-core x86 host, against 17 s and 750 MB when the
 # polynomial's JSON form was built alongside the printed text.  Its
-# printed text is pinned by SHA-1, so the symbolic output cannot change
-# while the sweep gets faster.
-@pytest.mark.parametrize("command, family, bound, sha1", [
-    pytest.param("rook", _ELLIPTIC, 5.0, None, id="rook"),
-    pytest.param("file", _ELLIPTIC, 5.0, None, id="file"),
-    pytest.param("rook", ["--family", "generic"], 30.0,
-                 "af9da28b281bb8c822e7ea044994e2c982ec0846", id="rook-generic"),
+# printed text is pinned in pins.json, so the symbolic output cannot
+# change while the sweep gets faster.
+@pytest.mark.parametrize("command, family, bound", [
+    pytest.param("rook", _ELLIPTIC, 5.0, id="rook"),
+    pytest.param("file", _ELLIPTIC, 5.0, id="file"),
+    pytest.param("rook", ["--family", "generic"], 30.0, id="rook-generic"),
 ])
-def test_cli_large_elliptic_board_bounded_time(capsys, command, family, bound, sha1):
+def test_cli_large_elliptic_board_bounded_time(capsys, command, family, bound):
     start = time.perf_counter()
     code = cli.main([command, "--board", "8,8,8,8,8,8,8,8", "--k", "4", *family])
     elapsed = time.perf_counter() - start
     assert code == 0
-    out = capsys.readouterr().out
-    assert out.strip()
-    if sha1 is not None:
-        assert hashlib.sha1(out.encode()).hexdigest() == sha1
+    assert capsys.readouterr().out.strip()
     assert elapsed < bound

@@ -66,7 +66,10 @@ def test_deferred_modules_load_on_first_use():
 
 def test_each_command_loads_only_the_modules_it_runs():
     # each command through cli.main in a fresh interpreter, its output
-    # kept off the module list that _modules_added reads from stdout
+    # kept off the module list that _modules_added reads from stdout.
+    # The records are namedtuples and verify's sample digest imports
+    # hashlib on its first call, so a command that prints no verify
+    # report loads neither dataclasses, inspect nor hashlib
     commands = [
         (["theta", "--x", "0.5,0.1", "--p", "0.2"], set()),
         (["weight", "--family", "q", "--q", "0.5", "--s", "1", "--t", "2"], set()),
@@ -83,8 +86,9 @@ def test_each_command_loads_only_the_modules_it_runs():
             "import contextlib, io\nfrom ellcomb import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main({argv!r}) == 0")
-        if added & DEFERRED != loaded:
-            wrong[argv[0]] = sorted(added & DEFERRED)
+        unwanted = set() if argv[0] == "verify" else {"dataclasses", "inspect", "hashlib"}
+        if added & DEFERRED != loaded or added & unwanted:
+            wrong[argv[0]] = sorted(added & (DEFERRED | unwanted))
     assert wrong == {}
 
 

@@ -106,6 +106,18 @@ def test_negative_degree_rejected():
         SkewPoly({-1: lambda a, b: 1.0}, 0.5)
 
 
+def test_degrees_and_powers_must_be_integers():
+    # degrees and powers are read with operator.index: x^1.5 is refused,
+    # never truncated to x^1 or carried as a degree of 2.5
+    x = SkewPoly.x_power(1, 0.5)
+    for build in (lambda: SkewPoly({1.5: 1.0}, 0.5), lambda: SkewPoly({"1": 1.0}, 0.5),
+                  lambda: SkewPoly.x_power(2.7, 0.5), lambda: x_mul(x, 1.5),
+                  lambda: x_mul(x, 1.0)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            build()
+    assert x_mul(x, 2).coeffs.keys() == {3}
+
+
 def test_apply_D_base_cases():
     rng = random.Random(64)
     ps = draw_ps(rng)
